@@ -45,6 +45,20 @@ val check :
     occurrence count at least [sup(P)] — others cannot yield an
     equal-support extension.
 
+    Before any growth, a counting pre-filter bounds each insertion's
+    support by counting the candidate's occurrences in the landmark
+    envelope window of its gap in every supporting sequence. Counters
+    are flat [int array]s: each surviving candidate gets a slot, looked
+    up by {e dense} event id ({!Seqdb.dense_alphabet}), so sparse or
+    negative raw ids are fine. A gap window costs one dense-id lookup
+    plus at most one array increment per position — no hashing — and a
+    per-sequence touched-slot list resets the counts. The leftmost
+    envelope comes from [prefix_sets] (the [j]-th leftmost landmark
+    position in [S_i] is the last position of the first instance of
+    [S_i]'s group in [prefix_sets.(j-1)]); only the rightmost landmark
+    is walked. Scratch arrays are allocated per call, so concurrent
+    checks on different domains share nothing.
+
     [event_sets] supplies the size-1 leftmost support sets used as prepend
     bases; pass a memoised function (as CloGSgrow does) to avoid
     re-materialising them at every DFS node. Defaults to

@@ -10,7 +10,9 @@
    regression: on a fixed seeded append-heavy workload the CSR backend's
    retained live words must stay within 1.25x of legacy. The closure-funnel
    bench section is pinned by checking that the quest_small sweep's lowest
-   threshold actually exercises the pre-filter's survive path. *)
+   threshold actually exercises the pre-filter's survive path, and the
+   closure pre-filter's exact funnel on the jboss traces is pinned so a
+   rewrite of its inner loops cannot change a single verdict. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -317,10 +319,12 @@ let test_grow_shares_firsts () =
 
 (* resolved against the test binary so the pin also runs under a bare
    dune exec (cwd = project root), not just dune runtest *)
-let quest_small_path =
+let data_path name =
   Filename.concat
     (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "data" "quest_small.txt"))
+    (Filename.concat ".." (Filename.concat "data" name))
+
+let quest_small_path = data_path "quest_small.txt"
 
 let test_closure_funnel_pin () =
   if not (Sys.file_exists quest_small_path) then
@@ -343,6 +347,30 @@ let test_closure_funnel_pin () =
       (rejects + base <= checks)
   end
 
+(* --- exact closure funnel on the jboss case study --- *)
+
+(* CloGSgrow at the case study's min_sup 18 (length capped at 5 to keep the
+   tier quick). Every figure is deterministic and was recorded from the
+   hashtable-based pre-filter with per-sequence leftmost walks: the
+   dense-id counters and prefix-set envelopes must reproduce it exactly —
+   same bound verdicts, same grows, same DFS, same answer. *)
+let test_jboss_funnel_exact () =
+  let path = data_path "jboss_traces.txt" in
+  if not (Sys.file_exists path) then Alcotest.skip ()
+  else begin
+    let db, _codec = Seq_io.load_tokens path in
+    let idx = Inverted_index.build db in
+    Metrics.reset ();
+    let results, stats = Clogsgrow.mine ~max_length:5 idx ~min_sup:18 in
+    let pin name expect got = Alcotest.(check int) name expect got in
+    pin "closure_bound_checks" 39912 (Metrics.value Metrics.closure_bound_checks);
+    pin "closure_bound_rejects" 36548 (Metrics.value Metrics.closure_bound_rejects);
+    pin "closure_base_grows" 3364 (Metrics.value Metrics.closure_base_grows);
+    pin "closure_full_grows" 1853 (Metrics.value Metrics.closure_full_grows);
+    pin "dfs nodes" 1721 stats.Clogsgrow.dfs_nodes;
+    pin "patterns" 57 (List.length results)
+  end
+
 let suite =
   [
     prop_gallop_equals_linear_scan;
@@ -357,4 +385,6 @@ let suite =
     Alcotest.test_case "grow shares firsts arrays" `Quick test_grow_shares_firsts;
     Alcotest.test_case "closure funnel pin (quest_small)" `Quick
       test_closure_funnel_pin;
+    Alcotest.test_case "closure funnel exact (jboss, min_sup 18)" `Quick
+      test_jboss_funnel_exact;
   ]

@@ -11,6 +11,10 @@
    - CloGSgrow output = exhaustive closed set (soundness + completeness);
    - CloGSgrow invariance: disabling LBCheck does not change the output;
    - closure checking agrees with the definition of closedness;
+   - LBCheck is sound (Theorem 5): no closed pattern extends an
+     LB-prunable prefix;
+   - closure checking and CloGSgrow are invariant under an injective
+     remap of events to sparse, negative ids, on all three index backends;
    - sequential baselines agree with definition-level counting. *)
 
 open Rgs_sequence
@@ -220,6 +224,74 @@ let prop_closure_check_definition =
       in
       Closure.is_closed idx p = closed_def)
 
+(* Theorem 5, checked directly: if LBCheck prunes [p], then no strictly
+   longer pattern with prefix [p] is closed at any threshold s <= sup(p).
+   Every pattern frequent at [s] is tried, so each database exercises both
+   verdicts. *)
+let prop_lb_prunable_sound =
+  make ~name:"LBCheck sound: no closed pattern extends an LB-prunable prefix"
+    ~count:100
+    QCheck2.Gen.(pair (gen_db ~num_seqs:3 ~alphabet:3 ~max_len:7) (int_range 1 3))
+    (fun (db, s) -> print_db db ^ Printf.sprintf "min_sup: %d" s)
+    (fun (db, s) ->
+      let idx = Inverted_index.build db in
+      let extends p q =
+        let p = Pattern.to_array p and q = Pattern.to_array q in
+        Array.length q > Array.length p
+        && Array.for_all2 ( = ) p (Array.sub q 0 (Array.length p))
+      in
+      match
+        let closed = Brute_force.closed db ~min_sup:s in
+        List.for_all
+          (fun (p, _) ->
+            (not (Closure.lb_prunable idx p))
+            || not (List.exists (fun (q, _) -> extends p q) closed))
+          (Brute_force.frequent db ~min_sup:s)
+      with
+      | ok -> ok
+      | exception Brute_force.Too_large -> true)
+
+(* Events remapped through an injective map onto sparse, negative ids: the
+   closure pre-filter must key its counters on dense alphabet ids, never on
+   raw events. Answers on the remapped database must be exactly the
+   remapped answers on the dense one, on every index backend. *)
+let sparse e = (7919 * e) - 50000
+
+let prop_sparse_event_ids =
+  make ~name:"closure + CloGSgrow invariant under sparse negative event ids"
+    ~count:80
+    QCheck2.Gen.(
+      triple (gen_db ~num_seqs:3 ~alphabet:4 ~max_len:8)
+        (gen_pattern ~alphabet:4 ~max_len:3) (int_range 1 3))
+    (fun (db, p, s) -> print_pair (db, p) ^ Printf.sprintf "\nmin_sup: %d" s)
+    (fun (db, p, min_sup) ->
+      let remap_seq q = Sequence.of_list (List.map sparse (Sequence.to_list q)) in
+      let remap_pat q = Pattern.of_list (List.map sparse (Pattern.to_list q)) in
+      let db' = Seqdb.of_array (Array.map remap_seq (Seqdb.sequences db)) in
+      let p' = remap_pat p in
+      let answers idx pat =
+        let mined, _ = Clogsgrow.mine idx ~min_sup in
+        ( List.sort compare
+            (List.map
+               (fun r -> (Pattern.to_list r.Mined.pattern, r.Mined.support))
+               mined),
+          Closure.is_closed idx pat,
+          Closure.lb_prunable idx pat )
+      in
+      let mined, closed, prunable =
+        answers (Inverted_index.build db) p
+      in
+      let expect =
+        ( List.sort compare
+            (List.map (fun (q, sup) -> (List.map sparse q, sup)) mined),
+          closed,
+          prunable )
+      in
+      List.for_all
+        (fun kind ->
+          answers (Inverted_index.build_kind ~fanout:4 kind db') p' = expect)
+        Inverted_index.[ Kcsr; Klegacy; Kpaged ])
+
 let prop_insgrow_incremental =
   make ~name:"supComp(P ◦ e) = INSgrow(supComp(P), e)" ~count:300
     QCheck2.Gen.(triple default_db default_pattern (int_bound 2))
@@ -241,5 +313,7 @@ let suite =
     prop_clogsgrow_closed;
     prop_clogsgrow_lb_invariant;
     prop_closure_check_definition;
+    prop_lb_prunable_sound;
+    prop_sparse_event_ids;
     prop_insgrow_incremental;
   ]
