@@ -6,12 +6,15 @@
    Knobs (environment):
      RGS_BENCH_SCALE    dataset scale relative to the paper (default 0.05)
      RGS_BENCH_TIMEOUT  per-mining-run cut-off in seconds (default 5)
-     RGS_BENCH_SKIP_TABLES / RGS_BENCH_SKIP_LAYOUT / RGS_BENCH_SKIP_MICRO /
-     RGS_BENCH_SKIP_CHECKPOINT / RGS_BENCH_SKIP_QUERY / RGS_BENCH_SKIP_STORE
+     RGS_BENCH_SKIP_TABLES / RGS_BENCH_SKIP_MICRO / RGS_BENCH_SKIP_CHECKPOINT /
+     RGS_BENCH_SKIP_QUERY / RGS_BENCH_SKIP_STORE / RGS_BENCH_SKIP_STEAL /
+     RGS_BENCH_SKIP_SUPERVISE
                         set to 1 to skip a section
      RGS_DATA_DIR       where the checked-in datasets live (default data)
-     RGS_BENCH_JSON_PATH  layout-comparison JSON output (default BENCH_core.json)
-     RGS_BENCH_LAYOUT_REPS  timing repetitions per layout run (default 3)
+     RGS_BENCH_LAYOUT_REPS  timing repetitions per Section F-H run (default 3)
+
+   Sections A, B and D-H print tables and fail on their gates; the
+   repository's benchmark ledger is perfbench/ (see perfbench/README.md).
 
    The tables here are shape-checks at reduced scale; EXPERIMENTS.md records
    the larger-budget runs produced with bin/experiments.exe. *)
@@ -25,6 +28,19 @@ let env_flag name = Sys.getenv_opt name = Some "1"
 
 let scale = env_float "RGS_BENCH_SCALE" 0.05
 let timeout_s = env_float "RGS_BENCH_TIMEOUT" 5.
+
+(* Timing repetitions per Section F-H measurement. *)
+let reps = int_of_float (env_float "RGS_BENCH_LAYOUT_REPS" 3.) |> max 1
+
+(* Best-of-[reps] wall time of [f], after one untimed warm-up run. *)
+let best f =
+  ignore (f ());
+  let wall = ref infinity in
+  for _ = 1 to reps do
+    let _, elapsed = E.Exp_common.time f in
+    if elapsed < !wall then wall := elapsed
+  done;
+  !wall
 
 let print_table title t =
   Format.printf "== %s ==@.%s@." title (Rgs_post.Report.to_string t)
@@ -71,10 +87,7 @@ let section_tables () =
    >= 100x, mining the mapped database must produce output identical to
    the text path, and the workload must actually exercise the cursor's
    doubling search (cursor_gallops > 0 — long postings are the point of
-   this corpus). Rows land in BENCH_core.json under "store" (the JSON is
-   written by section_layout, which runs after this section). *)
-
-let store_rows = ref []
+   this corpus). *)
 
 let section_store () =
   let open Rgs_sequence in
@@ -106,16 +119,6 @@ let section_store () =
         Store.write ~path:rgsdb db;
         let size f = (Unix.stat f).Unix.st_size in
         let text_bytes = size txt and store_bytes = size rgsdb in
-        let reps = int_of_float (env_float "RGS_BENCH_LAYOUT_REPS" 3.) |> max 1 in
-        let best f =
-          ignore (f ());
-          let wall = ref infinity in
-          for _ = 1 to reps do
-            let _, elapsed = E.Exp_common.time f in
-            if elapsed < !wall then wall := elapsed
-          done;
-          !wall
-        in
         let parse_s = best (fun () -> Seq_io.load_spmf txt) in
         let open_s = best (fun () -> Store.open_db rgsdb) in
         let speedup = parse_s /. open_s in
@@ -167,22 +170,7 @@ let section_store () =
           "gsgrow min_sup=%d max_length=%d: %d patterns, text %.2fs, \
            store %.2fs, %d gallops (outputs identical)@."
           min_sup max_length (List.length out_text) mine_text_s mine_store_s
-          gallops;
-        store_rows :=
-          [
-            Printf.sprintf
-              "    {\"dataset\": %S, \"config\": \"quest_paper.config\", \
-               \"sequences\": %d, \"events\": %d, \"alphabet\": %d, \
-               \"text_bytes\": %d, \"store_bytes\": %d, \"parse_s\": %.6f, \
-               \"open_s\": %.6f, \"open_speedup_x\": %.1f, \"min_sup\": %d, \
-               \"max_length\": %d, \"patterns\": %d, \"mine_text_s\": %.6f, \
-               \"mine_store_s\": %.6f, \"cursor_gallops\": %d, \
-               \"outputs_identical\": true, \"digest\": %S}"
-              label (Seqdb.size db) (Seqdb.total_length db) alphabet
-              text_bytes store_bytes parse_s open_s speedup min_sup
-              max_length (List.length out_text) mine_text_s mine_store_s
-              gallops (Store.digest store_t);
-          ])
+          gallops)
   end
 
 (* --- Section G: shard-parallel mining with work-stealing DFS ---
@@ -200,9 +188,7 @@ let section_store () =
    The wall-clock budget is only enforced on multi-core hosts: on one
    core both executors serialize onto the same total work, so the
    comparison is recorded but not gated (same caveat as the parallel
-   scaling section). Rows land in BENCH_core.json under "steal". *)
-
-let steal_rows = ref []
+   scaling section). *)
 
 let section_steal () =
   let open Rgs_sequence in
@@ -210,21 +196,11 @@ let section_steal () =
   let signatures results =
     List.map (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support)) results
   in
-  let reps = int_of_float (env_float "RGS_BENCH_LAYOUT_REPS" 3.) |> max 1 in
   let domains = 4 in
   Format.printf
     "@.### Section G: shard-parallel mining with work stealing (%d domains, \
      best of %d)@.@."
     domains reps;
-  let best f =
-    ignore (f ());
-    let wall = ref infinity in
-    for _ = 1 to reps do
-      let _, elapsed = E.Exp_common.time f in
-      if elapsed < !wall then wall := elapsed
-    done;
-    !wall
-  in
   (* identity sweep: shards x executor vs the sequential miner *)
   let jboss, _ = E.Exp_common.jboss_like () in
   let datasets =
@@ -280,14 +256,7 @@ let section_steal () =
               Rgs_post.Report.add_row t
                 [ name; string_of_int shards; label;
                   Rgs_post.Report.cell_float wall;
-                  string_of_int (List.length out) ];
-              steal_rows :=
-                Printf.sprintf
-                  "    {\"dataset\": %S, \"min_sup\": %d, \"domains\": %d, \
-                   \"shards\": %d, \"executor\": %S, \"wall_s\": %.6f, \
-                   \"patterns\": %d, \"outputs_identical\": true}"
-                  name min_sup domains shards label wall (List.length out)
-                :: !steal_rows)
+                  string_of_int (List.length out) ])
             [ ("lpt", false); ("steal", true) ])
         [ 1; 2; 4; 8 ])
     datasets;
@@ -337,16 +306,7 @@ let section_steal () =
       (Printf.sprintf
          "steal bench: stealing (%.3fs) is slower than LPT (%.3fs) on the \
           skewed-roots workload"
-         steal_wall lpt_wall);
-  steal_rows :=
-    Printf.sprintf
-      "    {\"dataset\": \"skewed_roots\", \"min_sup\": %d, \"domains\": %d, \
-       \"lpt_wall_s\": %.6f, \"steal_wall_s\": %.6f, \"speedup_x\": %.2f, \
-       \"steal_attempts\": %d, \"steal_successes\": %d, \"host_cores\": %d, \
-       \"wall_budget_enforced\": %b, \"outputs_identical\": true}"
-      min_sup domains lpt_wall steal_wall (lpt_wall /. steal_wall) attempts
-      successes cores enforced
-    :: !steal_rows
+         steal_wall lpt_wall)
 
 (* --- Section H: supervised multi-process shard workers ---
 
@@ -361,10 +321,7 @@ let section_steal () =
    the price of crash isolation. Skipped gracefully when the rgsworker
    executable is not built next to the bench binary;
    RGS_BENCH_SKIP_SUPERVISE gates the whole section (the perf-smoke
-   alias sets it: process supervision has no place in a 1-rep smoke).
-   Rows land in BENCH_core.json under "supervise". *)
-
-let supervise_rows = ref []
+   alias sets it: process supervision has no place in a 1-rep smoke). *)
 
 let section_supervise () =
   let open Rgs_core in
@@ -380,16 +337,6 @@ let section_supervise () =
       List.map
         (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support))
         results
-    in
-    let reps = int_of_float (env_float "RGS_BENCH_LAYOUT_REPS" 3.) |> max 1 in
-    let best f =
-      ignore (f ());
-      let wall = ref infinity in
-      for _ = 1 to reps do
-        let _, elapsed = E.Exp_common.time f in
-        if elapsed < !wall then wall := elapsed
-      done;
-      !wall
     in
     let db, _ = E.Exp_common.jboss_like () in
     let min_sup = 18 and max_length = 4 in
@@ -454,388 +401,12 @@ let section_supervise () =
                 Rgs_post.Report.cell_float wall;
                 Printf.sprintf "%.2f" overhead;
                 string_of_int s.Rgs_server.Supervisor.spawns;
-                string_of_int s.Rgs_server.Supervisor.restarts ];
-            supervise_rows :=
-              Printf.sprintf
-                "    {\"dataset\": \"jboss_like\", \"min_sup\": %d, \
-                 \"shards\": %d, \"inproc_wall_s\": %.6f, \
-                 \"supervised_wall_s\": %.6f, \"overhead_x\": %.2f, \
-                 \"spawns\": %d, \"restarts\": %d, \
-                 \"outputs_identical\": true}"
-                min_sup shards inproc_wall wall overhead
-                s.Rgs_server.Supervisor.spawns
-                s.Rgs_server.Supervisor.restarts
-              :: !supervise_rows))
+                string_of_int s.Rgs_server.Supervisor.restarts ]))
       [ 2; 4 ];
     print_table
       "supervised worker processes vs in-process sharded growth \
        (outputs checked against sequential)"
       t
-  end
-
-(* --- Section C: columnar layout, old vs new index backend ---
-
-   Mines the two checked-in datasets with the seed hashtable index and the
-   CSR index, verifies both backends produce the identical pattern set, and
-   reports wall time, patterns/sec and the Metrics counters side by side.
-   Also written as machine-readable JSON (RGS_BENCH_JSON_PATH, default
-   BENCH_core.json) so CI can track the speedup. *)
-
-let section_layout () =
-  let open Rgs_sequence in
-  let open Rgs_core in
-  let data_dir = Option.value (Sys.getenv_opt "RGS_DATA_DIR") ~default:"data" in
-  let json_path =
-    Option.value (Sys.getenv_opt "RGS_BENCH_JSON_PATH") ~default:"BENCH_core.json"
-  in
-  let reps =
-    int_of_float (env_float "RGS_BENCH_LAYOUT_REPS" 3.) |> max 1
-  in
-  Format.printf
-    "@.### Section C: columnar layout — legacy (seed) vs CSR index (best of %d)@.@."
-    reps;
-  let datasets =
-    List.filter_map
-      (fun (name, file, min_sup, max_length) ->
-        let path = Filename.concat data_dir file in
-        if Sys.file_exists path then Some (name, path, min_sup, max_length)
-        else begin
-          Format.printf "(skipping %s: %s not found)@." name path;
-          None
-        end)
-      [
-        (* low min_sup on quest_small: the INSgrow-dominated regime *)
-        ("quest_small", "quest_small.txt", 4, Some 5);
-        ("jboss_traces", "jboss_traces.txt", 18, Some 4);
-      ]
-  in
-  let signatures results =
-    List.map (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support)) results
-  in
-  let runs = ref [] in
-  let speedups = ref [] in
-  let t =
-    Rgs_post.Report.create
-      ~columns:
-        [ "dataset"; "algo"; "backend"; "time_s"; "patterns"; "patterns/s";
-          "next_calls"; "cursor_adv"; "cursor_gal"; "peak_words" ]
-  in
-  List.iter
-    (fun (name, path, min_sup, max_length) ->
-      let db, _codec = Seq_io.load_tokens path in
-      let algos =
-        [
-          ("gsgrow", fun idx -> fst (Gsgrow.mine ?max_length idx ~min_sup));
-          ("clogsgrow", fun idx -> fst (Clogsgrow.mine ?max_length idx ~min_sup));
-        ]
-      in
-      List.iter
-        (fun (algo, mine) ->
-          let measure kind =
-            let idx = Inverted_index.build_kind kind db in
-            (* warm-up run also yields the output for the equality check *)
-            let out = signatures (mine idx) in
-            Metrics.reset ();
-            (* level the heap: collect the previous backend's garbage now
-               so it is not collected inside this backend's timed reps *)
-            Gc.compact ();
-            let wall = ref infinity in
-            for _ = 1 to reps do
-              let _, elapsed = E.Exp_common.time (fun () -> mine idx) in
-              if elapsed < !wall then wall := elapsed
-            done;
-            ( idx,
-              out,
-              !wall,
-              Metrics.value Metrics.next_calls / reps,
-              Metrics.value Metrics.cursor_advances / reps,
-              Metrics.value Metrics.cursor_gallops / reps )
-          in
-          (* Memory is measured after both backends' timing so the big
-             retained runs cannot skew the timed reps: one extra untimed
-             run per backend, sampled with its full result set still live —
-             the retained support sets are the run's memory peak. The read
-             through opaque_identity after the sample keeps the compiler
-             from proving the list dead and collecting it early. *)
-          let words_of idx =
-            Gc.compact ();
-            let keep = mine idx in
-            let words = Metrics.sample_live_words () in
-            ignore (Sys.opaque_identity (List.length keep));
-            words
-          in
-          let idx_legacy, out_legacy, wall_legacy, next_legacy, adv_legacy,
-              gal_legacy =
-            measure Inverted_index.Klegacy
-          in
-          let idx_csr, out_csr, wall_csr, next_csr, adv_csr, gal_csr =
-            measure Inverted_index.Kcsr
-          in
-          let words_legacy = words_of idx_legacy in
-          let words_csr = words_of idx_csr in
-          if out_legacy <> out_csr then
-            failwith
-              (Printf.sprintf "layout bench: %s/%s: CSR output differs from legacy"
-                 name algo);
-          let patterns = List.length out_csr in
-          let row backend wall next_calls cursor_adv cursor_gal peak_words =
-            let per_sec = float_of_int patterns /. wall in
-            Rgs_post.Report.add_row t
-              [ name; algo; backend; Rgs_post.Report.cell_float wall;
-                string_of_int patterns; Printf.sprintf "%.0f" per_sec;
-                string_of_int next_calls; string_of_int cursor_adv;
-                string_of_int cursor_gal; string_of_int peak_words ];
-            runs :=
-              Printf.sprintf
-                "    {\"dataset\": %S, \"algo\": %S, \"backend\": %S, \
-                 \"min_sup\": %d, \"wall_s\": %.6f, \"patterns\": %d, \
-                 \"patterns_per_sec\": %.1f, \"next_calls\": %d, \
-                 \"cursor_advances\": %d, \"cursor_gallops\": %d, \
-                 \"peak_live_words\": %d}"
-                name algo backend min_sup wall patterns per_sec next_calls
-                cursor_adv cursor_gal peak_words
-              :: !runs
-          in
-          row "legacy" wall_legacy next_legacy adv_legacy gal_legacy words_legacy;
-          row "csr" wall_csr next_csr adv_csr gal_csr words_csr;
-          let speedup = wall_legacy /. wall_csr in
-          speedups :=
-            Printf.sprintf
-              "    {\"dataset\": %S, \"algo\": %S, \"csr_speedup_x\": %.2f, \
-               \"outputs_identical\": true}"
-              name algo speedup
-            :: !speedups;
-          Format.printf "%s/%s: csr %.2fx vs legacy (outputs identical)@." name
-            algo speedup)
-        algos)
-    datasets;
-  print_table "old vs new layout (identical outputs checked)" t;
-  (* Tracing overhead: CloGSgrow on the CSR index with the trace disabled
-     (Trace.null — the miners' default, and the configuration every
-     untraced run above exercises), at Roots level and at Nodes level.
-     Disabled tracing must stay a branch-predictable no-op, so "off" here
-     must match the plain runs within noise. *)
-  let trace_rows = ref [] in
-  let tt =
-    Rgs_post.Report.create
-      ~columns:[ "dataset"; "trace"; "time_s"; "overhead"; "events" ]
-  in
-  List.iter
-    (fun (name, path, min_sup, max_length) ->
-      let db, _codec = Seq_io.load_tokens path in
-      let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
-      let measure trace =
-        ignore (Clogsgrow.mine ?max_length ~trace idx ~min_sup);
-        let wall = ref infinity in
-        for _ = 1 to reps do
-          let _, elapsed =
-            E.Exp_common.time (fun () -> Clogsgrow.mine ?max_length ~trace idx ~min_sup)
-          in
-          if elapsed < !wall then wall := elapsed
-        done;
-        !wall
-      in
-      let wall_off = measure Trace.null in
-      let levels =
-        [ ("roots", Trace.Roots); ("nodes", Trace.Nodes) ]
-      in
-      let row label wall events =
-        let overhead = (wall /. wall_off -. 1.) *. 100. in
-        Rgs_post.Report.add_row tt
-          [ name; label; Rgs_post.Report.cell_float wall;
-            Printf.sprintf "%+.1f%%" overhead; string_of_int events ];
-        trace_rows :=
-          Printf.sprintf
-            "    {\"dataset\": %S, \"trace\": %S, \"wall_s\": %.6f, \
-             \"overhead_pct\": %.1f, \"events_per_run\": %d}"
-            name label wall overhead events
-          :: !trace_rows
-      in
-      row "off" wall_off 0;
-      List.iter
-        (fun (label, level) ->
-          (* fresh trace per timed run so the ring never saturates *)
-          let wall = ref infinity in
-          let events = ref 0 in
-          ignore (measure Trace.null);
-          for _ = 1 to reps do
-            let trace = Trace.create ~level () in
-            let _, elapsed =
-              E.Exp_common.time (fun () ->
-                  Clogsgrow.mine ?max_length ~trace idx ~min_sup)
-            in
-            events := List.length (Trace.events trace) + Trace.dropped trace;
-            if elapsed < !wall then wall := elapsed
-          done;
-          row label !wall !events)
-        levels)
-    datasets;
-  print_table "tracing overhead — CloGSgrow on CSR (best of reps)" tt;
-  (* Galloping seek: decompose each backend's seek work into linear
-     advances (short hops) and gallop steps (doubling probes, bisection
-     halvings, B+-tree descent levels). Counters are deterministic, so one
-     fresh run per cell suffices. *)
-  let gallop_rows = ref [] in
-  let gt =
-    Rgs_post.Report.create
-      ~columns:
-        [ "dataset"; "backend"; "next_calls"; "advances"; "gallops";
-          "adv/seek" ]
-  in
-  List.iter
-    (fun (name, path, min_sup, max_length) ->
-      let db, _codec = Seq_io.load_tokens path in
-      List.iter
-        (fun kind ->
-          let idx = Inverted_index.build_kind kind db in
-          ignore (Gsgrow.mine ?max_length idx ~min_sup);
-          Metrics.reset ();
-          ignore (Gsgrow.mine ?max_length idx ~min_sup);
-          let next_calls = Metrics.value Metrics.next_calls in
-          let adv = Metrics.value Metrics.cursor_advances in
-          let gal = Metrics.value Metrics.cursor_gallops in
-          let per_seek =
-            if next_calls = 0 then 0.
-            else float_of_int adv /. float_of_int next_calls
-          in
-          let backend = Inverted_index.kind_name kind in
-          Rgs_post.Report.add_row gt
-            [ name; backend; string_of_int next_calls; string_of_int adv;
-              string_of_int gal; Printf.sprintf "%.3f" per_seek ];
-          gallop_rows :=
-            Printf.sprintf
-              "    {\"dataset\": %S, \"backend\": %S, \"algo\": \"gsgrow\", \
-               \"min_sup\": %d, \"next_calls\": %d, \"cursor_advances\": %d, \
-               \"cursor_gallops\": %d, \"advances_per_seek\": %.4f}"
-              name backend min_sup next_calls adv gal per_seek
-            :: !gallop_rows)
-        Inverted_index.[ Kcsr; Klegacy; Kpaged ])
-    datasets;
-  print_table "galloping seek — per-backend seek-work decomposition (GSgrow)" gt;
-  (* Pool scheduling: largest-root-first vs index-order claiming. The
-     output must be bit-identical (the pool's merge is claim-order
-     independent); only wall time may move. *)
-  let schedule_rows = ref [] in
-  let st =
-    Rgs_post.Report.create
-      ~columns:[ "dataset"; "schedule"; "domains"; "time_s"; "patterns" ]
-  in
-  List.iter
-    (fun (name, path, min_sup, max_length) ->
-      let db, _codec = Seq_io.load_tokens path in
-      let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
-      let domains = Parallel_miner.default_domains () in
-      let run schedule =
-        ignore
-          (Parallel_miner.mine_closed ~domains ?max_length ~schedule idx
-             ~min_sup);
-        let out = ref [] in
-        let wall = ref infinity in
-        for _ = 1 to reps do
-          let (results, _), elapsed =
-            E.Exp_common.time (fun () ->
-                Parallel_miner.mine_closed ~domains ?max_length ~schedule idx
-                  ~min_sup)
-          in
-          out := signatures results;
-          if elapsed < !wall then wall := elapsed
-        done;
-        (!out, !wall)
-      in
-      let out_index, wall_index = run `Index in
-      let out_largest, wall_largest = run `Largest_first in
-      if out_index <> out_largest then
-        failwith
-          (Printf.sprintf
-             "pool schedule bench: %s: largest-first output differs from \
-              index order"
-             name);
-      let row label wall =
-        Rgs_post.Report.add_row st
-          [ name; label; string_of_int domains;
-            Rgs_post.Report.cell_float wall;
-            string_of_int (List.length out_index) ];
-        schedule_rows :=
-          Printf.sprintf
-            "    {\"dataset\": %S, \"schedule\": %S, \"domains\": %d, \
-             \"min_sup\": %d, \"wall_s\": %.6f, \"patterns\": %d, \
-             \"outputs_identical\": true}"
-            name label domains min_sup wall (List.length out_index)
-          :: !schedule_rows
-      in
-      row "index" wall_index;
-      row "largest_first" wall_largest;
-      Format.printf "%s: largest-first %.2fx vs index order (outputs identical)@."
-        name
-        (wall_index /. wall_largest))
-    datasets;
-  print_table
-    "pool scheduling — CloGSgrow, index order vs largest-root-first" st;
-  (* Closure funnel: how the Theorem 5 pre-filter splits candidate
-     extensions as min_sup tightens — checks that were rejected outright
-     vs those that had to grow their base (and of these, how many grew to
-     completion). quest_small only: the low-support regime is where the
-     funnel shape changes. *)
-  let funnel_rows = ref [] in
-  let ft =
-    Rgs_post.Report.create
-      ~columns:
-        [ "dataset"; "min_sup"; "bound_checks"; "bound_rejects"; "base_grows";
-          "full_grows"; "reject%" ]
-  in
-  List.iter
-    (fun (name, path, _min_sup, max_length) ->
-      if name = "quest_small" then begin
-        let db, _codec = Seq_io.load_tokens path in
-        let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
-        List.iter
-          (fun min_sup ->
-            Metrics.reset ();
-            ignore (Clogsgrow.mine ?max_length idx ~min_sup);
-            let checks = Metrics.value Metrics.closure_bound_checks in
-            let rejects = Metrics.value Metrics.closure_bound_rejects in
-            let base = Metrics.value Metrics.closure_base_grows in
-            let full = Metrics.value Metrics.closure_full_grows in
-            let reject_pct =
-              if checks = 0 then 0.
-              else 100. *. float_of_int rejects /. float_of_int checks
-            in
-            Rgs_post.Report.add_row ft
-              [ name; string_of_int min_sup; string_of_int checks;
-                string_of_int rejects; string_of_int base;
-                string_of_int full; Printf.sprintf "%.1f%%" reject_pct ];
-            funnel_rows :=
-              Printf.sprintf
-                "    {\"dataset\": %S, \"min_sup\": %d, \
-                 \"closure_bound_checks\": %d, \"closure_bound_rejects\": %d, \
-                 \"closure_base_grows\": %d, \"closure_full_grows\": %d}"
-                name min_sup checks rejects base full
-              :: !funnel_rows)
-          [ 2; 3; 4; 6; 8 ]
-      end)
-    datasets;
-  print_table "closure funnel — pre-filter outcome counts vs min_sup" ft;
-  if datasets <> [] then begin
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"columnar layout, legacy vs CSR\",\n  \"reps\": %d,\n  \
-       \"runs\": [\n%s\n  ],\n  \"speedups\": [\n%s\n  ],\n  \
-       \"trace_overhead\": [\n%s\n  ],\n  \"seek_gallop\": [\n%s\n  ],\n  \
-       \"pool_schedule\": [\n%s\n  ],\n  \"closure_funnel\": [\n%s\n  ],\n  \
-       \"store\": [\n%s\n  ],\n  \"steal\": [\n%s\n  ],\n  \
-       \"supervise\": [\n%s\n  ]\n}\n"
-      reps
-      (String.concat ",\n" (List.rev !runs))
-      (String.concat ",\n" (List.rev !speedups))
-      (String.concat ",\n" (List.rev !trace_rows))
-      (String.concat ",\n" (List.rev !gallop_rows))
-      (String.concat ",\n" (List.rev !schedule_rows))
-      (String.concat ",\n" (List.rev !funnel_rows))
-      (String.concat ",\n" (List.rev !store_rows))
-      (String.concat ",\n" (List.rev !steal_rows))
-      (String.concat ",\n" (List.rev !supervise_rows));
-    close_out oc;
-    Format.printf "wrote %s@." json_path
   end
 
 (* --- Section B: bechamel micro-benchmarks, one per experiment id --- *)
@@ -1018,21 +589,15 @@ let section_micro () =
    is computed by visiting fewer DFS nodes, not by post-filtering a full
    enumeration. Every mode's answer is checked against the mine-all run
    (the k best supports for top-k, the exact filtered subset for
-   targeted) and the node counts land in BENCH_query.json
-   (RGS_BENCH_QUERY_JSON_PATH). Two budgets are enforced, so a pruning
-   regression fails the bench instead of drifting silently: top-100 on
-   jboss_traces must expand under 25% of mine-all's nodes, and the
-   answers must match mine-all exactly. *)
+   targeted). Two budgets are enforced, so a pruning regression fails the
+   bench instead of drifting silently: top-100 on jboss_traces must expand
+   under 25% of mine-all's nodes, and the answers must match mine-all
+   exactly. *)
 
 let section_query () =
   let open Rgs_sequence in
   let open Rgs_core in
   let data_dir = Option.value (Sys.getenv_opt "RGS_DATA_DIR") ~default:"data" in
-  let json_path =
-    Option.value
-      (Sys.getenv_opt "RGS_BENCH_QUERY_JSON_PATH")
-      ~default:"BENCH_query.json"
-  in
   Format.printf
     "@.### Section E: query answer modes — in-DFS pruning vs mine-all@.@.";
   let datasets =
@@ -1049,10 +614,7 @@ let section_query () =
         ("jboss_traces", "jboss_traces.txt", 18, Some 4);
       ]
   in
-  let all_rows = ref [] in
-  let topk_rows = ref [] in
-  let target_rows = ref [] in
-  let delta_rows = ref [] in
+  let delta_lines = ref [] in
   let t =
     Rgs_post.Report.create
       ~columns:[ "dataset"; "mode"; "dfs_nodes"; "node%"; "patterns"; "time_s" ]
@@ -1086,12 +648,6 @@ let section_query () =
         pct
       in
       ignore (row "all" nodes_all (List.length all) wall_all);
-      all_rows :=
-        Printf.sprintf
-          "    {\"dataset\": %S, \"min_sup\": %d, \"dfs_nodes\": %d, \
-           \"patterns\": %d, \"wall_s\": %.6f}"
-          name min_sup nodes_all (List.length all) wall_all
-        :: !all_rows;
       (* top-100: the supports must be exactly the 100 best of mine-all *)
       let k = 100 in
       let topk, nodes_topk, wall_topk = run (Query.Top_k k) in
@@ -1118,15 +674,6 @@ let section_query () =
              "query bench: top-%d on %s expanded %.1f%% of mine-all's nodes \
               (budget: < 25%%)"
              k name pct);
-      topk_rows :=
-        Printf.sprintf
-          "    {\"dataset\": %S, \"k\": %d, \"dfs_nodes\": %d, \
-           \"node_ratio\": %.4f, \"patterns\": %d, \"wall_s\": %.6f, \
-           \"outputs_identical\": true}"
-          name k nodes_topk
-          (float_of_int nodes_topk /. float_of_int (max 1 nodes_all))
-          (List.length topk) wall_topk
-        :: !topk_rows;
       (* targeted: the best length-2 closed pattern as the target; the
          answer must be the exact containment filter of mine-all *)
       let by_sup = List.sort Mined.compare_by_support_desc all in
@@ -1152,57 +699,29 @@ let section_query () =
         (row
            (Printf.sprintf "target %s" (Pattern.to_string target))
            nodes_t (List.length targeted) wall_t);
-      target_rows :=
-        Printf.sprintf
-          "    {\"dataset\": %S, \"target\": %S, \"dfs_nodes\": %d, \
-           \"node_ratio\": %.4f, \"patterns\": %d, \"wall_s\": %.6f, \
-           \"outputs_identical\": true}"
-          name
-          (Pattern.to_string target)
-          nodes_t
-          (float_of_int nodes_t /. float_of_int (max 1 nodes_all))
-          (List.length targeted) wall_t
-        :: !target_rows;
       (* δ-cover of the closed answer (its natural input) at a few
          compression bands *)
       let closed, _, _ = run ~mode:Miner.Closed Query.All in
-      List.iter
-        (fun delta ->
-          let covers = Rgs_post.Compress.delta_cover ~delta closed in
-          let reps = List.length covers in
-          delta_rows :=
-            Printf.sprintf
-              "    {\"dataset\": %S, \"delta\": %.2f, \"patterns\": %d, \
-               \"representatives\": %d, \"covered\": %d}"
-              name delta (List.length closed) reps
-              (List.length closed - reps)
-            :: !delta_rows)
-        [ 0.05; 0.2; 0.5 ])
+      let bands =
+        List.map
+          (fun delta ->
+            Printf.sprintf "delta %.2f -> %d" delta
+              (List.length (Rgs_post.Compress.delta_cover ~delta closed)))
+          [ 0.05; 0.2; 0.5 ]
+      in
+      delta_lines :=
+        Printf.sprintf "%s: %d closed patterns, representatives: %s" name
+          (List.length closed) (String.concat ", " bands)
+        :: !delta_lines)
     datasets;
   print_table "query answer modes — DFS nodes vs mine-all (answers checked)" t;
-  if datasets <> [] then begin
-    let oc = open_out json_path in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"query answer modes, in-DFS pruning vs mine-all\",\n  \
-       \"mine_all\": [\n%s\n  ],\n  \"top_k\": [\n%s\n  ],\n  \
-       \"targeted\": [\n%s\n  ],\n  \"delta_cover\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.rev !all_rows))
-      (String.concat ",\n" (List.rev !topk_rows))
-      (String.concat ",\n" (List.rev !target_rows))
-      (String.concat ",\n" (List.rev !delta_rows));
-    close_out oc;
-    Format.printf "wrote %s@." json_path
-  end
+  List.iter (Format.printf "delta-cover %s@.") (List.rev !delta_lines)
 
 let () =
   if not (env_flag "RGS_BENCH_SKIP_TABLES") then section_tables ();
-  (* store before layout: section_layout writes the JSON, including the
-     store rows gathered here *)
   if not (env_flag "RGS_BENCH_SKIP_STORE") then section_store ();
-  (* steal before layout for the same reason: its rows go in the JSON *)
   if not (env_flag "RGS_BENCH_SKIP_STEAL") then section_steal ();
   if not (env_flag "RGS_BENCH_SKIP_SUPERVISE") then section_supervise ();
-  if not (env_flag "RGS_BENCH_SKIP_LAYOUT") then section_layout ();
   if not (env_flag "RGS_BENCH_SKIP_MICRO") then begin
     section_micro ();
     section_parallel ()

@@ -10,6 +10,7 @@
      experiments all *)
 
 open Cmdliner
+open Rgs_sequence
 module E = Rgs_experiments
 
 (* When RGS_CSV_DIR is set, every printed table is also written there as
@@ -92,10 +93,10 @@ let trace_arg =
 let trace_level_arg =
   let level_conv =
     Arg.enum
-      [ ("off", Rgs_sequence.Trace.Off); ("roots", Rgs_sequence.Trace.Roots);
-        ("nodes", Rgs_sequence.Trace.Nodes) ]
+      [ ("off", Trace.Off); ("roots", Trace.Roots);
+        ("nodes", Trace.Nodes) ]
   in
-  Arg.(value & opt level_conv Rgs_sequence.Trace.Roots
+  Arg.(value & opt level_conv Trace.Roots
        & info [ "trace-level" ] ~docv:"LEVEL"
          ~doc:"Trace detail for $(b,--trace): $(b,roots) (default), \
                $(b,nodes), or $(b,off).")
@@ -103,13 +104,13 @@ let trace_level_arg =
 (* Snapshot around the experiment so the written stats attribute only this
    run's work, not whatever ran earlier in the process. *)
 let with_stats stats f =
-  let before = Rgs_sequence.Metrics.snapshot () in
+  let before = Metrics.snapshot () in
   let r = f () in
   (match stats with
   | None -> ()
   | Some path ->
-    Rgs_sequence.Metrics.write_stats ~path
-      (Rgs_sequence.Metrics.diff ~before ~after:(Rgs_sequence.Metrics.snapshot ()));
+    Metrics.write_stats ~path
+      (Metrics.diff ~before ~after:(Metrics.snapshot ()));
     Format.eprintf "wrote %s@." path);
   r
 
@@ -119,12 +120,12 @@ let with_trace trace_file trace_level f =
   match trace_file with
   | None -> f ()
   | Some path ->
-    let trace = Rgs_sequence.Trace.create ~level:trace_level () in
+    let trace = Trace.create ~level:trace_level () in
     E.Exp_common.set_trace trace;
     let r =
-      Fun.protect ~finally:(fun () -> E.Exp_common.set_trace Rgs_sequence.Trace.null) f
+      Fun.protect ~finally:(fun () -> E.Exp_common.set_trace Trace.null) f
     in
-    Rgs_sequence.Trace.write_chrome path trace;
+    Trace.write_chrome path trace;
     Format.eprintf "wrote %s@." path;
     r
 
@@ -226,11 +227,11 @@ let gen_quest_cmd =
       1
     | p ->
       let db = Rgs_datagen.Quest_gen.generate p in
-      Rgs_sequence.Seq_io.save_spmf db out;
+      Seq_io.save_spmf db out;
       Format.printf "wrote %s: %s — %d sequences, %d events, seed %d@." out
         (Rgs_datagen.Quest_gen.label p)
-        (Rgs_sequence.Seqdb.size db)
-        (Rgs_sequence.Seqdb.total_length db)
+        (Seqdb.size db)
+        (Seqdb.total_length db)
         p.Rgs_datagen.Quest_gen.seed;
       0
   in

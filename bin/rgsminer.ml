@@ -395,16 +395,12 @@ let steal =
 
 let index_kind =
   let kind_conv =
-    Arg.enum
-      [
-        ("csr", Inverted_index.Kcsr);
-        ("legacy", Inverted_index.Klegacy);
-        ("paged", Inverted_index.Kpaged);
-      ]
+    Arg.enum [ ("csr", Inverted_index.Kcsr); ("paged", Inverted_index.Kpaged) ]
   in
   Arg.(value & opt (some kind_conv) None & info [ "index" ] ~docv:"KIND"
-         ~doc:"Inverted-index backend: $(b,csr) (columnar, default), \
-               $(b,legacy) (per-event hashtables), or $(b,paged) (B-trees).")
+         ~doc:"Inverted-index backend: $(b,csr) (columnar arrays, default) or \
+               $(b,paged) (B-trees, for alphabets much larger than the \
+               sequences).")
 
 let deadline =
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS"

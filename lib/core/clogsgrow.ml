@@ -1,15 +1,5 @@
 open Rgs_sequence
 
-type stats = {
-  patterns : int;
-  dfs_nodes : int;
-  insgrow_calls : int;
-  lb_pruned : int;
-  non_closed_dropped : int;
-  truncated : bool;
-  outcome : Budget.outcome;
-}
-
 exception Budget_exhausted = Engine.Budget_exhausted
 
 (* CloGSgrow is the engine with plain instance growth plus the closure
@@ -60,19 +50,8 @@ let run ?max_length ?events ?roots ?(use_lb_check = true) ?(use_c_check = true)
     | None -> base
     | Some sm -> Shard_merge.strategy ?trace sm base
   in
-  let s =
-    Engine.run ?max_length ?events ?roots ?should_stop ?budget ?trace strategy
-      idx ~min_sup ~emit
-  in
-  {
-    patterns = s.Engine.emitted;
-    dfs_nodes = s.Engine.dfs_nodes;
-    insgrow_calls = s.Engine.insgrow_calls;
-    lb_pruned = s.Engine.lb_pruned;
-    non_closed_dropped = s.Engine.non_closed_dropped;
-    truncated = s.Engine.truncated;
-    outcome = s.Engine.outcome;
-  }
+  Engine.run ?max_length ?events ?roots ?should_stop ?budget ?trace strategy
+    idx ~min_sup ~emit
 
 let mine ?max_length ?max_patterns ?events ?roots ?use_lb_check ?use_c_check
     ?should_stop ?budget ?trace ?shards idx ~min_sup =

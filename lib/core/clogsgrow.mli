@@ -20,16 +20,6 @@
 
 open Rgs_sequence
 
-type stats = {
-  patterns : int;  (** closed patterns emitted *)
-  dfs_nodes : int;  (** frequent DFS nodes visited *)
-  insgrow_calls : int;
-  lb_pruned : int;  (** subtrees cut by landmark-border checking *)
-  non_closed_dropped : int;  (** frequent nodes rejected by closure checking *)
-  truncated : bool;  (** [true] iff [outcome <> Completed] *)
-  outcome : Budget.outcome;  (** why the search ended *)
-}
-
 val strategy : use_lb_check:bool -> use_c_check:bool -> Engine.strategy
 (** CloGSgrow as an {!Engine} strategy: plain instance growth plus the
     closure spec (CCheck first, LBCheck pruning, equal-support appends as
@@ -50,7 +40,7 @@ val mine :
   ?shards:Shard_merge.t ->
   Inverted_index.t ->
   min_sup:int ->
-  Mined.t list * stats
+  Mined.t list * Engine.stats
 (** [mine idx ~min_sup] returns every closed pattern with repetitive
     support at least [min_sup], in DFS order. [should_stop] is polled at
     every DFS node and aborts the search when it returns [true] (sets
@@ -77,6 +67,6 @@ val iter :
   Inverted_index.t ->
   min_sup:int ->
   f:(Mined.t -> unit) ->
-  stats
+  Engine.stats
 (** Callback-style mining: [f] is invoked on each closed pattern in DFS
     order without accumulating results. *)

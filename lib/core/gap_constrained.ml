@@ -66,8 +66,6 @@ let support_set ?min_gap idx ~max_gap p =
 let support ?min_gap idx ~max_gap p =
   Support_set.size (support_set ?min_gap idx ~max_gap p)
 
-type stats = { patterns : int; truncated : bool; outcome : Budget.outcome }
-
 exception Budget_exhausted = Engine.Budget_exhausted
 
 (* The gap-constrained miner is the engine with the skip-on-failure
@@ -98,10 +96,5 @@ let mine ?max_length ?max_patterns ?(min_gap = 0) ?budget ?trace ?shards idx
     | Some budget when !count >= budget -> raise Budget_exhausted
     | _ -> ()
   in
-  let s = Engine.run ?max_length ?budget ?trace strategy idx ~min_sup ~emit in
-  ( List.rev !results,
-    {
-      patterns = s.Engine.emitted;
-      truncated = s.Engine.truncated;
-      outcome = s.Engine.outcome;
-    } )
+  let stats = Engine.run ?max_length ?budget ?trace strategy idx ~min_sup ~emit in
+  (List.rev !results, stats)

@@ -44,8 +44,6 @@ val support_set :
   ?min_gap:int -> Inverted_index.t -> max_gap:int -> Pattern.t -> Support_set.t
 (** The greedy gap-respecting instance set behind {!support}. *)
 
-type stats = { patterns : int; truncated : bool; outcome : Budget.outcome }
-
 val strategy : min_gap:int -> max_gap:int -> Engine.strategy
 (** The gap-constrained miner as an {!Engine} strategy: {!grow} as the
     growth operation, no closure machinery. {!mine} wraps
@@ -63,7 +61,7 @@ val mine :
   Inverted_index.t ->
   max_gap:int ->
   min_sup:int ->
-  Mined.t list * stats
+  Mined.t list * Engine.stats
 (** DFS growth over greedy gap-bounded support sets. Sound: every reported
     pattern has true gap-constrained support at least [min_sup]. [budget]
     is {!Budget.check}ed at every DFS node; on a stop the patterns mined so

@@ -1,10 +1,3 @@
-type stats = {
-  patterns : int;
-  insgrow_calls : int;
-  truncated : bool;
-  outcome : Budget.outcome;
-}
-
 exception Budget_exhausted = Engine.Budget_exhausted
 
 (* GSgrow is the engine with plain instance growth and no closure
@@ -19,16 +12,8 @@ let run ?max_length ?events ?roots ?should_stop ?budget ?trace ?shards idx
     | None -> strategy
     | Some sm -> Shard_merge.strategy ?trace sm strategy
   in
-  let s =
-    Engine.run ?max_length ?events ?roots ?should_stop ?budget ?trace strategy
-      idx ~min_sup ~emit
-  in
-  {
-    patterns = s.Engine.emitted;
-    insgrow_calls = s.Engine.insgrow_calls;
-    truncated = s.Engine.truncated;
-    outcome = s.Engine.outcome;
-  }
+  Engine.run ?max_length ?events ?roots ?should_stop ?budget ?trace strategy
+    idx ~min_sup ~emit
 
 let mine ?max_length ?max_patterns ?events ?roots ?should_stop ?budget ?trace
     ?shards idx ~min_sup =

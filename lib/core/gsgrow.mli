@@ -12,15 +12,6 @@
 
 open Rgs_sequence
 
-type stats = {
-  patterns : int;  (** frequent patterns found *)
-  insgrow_calls : int;  (** instance-growth invocations *)
-  truncated : bool;  (** [true] iff [outcome <> Completed] *)
-  outcome : Budget.outcome;
-      (** why the search ended; partial results are returned for every
-          non-[Completed] outcome *)
-}
-
 val strategy : Engine.strategy
 (** GSgrow as an {!Engine} strategy: plain instance growth
     ({!Support_set.grow}), no closure machinery — every frequent node
@@ -39,7 +30,7 @@ val mine :
   ?shards:Shard_merge.t ->
   Inverted_index.t ->
   min_sup:int ->
-  Mined.t list * stats
+  Mined.t list * Engine.stats
 (** [mine idx ~min_sup] returns every pattern with repetitive support at
     least [min_sup], in DFS (prefix) order, with supports and leftmost
     support sets.
@@ -74,6 +65,6 @@ val iter :
   Inverted_index.t ->
   min_sup:int ->
   f:(Mined.t -> unit) ->
-  stats
+  Engine.stats
 (** Callback-style mining: [f] is invoked on each frequent pattern in DFS
     order without accumulating results. *)

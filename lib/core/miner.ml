@@ -13,7 +13,6 @@ type config = {
   shards : int option;
   shard_dispatch : Shard_merge.dispatch option;
   steal : bool;
-  paged_index : bool;
   index_kind : Inverted_index.kind option;
   deadline_s : float option;
   max_nodes : int option;
@@ -50,7 +49,7 @@ let validate_config cfg =
 
 let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
     ?max_gap ?domains ?shards ?shard_dispatch ?(steal = false)
-    ?(paged_index = false) ?index_kind ?deadline_s ?max_nodes ?max_words
+    ?index_kind ?deadline_s ?max_nodes ?max_words
     ~min_sup () =
   let cfg =
     {
@@ -64,7 +63,6 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
       shards;
       shard_dispatch;
       steal;
-      paged_index;
       index_kind;
       deadline_s;
       max_nodes;
@@ -74,13 +72,10 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
   validate_config cfg;
   cfg
 
-(* [index_kind] wins over the older [paged_index] flag when both are set. *)
 let build_index cfg db =
-  match cfg.index_kind with
-  | Some kind -> Inverted_index.build_kind kind db
-  | None ->
-    if cfg.paged_index then Inverted_index.build_paged db
-    else Inverted_index.build db
+  Inverted_index.build_kind
+    (Option.value cfg.index_kind ~default:Inverted_index.Kcsr)
+    db
 
 type report = {
   results : Mined.t list;
@@ -126,7 +121,7 @@ let budget_of cfg =
     Some (Budget.create ?deadline_s ?max_nodes ?max_words ())
 
 (* The strategy a config's sequential DFS runs under — shared by the
-   query path here and the per-root query path of [mine_resumable]. *)
+   query path here and the per-root path of [mine_resumable]. *)
 let strategy_of cfg =
   match (cfg.max_gap, cfg.mode) with
   | Some max_gap, _ -> Gap_constrained.strategy ~min_gap:0 ~max_gap
@@ -158,8 +153,8 @@ let query_root_order cfg idx events =
          events)
   | Query.All | Query.Targeted _ -> None
 
-(* Answer-mode pruning inside the DFS: one engine run under the query's
-   plan, with the query's collector as the sink. *)
+(* One sequential engine run under the query's plan, with the query's
+   collector as the sink (under [Query.All] it keeps every pattern). *)
 let mine_query ?trace cfg idx ~budget =
   let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
   let collector =
@@ -220,43 +215,28 @@ let mine_indexed ?trace cfg idx =
     | false, _ ->
       let results, outcome =
         match (cfg.query, cfg.max_gap, cfg.domains, cfg.mode) with
-        | (Query.Targeted _ | Query.Top_k _), _, _, _ ->
-          mine_query ?trace cfg idx ~budget
         | Query.All, Some max_gap, _, _ ->
           let results, stats =
             Gap_constrained.mine ?max_length:cfg.max_length
               ?max_patterns:cfg.max_patterns ?budget ?trace
               ?shards:(layout_of cfg idx) idx ~max_gap ~min_sup:cfg.min_sup
           in
-          (results, stats.Gap_constrained.outcome)
+          (results, stats.Engine.outcome)
         | Query.All, None, Some domains, All ->
           let results, stats =
             Parallel_miner.mine_all ~domains ?max_length:cfg.max_length ?budget
               ?trace ?shards:cfg.shards ?shard_dispatch:cfg.shard_dispatch idx
               ~min_sup:cfg.min_sup
           in
-          (results, stats.Gsgrow.outcome)
+          (results, stats.Engine.outcome)
         | Query.All, None, Some domains, Closed ->
           let results, stats =
             Parallel_miner.mine_closed ~domains ?max_length:cfg.max_length
               ?budget ?trace ?shards:cfg.shards
               ?shard_dispatch:cfg.shard_dispatch idx ~min_sup:cfg.min_sup
           in
-          (results, stats.Clogsgrow.outcome)
-        | Query.All, None, None, All ->
-          let results, stats =
-            Gsgrow.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gsgrow.outcome)
-        | Query.All, None, None, Closed ->
-          let results, stats =
-            Clogsgrow.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Clogsgrow.outcome)
+          (results, stats.Engine.outcome)
+        | _ -> mine_query ?trace cfg idx ~budget
       in
       (results, outcome, 0)
   in
@@ -402,49 +382,29 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
     (match Lazy.force chaos_root_delay_s with
     | 0.0 -> ()
     | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    let ((results, outcome) as r) =
-      match cfg.query with
-      | Query.Targeted _ | Query.Top_k _ ->
-        (* Per-root query runs: a root's local answer over-approximates its
-           contribution to the global one (for top-k, any globally winning
-           pattern is in its root's local top-k), so the checkpointed
-           per-root answers stay root-independent and the global answer is
-           recovered at assembly time. *)
-        let collector =
-          Query.collector ?max_length:cfg.max_length ~events
-            ~min_sup:cfg.min_sup cfg.query
-        in
-        let wtr = Trace.for_domain trace in
-        let strategy =
-          match layout with
-          | None -> strategy_of cfg
-          | Some sm -> Shard_merge.strategy ~trace:wtr sm (strategy_of cfg)
-        in
-        let s =
-          Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
-            ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
-            ~min_sup:cfg.min_sup ~emit:collector.Query.offer
-        in
-        (collector.Query.results (), s.Engine.outcome)
-      | Query.All -> (
-        match cfg.mode with
-        | All ->
-          let results, stats =
-            Gsgrow.mine ?max_length:cfg.max_length ?budget
-              ~trace:(Trace.for_domain trace) ?shards:layout ~events
-              ~roots:[ roots.(k) ] idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Gsgrow.outcome)
-        | Closed ->
-          let results, stats =
-            Clogsgrow.mine ?max_length:cfg.max_length ?budget
-              ~trace:(Trace.for_domain trace) ?shards:layout ~events
-              ~roots:[ roots.(k) ] idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Clogsgrow.outcome))
+    (* Per-root query runs: a root's local answer over-approximates its
+       contribution to the global one (for top-k, any globally winning
+       pattern is in its root's local top-k), so the checkpointed per-root
+       answers stay root-independent and the global answer is recovered at
+       assembly time. Under [Query.All] the collector keeps every pattern. *)
+    let collector =
+      Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
+        cfg.query
     in
-    if outcome = Budget.Completed then log_root_done roots.(k) results;
-    r
+    let wtr = Trace.for_domain trace in
+    let strategy =
+      match layout with
+      | None -> strategy_of cfg
+      | Some sm -> Shard_merge.strategy ~trace:wtr sm (strategy_of cfg)
+    in
+    let s =
+      Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
+        ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
+        ~min_sup:cfg.min_sup ~emit:collector.Query.offer
+    in
+    let results = collector.Query.results () in
+    if s.Engine.outcome = Budget.Completed then log_root_done roots.(k) results;
+    (results, s.Engine.outcome)
   in
   let slots, halt_reason =
     Parallel_miner.run_pool ~trace

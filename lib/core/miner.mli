@@ -1,9 +1,11 @@
 (** High-level mining facade.
 
     One-call API over {!Gsgrow} / {!Clogsgrow} / {!Gap_constrained} /
-    {!Parallel_miner}: build the inverted index, mine, and present
-    results. This is the entry point example programs and the CLI use; the
-    per-algorithm modules remain available for finer control.
+    {!Parallel_miner}: build the inverted index (CSR arrays by default,
+    B-trees via [index_kind]), mine, and present results. This is the
+    entry point example programs and the CLI use; the per-algorithm
+    modules, which all report {!Engine.stats}, remain available for finer
+    control.
 
     Resilience: a config may carry runtime limits (wall-clock deadline,
     DFS-node budget, GC heap-words ceiling). The miners stop cooperatively
@@ -55,11 +57,9 @@ type config = {
           dynamic DFS-subtree balancing instead of static per-root
           claiming, same output. Requires [domains]; supports any [query]
           and [max_gap], but not [max_patterns] or checkpointing *)
-  paged_index : bool;  (** build the B-tree index backend instead of arrays *)
   index_kind : Inverted_index.kind option;
-      (** explicit index backend selection; overrides [paged_index] when
-          set. [None] keeps the default (CSR, or paged via
-          [paged_index]) *)
+      (** index backend: [None] (default) builds the CSR arrays,
+          [Some Kpaged] the B-trees for large alphabets *)
   deadline_s : float option;
       (** wall-clock budget in seconds; on expiry the run stops with
           [Deadline_exceeded] and partial results *)
@@ -80,7 +80,6 @@ val config :
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   ?steal:bool ->
-  ?paged_index:bool ->
   ?index_kind:Inverted_index.kind ->
   ?deadline_s:float ->
   ?max_nodes:int ->
@@ -119,7 +118,7 @@ val mine : ?config:config -> ?min_sup:int -> ?trace:Trace.t -> Seqdb.t -> report
 
 val mine_indexed : ?trace:Trace.t -> config -> Inverted_index.t -> report
 (** As {!mine} on a prebuilt index (amortises index construction across
-    parameter sweeps; [config.paged_index] is ignored). *)
+    parameter sweeps; [config.index_kind] is ignored). *)
 
 val mine_resumable :
   ?budget:Budget.t ->

@@ -119,44 +119,68 @@ let validate ?(domains = default_domains ()) ~min_sup () =
   if domains < 1 then invalid_arg "Parallel_miner: domains must be >= 1";
   domains
 
-(* Merge per-root statuses: concatenate surviving results in root order
-   (deterministic), fold the stats, and derive the run outcome — the most
-   severe of the per-root outcomes, [Worker_failed] dominating when a root
-   crashed twice, and [Skipped] slots inheriting the stop reason that
-   halted the pool. *)
-let collect ?halt_reason ~stats_of ~outcome_of ~with_outcome ~zero slots =
+(* The run outcome of a finished pool: the most severe of the per-root
+   outcomes, [Worker_failed] dominating when a root crashed twice, and
+   [Skipped] slots inheriting the stop reason that halted the pool. *)
+let pool_outcome ?halt_reason ~outcome_of slots =
   let stop_reason =
     Array.fold_left
       (fun acc status ->
         match status with
-        | Done r -> Budget.combine acc (outcome_of (stats_of r))
+        | Done r -> Budget.combine acc (outcome_of r)
         | Failed _ | Quarantined _ -> Budget.combine acc Budget.Worker_failed
         | Skipped -> acc)
       (Option.value halt_reason ~default:Budget.Completed)
       slots
   in
+  if
+    Array.exists (function Skipped -> true | _ -> false) slots
+    && not (Budget.is_stop stop_reason)
+  then (* halted without a recorded reason: treat as cancelled *)
+    Budget.Cancelled
+  else stop_reason
+
+(* Per-run counters summed over workers or roots, under the run outcome. *)
+let sum_stats ~outcome stats =
+  List.fold_left
+    (fun acc (s : Engine.stats) ->
+      {
+        acc with
+        Engine.emitted = acc.Engine.emitted + s.Engine.emitted;
+        dfs_nodes = acc.Engine.dfs_nodes + s.Engine.dfs_nodes;
+        insgrow_calls = acc.Engine.insgrow_calls + s.Engine.insgrow_calls;
+        lb_pruned = acc.Engine.lb_pruned + s.Engine.lb_pruned;
+        non_closed_dropped =
+          acc.Engine.non_closed_dropped + s.Engine.non_closed_dropped;
+        query_cuts = acc.Engine.query_cuts + s.Engine.query_cuts;
+        floor_prunes = acc.Engine.floor_prunes + s.Engine.floor_prunes;
+      })
+    {
+      Engine.emitted = 0;
+      dfs_nodes = 0;
+      insgrow_calls = 0;
+      lb_pruned = 0;
+      non_closed_dropped = 0;
+      query_cuts = 0;
+      floor_prunes = 0;
+      truncated = Budget.is_stop outcome;
+      outcome;
+    }
+    stats
+
+(* Merge per-root statuses: concatenate surviving results in root order
+   (deterministic) and sum the stats under the run outcome. *)
+let collect ?halt_reason slots =
   let outcome =
-    if
-      Array.exists (function Skipped -> true | _ -> false) slots
-      && not (Budget.is_stop stop_reason)
-    then (* halted without a recorded reason: treat as cancelled *)
-      Budget.Cancelled
-    else stop_reason
+    pool_outcome ?halt_reason ~outcome_of:(fun (_, s) -> s.Engine.outcome) slots
   in
-  let results =
-    List.concat_map
-      (function Done (rs, _) -> rs | Failed _ | Skipped | Quarantined _ -> [])
+  let done_roots =
+    List.filter_map
+      (function Done r -> Some r | Failed _ | Skipped | Quarantined _ -> None)
       (Array.to_list slots)
   in
-  let stats =
-    Array.fold_left
-      (fun acc -> function Done r -> zero acc (stats_of r) | _ -> acc)
-      (with_outcome outcome) slots
-  in
-  (results, stats)
-
-let halt_on_gsgrow (_, s) = Budget.is_stop s.Gsgrow.outcome
-let halt_on_clogsgrow (_, s) = Budget.is_stop s.Clogsgrow.outcome
+  ( List.concat_map fst done_roots,
+    sum_stats ~outcome (List.map snd done_roots) )
 
 (* Largest DFS subtrees first. A root's size-1 support (its event's total
    occurrence count) is a cheap proxy for its subtree's mining cost; with
@@ -173,11 +197,6 @@ let largest_first_order idx roots =
       else compare a b)
     order;
   order
-
-let resolve_order schedule idx roots =
-  match schedule with
-  | `Index -> None
-  | `Largest_first -> Some (largest_first_order idx roots)
 
 (* --- work-stealing executor ---------------------------------------- *)
 
@@ -436,22 +455,9 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
     List.rev !results
   in
   let slots = retry_failed ~trace ~mine_root:retry_root slots in
-  let halt_reason = Atomic.get halt_reason in
-  let stop_reason =
-    Array.fold_left
-      (fun acc status ->
-        match status with
-        | Failed _ | Quarantined _ -> Budget.combine acc Budget.Worker_failed
-        | Done _ | Skipped -> acc)
-      (Option.value halt_reason ~default:Budget.Completed)
-      slots
-  in
   let outcome =
-    if
-      Array.exists (function Skipped -> true | _ -> false) slots
-      && not (Budget.is_stop stop_reason)
-    then Budget.Cancelled
-    else stop_reason
+    pool_outcome ?halt_reason:(Atomic.get halt_reason)
+      ~outcome_of:(fun _ -> Budget.Completed) slots
   in
   let quarantined =
     Array.fold_left
@@ -464,33 +470,7 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
       (Array.to_list slots)
   in
   let results = shared.Query.finalize results in
-  let stats =
-    List.fold_left
-      (fun acc (s : Engine.stats) ->
-        {
-          acc with
-          Engine.emitted = acc.Engine.emitted + s.Engine.emitted;
-          dfs_nodes = acc.Engine.dfs_nodes + s.Engine.dfs_nodes;
-          insgrow_calls = acc.Engine.insgrow_calls + s.Engine.insgrow_calls;
-          lb_pruned = acc.Engine.lb_pruned + s.Engine.lb_pruned;
-          non_closed_dropped =
-            acc.Engine.non_closed_dropped + s.Engine.non_closed_dropped;
-          query_cuts = acc.Engine.query_cuts + s.Engine.query_cuts;
-          floor_prunes = acc.Engine.floor_prunes + s.Engine.floor_prunes;
-        })
-      {
-        Engine.emitted = 0;
-        dfs_nodes = 0;
-        insgrow_calls = 0;
-        lb_pruned = 0;
-        non_closed_dropped = 0;
-        query_cuts = 0;
-        floor_prunes = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      }
-      !all_stats
-  in
+  let stats = sum_stats ~outcome !all_stats in
   (results, stats, quarantined)
 
 let shard_layout ?dispatch idx shards =
@@ -498,116 +478,49 @@ let shard_layout ?dispatch idx shards =
     (fun n -> Shard_merge.make ?dispatch (Inverted_index.db idx) ~shards:n)
     shards
 
-let mine_all ?domains ?max_length ?budget ?(trace = Trace.null)
-    ?(schedule = `Largest_first) ?(steal = false) ?shards ?shard_dispatch idx
-    ~min_sup =
+(* The one pool body behind [mine_all] and [mine_closed]: the strategy
+   picks the miner, everything else — claiming, retry, merge — is shared. *)
+let mine_pool ~strategy ?domains ?max_length ?budget ?(trace = Trace.null)
+    ?(steal = false) ?shards ?shard_dispatch idx ~min_sup =
   if steal then begin
-    let results, s, _quarantined =
-      mine_steal ?domains ?max_length ?budget ~trace ?shards
-        ~strategy:Gsgrow.strategy idx ~min_sup
-    in
-    ( results,
-      {
-        Gsgrow.patterns = s.Engine.emitted;
-        insgrow_calls = s.Engine.insgrow_calls;
-        truncated = s.Engine.truncated;
-        outcome = s.Engine.outcome;
-      } )
-  end
-  else begin
-  let domains = validate ?domains ~min_sup () in
-  let sm = shard_layout ?dispatch:shard_dispatch idx shards in
-  let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
-  let mine_root k =
-    Gsgrow.mine ?max_length ?budget ~trace:(Trace.for_domain trace) ?shards:sm
-      ~events ~roots:[ roots.(k) ] idx ~min_sup
-  in
-  let slots, halt_reason =
-    run_pool ~trace ~halt_on:halt_on_gsgrow
-      ?order:(resolve_order schedule idx roots) ~domains
-      ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  let slots = retry_failed ~trace ~mine_root slots in
-  collect slots ?halt_reason
-    ~stats_of:(fun (_, s) -> s)
-    ~outcome_of:(fun s -> s.Gsgrow.outcome)
-    ~with_outcome:(fun outcome ->
-      {
-        Gsgrow.patterns = 0;
-        insgrow_calls = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      })
-    ~zero:(fun acc s ->
-      {
-        acc with
-        Gsgrow.patterns = acc.Gsgrow.patterns + s.Gsgrow.patterns;
-        insgrow_calls = acc.Gsgrow.insgrow_calls + s.Gsgrow.insgrow_calls;
-      })
-  end
-
-let mine_closed ?domains ?max_length ?use_lb_check ?budget ?(trace = Trace.null)
-    ?(schedule = `Largest_first) ?(steal = false) ?shards ?shard_dispatch idx
-    ~min_sup =
-  if steal then begin
-    let strategy =
-      Clogsgrow.strategy
-        ~use_lb_check:(Option.value use_lb_check ~default:true)
-        ~use_c_check:true
-    in
-    let results, s, _quarantined =
+    if shard_dispatch <> None then
+      invalid_arg "Parallel_miner: shard_dispatch cannot be combined with steal";
+    let results, stats, _quarantined =
       mine_steal ?domains ?max_length ?budget ~trace ?shards ~strategy idx
         ~min_sup
     in
-    ( results,
-      {
-        Clogsgrow.patterns = s.Engine.emitted;
-        dfs_nodes = s.Engine.dfs_nodes;
-        insgrow_calls = s.Engine.insgrow_calls;
-        lb_pruned = s.Engine.lb_pruned;
-        non_closed_dropped = s.Engine.non_closed_dropped;
-        truncated = s.Engine.truncated;
-        outcome = s.Engine.outcome;
-      } )
+    (results, stats)
   end
   else begin
-  let domains = validate ?domains ~min_sup () in
-  let sm = shard_layout ?dispatch:shard_dispatch idx shards in
-  let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
-  let mine_root k =
-    Clogsgrow.mine ?max_length ?use_lb_check ?budget
-      ~trace:(Trace.for_domain trace) ?shards:sm ~events ~roots:[ roots.(k) ]
-      idx ~min_sup
-  in
-  let slots, halt_reason =
-    run_pool ~trace ~halt_on:halt_on_clogsgrow
-      ?order:(resolve_order schedule idx roots) ~domains
-      ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  let slots = retry_failed ~trace ~mine_root slots in
-  collect slots ?halt_reason
-    ~stats_of:(fun (_, s) -> s)
-    ~outcome_of:(fun s -> s.Clogsgrow.outcome)
-    ~with_outcome:(fun outcome ->
-      {
-        Clogsgrow.patterns = 0;
-        dfs_nodes = 0;
-        insgrow_calls = 0;
-        lb_pruned = 0;
-        non_closed_dropped = 0;
-        truncated = Budget.is_stop outcome;
-        outcome;
-      })
-    ~zero:(fun acc s ->
-      {
-        acc with
-        Clogsgrow.patterns = acc.Clogsgrow.patterns + s.Clogsgrow.patterns;
-        dfs_nodes = acc.Clogsgrow.dfs_nodes + s.Clogsgrow.dfs_nodes;
-        insgrow_calls = acc.Clogsgrow.insgrow_calls + s.Clogsgrow.insgrow_calls;
-        lb_pruned = acc.Clogsgrow.lb_pruned + s.Clogsgrow.lb_pruned;
-        non_closed_dropped =
-          acc.Clogsgrow.non_closed_dropped + s.Clogsgrow.non_closed_dropped;
-      })
+    let domains = validate ?domains ~min_sup () in
+    let sm = shard_layout ?dispatch:shard_dispatch idx shards in
+    let events = Inverted_index.frequent_events idx ~min_sup in
+    let roots = Array.of_list events in
+    let mine_root k =
+      let trace = Trace.for_domain trace in
+      let strategy =
+        match sm with
+        | None -> strategy
+        | Some sm -> Shard_merge.strategy ~trace sm strategy
+      in
+      let results = ref [] in
+      let stats =
+        Engine.run ?max_length ?budget ~trace ~events ~roots:[ roots.(k) ]
+          strategy idx ~min_sup ~emit:(fun m -> results := m :: !results)
+      in
+      (List.rev !results, stats)
+    in
+    let slots, halt_reason =
+      run_pool ~trace
+        ~halt_on:(fun (_, s) -> Budget.is_stop s.Engine.outcome)
+        ~order:(largest_first_order idx roots) ~domains
+        ~num_roots:(Array.length roots) ~mine_root ()
+    in
+    collect ?halt_reason (retry_failed ~trace ~mine_root slots)
   end
+
+let mine_all = mine_pool ~strategy:Gsgrow.strategy
+
+let mine_closed ?domains ?max_length ?(use_lb_check = true) =
+  mine_pool ?domains ?max_length
+    ~strategy:(Clogsgrow.strategy ~use_lb_check ~use_c_check:true)

@@ -3,10 +3,11 @@
     The DFS subtrees rooted at distinct size-1 patterns are independent:
     the inverted index is read-only after construction and support sets
     are subtree-local. Each domain repeatedly claims the next unclaimed
-    root from an atomic counter and mines its subtree with the sequential
-    algorithms; per-root results are stored in a slot array, so the merged
+    root, largest first ({!largest_first_order}), from an atomic counter
+    and mines its subtree with the sequential algorithms' {!Engine}
+    strategy; per-root results are stored in a slot array, so the merged
     output is {b deterministic} (identical to the sequential DFS order)
-    regardless of scheduling.
+    regardless of scheduling, and per-root {!Engine.stats} are summed.
 
     Resilience: an exception raised while mining one root is contained to
     that root — every spawned domain is always joined, the root is retried
@@ -144,29 +145,26 @@ val mine_all :
   ?max_length:int ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
-  ?schedule:[ `Index | `Largest_first ] ->
   ?steal:bool ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   Inverted_index.t ->
   min_sup:int ->
-  Mined.t list * Gsgrow.stats
+  Mined.t list * Engine.stats
 (** Parallel GSgrow. Without failures or budget stops, the output equals
     [Gsgrow.mine idx ~min_sup] exactly (order included); stats are summed
-    across domains. Crashing roots lose only their own patterns after one
+    across roots. Crashing roots lose only their own patterns after one
     sequential retry ([stats.outcome = Worker_failed]); budget stops return
     the roots finished so far ([stats.outcome] carries the reason).
-    [schedule] picks the claim order — [`Largest_first] (default,
-    {!largest_first_order}) or [`Index]; both yield the identical output.
-    [steal] routes the run through {!mine_steal} (same output, dynamic
-    balancing; [schedule] is then moot — stealing always claims largest
-    first). [shards] runs every instance growth shard-by-shard
-    ({!Shard_merge}) in either mode — again identical output;
-    [shard_dispatch] routes the per-shard grows through a supervisor's
-    closure ({!Shard_merge.dispatch}, non-steal mode only — it is
-    called concurrently from every pool domain, so implementations
-    must be thread-safe).
-    @raise Invalid_argument when [min_sup < 1] or [domains < 1]. *)
+    Domains claim roots in {!largest_first_order}. [steal] routes the run
+    through {!mine_steal} (same output, dynamic balancing). [shards] runs
+    every instance growth shard-by-shard ({!Shard_merge}) in either mode
+    — again identical output; [shard_dispatch] routes the per-shard grows
+    through a supervisor's closure ({!Shard_merge.dispatch}, non-steal
+    mode only — it is called concurrently from every pool domain, so
+    implementations must be thread-safe).
+    @raise Invalid_argument when [min_sup < 1], [domains < 1], or
+    [shard_dispatch] is combined with [steal]. *)
 
 val mine_closed :
   ?domains:int ->
@@ -174,11 +172,10 @@ val mine_closed :
   ?use_lb_check:bool ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
-  ?schedule:[ `Index | `Largest_first ] ->
   ?steal:bool ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   Inverted_index.t ->
   min_sup:int ->
-  Mined.t list * Clogsgrow.stats
+  Mined.t list * Engine.stats
 (** Parallel CloGSgrow; same guarantees. *)

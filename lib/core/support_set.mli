@@ -90,7 +90,7 @@ val grow :
 (** [grow idx i e] is the instance-growth operation [INSgrow(SeqDB, P, I, e)]
     (Algorithm 2): extends the leftmost support set [I] of [P] into the
     leftmost support set of [P ◦ e]. Each per-sequence pass drives one
-    monotone {!Inverted_index.cursor} (all three backends are stateful),
+    monotone {!Inverted_index.cursor} (both backends are stateful),
     so a whole group costs O(occurrences of [e]) amortized rather than one
     full [O(log L)] search per instance. Surviving groups share the
     parent's [firsts] array; no arrays are copied on partial survival. *)

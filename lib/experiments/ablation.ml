@@ -28,13 +28,13 @@ let run ?(timeout_s = 60.) db ~min_sup =
     in
     let results, stats = Rgs_core.Gsgrow.mine ~should_stop idx ~min_sup in
     let closed =
-      if stats.Rgs_core.Gsgrow.truncated then [] else Rgs_post.Filters.closed_filter results
+      if stats.Rgs_core.Engine.truncated then [] else Rgs_post.Filters.closed_filter results
     in
     {
       variant = "GSgrow + post-hoc closed filter";
       elapsed_s = Unix.gettimeofday () -. start;
       patterns = List.length closed;
-      timed_out = stats.Rgs_core.Gsgrow.truncated;
+      timed_out = stats.Rgs_core.Engine.truncated;
     }
   in
   (* Levelwise baseline: same output as GSgrow but recomputing supports

@@ -1,3 +1,4 @@
+open Rgs_sequence
 open Rgs_core
 open Rgs_datagen
 
@@ -10,7 +11,7 @@ type run = {
 (* Ambient trace for the experiment drivers: the sweeps thread dozens of
    timed runs through here, so the CLI sets one trace for the whole
    invocation instead of threading ?trace through every sweep signature. *)
-let ambient_trace = ref Rgs_sequence.Trace.null
+let ambient_trace = ref Trace.null
 let set_trace t = ambient_trace := t
 let trace () = !ambient_trace
 
@@ -27,30 +28,28 @@ let deadline_checker ?timeout_s start =
 
 let run_gsgrow ?timeout_s ?max_length idx ~min_sup =
   let start = Unix.gettimeofday () in
-  let count = ref 0 in
   let should_stop = deadline_checker ?timeout_s start in
   let stats =
     Gsgrow.iter ?max_length ~should_stop ~trace:(trace ()) idx ~min_sup
-      ~f:(fun _ -> incr count)
+      ~f:ignore
   in
   {
     elapsed_s = Unix.gettimeofday () -. start;
-    patterns = !count;
-    timed_out = stats.Gsgrow.truncated;
+    patterns = stats.Engine.emitted;
+    timed_out = stats.Engine.truncated;
   }
 
 let run_clogsgrow ?timeout_s ?max_length ?use_lb_check ?use_c_check idx ~min_sup =
   let start = Unix.gettimeofday () in
-  let count = ref 0 in
   let should_stop = deadline_checker ?timeout_s start in
   let stats =
     Clogsgrow.iter ?max_length ?use_lb_check ?use_c_check ~should_stop
-      ~trace:(trace ()) idx ~min_sup ~f:(fun _ -> incr count)
+      ~trace:(trace ()) idx ~min_sup ~f:ignore
   in
   {
     elapsed_s = Unix.gettimeofday () -. start;
-    patterns = !count;
-    timed_out = stats.Clogsgrow.truncated;
+    patterns = stats.Engine.emitted;
+    timed_out = stats.Engine.truncated;
   }
 
 let time f =

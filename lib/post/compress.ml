@@ -1,3 +1,4 @@
+open Rgs_sequence
 open Rgs_core
 
 type cover = { representative : Mined.t; covered : Mined.t list }

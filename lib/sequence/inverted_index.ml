@@ -9,10 +9,9 @@ type csr = {
 
 type backend =
   | Csr of csr array
-  | Legacy of (Event.t, Ivec.t) Hashtbl.t array
   | Paged of (Event.t, Btree.t) Hashtbl.t array
 
-type kind = Kcsr | Klegacy | Kpaged
+type kind = Kcsr | Kpaged
 
 type t = {
   db : Seqdb.t;
@@ -116,9 +115,8 @@ let build db =
   | Some (csr_offsets, csr_pos) -> build_csr_mapped db ~csr_offsets ~csr_pos
   | None -> build_csr_scan db
 
-(* The seed layout: per-sequence hashtables of flat position arrays. Kept
-   as a backend so benches can measure the columnar layout against it and
-   the differential suite can cross-check all backends. *)
+(* Per-sequence hashtables of sorted position arrays, the bulk-load input
+   of the B+-trees. *)
 let position_arrays db =
   let n = Seqdb.size db in
   let per_seq = Array.init n (fun _ -> Hashtbl.create 16) in
@@ -141,18 +139,6 @@ let position_arrays db =
     db;
   per_seq
 
-let build_legacy db =
-  let alpha = Seqdb.dense_alphabet db in
-  let per_seq =
-    Array.map
-      (fun tbl ->
-        let out = Hashtbl.create (max 16 (Hashtbl.length tbl)) in
-        Hashtbl.iter (fun e a -> Hashtbl.add out e (Ivec.of_array a)) tbl;
-        out)
-      (position_arrays db)
-  in
-  { db; alpha; totals = totals_of db alpha; backend = Legacy per_seq }
-
 let build_paged ?fanout db =
   let alpha = Seqdb.dense_alphabet db in
   let per_seq =
@@ -168,17 +154,13 @@ let build_paged ?fanout db =
 let build_kind ?fanout kind db =
   match kind with
   | Kcsr -> build db
-  | Klegacy -> build_legacy db
   | Kpaged -> build_paged ?fanout db
 
 let db t = t.db
 
-let kind t =
-  match t.backend with Csr _ -> Kcsr | Legacy _ -> Klegacy | Paged _ -> Kpaged
-
-let kind_name = function Kcsr -> "csr" | Klegacy -> "legacy" | Kpaged -> "paged"
+let kind t = match t.backend with Csr _ -> Kcsr | Paged _ -> Kpaged
+let kind_name = function Kcsr -> "csr" | Kpaged -> "paged"
 let backend_name t = kind_name (kind t)
-let is_paged t = match t.backend with Paged _ -> true | _ -> false
 
 let check_seq t seq =
   if seq < 1 || seq > Seqdb.size t.db then
@@ -200,10 +182,6 @@ let positions t ~seq e =
   | Csr stores ->
     let pos, lo, hi = csr_slice t stores ~seq e in
     Ivec.sub_array pos ~pos:lo ~len:(hi - lo)
-  | Legacy per_seq -> (
-    match Hashtbl.find_opt per_seq.(seq - 1) e with
-    | None -> empty_positions
-    | Some v -> Ivec.to_array v)
   | Paged per_seq -> (
     match Hashtbl.find_opt per_seq.(seq - 1) e with
     | None -> empty_positions
@@ -228,13 +206,6 @@ let next_pos t ~seq e ~lowest =
     let pos, lo, hi = csr_slice t stores ~seq e in
     let k = first_above pos ~lo ~hi lowest in
     if k >= hi then -1 else Ivec.get pos k
-  | Legacy per_seq -> (
-    match Hashtbl.find_opt per_seq.(seq - 1) e with
-    | None -> -1
-    | Some a ->
-      let n = Ivec.length a in
-      let k = first_above a ~lo:0 ~hi:n lowest in
-      if k >= n then -1 else Ivec.get a k)
   | Paged per_seq -> (
     match Hashtbl.find_opt per_seq.(seq - 1) e with
     | None -> -1
@@ -256,14 +227,6 @@ let count_between t ~seq e ~lo ~hi =
       let first = first_above pos ~lo:slo ~hi:shi lo in
       let beyond = first_above pos ~lo:slo ~hi:shi (hi - 1) in
       beyond - first
-    | Legacy per_seq -> (
-      match Hashtbl.find_opt per_seq.(seq - 1) e with
-      | None -> 0
-      | Some a ->
-        let n = Ivec.length a in
-        let first = first_above a ~lo:0 ~hi:n lo in
-        let beyond = first_above a ~lo:0 ~hi:n (hi - 1) in
-        beyond - first)
     | Paged per_seq -> (
       match Hashtbl.find_opt per_seq.(seq - 1) e with
       | None -> 0
@@ -271,16 +234,11 @@ let count_between t ~seq e ~lo ~hi =
 
 (* --- cursors --- *)
 
-(* Where a window cursor's flat position slice comes from — consulted by
-   [reseat] to re-point the window at another sequence's list. The CSR and
-   legacy backends share the whole seek machinery; only the slice lookup
-   differs (offset arithmetic vs one hashtable probe per sequence). *)
-type window_source =
-  | Wcsr of { stores : csr array; d : int (* -1 when absent from the db *) }
-  | Wlegacy of { lper : (Event.t, Ivec.t) Hashtbl.t array; le : Event.t }
-
+(* A cursor over one event's CSR runs: [stores] and [d] let [reseat]
+   re-point the window at another sequence's run by offset arithmetic. *)
 type window_cursor = {
-  src : window_source;
+  stores : csr array;
+  d : int; (* dense event id; -1 when absent from the db *)
   mutable spos : Ivec.t;
   mutable shi : int;
   mutable sk : int; (* next candidate index; positions below sk are spent *)
@@ -304,38 +262,21 @@ type cursor =
 let empty_btree = lazy (Btree.of_sorted_array [||])
 
 let set_window c ~seq =
-  match c.src with
-  | Wcsr { stores; d } ->
-    if d >= 0 then begin
-      let store = stores.(seq - 1) in
-      c.spos <- store.pos;
-      c.shi <- Ivec.get store.offsets (d + 1);
-      c.sk <- Ivec.get store.offsets d
-    end
-  | Wlegacy { lper; le } -> (
-    match Hashtbl.find_opt lper.(seq - 1) le with
-    | Some a ->
-      c.spos <- a;
-      c.shi <- Ivec.length a;
-      c.sk <- 0
-    | None ->
-      c.spos <- Ivec.empty;
-      c.shi <- 0;
-      c.sk <- 0)
-
-let window src =
-  { src; spos = Ivec.empty; shi = 0; sk = 0; seeks = 0; advanced = 0;
-    gallops = 0 }
+  if c.d >= 0 then begin
+    let store = c.stores.(seq - 1) in
+    c.spos <- store.pos;
+    c.shi <- Ivec.get store.offsets (c.d + 1);
+    c.sk <- Ivec.get store.offsets c.d
+  end
 
 let cursor t ~seq e =
   check_seq t seq;
   match t.backend with
   | Csr stores ->
-    let c = window (Wcsr { stores; d = Alphabet.dense t.alpha e }) in
-    set_window c ~seq;
-    Cwindow c
-  | Legacy per_seq ->
-    let c = window (Wlegacy { lper = per_seq; le = e }) in
+    let c =
+      { stores; d = Alphabet.dense t.alpha e; spos = Ivec.empty; shi = 0;
+        sk = 0; seeks = 0; advanced = 0; gallops = 0 }
+    in
     set_window c ~seq;
     Cwindow c
   | Paged per_seq ->
@@ -367,7 +308,7 @@ let reseat c ~seq =
    RGS_GALLOP_PROBE (see Tuning). *)
 let linear_probe_limit () = Tuning.gallop_probe_limit ()
 
-(* Hot cursor entry on the flat-array backends: -1 when no position
+(* Hot cursor entry on the CSR backend: -1 when no position
    qualifies. [lowest] must be nondecreasing across calls (the cursor never
    revisits an index below [sk]). Counts are batched in the cursor and
    flushed by [cursor_finish] so the per-seek cost carries no atomic

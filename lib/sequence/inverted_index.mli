@@ -6,19 +6,15 @@
     binary search in [O(log L)], exactly as the paper's subroutine
     [next(S, e, lowest)].
 
-    Three storage backends share the same query semantics (property-tested
-    equal; every mining algorithm runs on any of them):
+    The paper's two storage layouts share the same query semantics
+    (property-tested equal; every mining algorithm runs on either):
 
-    - {!build} (default, columnar): CSR layout — per sequence, one
-      contiguous positions buffer grouped by dense event id
-      ({!Alphabet}) plus an offsets table indexed by dense id, so
-      [positions]/[next]/[count_between] are pure array-slice arithmetic
-      with zero hashing. Only this backend supports the stateful
-      {!cursor} fast path.
-    - {!build_legacy}: the seed layout — per-sequence hashtables of flat
-      sorted arrays ("if the main memory is large enough for the index
-      structure [L_{e,Si}]'s, we can use arrays"). Kept for old-vs-new
-      benchmarking and differential testing.
+    - {!build} (default, columnar): arrays — "if the main memory is large
+      enough for the index structure [L_{e,Si}]'s, we can use arrays".
+      CSR layout: per sequence, one contiguous positions buffer grouped
+      by dense event id ({!Alphabet}) plus an offsets table indexed by
+      dense id, so [positions]/[next]/[count_between] are pure
+      array-slice arithmetic with zero hashing.
     - {!build_paged}: bulk-loaded B+-trees ({!Btree}) — "otherwise,
       B-trees can be employed".
 
@@ -28,7 +24,7 @@
 
 type t
 
-type kind = Kcsr | Klegacy | Kpaged
+type kind = Kcsr | Kpaged
 
 val build : Seqdb.t -> t
 (** Columnar (CSR) index, built in one counting pass and one fill pass over
@@ -37,9 +33,6 @@ val build : Seqdb.t -> t
     runs were precomputed at pack time, so building only slices the
     mapped sections — [O(N)] descriptors, zero copies, no event data
     read. *)
-
-val build_legacy : Seqdb.t -> t
-(** Hashtable-of-arrays index (the pre-columnar seed layout). *)
 
 val build_paged : ?fanout:int -> Seqdb.t -> t
 (** B+-tree-backed index ([fanout] defaults to 16). Same query semantics;
@@ -55,7 +48,7 @@ val kind : t -> kind
 val kind_name : kind -> string
 
 val backend_name : t -> string
-(** ["csr"], ["legacy"] or ["paged"] — for benches and reports. *)
+(** ["csr"] or ["paged"] — for benches and reports. *)
 
 val next : t -> seq:int -> Event.t -> lowest:int -> int option
 (** [next idx ~seq:i e ~lowest] is the minimum position [l] such that
@@ -85,11 +78,10 @@ val positions : t -> seq:int -> Event.t -> int array
 type cursor
 
 val cursor : t -> seq:int -> Event.t -> cursor
-(** A fresh cursor over [L_{e,Si}]. All three backends are stateful: the
-    CSR cursor resolves its slice once (no hashing at all), the legacy
-    cursor resolves the position array once per sequence (one hashtable
-    probe at creation/{!reseat} instead of one per seek), and the paged
-    cursor keeps a {!Btree.cursor} finger into the current leaf. *)
+(** A fresh cursor over [L_{e,Si}]. Both backends are stateful: the CSR
+    cursor resolves its slice once per sequence (no hashing at all), and
+    the paged cursor keeps a {!Btree.cursor} finger into the current
+    leaf. *)
 
 val seek : cursor -> lowest:int -> int option
 (** [seek c ~lowest] is [next idx ~seq e ~lowest] for the cursor's list.
@@ -130,6 +122,3 @@ val frequent_events : t -> min_sup:int -> Event.t list
 (** Events whose occurrence count is at least [min_sup], ascending. By the
     Apriori property these are the only events that can appear in any
     frequent pattern. *)
-
-val is_paged : t -> bool
-(** [true] for {!build_paged} indexes; exposed for tests and reporting. *)

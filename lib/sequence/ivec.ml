@@ -8,11 +8,6 @@ let unsafe_get (v : t) i = Bigarray.Array1.unsafe_get v i
 let set (v : t) i x = Bigarray.Array1.set v i x
 let sub (v : t) ~pos ~len : t = Bigarray.Array1.sub v pos len
 
-let of_array a =
-  let v = create (Array.length a) in
-  Array.iteri (fun i x -> Bigarray.Array1.unsafe_set v i x) a;
-  v
-
 let sub_array (v : t) ~pos ~len =
   if len = 0 then [||]
   else Array.init len (fun i -> Bigarray.Array1.unsafe_get v (pos + i))

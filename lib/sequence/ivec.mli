@@ -34,9 +34,6 @@ val set : t -> int -> int -> unit
 val sub : t -> pos:int -> len:int -> t
 (** Zero-copy slice sharing the underlying buffer (mapped or heap). *)
 
-val of_array : int array -> t
-(** Copying conversion. *)
-
 val to_array : t -> int array
 (** Copying conversion (fresh array). *)
 

@@ -1,7 +1,7 @@
 (** Runtime tuning knobs shared across the index backends.
 
-    The galloping cursors (CSR/legacy windows in {!Inverted_index}, the
-    paged B+-tree cursor in {!Btree}) all probe a few positions linearly
+    The galloping cursors (the CSR window in {!Inverted_index}, the
+    paged B+-tree cursor in {!Btree}) both probe a few positions linearly
     past the frontier before switching to a doubling search. The
     threshold used to be a per-backend hard-coded constant; it now lives
     here, once, and can be overridden with the [RGS_GALLOP_PROBE]

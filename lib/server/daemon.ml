@@ -1,3 +1,4 @@
+open Rgs_sequence
 open Rgs_core
 
 let log_src = Logs.Src.create "rgs.daemon" ~doc:"Mining service daemon"

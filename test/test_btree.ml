@@ -117,8 +117,10 @@ let test_index_equivalence () =
   in
   let flat = Inverted_index.build db in
   let paged = Inverted_index.build_paged ~fanout:4 db in
-  Alcotest.(check bool) "flat not paged" false (Inverted_index.is_paged flat);
-  Alcotest.(check bool) "paged is paged" true (Inverted_index.is_paged paged);
+  Alcotest.(check bool) "flat not paged" false
+    (Inverted_index.kind flat = Inverted_index.Kpaged);
+  Alcotest.(check bool) "paged is paged" true
+    (Inverted_index.kind paged = Inverted_index.Kpaged);
   Alcotest.(check (list int)) "events" (Inverted_index.events flat)
     (Inverted_index.events paged);
   List.iter

@@ -1,13 +1,12 @@
 (* Differential suite for the columnar (CSR) index backend.
 
-   The refactor's contract is bit-identical behavior: on every database the
-   CSR backend must answer positions/next/count_between exactly like the
-   legacy hashtable layout and the paged B-tree layout, the monotone cursor
-   must agree with repeated [next] calls, and the full miners must produce
-   identical outputs on all backends. Each property runs on 100+ random
-   databases.
+   The contract is bit-identical behavior: on every database the CSR and
+   paged B-tree backends must answer positions/next/count_between exactly
+   like a direct scan of the sequences, the monotone cursor must agree
+   with repeated [next] calls, and the full miners must produce identical
+   outputs on all backends. Each property runs on 100+ random databases.
 
-   The fourth backend is the store round-trip: the database packed into a
+   The third backend is the store round-trip: the database packed into a
    [.rgsdb] file, re-opened as a mapped Seqdb (lazy sequences, zero-copy
    CSR slices over the pack-time sections), and indexed through the same
    [build] entry. Every property holding on it pins the mapped read path
@@ -30,59 +29,81 @@ let mapped_db db =
 let backends db =
   [
     Inverted_index.build_kind Inverted_index.Kcsr db;
-    Inverted_index.build_kind Inverted_index.Klegacy db;
     Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db;
     Inverted_index.build_kind Inverted_index.Kcsr (mapped_db db);
   ]
 
 let small_db = Gens.db ~num_seqs:6 ~alphabet:5 ~max_len:14
 
+(* The oracle: positions of [e] in sequence [seq], collected by a direct
+   scan of the sequence — no code shared with any index backend. *)
+let scan_positions db ~seq e =
+  let acc = ref [] in
+  Sequence.iteri (fun p x -> if x = e then acc := p :: !acc) (Seqdb.seq db seq);
+  Array.of_list (List.rev !acc)
+
+let scan_next db ~seq e ~lowest =
+  Array.fold_right
+    (fun p acc -> if p > lowest then Some p else acc)
+    (scan_positions db ~seq e) None
+
+let scan_count_between db ~seq e ~lo ~hi =
+  Array.fold_left
+    (fun n p -> if lo < p && p < hi then n + 1 else n)
+    0 (scan_positions db ~seq e)
+
+let scan_events db =
+  let acc = ref [] in
+  Seqdb.iter (fun _ s -> Sequence.iteri (fun _ e -> acc := e :: !acc) s) db;
+  List.sort_uniq compare !acc
+
+let scan_occurrences db e =
+  let n = ref 0 in
+  Seqdb.iter (fun i _ -> n := !n + Array.length (scan_positions db ~seq:i e)) db;
+  !n
+
 (* positions / next / count_between / occurrence_count / events answer
-   identically on all three backends, including absent events. *)
+   exactly as the direct scan on every backend, including absent events. *)
 let prop_queries_equal =
-  Gens.make ~name:"csr = legacy = paged: queries" ~count:120 small_db
-    Gens.print_db (fun db ->
-      match backends db with
-      | [ csr; legacy; paged; mapped ] ->
-        let events = [ 0; 1; 2; 3; 4; 5; 99 ] (* 5 and 99 are absent *) in
-        List.for_all
-          (fun alt ->
-            Inverted_index.events csr = Inverted_index.events alt
-            && Inverted_index.frequent_events csr ~min_sup:3
-               = Inverted_index.frequent_events alt ~min_sup:3
-            && List.for_all
-                 (fun e ->
-                   Inverted_index.occurrence_count csr e
-                   = Inverted_index.occurrence_count alt e
-                   &&
-                   let ok = ref true in
-                   Seqdb.iter
-                     (fun i s ->
-                       let n = Sequence.length s in
+  Gens.make ~name:"csr = paged = mapped = direct scan: queries" ~count:120
+    small_db Gens.print_db (fun db ->
+      let events = [ 0; 1; 2; 3; 4; 5; 99 ] (* 5 and 99 are absent *) in
+      let frequent =
+        List.filter (fun e -> scan_occurrences db e >= 3) (scan_events db)
+      in
+      List.for_all
+        (fun idx ->
+          Inverted_index.events idx = scan_events db
+          && Inverted_index.frequent_events idx ~min_sup:3 = frequent
+          && List.for_all
+               (fun e ->
+                 Inverted_index.occurrence_count idx e = scan_occurrences db e
+                 &&
+                 let ok = ref true in
+                 Seqdb.iter
+                   (fun i s ->
+                     let n = Sequence.length s in
+                     if
+                       Inverted_index.positions idx ~seq:i e
+                       <> scan_positions db ~seq:i e
+                     then ok := false;
+                     for lowest = 0 to n + 1 do
                        if
-                         Inverted_index.positions csr ~seq:i e
-                         <> Inverted_index.positions alt ~seq:i e
-                       then ok := false;
-                       for lowest = 0 to n + 1 do
-                         if
-                           Inverted_index.next csr ~seq:i e ~lowest
-                           <> Inverted_index.next alt ~seq:i e ~lowest
-                         then ok := false
-                       done;
-                       for lo = 0 to n do
-                         if
-                           Inverted_index.count_between csr ~seq:i e ~lo
-                             ~hi:(lo + 5)
-                           <> Inverted_index.count_between alt ~seq:i e ~lo
-                                ~hi:(lo + 5)
-                         then ok := false
-                       done;
-                       ())
-                     db;
-                   !ok)
-                 events)
-          [ legacy; paged; mapped ]
-      | _ -> assert false)
+                         Inverted_index.next idx ~seq:i e ~lowest
+                         <> scan_next db ~seq:i e ~lowest
+                       then ok := false
+                     done;
+                     for lo = 0 to n do
+                       if
+                         Inverted_index.count_between idx ~seq:i e ~lo
+                           ~hi:(lo + 5)
+                         <> scan_count_between db ~seq:i e ~lo ~hi:(lo + 5)
+                       then ok := false
+                     done)
+                   db;
+                 !ok)
+               events)
+        (backends db))
 
 (* A monotone stream of seeks through a cursor returns exactly what
    repeated stateless [next] calls return, on every backend. *)
@@ -115,7 +136,7 @@ let prop_grow_equal =
     QCheck2.Gen.(pair small_db (Gens.pattern ~alphabet:5 ~max_len:4))
     Gens.print_db_pattern (fun (db, pat) ->
       match backends db with
-      | [ csr; legacy; paged; mapped ] ->
+      | [ csr; paged; mapped ] ->
         let grow_all idx =
           let sets = ref [] in
           let i = ref (Support_set.of_event idx (Pattern.get pat 1)) in
@@ -128,7 +149,6 @@ let prop_grow_equal =
         in
         let on_csr = grow_all csr in
         List.for_all Support_set.well_formed on_csr
-        && List.for_all2 Support_set.equal on_csr (grow_all legacy)
         && List.for_all2 Support_set.equal on_csr (grow_all paged)
         && List.for_all2 Support_set.equal on_csr (grow_all mapped)
       | _ -> assert false)
@@ -139,20 +159,18 @@ let signatures results =
     results
 
 (* Full-miner differential: GSgrow and CloGSgrow mine the exact same
-   pattern set (same order, same supports) on all three backends. *)
+   pattern set (same order, same supports) on all backends. *)
 let prop_miners_equal =
   Gens.make ~name:"GSgrow/CloGSgrow across backends" ~count:100 small_db
     Gens.print_db (fun db ->
       match backends db with
-      | [ csr; legacy; paged; mapped ] ->
+      | [ csr; paged; mapped ] ->
         let all idx = signatures (fst (Gsgrow.mine ~max_length:4 idx ~min_sup:2)) in
         let closed idx =
           signatures (fst (Clogsgrow.mine ~max_length:4 idx ~min_sup:2))
         in
-        all csr = all legacy
-        && all csr = all paged
+        all csr = all paged
         && all csr = all mapped
-        && closed csr = closed legacy
         && closed csr = closed paged
         && closed csr = closed mapped
       | _ -> assert false)
@@ -162,12 +180,12 @@ let prop_gap_miner_equal =
   Gens.make ~name:"gap-constrained across backends" ~count:100 small_db
     Gens.print_db (fun db ->
       match backends db with
-      | [ csr; legacy; paged; mapped ] ->
+      | [ csr; paged; mapped ] ->
         let mine idx =
           signatures
             (fst (Gap_constrained.mine ~max_length:4 idx ~max_gap:2 ~min_sup:2))
         in
-        mine csr = mine legacy && mine csr = mine paged && mine csr = mine mapped
+        mine csr = mine paged && mine csr = mine mapped
       | _ -> assert false)
 
 (* Deterministic end-to-end runs on generated trace data, closer to the
@@ -185,13 +203,13 @@ let test_trace_miner_equivalence () =
           signatures (fst (Clogsgrow.mine ~max_length:4 idx ~min_sup:6)) )
       in
       let all_csr, closed_csr = mine Inverted_index.Kcsr in
-      let all_legacy, closed_legacy = mine Inverted_index.Klegacy in
+      let all_paged, closed_paged = mine Inverted_index.Kpaged in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "gsgrow seed %d" seed)
-        all_legacy all_csr;
+        all_paged all_csr;
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "clogsgrow seed %d" seed)
-        closed_legacy closed_csr;
+        closed_paged closed_csr;
       Alcotest.(check bool)
         (Printf.sprintf "nonempty seed %d" seed)
         true

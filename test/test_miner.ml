@@ -33,9 +33,9 @@ let test_miner_max_length () =
 let test_should_stop_immediate () =
   let idx = Inverted_index.build table3 in
   let _, stats = Gsgrow.mine ~should_stop:(fun () -> true) idx ~min_sup:3 in
-  Alcotest.(check bool) "gsgrow truncated" true stats.Gsgrow.truncated;
+  Alcotest.(check bool) "gsgrow truncated" true stats.Engine.truncated;
   let _, cstats = Clogsgrow.mine ~should_stop:(fun () -> true) idx ~min_sup:3 in
-  Alcotest.(check bool) "clogsgrow truncated" true cstats.Clogsgrow.truncated
+  Alcotest.(check bool) "clogsgrow truncated" true cstats.Engine.truncated
 
 let test_landmarks_and_support () =
   Alcotest.(check int) "support helper" 3 (Miner.support table3 (Pattern.of_string "ACB"));
@@ -94,7 +94,9 @@ let test_config_variants () =
   (* the four execution paths of the facade agree where they should *)
   let closed = Miner.mine ~min_sup:3 table3 in
   let paged =
-    Miner.mine ~config:(Miner.config ~min_sup:3 ~paged_index:true ()) table3
+    Miner.mine
+      ~config:(Miner.config ~min_sup:3 ~index_kind:Inverted_index.Kpaged ())
+      table3
   in
   let parallel = Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ()) table3 in
   let signatures r =

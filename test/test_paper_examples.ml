@@ -162,7 +162,7 @@ let test_example_3_2_leftmost () =
 
 let test_example_3_4_gsgrow () =
   let results, stats = Gsgrow.mine idx3 ~min_sup:3 in
-  Alcotest.check Alcotest.bool "not truncated" false stats.Gsgrow.truncated;
+  Alcotest.check Alcotest.bool "not truncated" false stats.Engine.truncated;
   let find s =
     List.find_opt (fun r -> Pattern.equal r.Mined.pattern (p s)) results
   in

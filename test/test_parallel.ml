@@ -34,7 +34,7 @@ let test_parallel_all_matches () =
             (signatures sequential) (signatures parallel);
           Alcotest.(check int)
             (Printf.sprintf "%s stats d%d" name domains)
-            seq_stats.Gsgrow.patterns par_stats.Gsgrow.patterns)
+            seq_stats.Engine.emitted par_stats.Engine.emitted)
         [ 1; 2; 4 ])
     (Lazy.force dbs)
 
@@ -85,35 +85,31 @@ let test_more_domains_than_roots () =
   Alcotest.(check (list (pair string int))) "tiny db" (signatures sequential)
     (signatures results)
 
+(* The stealing executor re-splits subtrees across domains and never
+   routes growths through a supervisor's dispatch, so asking for both is
+   an error rather than a silently dropped dispatch. *)
+let test_steal_rejects_dispatch () =
+  let idx = Inverted_index.build (Seqdb.of_strings [ "ABAB"; "BABA" ]) in
+  let dispatch ~ranges base idx s e =
+    Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
+  in
+  let expect =
+    Invalid_argument "Parallel_miner: shard_dispatch cannot be combined with steal"
+  in
+  Alcotest.check_raises "mine_all" expect (fun () ->
+      ignore
+        (Parallel_miner.mine_all ~domains:2 ~steal:true ~shards:2
+           ~shard_dispatch:dispatch idx ~min_sup:2));
+  Alcotest.check_raises "mine_closed" expect (fun () ->
+      ignore
+        (Parallel_miner.mine_closed ~domains:2 ~steal:true ~shards:2
+           ~shard_dispatch:dispatch idx ~min_sup:2))
+
 (* --- largest-root-first scheduling ---
 
-   The claim order is a pure permutation: mined output, per-root statuses
-   and stats must be identical to index-order claiming, with or without
+   The claim order is a pure permutation: per-root statuses must be
+   identical for every order [run_pool] is given, with or without
    injected faults. *)
-
-let test_schedule_output_identical () =
-  List.iter
-    (fun (name, db) ->
-      let idx = Inverted_index.build db in
-      List.iter
-        (fun domains ->
-          let mine schedule =
-            let results, stats =
-              Parallel_miner.mine_closed ~domains ~max_length:4 ~schedule idx
-                ~min_sup:5
-            in
-            (signatures results, stats.Clogsgrow.patterns)
-          in
-          let out_index, n_index = mine `Index in
-          let out_largest, n_largest = mine `Largest_first in
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "%s schedule d%d" name domains)
-            out_index out_largest;
-          Alcotest.(check int)
-            (Printf.sprintf "%s schedule stats d%d" name domains)
-            n_index n_largest)
-        [ 1; 3 ])
-    (Lazy.force dbs)
 
 let test_largest_first_order_shape () =
   let _, db = List.nth (Lazy.force dbs) 2 in
@@ -243,14 +239,14 @@ let suite =
     Alcotest.test_case "deterministic across runs" `Quick test_parallel_determinism;
     Alcotest.test_case "validation" `Quick test_parallel_validation;
     Alcotest.test_case "more domains than roots" `Quick test_more_domains_than_roots;
-    Alcotest.test_case "schedule: output identical" `Quick
-      test_schedule_output_identical;
-    Alcotest.test_case "schedule: largest-first order shape" `Quick
+    Alcotest.test_case "steal rejects shard_dispatch" `Quick
+      test_steal_rejects_dispatch;
+    Alcotest.test_case "claim order: largest-first order shape" `Quick
       test_largest_first_order_shape;
-    Alcotest.test_case "schedule: tie-break is deterministic" `Quick
+    Alcotest.test_case "claim order: tie-break is deterministic" `Quick
       test_largest_first_order_tie_break;
-    Alcotest.test_case "schedule: faults keyed by root" `Quick
+    Alcotest.test_case "claim order: faults keyed by root" `Quick
       test_schedule_fault_injection;
-    Alcotest.test_case "schedule: halt preserves skips" `Quick
+    Alcotest.test_case "claim order: halt preserves skips" `Quick
       test_schedule_halt_preserves_skips;
   ]

@@ -14,7 +14,7 @@
    - LBCheck is sound (Theorem 5): no closed pattern extends an
      LB-prunable prefix;
    - closure checking and CloGSgrow are invariant under an injective
-     remap of events to sparse, negative ids, on all three index backends;
+     remap of events to sparse, negative ids, on both index backends;
    - sequential baselines agree with definition-level counting. *)
 
 open Rgs_sequence
@@ -290,7 +290,7 @@ let prop_sparse_event_ids =
       List.for_all
         (fun kind ->
           answers (Inverted_index.build_kind ~fanout:4 kind db') p' = expect)
-        Inverted_index.[ Kcsr; Klegacy; Kpaged ])
+        Inverted_index.[ Kcsr; Kpaged ])
 
 let prop_insgrow_incremental =
   make ~name:"supComp(P ◦ e) = INSgrow(supComp(P), e)" ~count:300

@@ -14,7 +14,7 @@
       tie differently, supports may not — and each answer must be a
       genuine mined pattern with its true support.
 
-   Everything runs on all three index backends so the query plans cannot
+   Everything runs on both index backends so the query plans cannot
    silently depend on one cursor implementation. The δ-cover post-pass is
    checked against its definition: every absorbed pattern is contained in
    its representative within the δ support band, every input pattern is
@@ -26,7 +26,6 @@ open Rgs_core
 let backends db =
   [
     Inverted_index.build_kind Inverted_index.Kcsr db;
-    Inverted_index.build_kind Inverted_index.Klegacy db;
     Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db;
   ]
 

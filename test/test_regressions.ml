@@ -33,7 +33,7 @@ let test_budget_prefix_property () =
       let part, stats = Gsgrow.mine ~max_patterns:budget idx ~min_sup:3 in
       Alcotest.(check int) (Printf.sprintf "budget %d count" budget) budget
         (List.length part);
-      Alcotest.(check bool) "truncated" true stats.Gsgrow.truncated;
+      Alcotest.(check bool) "truncated" true stats.Engine.truncated;
       let part_sigs = List.map (fun r -> Pattern.to_string r.Mined.pattern) part in
       Alcotest.(check (list string))
         (Printf.sprintf "budget %d prefix" budget)

@@ -152,7 +152,7 @@ let test_worker_crash_loses_one_root () =
   in
   Alcotest.(check (list (pair string int)))
     "other roots' patterns intact" (signatures survivors) (signatures results);
-  Alcotest.(check bool) "worker failed" true (stats.Clogsgrow.outcome = Budget.Worker_failed)
+  Alcotest.(check bool) "worker failed" true (stats.Engine.outcome = Budget.Worker_failed)
 
 (* A root crashing once recovers through the sequential retry: full results,
    Completed outcome. *)
@@ -172,7 +172,7 @@ let test_worker_crash_retry_recovers () =
   in
   Alcotest.(check (list (pair string int)))
     "retry recovers everything" (signatures full) (signatures results);
-  Alcotest.(check bool) "completed" true (stats.Clogsgrow.outcome = Budget.Completed)
+  Alcotest.(check bool) "completed" true (stats.Engine.outcome = Budget.Completed)
 
 (* Crashes injected at INSgrow granularity inside the sequential miner
    propagate to the caller (no pool to contain them). *)
@@ -195,13 +195,13 @@ let test_deadline_immediate () =
   let budget = Budget.create ~deadline_s:0.0 () in
   let results, stats = Clogsgrow.mine ~budget idx ~min_sup:5 in
   Alcotest.(check bool) "deadline outcome" true
-    (stats.Clogsgrow.outcome = Budget.Deadline_exceeded);
+    (stats.Engine.outcome = Budget.Deadline_exceeded);
   Alcotest.(check int) "no patterns mined" 0 (List.length results);
   (* parallel flavour: pool drains gracefully, same outcome *)
   let presults, pstats = Parallel_miner.mine_closed ~domains:3 ~budget idx ~min_sup:5 in
   Alcotest.(check int) "parallel empty too" 0 (List.length presults);
   Alcotest.(check bool) "parallel deadline outcome" true
-    (pstats.Clogsgrow.outcome = Budget.Deadline_exceeded)
+    (pstats.Engine.outcome = Budget.Deadline_exceeded)
 
 (* A DFS-node budget yields a partial result that is a sub-multiset of the
    full closed set, with outcome Truncated. *)
@@ -212,7 +212,7 @@ let test_node_budget_partial_subset () =
   let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
   let budget = Budget.create ~max_nodes:40 () in
   let partial, stats = Clogsgrow.mine ~max_length:4 ~budget idx ~min_sup in
-  Alcotest.(check bool) "truncated" true (stats.Clogsgrow.outcome = Budget.Truncated);
+  Alcotest.(check bool) "truncated" true (stats.Engine.outcome = Budget.Truncated);
   Alcotest.(check bool) "strictly partial" true
     (List.length partial < List.length full);
   let full_set = multiset full in
@@ -229,7 +229,7 @@ let test_cancellation () =
   let budget = Budget.create () in
   Budget.cancel budget;
   let _, stats = Gsgrow.mine ~budget idx ~min_sup:5 in
-  Alcotest.(check bool) "cancelled" true (stats.Gsgrow.outcome = Budget.Cancelled)
+  Alcotest.(check bool) "cancelled" true (stats.Engine.outcome = Budget.Cancelled)
 
 let test_memory_limit () =
   let db = Lazy.force mid_db in
@@ -238,7 +238,7 @@ let test_memory_limit () =
   let budget = Budget.create ~max_words:1 () in
   let _, stats = Clogsgrow.mine ~budget idx ~min_sup:5 in
   Alcotest.(check bool) "memory limit" true
-    (stats.Clogsgrow.outcome = Budget.Memory_limit)
+    (stats.Engine.outcome = Budget.Memory_limit)
 
 (* run_pool directly: exceptions are contained per root, the call returns
    (all domains joined), and untouched roots still complete. *)

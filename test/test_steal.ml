@@ -22,7 +22,6 @@ let closed_strategy = Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
 let backends db =
   [
     ("csr", Inverted_index.build_kind Inverted_index.Kcsr db);
-    ("legacy", Inverted_index.build_kind Inverted_index.Klegacy db);
     ("paged", Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db);
   ]
 
@@ -165,20 +164,20 @@ let test_steal_mapped_store () =
   Alcotest.check sig_t "mapped closed steal" (signatures sequential)
     (signatures steal)
 
-(* --- QCheck differentials: random dbs × 3 backends --- *)
+(* --- QCheck differentials: random dbs × both backends --- *)
 
 (* Each case draws one shard count and one backend, so 120 cases spread
-   over {1,2,4,8} × {csr, legacy, paged} without multiplying the run
-   count by twelve (the deterministic tests above already sweep every
+   over {1,2,4,8} × {csr, paged} without multiplying the run
+   count by eight (the deterministic tests above already sweep every
    shard count exhaustively). *)
 let with_shards gen =
   QCheck2.Gen.(pair gen (oneofl shard_counts))
 
 let with_shards_backend gen =
-  QCheck2.Gen.(triple gen (oneofl shard_counts) (int_bound 2))
+  QCheck2.Gen.(triple gen (oneofl shard_counts) (int_bound 1))
 
 let prop_steal_all_closed =
-  Gens.make ~name:"steal ≡ sequential (all + closed, 3 backends)" ~count:120
+  Gens.make ~name:"steal ≡ sequential (all + closed, both backends)" ~count:120
     (with_shards_backend (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9))
     (fun (db, shards, b) ->
       Printf.sprintf "shards: %d backend: %d\n%s" shards b (Gens.print_db db))

@@ -281,7 +281,7 @@ let test_counter_consistency_closed () =
         (Metrics.find delta "dfs_nodes")
         (kind_count trace Trace.Node);
       Alcotest.(check int) "node instants = stats.dfs_nodes"
-        stats.Clogsgrow.dfs_nodes
+        stats.Engine.dfs_nodes
         (kind_count trace Trace.Node);
       Alcotest.(check int) "lb_prune instants = lb_prunes delta"
         (Metrics.find delta "lb_prunes")
@@ -351,7 +351,7 @@ let test_budget_stop_traced () =
   let budget = Budget.create ~max_nodes:1 () in
   let _, stats = Clogsgrow.mine ~budget ~trace idx ~min_sup:2 in
   let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
-  Alcotest.(check bool) "run truncated" true stats.Clogsgrow.truncated;
+  Alcotest.(check bool) "run truncated" true stats.Engine.truncated;
   Alcotest.(check int) "budget_stop instant" 1
     (kind_count trace Trace.Budget_stop);
   Alcotest.(check int) "budget_stops metric" 1 (Metrics.find delta "budget_stops")
