@@ -493,7 +493,7 @@ let section_parallel () =
 
    PR 1's checkpoint rewrote the whole file after every completed root, so
    saving root i cost O(results of roots 1..i) — O(n^2) marshalling over a
-   run. The v2 record log appends one CRC32-framed record per root. This
+   run. The record log appends one CRC32-framed record per root. This
    section replays both strategies over the same mined results at several
    root counts; "rewrite" is what the seed format would have paid. *)
 

@@ -55,10 +55,14 @@ let () =
   Format.printf "@.Closed patterns with min_sup = 100:@.%a@."
     (Miner.pp_report ~codec ~limit:10) report;
 
-  let counts = Support_set.per_sequence_counts in
+  (* Mined answers are (pattern, support); the per-customer split comes
+     from recomputing each pattern's leftmost support set (Algorithm 1). *)
+  let idx = Inverted_index.build db in
   List.iter
     (fun r ->
-      let per_seq = counts r.Mined.support_set in
+      let per_seq =
+        Support_set.per_sequence_counts (Sup_comp.support_set idx r.Mined.pattern)
+      in
       let group_a = List.filter (fun (i, _) -> i <= 50) per_seq in
       let group_b = List.filter (fun (i, _) -> i > 50) per_seq in
       let avg l =

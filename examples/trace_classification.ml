@@ -71,7 +71,7 @@ let () =
 
   (* Which behaviours discriminate? The retry-loop patterns should win,
      with the skipped-cleanup patterns next. *)
-  let m = Features.feature_matrix ~num_sequences:(Seqdb.size train_db) report.Miner.results in
+  let m = Features.feature_matrix (Inverted_index.build train_db) report.Miner.results in
   let scored_indices = Features.discriminative_indices m ~labels in
   Format.printf "@.top discriminative patterns (|mean buggy - mean healthy|):@.";
   Array.iteri

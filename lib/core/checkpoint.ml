@@ -19,7 +19,7 @@ type t = {
 exception Corrupt of string
 
 let magic = "RGS-CHECKPOINT"
-let version = 2
+let version = 3
 
 let log_src = Logs.Src.create "rgs.checkpoint" ~doc:"Durable checkpoint log"
 
@@ -70,8 +70,137 @@ let read_le32 s off =
   let b i = Char.code s.[off + i] in
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
+(* --- record payload codec (FORMAT.md Appendix A) ---
+
+   Every integer is an unsigned LEB128 varint over OCaml's 63-bit int:
+   7 bits per byte, least significant group first, high bit set on every
+   byte but the last, at most 9 bytes. A string is its length followed
+   by its bytes. The decoder is a trust boundary — it reads whatever the
+   disk hands back under a matching CRC — so it accepts only the
+   canonical encoding (no overlong varints, no trailing bytes) and
+   bounds every count by the bytes left before allocating. *)
+
+let tag_root_done = 1
+let tag_quarantined = 2
+let tag_outcome = 3
+
+let outcomes =
+  Budget.
+    [|
+      Completed;
+      Truncated;
+      Deadline_exceeded;
+      Memory_limit;
+      Cancelled;
+      Interrupted;
+      Worker_failed;
+    |]
+
+let outcome_code o =
+  let rec find i = if outcomes.(i) = o then i else find (i + 1) in
+  find 0
+
+let put_int buf v =
+  let rec go v =
+    if v lsr 7 = 0 then Buffer.add_char buf (Char.chr v)
+    else begin
+      Buffer.add_char buf (Char.chr (v land 0x7F lor 0x80));
+      go (v lsr 7)
+    end
+  in
+  go v
+
+let put_string buf s =
+  put_int buf (String.length s);
+  Buffer.add_string buf s
+
+let encode_record record =
+  let buf = Buffer.create 64 in
+  (match record with
+  | Root_done { root; results } ->
+    put_int buf tag_root_done;
+    put_int buf root;
+    put_int buf (List.length results);
+    List.iter
+      (fun (r : Mined.t) ->
+        put_int buf (Pattern.length r.pattern);
+        List.iter (put_int buf) (Pattern.to_list r.pattern);
+        put_int buf r.support)
+      results
+  | Root_quarantined { root; reason; backtrace } ->
+    put_int buf tag_quarantined;
+    put_int buf root;
+    put_string buf reason;
+    put_string buf backtrace
+  | Run_outcome o ->
+    put_int buf tag_outcome;
+    put_int buf (outcome_code o));
+  Buffer.contents buf
+
+let decode_record payload =
+  let fail msg = invalid_arg ("Checkpoint.decode_record: " ^ msg) in
+  let n = String.length payload in
+  let pos = ref 0 in
+  let get_int () =
+    let rec go acc shift =
+      if !pos >= n then fail "truncated integer";
+      let b = Char.code payload.[!pos] in
+      incr pos;
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if b land 0x80 = 0 then begin
+        if b = 0 && shift > 0 then fail "overlong integer";
+        acc
+      end
+      else if shift >= 56 then fail "integer longer than 9 bytes"
+      else go acc (shift + 7)
+    in
+    go 0 0
+  in
+  (* a count or length: every element it announces costs at least one
+     more byte, so anything beyond the bytes left is a lie *)
+  let get_count () =
+    let c = get_int () in
+    if c < 0 || c > n - !pos then fail "count exceeds payload";
+    c
+  in
+  let get_string () =
+    let len = get_count () in
+    let s = String.sub payload !pos len in
+    pos := !pos + len;
+    s
+  in
+  let record =
+    match get_int () with
+    | t when t = tag_root_done ->
+      let root = get_int () in
+      let rec results k acc =
+        if k = 0 then List.rev acc
+        else begin
+          let events = Array.make (get_count ()) 0 in
+          for i = 0 to Array.length events - 1 do
+            events.(i) <- get_int ()
+          done;
+          let support = get_int () in
+          results (k - 1) ({ Mined.pattern = Pattern.of_array events; support } :: acc)
+        end
+      in
+      Root_done { root; results = results (get_count ()) [] }
+    | t when t = tag_quarantined ->
+      let root = get_int () in
+      let reason = get_string () in
+      let backtrace = get_string () in
+      Root_quarantined { root; reason; backtrace }
+    | t when t = tag_outcome ->
+      let code = get_int () in
+      if code < 0 || code >= Array.length outcomes then fail "unknown outcome";
+      Run_outcome outcomes.(code)
+    | _ -> fail "unknown record tag"
+  in
+  if !pos <> n then fail "trailing bytes";
+  record
+
 let frame record =
-  let payload = Marshal.to_string (record : record) [] in
+  let payload = encode_record record in
   let buf = Buffer.create (String.length payload + 8) in
   le32 buf (String.length payload);
   le32 buf (crc32 payload);
@@ -123,6 +252,7 @@ let read_exactly ic n =
    written and flushed whole, which is the salvage guarantee. *)
 let read_records ic =
   let records = ref [] in
+  let consumed = ref 0 in
   let rec loop () =
     match read_exactly ic 8 with
     | `Eof -> `Clean
@@ -137,14 +267,15 @@ let read_records ic =
         | `All payload ->
           if crc32 payload <> crc then `Torn
           else (
-            match (Marshal.from_string payload 0 : record) with
+            match decode_record payload with
             | r ->
               records := r :: !records;
+              consumed := !consumed + 8 + len;
               loop ()
-            | exception (Failure _ | Invalid_argument _) -> `Torn))
+            | exception Invalid_argument _ -> `Torn))
   in
   let ending = loop () in
-  (List.rev !records, ending)
+  (List.rev !records, !consumed, ending)
 
 let fold_records records =
   (* later records win per root: a quarantined root re-mined after
@@ -207,18 +338,11 @@ let load ~path ~expected_fingerprint =
           (Corrupt
              (path ^ ": fingerprint mismatch (different database or parameters)"));
       let good_start = pos_in ic in
-      let records, ending = read_records ic in
+      let records, consumed, ending = read_records ic in
       let salvaged_bytes =
         match ending with
         | `Clean -> 0
-        | `Torn ->
-          let file_len = in_channel_length ic in
-          let consumed =
-            List.fold_left
-              (fun acc r -> acc + String.length (frame r))
-              good_start records
-          in
-          file_len - consumed
+        | `Torn -> in_channel_length ic - good_start - consumed
       in
       let completed, quarantined, outcome = fold_records records in
       if salvaged_bytes > 0 then begin

@@ -2,7 +2,7 @@
 
     The DFS forest mined by {!Gsgrow}/{!Clogsgrow} splits into independent
     subtrees, one per frequent size-1 root — the same decomposition
-    {!Parallel_miner} exploits. Version 2 of the checkpoint format is an
+    {!Parallel_miner} exploits. Version 3 of the checkpoint format is an
     {e append-only record log}: a self-describing header (magic, version,
     caller-supplied fingerprint) followed by one CRC32-framed record per
     event — a completed root with its full result list, a quarantined
@@ -18,10 +18,12 @@
     not usable at all: wrong magic, wrong version, fingerprint mismatch,
     or a header cut short.
 
-    Record payloads use [Marshal] — checkpoints are valid within one build
-    of the binary, which is the crash-recovery use case, not an
-    interchange format. The CRC32 frame is what makes a torn tail
-    detectable {e before} [Marshal] sees it. *)
+    Record payloads use a typed little-endian varint codec
+    ({!encode_record}, specified in FORMAT.md Appendix A), so a log
+    written by one build resumes under another. The CRC32 frame makes a
+    torn tail detectable before the codec sees it; the codec in turn
+    rejects any payload that is not a canonical encoding, and the loader
+    salvages such a record as torn. *)
 
 open Rgs_sequence
 
@@ -55,6 +57,10 @@ type t = {
   salvaged_bytes : int;
       (** trailing bytes dropped by the salvaging loader; [0] = clean *)
 }
+
+val version : int
+(** The format version written in the header line ([3]); {!load} rejects
+    every other version. *)
 
 exception Corrupt of string
 (** Raised by {!load} on a missing/unreadable file, wrong magic or
@@ -101,6 +107,17 @@ val sweep_stale_temps : string -> unit
 val crc32 : string -> int
 (** The frame checksum (zlib polynomial), exposed for tests and fixture
     generation. *)
+
+val encode_record : record -> string
+(** The payload of one record frame (FORMAT.md Appendix A), exposed for
+    tests and fixture generation. *)
+
+val decode_record : string -> record
+(** Inverse of {!encode_record} on canonical payloads:
+    [encode_record (decode_record s) = s] whenever it returns.
+    @raise Invalid_argument on anything else — an unknown tag or outcome
+    code, an overlong or truncated varint, a count larger than the bytes
+    left, or trailing bytes. *)
 
 (** Incremental appender. Physical writes never raise: each one is
     retried with exponential backoff and deterministic jitter

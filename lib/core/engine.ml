@@ -139,7 +139,7 @@ let enter c f =
 let emit_node c ~emit f sup =
   if c.plan.Query.emit_ok ~state:f.f_qstate then begin
     incr c.emitted;
-    emit { Mined.pattern = f.f_pattern; support = sup; support_set = f.f_support }
+    emit { Mined.pattern = f.f_pattern; support = sup }
   end
 
 let grow_child c i e =

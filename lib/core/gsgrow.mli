@@ -32,8 +32,9 @@ val mine :
   min_sup:int ->
   Mined.t list * Engine.stats
 (** [mine idx ~min_sup] returns every pattern with repetitive support at
-    least [min_sup], in DFS (prefix) order, with supports and leftmost
-    support sets.
+    least [min_sup], in DFS (prefix) order, with supports. The answers
+    carry no support sets ({!Mined}); {!Sup_comp.support_set} recomputes
+    one.
 
     [max_length] bounds pattern length; [max_patterns] aborts the search
     after that many patterns (the result is then a prefix of the full

@@ -1,7 +1,6 @@
 type t = {
   pattern : Pattern.t;
   support : int;
-  support_set : Support_set.t;
 }
 
 let compare_by_support_desc a b =

@@ -220,7 +220,22 @@ type steal_worker = {
   mutable w_attempts : int;
   mutable w_successes : int;
   mutable w_depth : int;
+  mutable w_idle : int;  (* failed steal rounds since the last success *)
 }
+
+(* An idle thief spins for [steal_spin_rounds] failed rounds (work often
+   reappears within microseconds, when a sibling splits its next node),
+   then sleeps between rounds: 10 µs doubling up to 1 ms, so a worker
+   with nothing to steal stops burning the core its victims need. *)
+let steal_spin_rounds = 64
+let steal_max_sleep_s = 1e-3
+
+let idle_backoff st =
+  st.w_idle <- st.w_idle + 1;
+  if st.w_idle <= steal_spin_rounds then Domain.cpu_relax ()
+  else
+    let doublings = min 7 (st.w_idle - steal_spin_rounds - 1) in
+    Unix.sleepf (Float.min steal_max_sleep_s (1e-5 *. float_of_int (1 lsl doublings)))
 
 let rec atomic_cons cell x =
   let old = Atomic.get cell in
@@ -357,6 +372,7 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
       (match Deque.steal deques.(v) with
       | Deque.Stolen t ->
         st.w_successes <- st.w_successes + 1;
+        st.w_idle <- 0;
         Trace.instant st.w_trace Trace.Steal ~a0:st.w_id ~a1:v;
         stolen := Some t
       | Deque.Empty | Deque.Retry -> incr i)
@@ -385,6 +401,7 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
         w_attempts = 0;
         w_successes = 0;
         w_depth = 0;
+        w_idle = 0;
       }
     in
     states.(slot) <- Some st;
@@ -407,7 +424,7 @@ let mine_steal ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
           else if Atomic.get live > 0 then begin
             (match try_steal st with
             | Some t -> exec ~stolen:true st t
-            | None -> Domain.cpu_relax ());
+            | None -> idle_backoff st);
             loop ()
           end
     in

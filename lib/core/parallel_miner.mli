@@ -120,7 +120,9 @@ val mine_steal :
     an empty deque steals the oldest task from a sibling — the largest
     deferred subtree — so a skewed root set no longer serializes the
     tail of the run ([Metrics.steal_attempts]/[steal_successes],
-    [Steal] trace instants, [deque_max_depth]).
+    [Steal] trace instants, [deque_max_depth]). A thief whose steal
+    rounds keep failing spins briefly, then backs off with sleeps
+    doubling up to 1 ms, reset by its next successful steal.
 
     {b Determinism}: per-task results are keyed by their DFS path and
     stitched in root order then path order, so the output is identical

@@ -5,15 +5,19 @@ type matrix = {
   counts : int array array;
 }
 
-let feature_matrix ~num_sequences results =
+(* Mined answers carry no support sets, so each column is one supComp
+   run (Algorithm 1) over the index — the same leftmost set the DFS held,
+   materialised only while its column is filled. *)
+let feature_matrix idx results =
   let patterns = Array.of_list (List.map (fun r -> r.Mined.pattern) results) in
+  let num_sequences = Rgs_sequence.Seqdb.size (Rgs_sequence.Inverted_index.db idx) in
   let counts = Array.make_matrix num_sequences (Array.length patterns) 0 in
-  List.iteri
-    (fun j r ->
+  Array.iteri
+    (fun j p ->
       List.iter
         (fun (i, c) -> counts.(i - 1).(j) <- c)
-        (Support_set.per_sequence_counts r.Mined.support_set))
-    results;
+        (Support_set.per_sequence_counts (Sup_comp.support_set idx p)))
+    patterns;
   { patterns; counts }
 
 let group_means m ~labels =

@@ -4,7 +4,8 @@
     is to select discriminative ones for classification".
 
     This module turns mined patterns into per-sequence feature vectors
-    (instance counts from the leftmost support sets), scores patterns for
+    (instance counts of the leftmost support sets, recomputed from the
+    index), scores patterns for
     discriminativeness between two labelled groups, and provides a
     nearest-centroid classifier for the demonstration example. *)
 
@@ -15,9 +16,14 @@ type matrix = {
   counts : int array array;  (** [counts.(i).(j)]: instances of pattern [j] in sequence [i+1] *)
 }
 
-val feature_matrix : num_sequences:int -> Mined.t list -> matrix
-(** Feature values straight from the miners' support sets — no re-scan of
-    the database. *)
+val feature_matrix : Rgs_sequence.Inverted_index.t -> Mined.t list -> matrix
+(** One row per sequence of the index's database, one column per result.
+    Mined answers carry no support sets, so column [j] is recomputed with
+    {!Rgs_core.Sup_comp.support_set}: cell [(i, j)] is the number of instances of
+    pattern [j] in sequence [i+1] within the leftmost support set, and column
+    [j] sums to the pattern's repetitive support. The counts are
+    {e unconstrained} repetitive supports — also for results mined by
+    {!Rgs_core.Gap_constrained}, whose gap bounds are not re-applied here. *)
 
 val discriminative_scores : matrix -> labels:bool array -> (Pattern.t * float) array
 (** Scores each pattern by the absolute difference of its mean feature

@@ -17,7 +17,7 @@
     The CRC catches torn or garbled frames before [Marshal] ever sees
     them; a frame that fails the length guard, the CRC or decoding raises
     {!Protocol_error}, and the daemon sheds the offending connection
-    instead of crashing. Like {!Checkpoint}, payloads use [Marshal] and
+    instead of crashing. Payloads use [Marshal] and
     are only valid within one build of the binary — the version byte
     exists so a future incompatible revision is rejected at the
     handshake, not by a decoder crash.

@@ -83,11 +83,7 @@ let test_inject_counts_firings () =
 (* --- invariant checker is itself testable --- *)
 
 let mined root support =
-  {
-    Mined.pattern = Pattern.of_list [ root ];
-    support;
-    support_set = Support_set.empty;
-  }
+  { Mined.pattern = Pattern.of_list [ root ]; support }
 
 let test_invariant_checker () =
   let baseline = [ mined 1 5; mined 2 4 ] in

@@ -64,7 +64,7 @@ let check_results name got =
     (sorted got)
 
 let mined_of (events, support) =
-  { Mined.pattern = Pattern.of_list events; support; support_set = Support_set.empty }
+  { Mined.pattern = Pattern.of_list events; support }
 
 (* the chaos invariant, over the wire signatures *)
 let chaos_check plan ~faulty ~quarantined =
@@ -338,6 +338,39 @@ let test_v2_queries_end_to_end () =
             (List.for_all
                (fun row -> List.mem row (Lazy.force baseline))
                got)))
+
+(* A job whose state-dir checkpoint was left by a version-2 build is
+   refused with a typed "checkpoint: …" reason naming the version — the
+   daemon neither crashes nor silently re-mines over the old log. *)
+let test_v2_checkpoint_rejected () =
+  with_daemon (fun h ->
+      let fixture =
+        Filename.concat
+          (Filename.concat (Filename.dirname Sys.executable_name) "fixtures")
+          "v2_log.ckpt"
+      in
+      let ic = open_in_bin fixture in
+      let image = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin (Job.checkpoint_path ~state_dir:h.dir "old-v2") in
+      output_string oc image;
+      close_out oc;
+      with_client h (fun c ->
+          submit_ok c (spec "old-v2");
+          let rec wait_reject () =
+            match Client.next_response c with
+            | Some (Protocol.Rejected { job_id = "old-v2"; reason }) -> reason
+            | Some _ -> wait_reject ()
+            | None -> Alcotest.fail "daemon hung up instead of rejecting"
+          in
+          let reason = wait_reject () in
+          let prefix = "checkpoint: " in
+          Alcotest.(check bool)
+            (Printf.sprintf "reason %S is a typed checkpoint error" reason)
+            true
+            (String.length reason > String.length prefix
+            && String.sub reason 0 (String.length prefix) = prefix
+            && Filename.check_suffix reason "version 2, expected 3")))
 
 (* --- the core contract: daemon output == batch output --- *)
 
@@ -955,6 +988,8 @@ let suite =
       test_malformed_query_rejected;
     Alcotest.test_case "v2 queries end-to-end, checkpoint query pin" `Quick
       test_v2_queries_end_to_end;
+    Alcotest.test_case "v2 checkpoint rejected, typed" `Quick
+      test_v2_checkpoint_rejected;
     Alcotest.test_case "submit == batch, resubmit replays" `Quick
       test_submit_matches_batch;
     Alcotest.test_case "overload sheds job K+1, in-flight undisturbed" `Quick

@@ -53,7 +53,7 @@ let test_winepi_frequency () =
 
 (* --- Export --- *)
 
-let mined s sup = { Mined.pattern = p s; support = sup; support_set = Support_set.empty }
+let mined s sup = { Mined.pattern = p s; support = sup }
 
 let test_results_csv () =
   let csv = Rgs_post.Export.results_to_csv [ mined "AB" 4; mined "ACB" 3 ] in
@@ -62,7 +62,7 @@ let test_results_csv () =
 
 let test_results_csv_with_codec () =
   let codec = Codec.of_names [ "lock, acquire"; "unlock" ] in
-  let r = { Mined.pattern = Pattern.of_list [ 0; 1 ]; support = 7; support_set = Support_set.empty } in
+  let r = { Mined.pattern = Pattern.of_list [ 0; 1 ]; support = 7 } in
   let csv = Rgs_post.Export.results_to_csv ~codec [ r ] in
   (* the comma inside the event name forces quoting *)
   Alcotest.(check string) "quoted"
@@ -71,7 +71,7 @@ let test_results_csv_with_codec () =
 let test_features_csv () =
   let db = Seqdb.of_strings [ "ABAB"; "AB" ] in
   let report = Miner.mine ~config:(Miner.config ~mode:Miner.All ~min_sup:3 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:2 report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix (Inverted_index.build db) report.Miner.results in
   let csv = Rgs_post.Export.features_to_csv m in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + 2 rows" 3 (List.length lines);

@@ -127,7 +127,7 @@ let repeaters_and_oneshots () =
 let test_feature_matrix () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix (Inverted_index.build db) report.Miner.results in
   Alcotest.(check int) "12 rows" 12 (Array.length m.Rgs_post.Features.counts);
   (* the AB column separates the groups *)
   let ab_col =
@@ -148,7 +148,7 @@ let test_feature_matrix () =
 let test_discriminative_and_classify () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix (Inverted_index.build db) report.Miner.results in
   let labels = Array.init 12 (fun i -> i < 6) in
   let scored = Rgs_post.Features.discriminative_scores m ~labels in
   (* the best discriminator must involve the repeated AB behaviour, not CD *)
@@ -170,10 +170,59 @@ let test_discriminative_and_classify () =
   let fresh = Rgs_post.Features.features_of_sequence db ~patterns:m.Rgs_post.Features.patterns 1 in
   Alcotest.(check bool) "fresh repeater" true (Rgs_post.Features.classify model fresh)
 
+(* The matrix against an independent oracle: cell (i, j) is the exact
+   repetitive support of pattern j on the one-sequence database [seq i]
+   (instances in different sequences never overlap), and column j sums to
+   the pattern's support over the whole database. Gap-constrained results
+   get the same unconstrained counts (features.mli), so their columns sum
+   to the unconstrained support, not to the mined one. *)
+let prop_feature_matrix_oracle =
+  let gen =
+    QCheck2.Gen.(
+      triple (Gens.db ~num_seqs:4 ~alphabet:3 ~max_len:7) bool
+        (opt (int_bound 2)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"feature matrix = per-sequence brute force" ~count:150
+       ~print:(fun (db, closed, gap) ->
+         Printf.sprintf "%s\nclosed=%b max_gap=%s" (Gens.print_db db) closed
+           (match gap with None -> "none" | Some g -> string_of_int g))
+       gen
+       (fun (db, closed, gap) ->
+         let idx = Inverted_index.build db in
+         let results =
+           match gap with
+           | Some max_gap ->
+             fst (Gap_constrained.mine ~max_length:3 idx ~max_gap ~min_sup:2)
+           | None ->
+             let mode = if closed then Miner.Closed else Miner.All in
+             (Miner.mine ~config:(Miner.config ~mode ~min_sup:2 ~max_length:3 ()) db)
+               .Miner.results
+         in
+         let m = Rgs_post.Features.feature_matrix idx results in
+         let rows = Array.length m.Rgs_post.Features.counts in
+         let singles =
+           Array.init rows (fun i -> Seqdb.of_sequences [ Seqdb.seq db (i + 1) ])
+         in
+         rows = Seqdb.size db
+         && List.for_all
+              (fun (j, (r : Mined.t)) ->
+                let column =
+                  Array.map (fun row -> row.(j)) m.Rgs_post.Features.counts
+                in
+                let sum = Array.fold_left ( + ) 0 column in
+                Pattern.equal m.Rgs_post.Features.patterns.(j) r.pattern
+                && Array.for_all2
+                     (fun cell single -> cell = Brute_force.support single r.pattern)
+                     column singles
+                && sum = Brute_force.support db r.pattern
+                && (gap <> None || sum = r.support))
+              (List.mapi (fun j r -> (j, r)) results)))
+
 let test_features_validation () =
   let db = repeaters_and_oneshots () in
   let report = Rgs_core.Miner.mine ~config:(Miner.config ~min_sup:12 ()) db in
-  let m = Rgs_post.Features.feature_matrix ~num_sequences:(Seqdb.size db) report.Miner.results in
+  let m = Rgs_post.Features.feature_matrix (Inverted_index.build db) report.Miner.results in
   Alcotest.check_raises "bad labels length"
     (Invalid_argument "Features: labels length must match the number of sequences")
     (fun () -> ignore (Rgs_post.Features.discriminative_scores m ~labels:[| true |]));
@@ -195,4 +244,5 @@ let suite =
     Alcotest.test_case "feature matrix" `Quick test_feature_matrix;
     Alcotest.test_case "discriminative + classify" `Quick test_discriminative_and_classify;
     Alcotest.test_case "features validation" `Quick test_features_validation;
+    prop_feature_matrix_oracle;
   ]

@@ -65,9 +65,9 @@ let test_subpattern () =
   check_sub "A" "" false
 
 let test_compare_orders () =
-  let r1 = { Mined.pattern = p "AB"; support = 5; support_set = Support_set.empty } in
-  let r2 = { Mined.pattern = p "ABC"; support = 5; support_set = Support_set.empty } in
-  let r3 = { Mined.pattern = p "Z"; support = 9; support_set = Support_set.empty } in
+  let r1 = { Mined.pattern = p "AB"; support = 5 } in
+  let r2 = { Mined.pattern = p "ABC"; support = 5 } in
+  let r3 = { Mined.pattern = p "Z"; support = 9 } in
   let by_sup = List.sort Mined.compare_by_support_desc [ r1; r2; r3 ] in
   Alcotest.(check (list string)) "by support" [ "Z"; "AB"; "ABC" ]
     (List.map (fun r -> Pattern.to_string r.Mined.pattern) by_sup);

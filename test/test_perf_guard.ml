@@ -6,10 +6,10 @@
    [Inverted_index.positions], on both backends, across hundreds of
    random databases plus the adversarial shapes that stress each gallop
    branch (single-run postings, alternating events, seek-to-self,
-   seek-past-end). The support-set sharing fix is locked by a memory
-   regression: on a fixed seeded append-heavy workload the CSR backend's
-   retained live words must stay within 1.25x of a recorded baseline. The
-   closure-funnel
+   seek-past-end). A memory regression locks in that mined answers hold
+   no support sets: on a fixed seeded append-heavy workload the words a
+   finished run retains must stay within 1.25x of a recorded baseline.
+   The closure-funnel
    bench section is pinned by checking that the quest_small sweep's lowest
    threshold actually exercises the pre-filter's survive path, and the
    closure pre-filter's exact funnel on the jboss traces is pinned so a
@@ -257,16 +257,16 @@ let test_miner_output_independent_of_gallop_probe () =
             expect (mine_sigs ()))
         probe_sweep)
 
-(* --- memory regression: support-set sharing on append-heavy DFS --- *)
+(* --- memory regression: answers hold no support sets --- *)
 
 (* Retained live words of a full mining run (results held) on a fixed
-   seeded workload, measured against a post-compaction baseline. The
-   firsts-sharing fix makes grown groups alias their parent's arrays, so
-   the CSR backend — whose [of_event] materialises fresh positions arrays —
-   must retain no more than 1.25x [legacy_retained_words]: what the
-   retired per-sequence hashtable ("legacy") index retained on this same
-   workload (63125 words for 559 patterns; CSR retained 64726 then). *)
-let legacy_retained_words = 63125
+   seeded workload, measured against a post-compaction baseline. A mined
+   answer is (pattern, support): the DFS drops each node's leftmost
+   support set once its children are grown, so what survives the run is
+   the 559 patterns and their supports — [answers_retained_words] words
+   when answers stopped carrying sets. The bound is 1.25x that; answers
+   that kept their sets retained ~64,700 words here, 13x over it. *)
+let answers_retained_words = 4789
 
 let retained_words db =
   let idx = Inverted_index.build db in
@@ -277,21 +277,21 @@ let retained_words db =
   ignore (Sys.opaque_identity (List.length results));
   (live - baseline, List.length results)
 
-let test_memory_regression_csr () =
+let test_memory_answers_retain_no_sets () =
   let db =
     Rgs_datagen.Trace_gen.generate
       (Rgs_datagen.Trace_gen.params ~num_sequences:30 ~num_events:10 ~seed:5 ())
   in
   Metrics.reset ();
-  let csr, n_csr = retained_words db in
-  Alcotest.(check int) "same workload as the baseline" 559 n_csr;
-  Alcotest.(check bool) "csr retention positive" true (csr > 0);
-  let ratio = float_of_int csr /. float_of_int legacy_retained_words in
+  let retained, n = retained_words db in
+  Alcotest.(check int) "same workload as the baseline" 559 n;
+  Alcotest.(check bool) "retention positive" true (retained > 0);
+  let ratio = float_of_int retained /. float_of_int answers_retained_words in
   Alcotest.(check bool)
-    (Printf.sprintf "csr retention %d <= 1.25x legacy %d (ratio %.3f)" csr
-       legacy_retained_words ratio)
+    (Printf.sprintf "retention %d <= 1.25x %d (ratio %.3f)" retained
+       answers_retained_words ratio)
     true (ratio <= 1.25);
-  (* the samples must also have fed the peak gauge (PR 3 contract) *)
+  (* the samples must also have fed the peak gauge *)
   Alcotest.(check bool) "peak_live_words gauge updated" true
     (Metrics.value Metrics.peak_live_words > 0)
 
@@ -382,8 +382,8 @@ let suite =
     prop_answers_independent_of_gallop_probe;
     Alcotest.test_case "miner output independent of gallop probe" `Quick
       test_miner_output_independent_of_gallop_probe;
-    Alcotest.test_case "memory: csr <= 1.25x legacy" `Quick
-      test_memory_regression_csr;
+    Alcotest.test_case "memory: mined results retain no support sets" `Quick
+      test_memory_answers_retain_no_sets;
     Alcotest.test_case "grow shares firsts arrays" `Quick test_grow_shares_firsts;
     Alcotest.test_case "closure funnel pin (quest_small)" `Quick
       test_closure_funnel_pin;

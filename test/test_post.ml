@@ -5,7 +5,7 @@ open Rgs_core
 open Rgs_post
 
 let p = Pattern.of_string
-let mined s sup = { Mined.pattern = p s; support = sup; support_set = Support_set.empty }
+let mined s sup = { Mined.pattern = p s; support = sup }
 
 let names results = List.map (fun r -> Pattern.to_string r.Mined.pattern) results
 

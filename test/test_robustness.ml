@@ -455,9 +455,24 @@ let test_fixture_unusable () =
   expect_corrupt "wrong_version.ckpt";
   expect_corrupt "empty.ckpt"
 
+(* A genuine version-2 log (Marshal payloads) is refused by name, before
+   its fingerprint or any record is looked at. *)
+let test_fixture_v2_log () =
+  match
+    Checkpoint.load ~path:(fixture "v2_log.ckpt") ~expected_fingerprint:fixture_fp
+  with
+  | exception Checkpoint.Corrupt msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names both versions" msg)
+      true
+      (Filename.check_suffix msg "version 2, expected 3")
+  | _ -> Alcotest.fail "v2_log.ckpt: expected Corrupt"
+
 (* --- salvage at arbitrary truncation points --- *)
 
-let header_len = String.length "RGS-CHECKPOINT\n" + String.length ("v2 " ^ fixture_fp ^ "\n")
+let header_len =
+  String.length "RGS-CHECKPOINT\n"
+  + String.length (Printf.sprintf "v%d %s\n" Checkpoint.version fixture_fp)
 
 (* A realistic log image: real mined results marshalled into 7 roots. *)
 let salvage_image =
@@ -525,6 +540,168 @@ let test_salvage_header_cuts () =
     if not (check_cut image completed cut) then
       Alcotest.failf "salvage contract violated at cut %d" cut
   done
+
+(* --- record payload mutations: salvage as torn or round-trip --- *)
+
+(* The payloads of a realistic log (real mined results, a quarantine with
+   free text, the outcome) — the mutation property's seeds. *)
+let mutation_payloads =
+  lazy
+    (let _, completed = Lazy.force salvage_image in
+     Array.of_list
+       (List.map (fun e -> Checkpoint.encode_record (Checkpoint.Root_done e)) completed
+       @ [
+           Checkpoint.encode_record
+             (Checkpoint.Root_quarantined
+                { root = 42; reason = "Failure(\"boom\")"; backtrace = "at x\nat y" });
+           Checkpoint.encode_record (Checkpoint.Run_outcome Budget.Interrupted);
+         ]))
+
+let frame_bytes ?len payload =
+  let b = Bytes.create 8 in
+  let set off v =
+    for i = 0 to 3 do
+      Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+    done
+  in
+  set 0 (Option.value len ~default:(String.length payload));
+  set 4 (Checkpoint.crc32 payload);
+  Bytes.to_string b ^ payload
+
+type mutation =
+  | Flip of int * int  (* byte index, bit *)
+  | Truncate of int  (* keep this many bytes *)
+  | Count_lie of int * int  (* overwrite a byte with a varint of this value *)
+  | Overlong of int  (* re-encode a varint's final byte in two bytes *)
+  | Splice of int * int  (* insert a byte *)
+  | Frame_lie of int  (* the frame header's length field differs by this *)
+
+let print_mutation (i, m) =
+  Printf.sprintf "payload %d, %s" i
+    (match m with
+    | Flip (at, bit) -> Printf.sprintf "flip byte %d bit %d" at bit
+    | Truncate k -> Printf.sprintf "truncate to %d" k
+    | Count_lie (at, v) -> Printf.sprintf "varint %d at byte %d" v at
+    | Overlong at -> Printf.sprintf "overlong varint at byte %d" at
+    | Splice (at, c) -> Printf.sprintf "insert %d at byte %d" c at
+    | Frame_lie d -> Printf.sprintf "frame length off by %d" d)
+
+let gen_mutation =
+  let open QCheck2.Gen in
+  let pos = int_bound 1_000_000 in
+  pair (int_bound 1_000)
+    (oneof
+       [
+         map2 (fun at bit -> Flip (at, bit)) pos (int_bound 7);
+         map (fun k -> Truncate k) pos;
+         map2
+           (fun at v -> Count_lie (at, v))
+           pos
+           (oneof [ int_range 2 300; map (fun e -> 1 lsl e) (int_range 8 62) ]);
+         map (fun at -> Overlong at) pos;
+         map2 (fun at c -> Splice (at, c)) pos (int_bound 255);
+         map (fun d -> if d = 0 then Frame_lie 1 else Frame_lie d) (int_range (-8) 8);
+       ])
+
+let apply_mutation payload = function
+  | Flip (at, bit) ->
+    let b = Bytes.of_string payload in
+    let at = at mod Bytes.length b in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl bit)));
+    Bytes.to_string b
+  | Truncate k -> String.sub payload 0 (k mod String.length payload)
+  | Count_lie (at, v) ->
+    let at = at mod String.length payload in
+    let buf = Buffer.create 10 in
+    let rec put v =
+      if v lsr 7 = 0 then Buffer.add_char buf (Char.chr v)
+      else begin
+        Buffer.add_char buf (Char.chr (v land 0x7F lor 0x80));
+        put (v lsr 7)
+      end
+    in
+    put v;
+    String.sub payload 0 at ^ Buffer.contents buf
+    ^ String.sub payload (at + 1) (String.length payload - at - 1)
+  | Overlong at ->
+    (* the first byte at or after [at] that ends a varint (high bit
+       clear) gains a continuation bit and a zero byte: same value,
+       one byte longer *)
+    let n = String.length payload in
+    let rec final k =
+      if k >= n then None
+      else if Char.code payload.[k] land 0x80 = 0 then Some k
+      else final (k + 1)
+    in
+    (match final (at mod n) with
+    | None -> payload
+    | Some k ->
+      String.sub payload 0 k
+      ^ String.make 1 (Char.chr (Char.code payload.[k] lor 0x80))
+      ^ "\000"
+      ^ String.sub payload (k + 1) (n - k - 1))
+  | Splice (at, c) ->
+    let at = at mod (String.length payload + 1) in
+    String.sub payload 0 at ^ String.make 1 (Char.chr c)
+    ^ String.sub payload at (String.length payload - at)
+  | Frame_lie _ -> payload
+
+(* Every mutated payload either fails the codec (and a log ending in its
+   frame salvages everything before it, dropping exactly that frame) or
+   decodes to a record that re-encodes to the same bytes (and the log
+   loads clean) — so an overlong varint, which would decode to a value
+   that re-encodes shorter, must be refused. A frame whose length field
+   lies is always torn. The
+   frames carry a valid CRC of the mutated payload, so the codec — not
+   the checksum — is what is being attacked. *)
+let prop_record_mutations =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+    (QCheck2.Test.make ~name:"checkpoint record mutations: torn or round-trip"
+       ~count:400 ~print:print_mutation gen_mutation (fun (i, m) ->
+         let payloads = Lazy.force mutation_payloads in
+         let first = payloads.(0) in
+         let payload = payloads.(1 + (i mod (Array.length payloads - 1))) in
+         let mutated = apply_mutation payload m in
+         let last =
+           match m with
+           | Frame_lie d ->
+             frame_bytes ~len:(max 0 (String.length mutated + d)) mutated
+           | _ -> frame_bytes mutated
+         in
+         let decoded =
+           match Checkpoint.decode_record mutated with
+           | r -> Some r
+           | exception Invalid_argument _ -> None
+         in
+         let codec_ok =
+           match decoded with
+           | None -> true
+           | Some r -> Checkpoint.encode_record r = mutated
+         in
+         let path = Filename.temp_file "rgs_ckpt_mut" ".bin" in
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             let oc = open_out_bin path in
+             output_string oc
+               (Printf.sprintf "RGS-CHECKPOINT\nv%d %s\n" Checkpoint.version
+                  fixture_fp);
+             output_string oc (frame_bytes first);
+             output_string oc last;
+             close_out oc;
+             let t = Checkpoint.load ~path ~expected_fingerprint:fixture_fp in
+             let torn =
+               t.Checkpoint.salvaged_bytes = String.length last
+               && List.map
+                    (fun (e : Checkpoint.entry) -> e.Checkpoint.root)
+                    t.Checkpoint.completed
+                  = [ 0 ]
+             in
+             codec_ok
+             &&
+             match (m, decoded) with
+             | Frame_lie _, _ | _, None -> torn
+             | _, Some _ -> t.Checkpoint.salvaged_bytes = 0)))
 
 (* --- stale temp files from a killed process are swept on the next save --- *)
 
@@ -652,8 +829,9 @@ let read_all fd =
 
 (* Run rgsminer as a real child process, optionally slowing each root down
    (the RGS_CHAOS_ROOT_DELAY_MS knob) and signalling it mid-run. Returns
-   the wait status and the captured stdout (stderr is discarded). *)
-let run_rgsminer ?root_delay_ms ?kill args =
+   the wait status and the captured stdout; stderr is discarded unless
+   [capture_stderr] merges it into the capture. *)
+let run_rgsminer ?root_delay_ms ?kill ?(capture_stderr = false) args =
   if not (Sys.file_exists rgsminer_exe) then Alcotest.fail "rgsminer.exe not built";
   let env =
     match root_delay_ms with
@@ -667,7 +845,8 @@ let run_rgsminer ?root_delay_ms ?kill args =
   let pid =
     Unix.create_process_env rgsminer_exe
       (Array.of_list (rgsminer_exe :: args))
-      env Unix.stdin out_write dev_null
+      env Unix.stdin out_write
+      (if capture_stderr then out_write else dev_null)
   in
   Unix.close out_write;
   Unix.close dev_null;
@@ -723,6 +902,26 @@ let test_e2e_kill9_resume () =
       Alcotest.(check bool) "resume exit 0" true (status_res = Unix.WEXITED 0);
       Alcotest.(check string) "resumed stdout = uninterrupted stdout"
         (normalize_report out_base) (normalize_report out_res))
+
+(* A log left by a version-2 build is refused at --resume with the
+   version named, not salvaged as an empty log and silently re-mined. *)
+let test_e2e_resume_refuses_v2 () =
+  with_temp_checkpoint (fun ckpt ->
+      let ic = open_in_bin (fixture "v2_log.ckpt") in
+      let image = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin ckpt in
+      output_string oc image;
+      close_out oc;
+      let status, out =
+        run_rgsminer ~capture_stderr:true
+          (e2e_args [ "--checkpoint"; ckpt; "--resume" ])
+      in
+      Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the version" out)
+        true
+        (contains out "version 2, expected 3"))
 
 (* Same acceptance scenario with sharded growth on: the per-shard merge is
    invisible to the checkpoint (the fingerprint deliberately excludes the
@@ -806,6 +1005,8 @@ let suite =
       test_fixture_truncated_mid_record;
     Alcotest.test_case "fixture: flipped CRC" `Quick test_fixture_flipped_crc;
     Alcotest.test_case "fixture: unusable files" `Quick test_fixture_unusable;
+    Alcotest.test_case "fixture: v2 log refused" `Quick test_fixture_v2_log;
+    prop_record_mutations;
     prop_salvage_any_truncation;
     Alcotest.test_case "salvage: header-area cuts" `Quick test_salvage_header_cuts;
     Alcotest.test_case "stale temp sweep" `Quick test_stale_temp_sweep;
@@ -816,6 +1017,7 @@ let suite =
     Alcotest.test_case "shutdown flag interrupts and resumes" `Quick
       test_shutdown_flag_interrupts_and_resumes;
     Alcotest.test_case "e2e: kill -9 then resume" `Quick test_e2e_kill9_resume;
+    Alcotest.test_case "e2e: --resume refuses a v2 log" `Quick test_e2e_resume_refuses_v2;
     Alcotest.test_case "e2e: kill -9 under --shards then resume" `Quick
       test_e2e_kill9_resume_sharded;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;

@@ -5,10 +5,10 @@
    Two corpora, both checked in:
 
    - *.ckpt — corrupt checkpoint logs: the salvage tests exercise the
-     exact bytes a crash can leave behind. The record payloads
-     deliberately use empty result lists, so the fixtures survive
-     representation changes in Mined.t/Support_set.t and only pin the
-     framing.
+     exact bytes a crash can leave behind. The record payloads use
+     empty result lists, so the fixtures pin the framing and the record
+     tags of FORMAT.md Appendix A. v2_log.ckpt is a genuine version-2
+     log (Marshal payloads) that a version-3 reader must refuse.
 
    - *.rgsdb — corrupt binary stores: one intact store plus one mutant
      per FORMAT.md clause the open/verify paths enforce (the test names
@@ -35,7 +35,7 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-(* Split a v2 checkpoint image into header + framed records, using the
+(* Split a checkpoint image into header + framed records, using the
    length field of each frame. *)
 let frames_of image =
   let header_len = String.index_from image (String.index image '\n' + 1) '\n' + 1 in
@@ -163,6 +163,35 @@ let gen_store_fixtures dir =
       reseal_table count b);
   Printf.printf "wrote good.rgsdb + 12 mutant(s) to %s (%d sections)\n" dir count
 
+(* The version-2 record layout, mirrored for Marshal: with empty result
+   lists its marshalled bytes do not depend on what a result held, so
+   this reproduces a log the version-2 writer left behind. The unused
+   constructor keeps the block tags of the original variant. *)
+type v2_entry = { root : int; results : unit list }
+
+type v2_record =
+  | V2_root_done of v2_entry
+  | V2_quarantined of string [@warning "-37"]
+  | V2_run_outcome of int  (* 0 = Completed, a constant constructor *)
+
+let v2_log () =
+  let frame r =
+    let payload = Marshal.to_string (r : v2_record) [] in
+    let b = Bytes.create 8 in
+    set_u32 b 0 (String.length payload);
+    set_u32 b 4 (crc32 payload);
+    Bytes.to_string b ^ payload
+  in
+  String.concat ""
+    (Printf.sprintf "RGS-CHECKPOINT\nv2 %s\n" fingerprint
+    :: List.map frame
+         [
+           V2_root_done { root = 1; results = [] };
+           V2_root_done { root = 2; results = [] };
+           V2_root_done { root = 3; results = [] };
+           V2_run_outcome 0;
+         ])
+
 let () =
   let dir = Sys.argv.(1) in
   let base = Filename.concat dir "full.ckpt" in
@@ -191,5 +220,6 @@ let () =
     (Filename.concat dir "wrong_version.ckpt")
     (Printf.sprintf "RGS-CHECKPOINT\nv1 %s\n" fingerprint);
   write_file (Filename.concat dir "empty.ckpt") "";
-  Printf.printf "wrote 5 fixture(s) to %s (fingerprint %s)\n" dir fingerprint;
+  write_file (Filename.concat dir "v2_log.ckpt") (v2_log ());
+  Printf.printf "wrote 6 fixture(s) to %s (fingerprint %s)\n" dir fingerprint;
   gen_store_fixtures dir
