@@ -9,7 +9,8 @@
      RGS_BENCH_SKIP_TABLES / RGS_BENCH_SKIP_MICRO / RGS_BENCH_SKIP_CHECKPOINT /
      RGS_BENCH_SKIP_QUERY / RGS_BENCH_SKIP_STORE / RGS_BENCH_SKIP_STEAL /
      RGS_BENCH_SKIP_SUPERVISE
-                        set to 1 to skip a section
+                        set to 1 to skip a section (RGS_BENCH_SKIP_STEAL
+                        skips Section G, the shards x pool sweep)
      RGS_DATA_DIR       where the checked-in datasets live (default data)
      RGS_BENCH_LAYOUT_REPS  timing repetitions per Section F-H run (default 3)
 
@@ -173,24 +174,15 @@ let section_store () =
           gallops)
   end
 
-(* --- Section G: shard-parallel mining with work-stealing DFS ---
+(* --- Section G: shard-parallel mining on the root pool ---
 
-   Two claims are pinned. First, correctness-as-performance-contract: on
-   the JBoss-like corpus (and the paper-scale QUEST corpus when its
-   config is present), mining under every shard count in {1,2,4,8} with
-   both executors — static largest-first root claiming (LPT) and the
-   work-stealing deque — produces output byte-identical to the
-   sequential miner (enforced; a divergence fails the bench). Second,
-   the scheduling claim: on a skewed-roots workload where one event
-   dominates every sequence, LPT degenerates to a single busy domain
-   while stealing splits the dominant subtree — stealing must actually
-   happen (steal_successes > 0, enforced) and must beat LPT wall-clock.
-   The wall-clock budget is only enforced on multi-core hosts: on one
-   core both executors serialize onto the same total work, so the
-   comparison is recorded but not gated (same caveat as the parallel
-   scaling section). *)
+   Correctness-as-performance-contract: on the JBoss-like corpus (and the
+   paper-scale QUEST corpus when its config is present), mining on the
+   root pool under every shard count in {1,2,4,8} produces output
+   byte-identical to the sequential miner (enforced; a divergence fails
+   the bench). The wall time per shard count is recorded, not gated. *)
 
-let section_steal () =
+let section_shards () =
   let open Rgs_sequence in
   let open Rgs_core in
   let signatures results =
@@ -198,10 +190,9 @@ let section_steal () =
   in
   let domains = 4 in
   Format.printf
-    "@.### Section G: shard-parallel mining with work stealing (%d domains, \
+    "@.### Section G: shard-parallel mining on the root pool (%d domains, \
      best of %d)@.@."
     domains reps;
-  (* identity sweep: shards x executor vs the sequential miner *)
   let jboss, _ = E.Exp_common.jboss_like () in
   let datasets =
     ("jboss_like", jboss, 18, 4)
@@ -216,25 +207,22 @@ let section_steal () =
        let p = Rgs_datagen.Quest_gen.load_config config_path in
        (* mine-all at a high threshold, as in the store section: the
           closure pass would multiply the work without changing what
-          this section pins (the executors) *)
+          this section pins (sharded pool output) *)
        [ (Rgs_datagen.Quest_gen.label p, Rgs_datagen.Quest_gen.generate p,
           2000, 2) ])
   in
   let t =
-    Rgs_post.Report.create
-      ~columns:[ "dataset"; "shards"; "executor"; "time_s"; "patterns" ]
+    Rgs_post.Report.create ~columns:[ "dataset"; "shards"; "time_s"; "patterns" ]
   in
   List.iter
     (fun (name, db, min_sup, max_length) ->
       let idx = Inverted_index.build_kind Inverted_index.Kcsr db in
       let all_mode = min_sup >= 2000 in
-      let mine ~steal ~shards () =
+      let mine ~shards () =
         if all_mode then
-          fst (Parallel_miner.mine_all ~domains ~max_length ~steal ~shards idx
-                 ~min_sup)
+          fst (Parallel_miner.mine_all ~domains ~max_length ~shards idx ~min_sup)
         else
-          fst (Parallel_miner.mine_closed ~domains ~max_length ~steal ~shards
-                 idx ~min_sup)
+          fst (Parallel_miner.mine_closed ~domains ~max_length ~shards idx ~min_sup)
       in
       let sequential =
         signatures
@@ -243,70 +231,21 @@ let section_steal () =
       in
       List.iter
         (fun shards ->
-          List.iter
-            (fun (label, steal) ->
-              let out = signatures (mine ~steal ~shards ()) in
-              if out <> sequential then
-                failwith
-                  (Printf.sprintf
-                     "steal bench: %s shards=%d %s: output differs from the \
-                      sequential miner"
-                     name shards label);
-              let wall = best (fun () -> ignore (mine ~steal ~shards ())) in
-              Rgs_post.Report.add_row t
-                [ name; string_of_int shards; label;
-                  Rgs_post.Report.cell_float wall;
-                  string_of_int (List.length out) ])
-            [ ("lpt", false); ("steal", true) ])
+          let out = signatures (mine ~shards ()) in
+          if out <> sequential then
+            failwith
+              (Printf.sprintf
+                 "shard bench: %s shards=%d: output differs from the \
+                  sequential miner"
+                 name shards);
+          let wall = best (fun () -> ignore (mine ~shards ())) in
+          Rgs_post.Report.add_row t
+            [ name; string_of_int shards;
+              Rgs_post.Report.cell_float wall;
+              string_of_int (List.length out) ])
         [ 1; 2; 4; 8 ])
     datasets;
-  print_table "shards x executor — outputs checked against sequential" t;
-  (* the scheduling claim: skewed roots, LPT vs stealing *)
-  let skew =
-    let st = Random.State.make [| 77 |] in
-    Seqdb.of_sequences
-      (List.init 48 (fun _ ->
-           Sequence.of_list
-             (List.init 120 (fun _ ->
-                  if Random.State.int st 100 < 85 then 0
-                  else 1 + Random.State.int st 19))))
-  in
-  let min_sup = 40 and max_length = 5 in
-  let idx = Inverted_index.build_kind Inverted_index.Kcsr skew in
-  let sequential = signatures (fst (Clogsgrow.mine ~max_length idx ~min_sup)) in
-  let run ~steal () =
-    fst (Parallel_miner.mine_closed ~domains ~max_length ~steal idx ~min_sup)
-  in
-  List.iter
-    (fun (label, steal) ->
-      if signatures (run ~steal ()) <> sequential then
-        failwith
-          (Printf.sprintf "steal bench: skew %s: output differs from the \
-                           sequential miner" label))
-    [ ("lpt", false); ("steal", true) ];
-  let lpt_wall = best (fun () -> ignore (run ~steal:false ())) in
-  let before = Metrics.snapshot () in
-  let steal_wall = best (fun () -> ignore (run ~steal:true ())) in
-  let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
-  let attempts = Metrics.find d "steal_attempts" in
-  let successes = Metrics.find d "steal_successes" in
-  let cores = Domain.recommended_domain_count () in
-  let enforced = cores >= 2 in
-  Format.printf
-    "skewed roots (48 seqs, 85%% one event): lpt %.3fs, steal %.3fs \
-     (%.2fx), %d/%d steals landed%s@."
-    lpt_wall steal_wall (lpt_wall /. steal_wall) successes attempts
-    (if enforced then "" else " [1-core host: wall-clock budget not enforced]");
-  if successes = 0 then
-    failwith
-      "steal bench: steal_successes = 0 — the skewed workload no longer \
-       triggers stealing";
-  if enforced && steal_wall > lpt_wall then
-    failwith
-      (Printf.sprintf
-         "steal bench: stealing (%.3fs) is slower than LPT (%.3fs) on the \
-          skewed-roots workload"
-         steal_wall lpt_wall)
+  print_table "shards x pool — outputs checked against sequential" t
 
 (* --- Section H: supervised multi-process shard workers ---
 
@@ -720,7 +659,7 @@ let section_query () =
 let () =
   if not (env_flag "RGS_BENCH_SKIP_TABLES") then section_tables ();
   if not (env_flag "RGS_BENCH_SKIP_STORE") then section_store ();
-  if not (env_flag "RGS_BENCH_SKIP_STEAL") then section_steal ();
+  if not (env_flag "RGS_BENCH_SKIP_STEAL") then section_shards ();
   if not (env_flag "RGS_BENCH_SKIP_SUPERVISE") then section_supervise ();
   if not (env_flag "RGS_BENCH_SKIP_MICRO") then begin
     section_micro ();

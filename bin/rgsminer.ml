@@ -85,7 +85,7 @@ let resolve_auto = function
   | n -> n
 
 let run input store format min_sup all max_length max_patterns limit instances max_gap parallel
-    shards workers steal index_kind deadline max_nodes max_words target top_k compress_delta
+    shards workers index_kind deadline max_nodes max_words target top_k compress_delta
     checkpoint resume retry_quarantined
     trace_file trace_level trace_ring stats_file stats_interval verbose =
   setup_logs verbose;
@@ -100,18 +100,6 @@ let run input store format min_sup all max_length max_patterns limit instances m
   end;
   if (input = None) = (store = None) then begin
     Format.eprintf "rgsminer: exactly one of FILE or --store is required@.";
-    exit 1
-  end;
-  if steal && (checkpoint <> None || resume) then begin
-    Format.eprintf
-      "rgsminer: --steal does not checkpoint; drop --checkpoint/--resume or \
-       use --parallel@.";
-    exit 1
-  end;
-  if workers <> None && steal then begin
-    Format.eprintf
-      "rgsminer: --workers (supervised shard processes) cannot be combined \
-       with --steal@.";
     exit 1
   end;
   let workers = resolve_auto workers in
@@ -138,13 +126,9 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     Format.printf "%a@.@." Seqdb.pp_stats (Seqdb.stats db);
     let mode = if all then Miner.All else Miner.Closed in
-    (* --steal implies a domain pool: dynamic work stealing is a property
-       of the parallel executor *)
     let domains =
-      if parallel || steal then Some (Parallel_miner.default_domains ())
-      else None
+      if parallel then Some (Parallel_miner.default_domains ()) else None
     in
-    let max_patterns = if parallel || steal then None else max_patterns in
     let query =
       match (target, top_k) with
       | Some t, _ -> Query.Targeted (parse_target format codec t)
@@ -169,7 +153,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     let config =
       Miner.config ~mode ~query ?max_length ?max_patterns ?max_gap ?domains
-        ?shards ~steal ?index_kind ?deadline_s:deadline ?max_nodes ?max_words
+        ?shards ?index_kind ?deadline_s:deadline ?max_nodes ?max_words
         ?shard_dispatch:
           (Option.map Rgs_server.Supervisor.dispatch supervisor)
         ~min_sup ()
@@ -197,7 +181,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
            [Miner.mine] rejects *)
         if
           checkpoint <> None || resume
-          || (query <> Query.All && domains <> None && not steal)
+          || (query <> Query.All && domains <> None)
         then
           Miner.mine_resumable ?checkpoint ~resume ~retry_quarantined ~trace
             config db
@@ -346,7 +330,13 @@ let max_gap =
 
 let parallel =
   Arg.(value & flag & info [ "parallel"; "p" ]
-         ~doc:"Mine with one domain per core (ignored with $(b,--max-gap)).")
+         ~doc:"Mine with one domain per core: the DFS subtrees of distinct \
+               size-1 patterns are mined in parallel, in every mode \
+               (closed, $(b,--all), $(b,--max-gap), $(b,--target), \
+               $(b,--top-k)). Output is identical to the sequential run, \
+               except that $(b,--top-k) may break equal-support ties at the \
+               K-th place differently. Not compatible with \
+               $(b,--max-patterns).")
 
 (* a shard/worker count, or "auto" (parsed as 0) for the machine's
    recommended domain count *)
@@ -381,17 +371,7 @@ let workers =
                restarted with exponential backoff when they crash, hang or \
                corrupt a frame; flapping shards are quarantined and the run \
                degrades to in-process growth — the mined output is identical \
-               in every case. Not compatible with $(b,--steal).")
-
-let steal =
-  Arg.(value & flag & info [ "steal" ]
-         ~doc:"Parallel mining with dynamic work stealing: idle domains steal \
-               deferred DFS subtrees from busy ones instead of waiting at \
-               root granularity, which helps skewed databases where one root \
-               dominates. Implies $(b,--parallel); output is identical to the \
-               sequential miner. Works with $(b,--max-gap), $(b,--target) and \
-               $(b,--top-k), but not with $(b,--checkpoint)/$(b,--resume) or \
-               $(b,--max-patterns).")
+               in every case.")
 
 let index_kind =
   let kind_conv =
@@ -559,7 +539,7 @@ let pack_cmd =
 let mine_term =
   Term.(const run $ input $ store_arg $ format $ min_sup $ all $ max_length
         $ max_patterns $ limit
-        $ instances $ max_gap $ parallel $ shards $ workers $ steal $ index_kind $ deadline $ max_nodes
+        $ instances $ max_gap $ parallel $ shards $ workers $ index_kind $ deadline $ max_nodes
         $ max_words $ target $ top_k $ compress_delta $ checkpoint $ resume
         $ retry_quarantined $ trace_file $ trace_level $ trace_ring
         $ stats_file $ stats_interval $ verbose)

@@ -93,7 +93,6 @@ module Fault = struct
     | Worker of int
     | Checkpoint_io
     | Socket_write
-    | Steal of int
     | Shard_merge
 
   let site_name = function
@@ -101,7 +100,6 @@ module Fault = struct
     | Worker _ -> "worker"
     | Checkpoint_io -> "checkpoint_io"
     | Socket_write -> "socket_write"
-    | Steal _ -> "steal"
     | Shard_merge -> "shard_merge"
 
   let hook : (site -> unit) option Atomic.t = Atomic.make None

@@ -103,11 +103,6 @@ module Fault : sig
         (** fired by the daemon ({!Rgs_server}) before every response
             frame write; raising here simulates EPIPE/ECONNRESET and
             exercises the client-shedding path *)
-    | Steal of int
-        (** fired by pool worker [i] right after it steals a DFS subtree
-            from a peer's deque; raising here simulates a worker crashing
-            with stolen work in flight and exercises the failed-root
-            retry/quarantine path under stealing *)
     | Shard_merge
         (** fired in the middle of a sharded growth pass
             ([Shard_merge.grow]), between the per-shard INSgrow calls and

@@ -5,7 +5,6 @@ type site_kind =
   | Worker
   | Checkpoint_io
   | Socket_write
-  | Steal
   | Shard_merge
 
 type plan = { id : int; kind : site_kind; trigger : int; persistent : bool }
@@ -17,7 +16,6 @@ let kind_name = function
   | Worker -> "worker"
   | Checkpoint_io -> "checkpoint_io"
   | Socket_write -> "socket_write"
-  | Steal -> "steal"
   | Shard_merge -> "shard_merge"
 
 let pp_plan ppf p =
@@ -53,7 +51,6 @@ let matches kind site =
   | Worker, Budget.Fault.Worker _ -> true
   | Checkpoint_io, Budget.Fault.Checkpoint_io -> true
   | Socket_write, Budget.Fault.Socket_write -> true
-  | Steal, Budget.Fault.Steal _ -> true
   | Shard_merge, Budget.Fault.Shard_merge -> true
   | _ -> false
 

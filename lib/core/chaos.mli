@@ -30,9 +30,6 @@ type site_kind =
   | Socket_write
       (** {!Budget.Fault.Socket_write}: fail a daemon response-frame
           write (EPIPE/ECONNRESET stand-in) *)
-  | Steal
-      (** {!Budget.Fault.Steal}: crash a pool worker right after it stole
-          a DFS subtree (steal-in-flight crash) *)
   | Shard_merge
       (** {!Budget.Fault.Shard_merge}: cancel a sharded growth pass
           between the per-shard grows and the combine (mid-merge
@@ -56,8 +53,10 @@ val pp_plan : Format.formatter -> plan -> unit
 
 val plans : ?kinds:site_kind list -> seed:int -> count:int -> unit -> plan list
 (** [count] plans drawn deterministically from [seed], cycling through
-    [kinds] (default: the three miner-side sites — [Socket_write] is
-    daemon-side and attacked through {!job_plans}) so every site kind is
+    [kinds] (default: [Insgrow], [Worker] and [Checkpoint_io];
+    [Shard_merge] only fires in sharded runs, whose sweeps ask for it,
+    and [Socket_write] is daemon-side and attacked through {!job_plans})
+    so every site kind is
     attacked, with pseudo-random triggers in [1, 8] and a
     persistent/transient mix. *)
 

@@ -31,18 +31,12 @@ type stats = {
 
 exception Budget_exhausted
 
-(* --- the reified DFS ---
+(* --- the DFS ---
 
    The search is split into a per-run [ctx] (strategy, query plan, limits,
    counters) and a per-node [frame] (pattern, support set, query state,
-   prefix chain). [run_frame] walks a whole subtree with the exact lazy
-   sibling interleaving of the original recursive miner; [expand] performs
-   a single node visit and returns the admitted child frames, which is
-   what lets an executor defer subtrees (push them on a deque, hand them
-   to another worker) instead of recursing in place. Both visit shapes
-   share the node-entry, admission and emission bookkeeping, so a subtree
-   produces the same emissions and counter increments whichever way it is
-   driven. *)
+   prefix chain). [run] builds one [ctx] and walks each root's subtree
+   with [run_frame]. *)
 
 type ctx = {
   strategy : strategy;
@@ -71,48 +65,10 @@ type frame = {
   f_rev_chain : Support_set.t list;
 }
 
-let make_ctx ?max_length ?events ?(should_stop = fun () -> false) ?budget
-    ?(trace = Trace.null) ?plan strategy idx ~min_sup =
-  if min_sup < 1 then invalid_arg (strategy.name ^ ": min_sup must be >= 1");
-  let events =
-    match events with
-    | Some es -> es
-    | None -> Inverted_index.frequent_events idx ~min_sup
-  in
-  let plan = match plan with Some p -> p | None -> Query.trivial ~min_sup in
-  let closure =
-    Option.map (fun mk -> mk idx ~events ~trace) strategy.closure
-  in
-  {
-    strategy;
-    idx;
-    min_sup;
-    max_length;
-    events;
-    plan;
-    closure;
-    should_stop;
-    budget;
-    trace;
-    emitted = ref 0;
-    dfs_nodes = ref 0;
-    insgrow_calls = ref 0;
-    lb_pruned = ref 0;
-    non_closed_dropped = ref 0;
-    query_cuts = ref 0;
-    floor_prunes = ref 0;
-  }
-
-let ctx_events c = c.events
-let ctx_emitted c = !(c.emitted)
-
-let frame_pattern f = f.f_pattern
-let frame_support f = f.f_support
-
 let within_length c p =
   match c.max_length with None -> true | Some l -> Pattern.length p < l
 
-(* Child admission shared by both DFS shapes: the support size against
+(* Child admission, for roots and extensions alike: the support size against
    the plan's floor. Children in the band [min_sup <= size < floor ()]
    are sound frequent extensions removed only by the dynamic floor; they
    are counted apart from the static Apriori rejections so top-k savings
@@ -231,126 +187,6 @@ let rec run_frame c ~emit f =
       end
     end
 
-(* One node visit, children returned instead of recursed into. The only
-   behavioural difference with [run_frame] is eager sibling growth in the
-   non-closure shape (the closure shape grows all appends up front either
-   way): the same children are admitted, in the same left-to-right order,
-   and the node's own emission happens before any child is visited — so
-   driving every frame through [expand] in DFS order replays [run_frame]'s
-   emission sequence exactly. *)
-let expand c ~emit f =
-  let sup_p = enter c f in
-  let p = f.f_pattern and i = f.f_support and qstate = f.f_qstate in
-  let collect_children appends =
-    let depth' = Pattern.length p + 1 in
-    let out = ref [] in
-    List.iter
-      (fun (e, i_plus) ->
-        let qstate' = c.plan.Query.child_state qstate e in
-        if c.plan.Query.cut ~state:qstate' ~depth:depth' then begin
-          incr c.query_cuts;
-          Trace.instant c.trace Trace.Query_cut ~a0:depth' ~a1:0
-        end
-        else
-          match admit c ~depth' (Support_set.size i_plus) with
-          | `Recurse ->
-            out :=
-              {
-                f_pattern = Pattern.grow p e;
-                f_support = i_plus;
-                f_qstate = qstate';
-                f_rev_chain = i_plus :: f.f_rev_chain;
-              }
-              :: !out
-          | `Skip -> ())
-      appends;
-    let children = List.rev !out in
-    Trace.instant c.trace Trace.Extension ~a0:(Pattern.length p)
-      ~a1:(List.length children);
-    children
-  in
-  match c.closure with
-  | None ->
-    emit_node c ~emit f sup_p;
-    if not (within_length c p) then []
-    else begin
-      (* grow after the cut check, like [run_frame]: cut children are
-         never grown *)
-      let depth' = Pattern.length p + 1 in
-      let out = ref [] in
-      List.iter
-        (fun e ->
-          let qstate' = c.plan.Query.child_state qstate e in
-          if c.plan.Query.cut ~state:qstate' ~depth:depth' then begin
-            incr c.query_cuts;
-            Trace.instant c.trace Trace.Query_cut ~a0:depth' ~a1:0
-          end
-          else begin
-            let i_plus = grow_child c i e in
-            match admit c ~depth' (Support_set.size i_plus) with
-            | `Recurse ->
-              out :=
-                {
-                  f_pattern = Pattern.grow p e;
-                  f_support = i_plus;
-                  f_qstate = qstate';
-                  f_rev_chain = i_plus :: f.f_rev_chain;
-                }
-                :: !out
-            | `Skip -> ()
-          end)
-        c.events;
-      let children = List.rev !out in
-      Trace.instant c.trace Trace.Extension ~a0:(Pattern.length p)
-        ~a1:(List.length children);
-      children
-    end
-  | Some cl ->
-    let verdict =
-      cl.check ~pattern:p ~support_set:i ~prefix_rev_chain:f.f_rev_chain
-    in
-    if verdict.Closure.prunable then begin
-      incr c.lb_pruned;
-      Trace.instant c.trace Trace.Lb_prune ~a0:(Pattern.length p) ~a1:sup_p;
-      []
-    end
-    else begin
-      let appends = List.map (fun e -> (e, grow_child c i e)) c.events in
-      let has_equal_append =
-        cl.detect_equal_append
-        && List.exists (fun (_, i') -> Support_set.size i' = sup_p) appends
-      in
-      if verdict.Closure.closed && not has_equal_append then
-        emit_node c ~emit f sup_p
-      else incr c.non_closed_dropped;
-      if within_length c p then collect_children appends else []
-    end
-
-let root_frame c e =
-  let qstate = c.plan.Query.root_state e in
-  if c.plan.Query.cut ~state:qstate ~depth:1 then begin
-    incr c.query_cuts;
-    Trace.instant c.trace Trace.Query_cut ~a0:1 ~a1:0;
-    None
-  end
-  else begin
-    let i = Support_set.of_event c.idx e in
-    match admit c ~depth':1 (Support_set.size i) with
-    | `Skip -> None
-    | `Recurse ->
-      Some
-        {
-          f_pattern = Pattern.of_list [ e ];
-          f_support = i;
-          f_qstate = qstate;
-          f_rev_chain = [ i ];
-        }
-  end
-
-let note_stop c outcome =
-  Metrics.hit Metrics.budget_stops;
-  Trace.instant c.trace Trace.Budget_stop ~a0:(Budget.severity outcome) ~a1:0
-
 let finish c ~outcome =
   Metrics.add Metrics.dfs_nodes !(c.dfs_nodes);
   Metrics.add Metrics.patterns_emitted !(c.emitted);
@@ -369,35 +205,79 @@ let finish c ~outcome =
     outcome;
   }
 
-let run ?max_length ?events ?roots ?should_stop ?budget ?trace ?plan strategy
-    idx ~min_sup ~emit =
+let run ?max_length ?events ?roots ?(should_stop = fun () -> false) ?budget
+    ?(trace = Trace.null) ?plan strategy idx ~min_sup ~emit =
+  if min_sup < 1 then invalid_arg (strategy.name ^ ": min_sup must be >= 1");
+  let events =
+    match events with
+    | Some es -> es
+    | None -> Inverted_index.frequent_events idx ~min_sup
+  in
+  let plan = match plan with Some p -> p | None -> Query.trivial ~min_sup in
   let c =
-    make_ctx ?max_length ?events ?should_stop ?budget ?trace ?plan strategy idx
-      ~min_sup
+    {
+      strategy;
+      idx;
+      min_sup;
+      max_length;
+      events;
+      plan;
+      closure = Option.map (fun mk -> mk idx ~events ~trace) strategy.closure;
+      should_stop;
+      budget;
+      trace;
+      emitted = ref 0;
+      dfs_nodes = ref 0;
+      insgrow_calls = ref 0;
+      lb_pruned = ref 0;
+      non_closed_dropped = ref 0;
+      query_cuts = ref 0;
+      floor_prunes = ref 0;
+    }
   in
-  let roots = match roots with Some rs -> rs | None -> c.events in
-  let outcome = ref Budget.Completed in
+  let roots = match roots with Some rs -> rs | None -> events in
+  (* a root gets the same query cut and floor admission as any child *)
   let mine_root e =
-    match root_frame c e with
-    | None -> ()
-    | Some f ->
-      let t0 = Trace.now c.trace in
-      let before = !(c.emitted) in
-      let finish_span () =
-        Trace.span c.trace Trace.Root ~a0:e ~a1:(!(c.emitted) - before)
-          ~start:t0
-      in
-      (match run_frame c ~emit f with
-      | () -> finish_span ()
-      | exception ex ->
-        finish_span ();
-        raise ex)
+    let qstate = plan.Query.root_state e in
+    if plan.Query.cut ~state:qstate ~depth:1 then begin
+      incr c.query_cuts;
+      Trace.instant trace Trace.Query_cut ~a0:1 ~a1:0
+    end
+    else begin
+      let i = Support_set.of_event idx e in
+      match admit c ~depth':1 (Support_set.size i) with
+      | `Skip -> ()
+      | `Recurse ->
+        let t0 = Trace.now trace in
+        let before = !(c.emitted) in
+        let finish_span () =
+          Trace.span trace Trace.Root ~a0:e ~a1:(!(c.emitted) - before)
+            ~start:t0
+        in
+        (match
+           run_frame c ~emit
+             {
+               f_pattern = Pattern.of_list [ e ];
+               f_support = i;
+               f_qstate = qstate;
+               f_rev_chain = [ i ];
+             }
+         with
+        | () -> finish_span ()
+        | exception ex ->
+          finish_span ();
+          raise ex)
+    end
   in
-  (try List.iter mine_root roots with
-  | Budget_exhausted ->
-    outcome := Budget.Truncated;
-    note_stop c Budget.Truncated
-  | Budget.Stop reason ->
-    outcome := reason;
-    note_stop c reason);
-  finish c ~outcome:!outcome
+  let stopped outcome =
+    Metrics.hit Metrics.budget_stops;
+    Trace.instant trace Trace.Budget_stop ~a0:(Budget.severity outcome) ~a1:0;
+    outcome
+  in
+  let outcome =
+    match List.iter mine_root roots with
+    | () -> Budget.Completed
+    | exception Budget_exhausted -> stopped Budget.Truncated
+    | exception Budget.Stop reason -> stopped reason
+  in
+  finish c ~outcome

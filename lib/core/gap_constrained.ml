@@ -71,6 +71,7 @@ exception Budget_exhausted = Engine.Budget_exhausted
 (* The gap-constrained miner is the engine with the skip-on-failure
    gap-bounded growth above and no closure machinery. *)
 let strategy ~min_gap ~max_gap =
+  validate_gaps ~min_gap ~max_gap;
   {
     Engine.name = "Gap_constrained.mine";
     grow = (fun idx i e -> grow ~min_gap idx ~max_gap i e);

@@ -48,8 +48,9 @@ val strategy : min_gap:int -> max_gap:int -> Engine.strategy
 (** The gap-constrained miner as an {!Engine} strategy: {!grow} as the
     growth operation, no closure machinery. {!mine} wraps
     [Engine.run (strategy ~min_gap ~max_gap)]; the query layer reuses the
-    same strategy.
-    @raise Invalid_argument from the first growth on invalid gaps. *)
+    same strategy, and so does every parallel run ({!Parallel_miner.mine}).
+    @raise Invalid_argument on invalid gaps, when the strategy is built —
+    before any pool worker could mistake it for a crashing root. *)
 
 val mine :
   ?max_length:int ->

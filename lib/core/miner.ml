@@ -12,7 +12,6 @@ type config = {
   domains : int option;
   shards : int option;
   shard_dispatch : Shard_merge.dispatch option;
-  steal : bool;
   index_kind : Inverted_index.kind option;
   deadline_s : float option;
   max_nodes : int option;
@@ -31,12 +30,6 @@ let validate_config cfg =
   | _ -> ());
   if cfg.shard_dispatch <> None && cfg.shards = None then
     invalid_arg "Miner: shard_dispatch requires shards";
-  if cfg.shard_dispatch <> None && cfg.steal then
-    invalid_arg "Miner: shard_dispatch cannot be combined with steal";
-  if cfg.steal && cfg.domains = None then
-    invalid_arg "Miner: steal requires domains";
-  if cfg.steal && cfg.max_patterns <> None then
-    invalid_arg "Miner: steal cannot be combined with max_patterns";
   (match cfg.deadline_s with
   | Some d when d < 0.0 -> invalid_arg "Miner: deadline_s must be >= 0"
   | _ -> ());
@@ -48,9 +41,8 @@ let validate_config cfg =
   | _ -> ()
 
 let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
-    ?max_gap ?domains ?shards ?shard_dispatch ?(steal = false)
-    ?index_kind ?deadline_s ?max_nodes ?max_words
-    ~min_sup () =
+    ?max_gap ?domains ?shards ?shard_dispatch ?index_kind ?deadline_s
+    ?max_nodes ?max_words ~min_sup () =
   let cfg =
     {
       min_sup;
@@ -62,7 +54,6 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
       domains;
       shards;
       shard_dispatch;
-      steal;
       index_kind;
       deadline_s;
       max_nodes;
@@ -102,7 +93,6 @@ let describe cfg =
       (match cfg.domains with Some d -> Printf.sprintf ", %d domains" d | None -> "");
       (match cfg.shards with Some s -> Printf.sprintf ", %d shards" s | None -> "");
       (if cfg.shard_dispatch <> None then " (supervised)" else "");
-      (if cfg.steal then ", stealing" else "");
       (match cfg.max_length with Some l -> Printf.sprintf ", max_length=%d" l | None -> "");
       (match cfg.max_patterns with Some b -> Printf.sprintf ", max_patterns=%d" b | None -> "");
       (match cfg.deadline_s with Some d -> Printf.sprintf ", deadline=%gs" d | None -> "");
@@ -183,68 +173,31 @@ let mine_query ?trace cfg idx ~budget =
 
 let mine_indexed ?trace cfg idx =
   validate_config cfg;
-  (match (cfg.domains, cfg.max_patterns, cfg.max_gap) with
-  | Some _, Some _, _ ->
-    invalid_arg "Miner: domains cannot be combined with max_patterns"
-  | Some _, _, Some _ when not cfg.steal ->
-    invalid_arg "Miner: domains cannot be combined with max_gap"
-  | _ -> ());
-  (match (cfg.query, cfg.domains) with
-  | Query.All, _ | _, None -> ()
-  | _, Some _ ->
-    if not cfg.steal then
-      invalid_arg
-        "Miner: domains cannot be combined with a query here (use \
-         mine_resumable, or steal)");
+  if cfg.domains <> None && cfg.max_patterns <> None then
+    invalid_arg "Miner: domains cannot be combined with max_patterns";
+  if cfg.domains <> None && cfg.query <> Query.All then
+    invalid_arg
+      "Miner: domains cannot be combined with a query here (use \
+       mine_resumable)";
   Log.info (fun m -> m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
   let budget = budget_of cfg in
   let start = Unix.gettimeofday () in
-  let results, outcome, quarantined =
-    match (cfg.steal, cfg.domains) with
-    | true, Some domains ->
-      (* the stealing executor handles every mode and query uniformly:
-         the strategy captures gap/closure behaviour, the query runs
-         through the shared thread-safe plan *)
-      let results, stats, quarantined =
-        Parallel_miner.mine_steal ~domains ?max_length:cfg.max_length ?budget
-          ?trace ?shards:cfg.shards ~query:cfg.query
-          ~strategy:(strategy_of cfg) idx ~min_sup:cfg.min_sup
+  let results, outcome =
+    match cfg.domains with
+    | Some domains ->
+      let results, stats =
+        Parallel_miner.mine ~strategy:(strategy_of cfg) ~domains
+          ?max_length:cfg.max_length ?budget ?trace ?shards:cfg.shards
+          ?shard_dispatch:cfg.shard_dispatch idx ~min_sup:cfg.min_sup
       in
-      (results, stats.Engine.outcome, quarantined)
-    | true, None -> assert false (* validate_config rejects *)
-    | false, _ ->
-      let results, outcome =
-        match (cfg.query, cfg.max_gap, cfg.domains, cfg.mode) with
-        | Query.All, Some max_gap, _, _ ->
-          let results, stats =
-            Gap_constrained.mine ?max_length:cfg.max_length
-              ?max_patterns:cfg.max_patterns ?budget ?trace
-              ?shards:(layout_of cfg idx) idx ~max_gap ~min_sup:cfg.min_sup
-          in
-          (results, stats.Engine.outcome)
-        | Query.All, None, Some domains, All ->
-          let results, stats =
-            Parallel_miner.mine_all ~domains ?max_length:cfg.max_length ?budget
-              ?trace ?shards:cfg.shards ?shard_dispatch:cfg.shard_dispatch idx
-              ~min_sup:cfg.min_sup
-          in
-          (results, stats.Engine.outcome)
-        | Query.All, None, Some domains, Closed ->
-          let results, stats =
-            Parallel_miner.mine_closed ~domains ?max_length:cfg.max_length
-              ?budget ?trace ?shards:cfg.shards
-              ?shard_dispatch:cfg.shard_dispatch idx ~min_sup:cfg.min_sup
-          in
-          (results, stats.Engine.outcome)
-        | _ -> mine_query ?trace cfg idx ~budget
-      in
-      (results, outcome, 0)
+      (results, stats.Engine.outcome)
+    | None -> mine_query ?trace cfg idx ~budget
   in
   let elapsed_s = Unix.gettimeofday () -. start in
   Log.info (fun m ->
       m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
         elapsed_s);
-  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
+  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined = 0 }
 
 let mine ?config:cfg ?min_sup ?trace db =
   let cfg =
@@ -287,12 +240,20 @@ let chaos_root_delay_s =
 let mine_resumable ?budget ?checkpoint ?(resume = false)
     ?(retry_quarantined = false) ?(trace = Trace.null) cfg db =
   validate_config cfg;
-  if cfg.max_gap <> None then
+  (* the fingerprint does not carry the gap, so a gap-constrained
+     checkpoint could be resumed under another gap *)
+  if cfg.max_gap <> None && checkpoint <> None then
     invalid_arg "Miner: checkpointing is not supported with max_gap";
-  if cfg.max_patterns <> None then
-    invalid_arg "Miner: checkpointing is not supported with max_patterns";
-  if cfg.steal then
-    invalid_arg "Miner: checkpointing is not supported with steal";
+  (* a global output cap is not root-partitioned; name the option the
+     caller combined it with *)
+  (match (cfg.max_patterns, checkpoint, cfg.domains) with
+  | None, _, _ -> ()
+  | Some _, Some _, _ ->
+    invalid_arg "Miner: checkpointing is not supported with max_patterns"
+  | Some _, None, Some _ ->
+    invalid_arg "Miner: domains cannot be combined with max_patterns"
+  | Some _, None, None ->
+    invalid_arg "Miner: root-partitioned mining does not support max_patterns");
   if resume && checkpoint = None then
     invalid_arg "Miner: resume requires a checkpoint path";
   let start = Unix.gettimeofday () in
@@ -378,6 +339,7 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
         ~a1:(total_roots - done_now) ~start:t0
   in
   let layout = layout_of cfg idx in
+  let base_strategy = strategy_of cfg in
   let mine_root k =
     (match Lazy.force chaos_root_delay_s with
     | 0.0 -> ()
@@ -394,8 +356,8 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
     let wtr = Trace.for_domain trace in
     let strategy =
       match layout with
-      | None -> strategy_of cfg
-      | Some sm -> Shard_merge.strategy ~trace:wtr sm (strategy_of cfg)
+      | None -> base_strategy
+      | Some sm -> Shard_merge.strategy ~trace:wtr sm base_strategy
     in
     let s =
       Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events

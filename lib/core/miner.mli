@@ -35,11 +35,12 @@ type config = {
   max_patterns : int option;  (** output budget; truncates the DFS *)
   max_gap : int option;
       (** gap-constrained mining ({!Gap_constrained}): sound greedy lower
-          bound, mines all patterns — [mode] is ignored *)
+          bound, mines all patterns — [mode] is ignored. Combines with
+          [domains] and [query], but not with a checkpoint *)
   domains : int option;
-      (** mine in parallel with this many domains ({!Parallel_miner});
-          incompatible with [max_patterns], and with [max_gap] unless
-          [steal] is set *)
+      (** mine in parallel with this many domains on the root pool
+          ({!Parallel_miner.mine}), in every mode including [max_gap];
+          incompatible with [max_patterns] *)
   shards : int option;
       (** run every instance growth shard-by-shard over this many balanced
           database shards and merge ({!Shard_merge}) — output identical by
@@ -49,14 +50,7 @@ type config = {
           computes them in-process; a supervisor ([Rgs_server.Supervisor])
           supplies a closure that ships slices to isolated worker
           processes, falling back in-process per shard on failure —
-          output identical either way. Requires [shards]; incompatible
-          with [steal] (the stealing executor re-splits subtrees across
-          domains, a different axis of parallelism) *)
-  steal : bool;
-      (** use the work-stealing executor ({!Parallel_miner.mine_steal}):
-          dynamic DFS-subtree balancing instead of static per-root
-          claiming, same output. Requires [domains]; supports any [query]
-          and [max_gap], but not [max_patterns] or checkpointing *)
+          output identical either way. Requires [shards] *)
   index_kind : Inverted_index.kind option;
       (** index backend: [None] (default) builds the CSR arrays,
           [Some Kpaged] the B-trees for large alphabets *)
@@ -79,7 +73,6 @@ val config :
   ?domains:int ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
-  ?steal:bool ->
   ?index_kind:Inverted_index.kind ->
   ?deadline_s:float ->
   ?max_nodes:int ->
@@ -88,12 +81,11 @@ val config :
   unit ->
   config
 (** Defaults: [mode = Closed], [query = All], array index, sequential,
-    unsharded, no stealing, no bounds.
+    unsharded, no bounds.
     @raise Invalid_argument when [min_sup < 1], a limit is negative, the
     query is invalid ({!Query.validate}), a top-k query is combined with
-    [max_patterns], [shards < 1], [shard_dispatch] is given without
-    [shards] or with [steal], or [steal] is set without [domains] or
-    with [max_patterns]. *)
+    [max_patterns], [shards < 1], or [shard_dispatch] is given without
+    [shards]. *)
 
 type report = {
   results : Mined.t list;  (** in DFS order *)
@@ -111,10 +103,10 @@ val mine : ?config:config -> ?min_sup:int -> ?trace:Trace.t -> Seqdb.t -> report
     defaults of {!config}). A live [trace] (default {!Trace.null}) records
     the run's DFS spans and instants — see {!Trace}.
     @raise Invalid_argument when neither [config] nor [min_sup] is given,
-    when [min_sup < 1], or when [domains] is combined with [max_patterns],
-    [max_gap] or a non-[All] query (queried parallel mining goes through
+    when [min_sup < 1], or when [domains] is combined with [max_patterns]
+    or a non-[All] query (queried parallel mining goes through
     {!mine_resumable}, whose root partitioning composes with query
-    plans). *)
+    plans), or on an invalid [max_gap] ({!Gap_constrained.strategy}). *)
 
 val mine_indexed : ?trace:Trace.t -> config -> Inverted_index.t -> report
 (** As {!mine} on a prebuilt index (amortises index construction across
@@ -165,9 +157,14 @@ val mine_resumable :
     owns the limits and may {!Budget.cancel} from another domain — this is
     how the daemon ({!Rgs_server}) cancels a job whose client vanished.
 
-    @raise Invalid_argument with [max_gap] or [max_patterns] (those paths
-    are not root-partitioned), or when [resume] is set without
-    [checkpoint]. *)
+    [max_gap] runs root-partitioned like every other mode, but only
+    without a [checkpoint]: the fingerprint does not carry the gap, so a
+    checkpoint could otherwise be resumed under a different one.
+
+    @raise Invalid_argument with [max_patterns] (a global output cap is
+    not root-partitioned; the message names [checkpoint] or [domains]
+    when either is given), with [max_gap] and a [checkpoint], or when
+    [resume] is set without [checkpoint]. *)
 
 val landmarks : Seqdb.t -> Pattern.t -> Instance.full list
 (** Full-landmark leftmost support set of a pattern, for displaying where

@@ -16,6 +16,12 @@
     shared {!Budget.t} stops the whole pool cooperatively; roots finished
     before the stop keep their results.
 
+    This root pool is the only parallel executor: {!mine} runs every
+    strategy (all, closed, gap-constrained) on it, {!Miner.mine_resumable}
+    drives {!run_pool} directly for checkpointed and queried runs, and
+    supervised shard dispatch composes with it. DESIGN.md §10 records why
+    the work-stealing executor that once sat beside it was removed.
+
     An extension beyond the paper — the 2009 evaluation was single-core —
     kept orthogonal: all correctness arguments are the sequential
     algorithms'. *)
@@ -98,75 +104,46 @@ val largest_first_order :
     tail of the pool run — longest-processing-time-first scheduling on
     the size-1 support proxy. *)
 
-val mine_steal :
+val mine :
+  strategy:Engine.strategy ->
   ?domains:int ->
   ?max_length:int ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
   ?shards:int ->
-  ?query:Query.t ->
-  ?split_len:int ->
-  strategy:Engine.strategy ->
+  ?shard_dispatch:Shard_merge.dispatch ->
   Inverted_index.t ->
   min_sup:int ->
-  Mined.t list * Engine.stats * int
-(** The work-stealing executor: dynamic load balancing at DFS-subtree
-    granularity instead of [run_pool]'s static per-root claiming. Every
-    worker owns a {!Deque}; it claims fresh roots from a shared counter
-    in {!largest_first_order} while any remain, splits nodes of pattern
-    length at most [split_len] (default 2) into one task per admitted
-    child ([Engine.expand]) pushed onto its own deque, and mines deeper
-    subtrees whole ([Engine.run_frame]). A worker with no roots left and
-    an empty deque steals the oldest task from a sibling — the largest
-    deferred subtree — so a skewed root set no longer serializes the
-    tail of the run ([Metrics.steal_attempts]/[steal_successes],
-    [Steal] trace instants, [deque_max_depth]). A thief whose steal
-    rounds keep failing spins briefly, then backs off with sleeps
-    doubling up to 1 ms, reset by its next successful steal.
-
-    {b Determinism}: per-task results are keyed by their DFS path and
-    stitched in root order then path order, so the output is identical
-    to the sequential miner's for every schedule, shard count and domain
-    count. [query] runs through {!Query.shared} (the top-k floor is a
-    shared atomic inherited by stolen subtrees; ties at the k-th support
-    are resolved canonically in [finalize], not by arrival). [shards]
-    wraps the strategy with {!Shard_merge.strategy} per worker.
-
-    Failure handling matches [run_pool] + {!retry_failed}: the first
-    exception in any task of a root fails the whole root (its other
-    tasks short-circuit), the root is retried sequentially and
-    quarantined if the retry fails too — the third result is the number
-    of quarantined roots, and [stats.outcome] is [Worker_failed] when
-    any root was lost. A {!Budget.Stop} halts all workers cooperatively;
-    roots whose every task finished keep their results.
-    @raise Invalid_argument when [min_sup < 1], [domains < 1] or
-    [shards < 1]. *)
+  Mined.t list * Engine.stats
+(** The pool body behind every parallel run: one {!run_pool} claim per
+    frequent size-1 root in {!largest_first_order}, each root mined with
+    {!Engine.run} under [strategy], then {!retry_failed} and a merge in
+    root order. Without failures or budget stops the output equals the
+    sequential [Engine.run strategy idx ~min_sup] exactly (order
+    included) — for {!Gsgrow}, {!Clogsgrow} and {!Gap_constrained}
+    strategies alike; stats are summed across roots. Crashing roots lose
+    only their own patterns after one sequential retry
+    ([stats.outcome = Worker_failed]); budget stops return the roots
+    finished so far ([stats.outcome] carries the reason). [shards] runs
+    every instance growth shard-by-shard ({!Shard_merge}) — again
+    identical output; [shard_dispatch] routes the per-shard grows
+    through a supervisor's closure ({!Shard_merge.dispatch} — it is
+    called concurrently from every pool domain, so implementations must
+    be thread-safe).
+    @raise Invalid_argument when [min_sup < 1] or [domains < 1]. *)
 
 val mine_all :
   ?domains:int ->
   ?max_length:int ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
-  ?steal:bool ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   Inverted_index.t ->
   min_sup:int ->
   Mined.t list * Engine.stats
-(** Parallel GSgrow. Without failures or budget stops, the output equals
-    [Gsgrow.mine idx ~min_sup] exactly (order included); stats are summed
-    across roots. Crashing roots lose only their own patterns after one
-    sequential retry ([stats.outcome = Worker_failed]); budget stops return
-    the roots finished so far ([stats.outcome] carries the reason).
-    Domains claim roots in {!largest_first_order}. [steal] routes the run
-    through {!mine_steal} (same output, dynamic balancing). [shards] runs
-    every instance growth shard-by-shard ({!Shard_merge}) in either mode
-    — again identical output; [shard_dispatch] routes the per-shard grows
-    through a supervisor's closure ({!Shard_merge.dispatch}, non-steal
-    mode only — it is called concurrently from every pool domain, so
-    implementations must be thread-safe).
-    @raise Invalid_argument when [min_sup < 1], [domains < 1], or
-    [shard_dispatch] is combined with [steal]. *)
+(** Parallel GSgrow: {!mine} with [Gsgrow.strategy], so the output equals
+    [Gsgrow.mine idx ~min_sup]. *)
 
 val mine_closed :
   ?domains:int ->
@@ -174,10 +151,10 @@ val mine_closed :
   ?use_lb_check:bool ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
-  ?steal:bool ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
   Inverted_index.t ->
   min_sup:int ->
   Mined.t list * Engine.stats
-(** Parallel CloGSgrow; same guarantees. *)
+(** Parallel CloGSgrow: {!mine} with the CloGSgrow strategy; same
+    guarantees. *)

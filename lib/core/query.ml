@@ -175,65 +175,3 @@ let collector ?max_length ~events ~min_sup = function
   | Top_k k ->
     validate (Top_k k);
     top_k_collector ~min_sup k
-
-(* --- shared (multi-domain) answer modes, for the stealing executor ---
-
-   All and Targeted plans are stateless pure closures, so the same plan is
-   safe from every worker and no cross-worker bookkeeping is needed. Top-k
-   keeps one heap behind a mutex, but the plan's floor reads an atomic
-   cache — the DFS hot path never takes the lock.
-
-   Determinism: the shared floor is [min(heap)], NOT [min(heap) + 1] as in
-   the single-domain collector. With the +1 floor, which boundary-support
-   patterns survive would depend on worker scheduling (whoever fills the
-   heap first cuts the others' ties). With [min(heap)], every pattern that
-   ties the k-th best support is still mined and collected, whatever the
-   schedule; [finalize] then sorts the union by [compare_by_support_desc]
-   and keeps [k] — the same canonical tie-break as [mine_resumable]'s
-   per-root merge, independent of arrival order.
-
-   Soundness of the floor: once the heap is full it holds [k] real mined
-   patterns, so its min never exceeds the k-th best support overall;
-   pruning strictly below it can never remove an answer pattern (supports
-   are antimonotone under appends, Theorem 1). *)
-
-type shared = {
-  shared_plan : plan;
-  shared_offer : Mined.t -> unit;
-  finalize : Mined.t list -> Mined.t list;
-}
-
-let shared ?max_length ~events ~min_sup query =
-  validate query;
-  match query with
-  | All ->
-    {
-      shared_plan = trivial ~min_sup;
-      shared_offer = ignore;
-      finalize = Fun.id;
-    }
-  | Targeted q ->
-    let c = targeted_collector ?max_length ~events ~min_sup q in
-    { shared_plan = c.plan; shared_offer = ignore; finalize = Fun.id }
-  | Top_k k ->
-    let heap = Heap.create k in
-    let mu = Mutex.create () in
-    let floor_cache = Atomic.make min_sup in
-    let shared_offer r =
-      Mutex.lock mu;
-      Heap.offer heap r;
-      if Heap.full heap then
-        Atomic.set floor_cache (max min_sup (Heap.min_support heap));
-      Mutex.unlock mu
-    in
-    let shared_plan =
-      { (trivial ~min_sup) with floor = (fun () -> Atomic.get floor_cache) }
-    in
-    let finalize rs =
-      if Heap.full heap then
-        Metrics.observe_max Metrics.query_topk_floor (Heap.min_support heap);
-      List.filteri
-        (fun i _ -> i < k)
-        (List.sort Mined.compare_by_support_desc rs)
-    in
-    { shared_plan; shared_offer; finalize }

@@ -19,7 +19,13 @@
       floor rises to [min(heap) + 1] and prunes exactly like the static
       Apriori bound. Ties at the boundary keep the earliest DFS arrival.
     - {b all}: the trivial plan; the engine behaves identically to the
-      un-queried miners. *)
+      un-queried miners.
+
+    Collectors are single-domain. A parallel queried run
+    ({!Miner.mine_resumable} with [domains]) compiles one collector per
+    root — a root's local answer contains its share of the global one —
+    and merges the per-root answers after the pool joins, so no query
+    state is shared between domains. *)
 
 open Rgs_sequence
 
@@ -77,37 +83,4 @@ val collector :
     frequent-event cut checks membership there); [max_length] must match
     the engine's or the targeted length cut stays disabled. A collector is
     single-use: fresh state per run.
-    @raise Invalid_argument as {!validate}. *)
-
-(** {1 Shared collectors} — one answer, many domains.
-
-    The work-stealing executor ({!Parallel_miner.mine_steal}) runs one
-    query across every worker domain, so the query state must be safe to
-    consult concurrently. [All] and [Targeted] plans are stateless pure
-    closures and shared as-is. [Top_k] keeps one min-heap behind a mutex;
-    the plan's {!plan.floor} reads an atomic cache of
-    [max min_sup (min heap)] so the DFS hot path never takes the lock.
-
-    Unlike the single-domain {!collector}, the shared top-k floor is
-    [min(heap)] — {e not} [min(heap) + 1] — so patterns that {e tie} the
-    k-th best support are still mined regardless of worker scheduling;
-    {!shared.finalize} then resolves ties canonically by sorting the
-    collected union with {!Mined.compare_by_support_desc} and keeping [k]
-    (the same rule as [Miner.mine_resumable]'s global re-merge). The
-    result is schedule-independent. *)
-
-type shared = {
-  shared_plan : plan;  (** consulted concurrently by every worker *)
-  shared_offer : Mined.t -> unit;
-      (** feed every emitted pattern here (in addition to collecting it);
-          thread-safe *)
-  finalize : Mined.t list -> Mined.t list;
-      (** the answer, from the union of all collected patterns: identity
-          for [All]/[Targeted], sort-and-take-[k] for [Top_k] *)
-}
-
-val shared :
-  ?max_length:int -> events:Event.t list -> min_sup:int -> t -> shared
-(** Compile [q] for a multi-domain run. Same [events]/[max_length]
-    contract as {!collector}; single-use.
     @raise Invalid_argument as {!validate}. *)

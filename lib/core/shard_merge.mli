@@ -18,7 +18,9 @@
 
     Wrapping only the strategy's [grow] leaves the DFS untouched, so
     sharding composes with every engine feature (closure checking, gap
-    constraints, queries, budgets) and with the work-stealing executor. *)
+    constraints, queries, budgets) and with the root pool
+    ({!Parallel_miner}), whose domains call the wrapped [grow]
+    concurrently. *)
 
 open Rgs_sequence
 

@@ -68,10 +68,7 @@ let store_mapped_words = register "store_mapped_words" Gauge
 let store_resident_words = register "store_resident_words" Counter
 let store_crc_checks = register "store_crc_checks" Counter
 let store_crc_failures = register "store_crc_failures" Counter
-let steal_attempts = register "steal_attempts" Counter
-let steal_successes = register "steal_successes" Counter
 let shard_merge_ns = register "shard_merge_ns" Counter
-let deque_max_depth = register "deque_max_depth" Gauge
 let worker_spawns = register "worker_spawns" Counter
 let worker_restarts = register "worker_restarts" Counter
 let worker_heartbeats_missed = register "worker_heartbeats_missed" Counter

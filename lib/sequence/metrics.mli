@@ -226,26 +226,10 @@ val store_crc_failures : counter
 (** Section CRC verifications that failed. Always paired with a raised
     [Store.Invalid_store]; non-zero means on-disk corruption. *)
 
-val steal_attempts : counter
-(** Steal operations issued by idle pool workers against peers' deques
-    ([Parallel_miner] stealing mode), including ones that found the deque
-    empty or lost the CAS race. *)
-
-val steal_successes : counter
-(** Steals that won their ticket CAS and carried a DFS subtree to another
-    worker. [steal_successes / steal_attempts] is the contention-adjusted
-    steal hit rate; zero on a balanced workload means LPT alone kept every
-    worker busy. *)
-
 val shard_merge_ns : counter
 (** Total wall time spent in [Shard_merge.grow] combining per-shard
     support sets ([Support_set.combine]), in nanoseconds — the overhead
     sharding adds on top of the per-shard INSgrow passes. *)
-
-val deque_max_depth : counter
-(** Deepest any worker's steal deque grew during a stealing pool run (max
-    gauge): the high-water mark of deferred DFS subtrees awaiting an
-    owner pop or a steal. *)
 
 val worker_spawns : counter
 (** Shard worker processes spawned by [Supervisor] (first launches and

@@ -15,11 +15,10 @@ type kind =
   | Query_cut
   | Store_map
   | Store_crc
-  | Steal
   | Shard_merge
   | Proc_worker
 
-let num_kinds = 17
+let num_kinds = 16
 
 let kind_code = function
   | Root -> 0
@@ -36,9 +35,8 @@ let kind_code = function
   | Query_cut -> 11
   | Store_map -> 12
   | Store_crc -> 13
-  | Steal -> 14
-  | Shard_merge -> 15
-  | Proc_worker -> 16
+  | Shard_merge -> 14
+  | Proc_worker -> 15
 
 let kind_of_code = function
   | 0 -> Root
@@ -55,9 +53,8 @@ let kind_of_code = function
   | 11 -> Query_cut
   | 12 -> Store_map
   | 13 -> Store_crc
-  | 14 -> Steal
-  | 15 -> Shard_merge
-  | 16 -> Proc_worker
+  | 14 -> Shard_merge
+  | 15 -> Proc_worker
   | c -> invalid_arg (Printf.sprintf "Trace: bad kind code %d" c)
 
 let kind_name = function
@@ -75,7 +72,6 @@ let kind_name = function
   | Query_cut -> "query_cut"
   | Store_map -> "store_map"
   | Store_crc -> "store_crc"
-  | Steal -> "steal"
   | Shard_merge -> "shard_merge"
   | Proc_worker -> "proc_worker"
 
@@ -174,7 +170,7 @@ let rec for_domain t =
 
 let enabled t = function
   | Root | Worker | Checkpoint_write | Budget_stop | Root_retry | Quarantine
-  | Checkpoint_retry | Store_map | Store_crc | Steal | Proc_worker ->
+  | Checkpoint_retry | Store_map | Store_crc | Proc_worker ->
     t.roots_on
   | Node | Extension | Closure_check | Lb_prune | Query_cut | Shard_merge ->
     t.nodes_on
@@ -291,7 +287,6 @@ let arg_fields = function
   | Query_cut -> [| "depth"; "reason" |]
   | Store_map -> [| "mapped_words"; "open_us" |]
   | Store_crc -> [| "section"; "ok" |]
-  | Steal -> [| "thief"; "victim" |]
   | Shard_merge -> [| "shards"; "merge_us" |]
   | Proc_worker -> [| "shard"; "grows" |]
 

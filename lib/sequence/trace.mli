@@ -47,10 +47,6 @@ type level =
     - [Store_crc]: instant per section CRC verification; [a0] = section
       tag (first byte of the FourCC), [a1] = 1 when the check passed,
       0 when it failed.
-    - [Steal]: instant per successful work steal ([Parallel_miner]
-      stealing mode); [a0] = thief worker slot, [a1] = victim worker
-      slot. Attempts that found an empty deque or lost the ticket race
-      only bump [Metrics.steal_attempts].
     - [Proc_worker]: span over one shard worker {e process} incarnation
       ([Supervisor]), from spawn to shutdown/failure; [a0] = shard
       index, [a1] = growth requests that incarnation served.
@@ -86,7 +82,6 @@ type kind =
   | Query_cut
   | Store_map
   | Store_crc
-  | Steal
   | Shard_merge
   | Proc_worker
 

@@ -16,11 +16,11 @@ let pattern ~alphabet ~max_len =
   QCheck2.Gen.(
     list_size (int_range 1 max_len) (int_bound (alphabet - 1)) >|= Pattern.of_list)
 
-(* Adversarial root skew for the work-stealing tier: one dominant event
-   (0) makes up most of every sequence, so virtually the whole DFS lives
-   under a single root — static per-root scheduling degenerates to one
-   busy domain, and any load balancing must come from stealing inside
-   that root's subtree. *)
+(* Adversarial root skew for the shard tier and the chaos sweep: one
+   dominant event (0) makes up most of every sequence, so virtually the
+   whole DFS lives under a single root — per-root scheduling degenerates
+   to one busy domain while the others finish early, the worst case for
+   the pool's claim, retry and merge bookkeeping. *)
 let skewed_db ~num_seqs ~alphabet ~len =
   QCheck2.Gen.(
     let skewed_event =

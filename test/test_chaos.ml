@@ -180,46 +180,73 @@ let test_sweep_mine_resumable () =
               (Printexc.to_string e)))
     (Chaos.plans ~seed:303 ~count:plan_count ())
 
-(* The work-stealing executor exposes two further sites: a worker crash
-   right after a successful steal (Steal) and a cancellation between a
-   sharded growth's per-shard INSgrow passes and the combine
+(* A sharded pool run exposes one further site: a cancellation between
+   a sharded growth's per-shard INSgrow passes and the combine
    (Shard_merge). Same invariant: output modulo quarantined roots equals
-   the fault-free run — the sequential retry neither steals nor runs the
-   faulted merge pass at the same firing, so transient faults are fully
-   absorbed. The skewed database makes real steals likely, so Steal plans
-   actually fire rather than passing vacuously. *)
-let steal_db =
+   the fault-free run — the sequential retry does not run the faulted
+   merge pass at the same firing, so transient faults are fully absorbed.
+   The skewed database puts most of the work under one root, so a fault
+   usually lands in the root every other domain waits for. *)
+let skew_db =
   lazy
     (QCheck2.Gen.generate1
        ~rand:(Random.State.make [| 0xC0A5 |])
        (Gens.skewed_db ~num_seqs:16 ~alphabet:4 ~len:16))
 
-let test_sweep_mine_steal () =
-  let db = Lazy.force steal_db in
+let test_sweep_pool_sharded () =
+  let db = Lazy.force skew_db in
   let idx = Inverted_index.build db in
   (* GSgrow, not CloGSgrow: the invariant counts absent roots against the
      quarantine tally, which needs every root to emit at least its own
      size-1 pattern in the fault-free run *)
-  let baseline, _, q0 =
-    Parallel_miner.mine_steal ~domains:3 ~max_length:4 ~shards:2
-      ~strategy:Gsgrow.strategy idx ~min_sup:4
+  let mine () =
+    Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards:2 idx ~min_sup:4
   in
-  Alcotest.(check int) "fault-free baseline" 0 q0;
+  let baseline, stats = mine () in
+  Alcotest.(check bool) "fault-free baseline" true
+    (stats.Engine.outcome = Budget.Completed);
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
     (fun plan ->
-      match
-        Chaos.inject plan (fun () ->
-            Parallel_miner.mine_steal ~domains:3 ~max_length:4 ~shards:2
-              ~strategy:Gsgrow.strategy idx ~min_sup:4)
-      with
-      | faulty, _, quarantined -> check plan ~baseline ~faulty ~quarantined
+      let before = Metrics.snapshot () in
+      match Chaos.inject plan mine with
+      | faulty, _ ->
+        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
     (Chaos.plans
-       ~kinds:[ Chaos.Insgrow; Chaos.Worker; Chaos.Steal; Chaos.Shard_merge ]
+       ~kinds:[ Chaos.Insgrow; Chaos.Worker; Chaos.Shard_merge ]
        ~seed:404 ~count:plan_count ())
+
+(* Gap-constrained mining runs on the same pool body: a fault inside its
+   skip-on-failure grow or in a worker loses at most the faulted roots.
+   Like GSgrow, the gap strategy has no closure check, so every frequent
+   root emits its size-1 pattern and absent roots are countable. *)
+let test_sweep_pool_gap () =
+  let db = Lazy.force chaos_db in
+  let idx = Inverted_index.build db in
+  let mine () =
+    Parallel_miner.mine ~domains:2 ~max_length:3
+      ~strategy:(Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
+      idx ~min_sup
+  in
+  let baseline, stats = mine () in
+  Alcotest.(check bool) "fault-free baseline" true
+    (stats.Engine.outcome = Budget.Completed);
+  Alcotest.(check bool) "baseline mined something" true (baseline <> []);
+  List.iter
+    (fun plan ->
+      let before = Metrics.snapshot () in
+      match Chaos.inject plan mine with
+      | faulty, _ ->
+        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      | exception e ->
+        Alcotest.failf "%s: escaped exception %s" (plan_str plan)
+          (Printexc.to_string e))
+    (Chaos.plans
+       ~kinds:[ Chaos.Insgrow; Chaos.Worker ]
+       ~seed:606 ~count:plan_count ())
 
 (* Mid-merge cancellation under the checkpointed path: Shard_merge faults
    inside mine_resumable with sharding on must uphold the same invariant,
@@ -257,7 +284,8 @@ let suite =
     Alcotest.test_case "sweep mine_all" `Quick test_sweep_mine_all;
     Alcotest.test_case "sweep mine_closed" `Quick test_sweep_mine_closed;
     Alcotest.test_case "sweep mine_resumable" `Quick test_sweep_mine_resumable;
-    Alcotest.test_case "sweep mine_steal" `Quick test_sweep_mine_steal;
+    Alcotest.test_case "sweep pool sharded" `Quick test_sweep_pool_sharded;
+    Alcotest.test_case "sweep pool gap-constrained" `Quick test_sweep_pool_gap;
     Alcotest.test_case "sweep resumable sharded" `Quick
       test_sweep_resumable_sharded;
   ]

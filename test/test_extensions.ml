@@ -88,6 +88,28 @@ let test_gap_validation () =
     (Invalid_argument "Gap_constrained.mine: min_sup must be >= 1") (fun () ->
       ignore (Gap_constrained.mine idx ~max_gap:1 ~min_sup:0))
 
+(* invalid gaps are refused when the strategy is built, so a pool run
+   raises to its caller instead of quarantining every root whose grow
+   would have raised *)
+let test_gap_strategy_validation () =
+  let raises name msg ~min_gap ~max_gap =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Gap_constrained.strategy ~min_gap ~max_gap))
+  in
+  raises "negative max_gap" "Gap_constrained: max_gap must be >= 0" ~min_gap:0
+    ~max_gap:(-1);
+  raises "negative min_gap" "Gap_constrained: min_gap must be >= 0"
+    ~min_gap:(-1) ~max_gap:1;
+  raises "min_gap > max_gap" "Gap_constrained: min_gap > max_gap" ~min_gap:2
+    ~max_gap:1;
+  let db = Seqdb.of_strings [ "ABAB"; "ABBA" ] in
+  Alcotest.check_raises "pool run through Miner"
+    (Invalid_argument "Gap_constrained: max_gap must be >= 0") (fun () ->
+      ignore
+        (Miner.mine
+           ~config:(Miner.config ~min_sup:1 ~max_gap:(-1) ~domains:2 ())
+           db))
+
 (* qcheck: greedy gap-constrained support is a lower bound of the exact
    gap-constrained support. *)
 let prop_gap_lower_bound =
@@ -240,6 +262,8 @@ let suite =
     Alcotest.test_case "gap mine sound" `Quick test_gap_mine_sound;
     Alcotest.test_case "gap min_gap" `Quick test_min_gap;
     Alcotest.test_case "gap validation" `Quick test_gap_validation;
+    Alcotest.test_case "gap strategy validates when built" `Quick
+      test_gap_strategy_validation;
     prop_gap_lower_bound;
     Alcotest.test_case "feature matrix" `Quick test_feature_matrix;
     Alcotest.test_case "discriminative + classify" `Quick test_discriminative_and_classify;

@@ -16,7 +16,6 @@ let () =
       ("query", Test_query.suite);
       ("extensions", Test_extensions.suite);
       ("parallel", Test_parallel.suite);
-      ("deque", Test_deque.suite);
       ("steal", Test_steal.suite);
       ("trace", Test_trace.suite);
       ("properties", Test_properties.suite);

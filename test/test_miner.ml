@@ -115,9 +115,56 @@ let test_config_variants () =
     (Invalid_argument "Miner: domains cannot be combined with max_patterns") (fun () ->
       ignore
         (Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ~max_patterns:5 ()) table3));
-  Alcotest.check_raises "domains + max_gap"
-    (Invalid_argument "Miner: domains cannot be combined with max_gap") (fun () ->
-      ignore (Miner.mine ~config:(Miner.config ~min_sup:3 ~domains:2 ~max_gap:1 ()) table3))
+  (* gap-constrained mining runs on the root pool like every other mode *)
+  let gap_cfg ?domains () = Miner.config ~min_sup:3 ?domains ~max_gap:1 () in
+  Alcotest.(check (list (pair string int))) "domains + max_gap = sequential"
+    (signatures (Miner.mine ~config:(gap_cfg ()) table3))
+    (signatures (Miner.mine ~config:(gap_cfg ~domains:2 ()) table3))
+
+(* mine_resumable runs max_gap root-partitioned, pool or not; only a
+   checkpoint is refused, because the fingerprint does not carry the gap *)
+let test_resumable_gap_without_checkpoint () =
+  let signatures r =
+    List.map (fun x -> (Pattern.to_string x.Mined.pattern, x.Mined.support)) r.Miner.results
+  in
+  let gap_cfg ?domains () = Miner.config ~min_sup:3 ?domains ~max_gap:1 () in
+  let expected = signatures (Miner.mine ~config:(gap_cfg ()) table3) in
+  Alcotest.(check bool) "gap run mined something" true (expected <> []);
+  Alcotest.(check (list (pair string int))) "sequential resumable = mine" expected
+    (signatures (Miner.mine_resumable (gap_cfg ()) table3));
+  Alcotest.(check (list (pair string int))) "pool resumable = mine" expected
+    (signatures (Miner.mine_resumable (gap_cfg ~domains:2 ()) table3));
+  let path = Filename.temp_file "rgs_miner_gap" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.check_raises "max_gap + checkpoint"
+        (Invalid_argument "Miner: checkpointing is not supported with max_gap")
+        (fun () ->
+          ignore (Miner.mine_resumable ~checkpoint:path (gap_cfg ~domains:2 ()) table3)))
+
+(* max_patterns is refused by mine_resumable; the message names what it
+   was combined with, so a queried --parallel run is not told about a
+   checkpoint it never asked for *)
+let test_resumable_max_patterns_message () =
+  let cfg ?domains () =
+    Miner.config ~min_sup:3 ?domains ~max_patterns:5
+      ~query:(Query.Targeted (Pattern.of_string "A")) ()
+  in
+  Alcotest.check_raises "with domains"
+    (Invalid_argument "Miner: domains cannot be combined with max_patterns")
+    (fun () -> ignore (Miner.mine_resumable (cfg ~domains:2 ()) table3));
+  Alcotest.check_raises "sequential"
+    (Invalid_argument "Miner: root-partitioned mining does not support max_patterns")
+    (fun () -> ignore (Miner.mine_resumable (cfg ()) table3));
+  let path = Filename.temp_file "rgs_miner_cap" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Alcotest.check_raises "with a checkpoint"
+        (Invalid_argument "Miner: checkpointing is not supported with max_patterns")
+        (fun () ->
+          ignore (Miner.mine_resumable ~checkpoint:path (cfg ~domains:2 ()) table3)))
 
 let test_metrics_counters () =
   Metrics.reset ();
@@ -180,6 +227,10 @@ let suite =
     Alcotest.test_case "pp_report" `Quick test_pp_report;
     Alcotest.test_case "cross-check on generated data" `Quick test_cross_check_generated;
     Alcotest.test_case "config variants" `Quick test_config_variants;
+    Alcotest.test_case "resumable max_gap without checkpoint" `Quick
+      test_resumable_gap_without_checkpoint;
+    Alcotest.test_case "resumable max_patterns message" `Quick
+      test_resumable_max_patterns_message;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
     Alcotest.test_case "support sets well-formed" `Quick test_support_set_well_formed_everywhere;
   ]

@@ -85,26 +85,6 @@ let test_more_domains_than_roots () =
   Alcotest.(check (list (pair string int))) "tiny db" (signatures sequential)
     (signatures results)
 
-(* The stealing executor re-splits subtrees across domains and never
-   routes growths through a supervisor's dispatch, so asking for both is
-   an error rather than a silently dropped dispatch. *)
-let test_steal_rejects_dispatch () =
-  let idx = Inverted_index.build (Seqdb.of_strings [ "ABAB"; "BABA" ]) in
-  let dispatch ~ranges base idx s e =
-    Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
-  in
-  let expect =
-    Invalid_argument "Parallel_miner: shard_dispatch cannot be combined with steal"
-  in
-  Alcotest.check_raises "mine_all" expect (fun () ->
-      ignore
-        (Parallel_miner.mine_all ~domains:2 ~steal:true ~shards:2
-           ~shard_dispatch:dispatch idx ~min_sup:2));
-  Alcotest.check_raises "mine_closed" expect (fun () ->
-      ignore
-        (Parallel_miner.mine_closed ~domains:2 ~steal:true ~shards:2
-           ~shard_dispatch:dispatch idx ~min_sup:2))
-
 (* --- largest-root-first scheduling ---
 
    The claim order is a pure permutation: per-root statuses must be
@@ -239,8 +219,6 @@ let suite =
     Alcotest.test_case "deterministic across runs" `Quick test_parallel_determinism;
     Alcotest.test_case "validation" `Quick test_parallel_validation;
     Alcotest.test_case "more domains than roots" `Quick test_more_domains_than_roots;
-    Alcotest.test_case "steal rejects shard_dispatch" `Quick
-      test_steal_rejects_dispatch;
     Alcotest.test_case "claim order: largest-first order shape" `Quick
       test_largest_first_order_shape;
     Alcotest.test_case "claim order: tie-break is deterministic" `Quick

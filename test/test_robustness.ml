@@ -969,6 +969,82 @@ let test_e2e_sigterm_graceful () =
       Alcotest.(check string) "resumed stdout = uninterrupted stdout"
         (normalize_report out_base) (normalize_report out_res))
 
+(* --- end-to-end: --parallel in every mode ---
+
+   Gap-constrained mining runs on the root pool like every other mode,
+   also under a query (root-partitioned, no checkpoint asked for), and
+   --max-patterns is refused rather than silently dropped. *)
+
+let gap_args extra = e2e_args ([ "--max-gap"; "3" ] @ extra)
+
+let run_seq_and_parallel name extra =
+  let status_seq, out_seq = run_rgsminer (gap_args extra) in
+  let status_par, out_par = run_rgsminer (gap_args ("--parallel" :: extra)) in
+  Alcotest.(check bool) (name ^ ": sequential exit 0") true
+    (status_seq = Unix.WEXITED 0);
+  Alcotest.(check bool) (name ^ ": --parallel exit 0") true
+    (status_par = Unix.WEXITED 0);
+  (out_seq, out_par)
+
+let check_parallel_stdout name extra =
+  let out_seq, out_par = run_seq_and_parallel name extra in
+  Alcotest.(check bool) (name ^ ": mined something") false
+    (contains out_seq "\n0 patterns");
+  Alcotest.(check string)
+    (name ^ ": --parallel stdout = sequential stdout")
+    (normalize_report out_seq) (normalize_report out_par)
+
+let test_e2e_parallel_gap () = check_parallel_stdout "--max-gap" []
+
+let test_e2e_parallel_gap_target () =
+  check_parallel_stdout "--max-gap --target" [ "--target"; "26 10" ]
+
+(* the supports printed as "(sup=N)", sorted *)
+let supports out =
+  String.split_on_char '\n' out
+  |> List.filter_map (fun line ->
+         match String.split_on_char '=' line with
+         | [ pre; post ] when contains pre "(sup" ->
+           int_of_string_opt (String.sub post 0 (String.index post ')'))
+         | _ -> None)
+  |> List.sort compare
+
+(* Top-k ties at the k-th support may resolve differently between the
+   sequential and the root-partitioned entry point, so only the support
+   multiset is compared. *)
+let test_e2e_parallel_gap_top_k () =
+  let out_seq, out_par =
+    run_seq_and_parallel "--max-gap --top-k" [ "--top-k"; "5" ]
+  in
+  Alcotest.(check int) "five answers" 5 (List.length (supports out_seq));
+  Alcotest.(check (list int)) "same support multiset" (supports out_seq)
+    (supports out_par)
+
+let test_e2e_parallel_max_patterns () =
+  let status, out =
+    run_rgsminer ~capture_stderr:true
+      (e2e_args [ "--parallel"; "--max-patterns"; "5" ])
+  in
+  Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the conflict" out)
+    true
+    (contains out "domains cannot be combined with max_patterns")
+
+(* a queried --parallel run goes through the root-partitioned driver;
+   its refusal of --max-patterns must name --parallel's domains, not a
+   checkpoint that was never asked for *)
+let test_e2e_parallel_max_patterns_target () =
+  let status, out =
+    run_rgsminer ~capture_stderr:true
+      (e2e_args [ "--parallel"; "--max-patterns"; "5"; "--target"; "26 10" ])
+  in
+  Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the conflict" out)
+    true
+    (contains out "domains cannot be combined with max_patterns")
+
 let suite =
   [
     prop_strict_le_support;
@@ -1021,4 +1097,14 @@ let suite =
     Alcotest.test_case "e2e: kill -9 under --shards then resume" `Quick
       test_e2e_kill9_resume_sharded;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;
+    Alcotest.test_case "e2e: --parallel --max-gap = sequential" `Quick
+      test_e2e_parallel_gap;
+    Alcotest.test_case "e2e: --parallel --max-gap --target = sequential" `Quick
+      test_e2e_parallel_gap_target;
+    Alcotest.test_case "e2e: --parallel --max-gap --top-k supports" `Quick
+      test_e2e_parallel_gap_top_k;
+    Alcotest.test_case "e2e: --parallel refuses --max-patterns" `Quick
+      test_e2e_parallel_max_patterns;
+    Alcotest.test_case "e2e: --parallel --target refuses --max-patterns" `Quick
+      test_e2e_parallel_max_patterns_target;
   ]

@@ -1,13 +1,16 @@
-(* The @steal tier: differential proof that shard-parallel mining with
-   work stealing is invisible in the output.
+(* The @steal tier: differential proof that shard-parallel mining on the
+   root pool is invisible in the output.
 
    Contract under test: for every database, index backend, shard count in
-   {1,2,4,8} and domain count, [Parallel_miner.mine_steal] (and the
-   [?steal]/[?shards] routing in Miner / Parallel_miner.mine_all/closed)
+   {1,2,4,8} and domain count, [Parallel_miner.mine] (and the
+   [?domains]/[?shards] routing in Miner / Parallel_miner.mine_all/closed)
    emits {e byte-identical} results to the sequential miners — including
    under gap constraints and Targeted/Top_k query plans, and on the
-   adversarial all-work-in-one-root skew where static per-root scheduling
-   degenerates to a single busy domain. *)
+   adversarial all-work-in-one-root skew where per-root scheduling
+   degenerates to a single busy domain. The pool's summed stats equal one
+   sequential run's, repeated runs agree, and a supervisor-style shard
+   dispatch composes with it. The [Support_set.combine] algebra the shard
+   merge rests on is checked here too. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -83,73 +86,43 @@ let test_shard_partition () =
     (Invalid_argument "Seqdb.shard: shard count must be >= 1") (fun () ->
       ignore (Seqdb.shard ragged 0))
 
-(* --- deterministic differentials: named dbs × shards × {LPT, steal} --- *)
+(* --- deterministic differentials: named dbs × shards × pool --- *)
 
-let test_steal_all_matches () =
+let test_pool_all_matches () =
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
       let sequential, _ = Gsgrow.mine ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let lpt, _ =
+          let pool, _ =
             Parallel_miner.mine_all ~domains:4 ~max_length:4 ~shards idx ~min_sup
           in
           Alcotest.check sig_t
-            (Printf.sprintf "%s all s%d lpt" name shards)
-            (signatures sequential) (signatures lpt);
-          let steal, _ =
-            Parallel_miner.mine_all ~domains:4 ~max_length:4 ~steal:true ~shards
-              idx ~min_sup
-          in
-          Alcotest.check sig_t
-            (Printf.sprintf "%s all s%d steal" name shards)
-            (signatures sequential) (signatures steal))
+            (Printf.sprintf "%s all s%d pool" name shards)
+            (signatures sequential) (signatures pool))
         shard_counts)
     (Lazy.force dbs)
 
-let test_steal_closed_matches () =
+let test_pool_closed_matches () =
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
       let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let lpt, _ =
+          let pool, _ =
             Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
               ~min_sup
           in
           Alcotest.check sig_t
-            (Printf.sprintf "%s closed s%d lpt" name shards)
-            (signatures sequential) (signatures lpt);
-          let steal, _ =
-            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~steal:true
-              ~shards idx ~min_sup
-          in
-          Alcotest.check sig_t
-            (Printf.sprintf "%s closed s%d steal" name shards)
-            (signatures sequential) (signatures steal))
+            (Printf.sprintf "%s closed s%d pool" name shards)
+            (signatures sequential) (signatures pool))
         shard_counts)
     (Lazy.force dbs)
 
-let test_steal_deterministic () =
-  let _, db, min_sup = List.nth (Lazy.force dbs) 2 in
-  let idx = Inverted_index.build db in
-  let runs =
-    List.init 5 (fun _ ->
-        let r, _, q =
-          Parallel_miner.mine_steal ~domains:4 ~max_length:4 ~shards:4
-            ~strategy:Gsgrow.strategy idx ~min_sup
-        in
-        Alcotest.(check int) "no quarantines" 0 q;
-        signatures r)
-  in
-  List.iteri
-    (fun i r -> Alcotest.check sig_t (Printf.sprintf "run %d" i) (List.hd runs) r)
-    (List.tl runs)
-
-(* the store-backed (mapped) read path shards and steals identically *)
-let test_steal_mapped_store () =
+(* the store-backed (mapped) read path shards identically on the pool *)
+let test_pool_mapped_store () =
   let _, db, min_sup = List.nth (Lazy.force dbs) 1 in
   let path = Filename.temp_file "rgs_steal" ".rgsdb" in
   Store.write ~path db;
@@ -157,12 +130,136 @@ let test_steal_mapped_store () =
   Sys.remove path;
   let sequential, _ = Clogsgrow.mine ~max_length:4 (Inverted_index.build db) ~min_sup in
   let midx = Inverted_index.build mdb in
-  let steal, _ =
-    Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~steal:true ~shards:3
-      midx ~min_sup
+  let pool, _ =
+    Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards:3 midx ~min_sup
   in
-  Alcotest.check sig_t "mapped closed steal" (signatures sequential)
-    (signatures steal)
+  Alcotest.check sig_t "mapped closed pool" (signatures sequential)
+    (signatures pool)
+
+(* The pool's output and its summed stats are fixed by the database, not
+   by which domain claimed which root: five runs on the one-root skew
+   (the worst case for claim-order races) agree with each other. *)
+let test_pool_deterministic () =
+  let db = Lazy.force skew_db in
+  let idx = Inverted_index.build db in
+  let run () =
+    let results, stats =
+      Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards:2 idx
+        ~min_sup:6
+    in
+    (signatures results, stats.Engine.dfs_nodes, stats.Engine.insgrow_calls)
+  in
+  let ((first, _, _) as reference) = run () in
+  Alcotest.(check bool) "skew run mined something" true (first <> []);
+  for i = 2 to 5 do
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d = run 1 (output and stats)" i)
+      true (run () = reference)
+  done
+
+(* Every root is mined exactly once: the per-root stats the pool sums
+   equal one sequential engine run's, node for node. *)
+let test_pool_stats_match () =
+  let check_stats name (seq : Engine.stats) (pool : Engine.stats) =
+    Alcotest.(check (list int)) name
+      [ seq.emitted; seq.dfs_nodes; seq.insgrow_calls; seq.lb_pruned;
+        seq.non_closed_dropped ]
+      [ pool.emitted; pool.dfs_nodes; pool.insgrow_calls; pool.lb_pruned;
+        pool.non_closed_dropped ]
+  in
+  List.iter
+    (fun (name, db, min_sup) ->
+      let idx = Inverted_index.build db in
+      let _, all_seq = Gsgrow.mine ~max_length:4 idx ~min_sup in
+      let _, closed_seq = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+      List.iter
+        (fun shards ->
+          let _, all_pool =
+            Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards idx ~min_sup
+          in
+          let _, closed_pool =
+            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
+              ~min_sup
+          in
+          check_stats (Printf.sprintf "%s all s%d stats" name shards) all_seq
+            all_pool;
+          check_stats
+            (Printf.sprintf "%s closed s%d stats" name shards)
+            closed_seq closed_pool)
+        [ 1; 3 ])
+    (Lazy.force dbs)
+
+(* Gap-constrained mining on the pool, two-sided gaps included *)
+let test_pool_gap_matches () =
+  List.iter
+    (fun (name, db, min_sup) ->
+      let idx = Inverted_index.build db in
+      List.iter
+        (fun min_gap ->
+          let sequential, _ =
+            Gap_constrained.mine ~max_length:4 ~min_gap idx ~max_gap:2 ~min_sup
+          in
+          List.iter
+            (fun shards ->
+              let pool, _ =
+                Parallel_miner.mine ~domains:3 ~max_length:4 ~shards
+                  ~strategy:(Gap_constrained.strategy ~min_gap ~max_gap:2)
+                  idx ~min_sup
+              in
+              Alcotest.check sig_t
+                (Printf.sprintf "%s gap [%d,2] s%d pool" name min_gap shards)
+                (signatures sequential) (signatures pool))
+            shard_counts)
+        [ 0; 1 ])
+    (Lazy.force dbs)
+
+(* Miner routes a config with domains and max_gap to the pool under the
+   gap strategy, in either mode, sharded or not *)
+let test_miner_gap_routing () =
+  List.iter
+    (fun (name, db, min_sup) ->
+      List.iter
+        (fun mode ->
+          let cfg ?domains ?shards () =
+            Miner.config ~mode ~max_length:4 ~max_gap:2 ?domains ?shards
+              ~min_sup ()
+          in
+          let sequential = Miner.mine ~config:(cfg ()) db in
+          List.iter
+            (fun shards ->
+              let pool = Miner.mine ~config:(cfg ~domains:3 ?shards ()) db in
+              Alcotest.check sig_t
+                (Printf.sprintf "%s %s gap pool%s" name
+                   (match mode with Miner.All -> "all" | Miner.Closed -> "closed")
+                   (match shards with
+                   | Some s -> Printf.sprintf " s%d" s
+                   | None -> ""))
+                (signatures sequential.Miner.results)
+                (signatures pool.Miner.results))
+            [ None; Some 2; Some 4 ])
+        [ Miner.All; Miner.Closed ])
+    (Lazy.force dbs)
+
+(* A supervisor's shard dispatch composes with the pool: an in-process
+   dispatch called concurrently from every domain yields the sequential
+   output, and every growth goes through it. *)
+let test_pool_shard_dispatch () =
+  let _, db, min_sup = List.nth (Lazy.force dbs) 1 in
+  let idx = Inverted_index.build db in
+  let calls = Atomic.make 0 in
+  let dispatch ~ranges base idx s e =
+    Atomic.incr calls;
+    Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
+  in
+  let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+  let pool, stats =
+    Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards:3
+      ~shard_dispatch:dispatch idx ~min_sup
+  in
+  Alcotest.check sig_t "dispatched closed pool" (signatures sequential)
+    (signatures pool);
+  Alcotest.(check bool) "every growth dispatched" true
+    (Atomic.get calls > 0 && Atomic.get calls >= stats.Engine.insgrow_calls)
 
 (* --- QCheck differentials: random dbs × both backends --- *)
 
@@ -176,97 +273,98 @@ let with_shards gen =
 let with_shards_backend gen =
   QCheck2.Gen.(triple gen (oneofl shard_counts) (int_bound 1))
 
-let prop_steal_all_closed =
-  Gens.make ~name:"steal ≡ sequential (all + closed, both backends)" ~count:120
+let prop_pool_all_closed =
+  Gens.make ~name:"pool ≡ sequential (all + closed, both backends)" ~count:120
     (with_shards_backend (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9))
     (fun (db, shards, b) ->
       Printf.sprintf "shards: %d backend: %d\n%s" shards b (Gens.print_db db))
     (fun (db, shards, b) ->
       let _, idx = List.nth (backends db) b in
       let all_seq, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let all_steal, _ =
-        Parallel_miner.mine_all ~domains:3 ~max_length:4 ~steal:true ~shards idx
-          ~min_sup:2
+      let all_pool, _ =
+        Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards idx ~min_sup:2
       in
       let closed_seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let closed_steal, _ =
-        Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~steal:true ~shards
-          idx ~min_sup:2
+      let closed_pool, _ =
+        Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
+          ~min_sup:2
       in
-      signatures all_seq = signatures all_steal
-      && signatures closed_seq = signatures closed_steal)
+      signatures all_seq = signatures all_pool
+      && signatures closed_seq = signatures closed_pool)
 
-let prop_steal_skewed =
-  Gens.make ~name:"steal ≡ sequential on adversarial skew" ~count:40
+let prop_pool_skewed =
+  Gens.make ~name:"pool ≡ sequential on adversarial skew" ~count:40
     (with_shards (Gens.skewed_db ~num_seqs:8 ~alphabet:4 ~len:12))
     (fun (db, shards) ->
       Printf.sprintf "shards: %d\n%s" shards (Gens.print_db db))
     (fun (db, shards) ->
       let idx = Inverted_index.build db in
       let seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:3 in
-      let steal, _ =
-        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~steal:true ~shards
-          idx ~min_sup:3
+      let pool, _ =
+        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards idx
+          ~min_sup:3
       in
-      signatures seq = signatures steal)
+      signatures seq = signatures pool)
 
-let prop_steal_gap =
-  Gens.make ~name:"steal ≡ sequential (gap-constrained)" ~count:60
+let prop_pool_gap =
+  Gens.make ~name:"pool ≡ sequential (gap-constrained)" ~count:60
     (with_shards (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9))
     (fun (db, shards) ->
       Printf.sprintf "shards: %d\n%s" shards (Gens.print_db db))
     (fun (db, shards) ->
       let idx = Inverted_index.build db in
       let seq, _ = Gap_constrained.mine ~max_length:4 idx ~max_gap:2 ~min_sup:2 in
-      let steal, _, quarantined =
-        Parallel_miner.mine_steal ~domains:3 ~max_length:4 ~shards
+      let pool, stats =
+        Parallel_miner.mine ~domains:3 ~max_length:4 ~shards
           ~strategy:(Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
           idx ~min_sup:2
       in
-      quarantined = 0 && signatures seq = signatures steal)
+      stats.Engine.outcome = Budget.Completed
+      && signatures seq = signatures pool)
 
-(* --- queries under stealing --- *)
+(* --- queries on the pool: Miner.mine_resumable with domains --- *)
 
-let prop_steal_topk =
-  (* baseline is the canonical answer: sort the FULL sequential output by
-     support (desc) and take k — exactly Query.shared's finalize contract,
-     independent of heap arrival order. *)
-  Gens.make ~name:"steal Top_k ≡ sort-take-k of sequential" ~count:60
+(* The oracle is the same root-partitioned call without [domains]: the
+   pool may only change which domain mines a root, never the answer —
+   ties at the k-th support included. *)
+let resumable_matches_sequential ?max_gap ~query db =
+  let cfg ?domains () =
+    Miner.config ~query ~max_length:4 ?max_gap ?domains ~shards:2 ~min_sup:2 ()
+  in
+  let seq = Miner.mine_resumable (cfg ()) db in
+  let pool = Miner.mine_resumable (cfg ~domains:3 ()) db in
+  pool.Miner.quarantined = 0
+  && signatures seq.Miner.results = signatures pool.Miner.results
+
+let prop_pool_topk =
+  Gens.make ~name:"pool Top_k ≡ sequential Top_k (mine_resumable)" ~count:60
     QCheck2.Gen.(
       pair (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9) (int_range 1 6))
     (fun (db, k) -> Printf.sprintf "k: %d\n%s" k (Gens.print_db db))
-    (fun (db, k) ->
-      let idx = Inverted_index.build db in
-      let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let expected =
-        List.filteri
-          (fun i _ -> i < k)
-          (List.sort Mined.compare_by_support_desc full)
-      in
-      let cfg =
-        Miner.config ~query:(Query.Top_k k) ~max_length:4 ~domains:3 ~steal:true
-          ~shards:2 ~min_sup:2 ()
-      in
-      let report = Miner.mine_indexed cfg idx in
-      signatures report.Miner.results = signatures expected)
+    (fun (db, k) -> resumable_matches_sequential ~query:(Query.Top_k k) db)
 
-let prop_steal_targeted =
-  Gens.make ~name:"steal Targeted ≡ sequential Targeted" ~count:60
+let prop_pool_targeted =
+  Gens.make ~name:"pool Targeted ≡ sequential Targeted (mine_resumable)"
+    ~count:60
     QCheck2.Gen.(
       pair (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9)
         (Gens.pattern ~alphabet:4 ~max_len:2))
     Gens.print_db_pattern
-    (fun (db, p) ->
-      let idx = Inverted_index.build db in
-      let q = Query.Targeted p in
-      let seq_cfg = Miner.config ~query:q ~max_length:4 ~min_sup:2 () in
-      let steal_cfg =
-        Miner.config ~query:q ~max_length:4 ~domains:3 ~steal:true ~shards:2
-          ~min_sup:2 ()
-      in
-      let seq = Miner.mine_indexed seq_cfg idx in
-      let steal = Miner.mine_indexed steal_cfg idx in
-      signatures seq.Miner.results = signatures steal.Miner.results)
+    (fun (db, p) -> resumable_matches_sequential ~query:(Query.Targeted p) db)
+
+(* queries over gap-constrained mining, no checkpoint: the route that
+   --parallel --max-gap with --top-k or --target takes *)
+let prop_pool_gap_queries =
+  Gens.make ~name:"pool gap queries ≡ sequential (mine_resumable)" ~count:60
+    QCheck2.Gen.(
+      triple (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9)
+        (Gens.pattern ~alphabet:4 ~max_len:2)
+        (int_range 1 6))
+    (fun (db, p, k) ->
+      Printf.sprintf "k: %d\n%s" k (Gens.print_db_pattern (db, p)))
+    (fun (db, p, k) ->
+      resumable_matches_sequential ~max_gap:2 ~query:(Query.Top_k k) db
+      && resumable_matches_sequential ~max_gap:2 ~query:(Query.Targeted p) db)
 
 (* --- the Shard_merge proof obligation, run live --- *)
 
@@ -288,48 +386,97 @@ let test_shard_merge_verify () =
     (signatures expected)
     (signatures (List.rev !results))
 
-(* --- stealing actually happens on the skewed workload --- *)
+(* --- Support_set.combine: the shard-merge algebra ---
 
-let test_steal_successes_on_skew () =
-  let db = Lazy.force skew_db in
-  let idx = Inverted_index.build db in
-  let sequential, _ = Clogsgrow.mine ~max_length:5 idx ~min_sup:4 in
-  (* scheduling decides *whether* a given run steals, never *what* it
-     returns; retry a few times so the assertion is schedule-robust *)
-  let rec attempt n =
-    let before = Metrics.snapshot () in
-    let steal, _, q =
-      Parallel_miner.mine_steal ~domains:4 ~max_length:5
-        ~strategy:closed_strategy idx ~min_sup:4
-    in
-    let after = Metrics.snapshot () in
-    let d = Metrics.diff ~before ~after in
-    Alcotest.(check int) "no quarantines" 0 q;
-    Alcotest.check sig_t "skew steal output" (signatures sequential)
-      (signatures steal);
-    Alcotest.(check bool) "attempts counted" true
-      (Metrics.find d "steal_attempts" > 0);
-    if Metrics.find d "steal_successes" > 0 then ()
-    else if n > 1 then attempt (n - 1)
-    else Alcotest.fail "no successful steal in any run on the skewed workload"
+   Per-shard supports computed slice-by-slice from the root must
+   reassemble, under any association and operand order, into exactly the
+   set a full recomputation yields — the identity Shard_merge.grow's
+   correctness (and hence byte-identical sharded mining) rests on. *)
+
+let support_set_of idx p =
+  let s = ref (Support_set.of_event idx (Pattern.get p 1)) in
+  for j = 2 to Pattern.length p do
+    s := Support_set.grow idx !s (Pattern.get p j)
+  done;
+  !s
+
+(* brute force: re-grow the shard's slice from scratch, never consulting
+   the full set *)
+let shard_set_of idx ~lo ~hi p =
+  let s =
+    ref (Support_set.slice (Support_set.of_event idx (Pattern.get p 1)) ~lo ~hi)
   in
-  attempt 10
+  for j = 2 to Pattern.length p do
+    s := Support_set.grow idx !s (Pattern.get p j)
+  done;
+  !s
+
+let prop_combine_reassembles =
+  Gens.make ~name:"combine: shard-by-shard growth reassembles" ~count:150
+    QCheck2.Gen.(
+      pair (Gens.db ~num_seqs:8 ~alphabet:4 ~max_len:10)
+        (Gens.pattern ~alphabet:4 ~max_len:3))
+    Gens.print_db_pattern
+    (fun (db, p) ->
+      let idx = Inverted_index.build db in
+      let whole = support_set_of idx p in
+      List.for_all
+        (fun shards ->
+          let parts =
+            Array.to_list (Seqdb.shard db shards)
+            |> List.map (fun (lo, hi) -> shard_set_of idx ~lo ~hi p)
+          in
+          let fwd = List.fold_left Support_set.combine Support_set.empty parts in
+          let bwd =
+            List.fold_left Support_set.combine Support_set.empty
+              (List.rev parts)
+          in
+          let nested =
+            (* right-associated, vs fwd's left association *)
+            List.fold_right Support_set.combine parts Support_set.empty
+          in
+          Support_set.equal whole fwd
+          && Support_set.equal whole bwd
+          && Support_set.equal whole nested)
+        [ 1; 2; 3; 5; 8 ])
+
+let test_combine_rejects_overlap () =
+  let db = Seqdb.of_sequences [ Sequence.of_list [ 0; 0; 1 ] ] in
+  let idx = Inverted_index.build db in
+  let s = Support_set.of_event idx 0 in
+  Alcotest.(check bool) "fixture non-empty" true (Support_set.size s > 0);
+  Alcotest.check_raises "overlapping operands rejected"
+    (Invalid_argument "Support_set.combine: operands share a sequence")
+    (fun () -> ignore (Support_set.combine s s));
+  (* empty operands short-circuit on either side *)
+  Alcotest.(check bool) "empty left" true
+    (Support_set.equal s (Support_set.combine Support_set.empty s));
+  Alcotest.(check bool) "empty right" true
+    (Support_set.equal s (Support_set.combine s Support_set.empty))
 
 let suite =
   [
     Alcotest.test_case "Seqdb.shard partition" `Quick test_shard_partition;
-    Alcotest.test_case "all: shards × {lpt, steal}" `Quick test_steal_all_matches;
-    Alcotest.test_case "closed: shards × {lpt, steal}" `Quick
-      test_steal_closed_matches;
-    Alcotest.test_case "steal run-to-run determinism" `Quick
-      test_steal_deterministic;
-    Alcotest.test_case "mapped store backend" `Quick test_steal_mapped_store;
-    prop_steal_all_closed;
-    prop_steal_skewed;
-    prop_steal_gap;
-    prop_steal_topk;
-    prop_steal_targeted;
+    Alcotest.test_case "all: shards × pool" `Quick test_pool_all_matches;
+    Alcotest.test_case "closed: shards × pool" `Quick test_pool_closed_matches;
+    Alcotest.test_case "pool run-to-run determinism" `Quick
+      test_pool_deterministic;
+    Alcotest.test_case "pool stats = sequential stats" `Quick
+      test_pool_stats_match;
+    Alcotest.test_case "gap: shards × pool" `Quick test_pool_gap_matches;
+    Alcotest.test_case "Miner: domains + max_gap routing" `Quick
+      test_miner_gap_routing;
+    Alcotest.test_case "pool with shard dispatch" `Quick
+      test_pool_shard_dispatch;
+    Alcotest.test_case "mapped store backend" `Quick test_pool_mapped_store;
+    prop_pool_all_closed;
+    prop_pool_skewed;
+    prop_pool_gap;
+    prop_pool_topk;
+    prop_pool_targeted;
+    prop_pool_gap_queries;
     Alcotest.test_case "Shard_merge verify run" `Quick test_shard_merge_verify;
-    Alcotest.test_case "steals happen on skew" `Quick
-      test_steal_successes_on_skew;
+    prop_combine_reassembles;
+    Alcotest.test_case "combine: overlap + identities" `Quick
+      test_combine_rejects_overlap;
   ]
