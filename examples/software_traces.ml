@@ -16,7 +16,7 @@ let () =
   Format.printf "JBoss-style traces:@.%a@.@." Seqdb.pp_stats (Seqdb.stats db);
 
   (* The paper uses min_sup = 18 on 28 traces. We additionally bound the
-     output so the example stays fast; the bench harness runs it fully. *)
+     output so the example stays fast; `experiments casestudy` runs it fully. *)
   let config =
     Miner.config ~mode:Miner.Closed ~min_sup:18 ~max_patterns:1000 ()
   in

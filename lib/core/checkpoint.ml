@@ -527,8 +527,8 @@ module Writer = struct
           close_out_noerr oc)
 end
 
-(* Whole-file convenience for callers without an incremental loop (tests,
-   benches): one writer, every record, close. *)
+(* Whole-file convenience for callers without an incremental loop (tests
+   and the fixture generator): one writer, every record, close. *)
 let write ?(outcome = Budget.Completed) ~path ~fingerprint ~completed
     ~quarantined () =
   let initial =

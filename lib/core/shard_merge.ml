@@ -21,7 +21,7 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
    column. So growing a slice equals slicing the grown whole, and the
    per-shard results partition the full result's groups — [combine] just
    reassembles them in ascending-sequence order. The differential check
-   in [strategy ~verify:true] and the [@steal] suite pin this down. *)
+   in [strategy ~verify:true] and the [@shards] suite pin this down. *)
 let grow t ?(trace = Trace.null) base idx s e =
   let n = Array.length t.ranges in
   if n <= 1 && t.dispatch = None then base idx s e

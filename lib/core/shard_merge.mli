@@ -13,7 +13,7 @@
     right-shift order — reassembles them into a set {e content-equal}
     to the unsharded grow. That identity is this module's proof
     obligation: [strategy ~verify:true] checks it differentially on
-    every grow, and the [@steal] suite pins it across databases,
+    every grow, and the [@shards] suite pins it across databases,
     backends and shard counts.
 
     Wrapping only the strategy's [grow] leaves the DFS untouched, so

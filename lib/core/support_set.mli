@@ -111,7 +111,7 @@ val combine : t -> t -> t
     of the per-sequence groups, and instances keep their right-shift
     order inside each group, so combining a partition's shards in any
     tree yields exactly the unsharded set ({!Shard_merge}'s proof
-    obligation, checked differentially by the [@steal] suite).
+    obligation, checked differentially by the [@shards] suite).
     @raise Invalid_argument when the operands share a sequence id. *)
 
 val encode : t -> string

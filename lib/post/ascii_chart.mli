@@ -1,4 +1,4 @@
-(** Minimal ASCII charts for the bench harness.
+(** Minimal ASCII charts for the experiments harness.
 
     The paper's figures are log-scale plots; the harness prints tables plus
     these bar renderings so trends (cut-offs, orders of magnitude) are

@@ -1,4 +1,4 @@
-(** Plain-text result tables for benches, the CLI and examples. *)
+(** Plain-text result tables for the experiments, the CLI and examples. *)
 
 type t
 (** A table under construction. *)

@@ -304,8 +304,7 @@ let reseat c ~seq =
    switching to galloping. Short hops dominate INSgrow passes (the next
    qualifying occurrence is usually a step or two away), so a handful of
    straight-line probes beats starting a doubling search every time. The
-   threshold is shared with the paged B+-tree cursor and overridable via
-   RGS_GALLOP_PROBE (see Tuning). *)
+   threshold is shared with the paged B+-tree cursor (see Tuning). *)
 let linear_probe_limit () = Tuning.gallop_probe_limit ()
 
 (* Hot cursor entry on the CSR backend: -1 when no position

@@ -1,13 +1,6 @@
 let default_gallop_probe = 4
 
-let parse_gallop_probe = function
-  | None -> default_gallop_probe
-  | Some v -> (
-    match int_of_string_opt (String.trim v) with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> default_gallop_probe)
-
-let gallop_probe = ref (parse_gallop_probe (Sys.getenv_opt "RGS_GALLOP_PROBE"))
+let gallop_probe = ref default_gallop_probe
 
 let gallop_probe_limit () = !gallop_probe
 

@@ -4,27 +4,19 @@
     paged B+-tree cursor in {!Btree}) both probe a few positions linearly
     past the frontier before switching to a doubling search. The
     threshold used to be a per-backend hard-coded constant; it now lives
-    here, once, and can be overridden with the [RGS_GALLOP_PROBE]
-    environment variable (read at startup; a non-negative integer —
-    anything else falls back to the default). [0] disables the linear
-    fast path entirely (every non-frontier hop gallops); large values
-    degrade long hops toward linear scans. *)
+    here, once. [0] disables the linear fast path entirely (every
+    non-frontier hop gallops); large values degrade long hops toward
+    linear scans. *)
 
 val default_gallop_probe : int
 (** The built-in threshold ([4]): linear probes per seek before
     galloping. *)
 
-val parse_gallop_probe : string option -> int
-(** Parse an [RGS_GALLOP_PROBE] value; falls back to
-    {!default_gallop_probe} on [None], negative numbers or non-integers.
-    Exposed pure so the env-var contract is unit-testable. *)
-
 val gallop_probe_limit : unit -> int
-(** The active threshold, consulted by every cursor seek. Initialised
-    from [RGS_GALLOP_PROBE] at module load. *)
+(** The active threshold, consulted by every cursor seek. Starts at
+    {!default_gallop_probe}. *)
 
 val set_gallop_probe : int -> unit
-(** Override the active threshold (tests and experiments sweep it; the
-    differential perf-guard property pins that answers do not depend on
-    it).
+(** Override the active threshold (tests sweep it; the differential
+    perf-guard property pins that answers do not depend on it).
     @raise Invalid_argument when negative. *)

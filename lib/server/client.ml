@@ -1,30 +1,27 @@
 type t = {
   fd : Unix.file_descr;
-  version : int;  (* negotiated in the hello; encodes our requests *)
   queued : Protocol.response Queue.t;
       (* frames read while waiting for a specific reply *)
   mutable closed : bool;
 }
 
-let connect ?(version = Protocol.version) ?(timeout_s = 30.0) path =
-  if not (Protocol.version_supported version) then
-    invalid_arg (Printf.sprintf "Client.connect: unsupported version %d" version);
+let connect ?(timeout_s = 30.0) path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
     Unix.connect fd (Unix.ADDR_UNIX path);
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s;
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout_s;
-    Protocol.send_hello ~version fd;
-    if not (Protocol.read_hello ~version fd) then
+    Protocol.send_hello fd;
+    if not (Protocol.read_hello fd) then
       raise (Protocol.Protocol_error "daemon refused the hello")
   with
-  | () -> { fd; version; queued = Queue.create (); closed = false }
+  | () -> { fd; queued = Queue.create (); closed = false }
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
 let send t req =
-  Protocol.write_frame t.fd (Protocol.request_to_string ~version:t.version req)
+  Protocol.write_frame t.fd (Protocol.request_to_string req)
 
 let read_response t =
   match Protocol.read_frame t.fd with

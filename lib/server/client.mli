@@ -8,15 +8,9 @@
 
 type t
 
-val connect : ?version:int -> ?timeout_s:float -> string -> t
+val connect : ?timeout_s:float -> string -> t
 (** [connect path] opens the daemon's Unix-domain socket at [path] and
-    performs the hello exchange. [version] (default
-    {!Protocol.version}) pins the protocol version the connection speaks
-    — pass [1] to act as a pre-query client (its requests travel in the
-    v1 payload layout, and a [Submit] whose spec carries a query raises
-    {!Protocol.Protocol_error} at encode time).
-    @raise Invalid_argument on a version outside
-    [[Protocol.min_version, Protocol.version]]
+    performs the hello exchange at {!Protocol.version}.
     @raise Unix.Unix_error when nothing listens at [path]
     @raise Protocol.Protocol_error when the daemon refuses the hello. *)
 

@@ -71,7 +71,6 @@ type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;
   mutable hello_done : bool;
-  mutable version : int;  (* negotiated in the hello; decodes this conn *)
   mutable alive : bool;
 }
 
@@ -205,7 +204,6 @@ let accept_conn t =
         fd;
         inbuf = Buffer.create 256;
         hello_done = false;
-        version = Protocol.version;
         alive = true;
       }
     in
@@ -271,21 +269,14 @@ let parse_conn t conn =
      if (not conn.hello_done) && len - !pos >= String.length Protocol.hello
      then begin
        let n = String.length Protocol.hello in
-       let m = String.length Protocol.magic in
-       let v = Char.code data.[!pos + m] in
-       if
-         String.sub data !pos m <> Protocol.magic
-         || not (Protocol.version_supported v)
-       then begin
+       if String.sub data !pos n <> Protocol.hello then begin
          ok := false;
          raise Exit
        end;
        pos := !pos + n;
        conn.hello_done <- true;
-       conn.version <- v;
-       (* echo the client's hello verbatim, settling the connection on its
-          version; a failed write sheds the client below *)
-       try Protocol.send_hello ~version:v conn.fd
+       (* echo the hello; a failed write sheds the client below *)
+       try Protocol.send_hello conn.fd
        with Unix.Unix_error _ | Sys_error _ ->
          ok := false;
          raise Exit
@@ -309,7 +300,7 @@ let parse_conn t conn =
                ok := false;
                raise Exit
              end;
-             match Protocol.request_of_string ~version:conn.version payload with
+             match Protocol.request_of_string payload with
              | req -> handle_request t conn req
              | exception Protocol.Protocol_error _ ->
                ok := false;

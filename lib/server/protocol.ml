@@ -2,7 +2,6 @@ open Rgs_core
 
 let magic = "RGSD"
 let version = 2
-let min_version = 1
 let max_frame_bytes = 64 * 1024 * 1024
 
 exception Protocol_error of string
@@ -32,57 +31,6 @@ type job_spec = {
 }
 
 type request = Submit of job_spec | Stats | Ping
-
-(* Marshal is structural: a v1 [job_spec] payload is a 9-field block, and
-   reading it through the 11-field v2 record would walk off the end. The
-   v1 layouts are kept verbatim so old payloads decode through their own
-   shape and are upgraded explicitly. *)
-module V1 = struct
-  type job_spec = {
-    job_id : string;
-    db : db_source;
-    min_sup : int;
-    mode : mode;
-    max_length : int option;
-    max_gap : int option;
-    deadline_s : float option;
-    max_nodes : int option;
-    max_words : int option;
-  }
-
-  type request = Submit of job_spec | Stats | Ping
-end
-
-(* a v1 client cannot express a query: it gets the default mine-all *)
-let upgrade_v1 (s : V1.job_spec) : job_spec =
-  {
-    job_id = s.V1.job_id;
-    db = s.V1.db;
-    min_sup = s.V1.min_sup;
-    mode = s.V1.mode;
-    max_length = s.V1.max_length;
-    max_gap = s.V1.max_gap;
-    deadline_s = s.V1.deadline_s;
-    max_nodes = s.V1.max_nodes;
-    max_words = s.V1.max_words;
-    query = Q_all;
-    compress_delta = None;
-  }
-
-let downgrade_v1 (s : job_spec) : V1.job_spec =
-  if s.query <> Q_all || s.compress_delta <> None then
-    raise (Protocol_error "query options require protocol version 2");
-  {
-    V1.job_id = s.job_id;
-    db = s.db;
-    min_sup = s.min_sup;
-    mode = s.mode;
-    max_length = s.max_length;
-    max_gap = s.max_gap;
-    deadline_s = s.deadline_s;
-    max_nodes = s.max_nodes;
-    max_words = s.max_words;
-  }
 
 type job_summary = {
   job_id : string;
@@ -181,46 +129,24 @@ let read_frame fd =
       raise (Protocol_error "frame CRC mismatch");
     Some payload
 
-let hello_of_version v = magic ^ String.make 1 (Char.chr v)
-let hello = hello_of_version version
-let version_supported v = v >= min_version && v <= version
+let hello = magic ^ String.make 1 (Char.chr version)
 
-let send_hello ?(version = version) fd =
-  let h = hello_of_version version in
-  write_all fd (Bytes.of_string h) 0 (String.length h)
+let send_hello fd = write_all fd (Bytes.of_string hello) 0 (String.length hello)
 
-let read_hello ?(version = version) fd =
-  let h = hello_of_version version in
-  match read_exact fd (String.length h) with
-  | Some b -> Bytes.to_string b = h
+let read_hello fd =
+  match read_exact fd (String.length hello) with
+  | Some b -> Bytes.to_string b = hello
   | None -> false
   | exception Protocol_error _ -> false
 
 (* --- payload codecs --- *)
 
-let request_to_string ?(version = version) (r : request) =
-  if version = 1 then
-    let r1 : V1.request =
-      match r with
-      | Submit spec -> V1.Submit (downgrade_v1 spec)
-      | Stats -> V1.Stats
-      | Ping -> V1.Ping
-    in
-    Marshal.to_string r1 []
-  else Marshal.to_string r []
-
+let request_to_string (r : request) = Marshal.to_string r []
 let response_to_string (r : response) = Marshal.to_string r []
 
-let request_of_string ?(version = version) s : request =
-  if version = 1 then
-    match (Marshal.from_string s 0 : V1.request) with
-    | V1.Submit spec -> Submit (upgrade_v1 spec)
-    | V1.Stats -> Stats
-    | V1.Ping -> Ping
-    | exception _ -> raise (Protocol_error "undecodable request payload")
-  else
-    try Marshal.from_string s 0
-    with _ -> raise (Protocol_error "undecodable request payload")
+let request_of_string s : request =
+  try Marshal.from_string s 0
+  with _ -> raise (Protocol_error "undecodable request payload")
 
 let response_of_string s : response =
   try Marshal.from_string s 0

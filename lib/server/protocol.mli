@@ -2,10 +2,9 @@
 
     A connection starts with a 5-byte hello — the magic ["RGSD"] plus one
     version byte — sent by the client and echoed verbatim by the server.
-    The daemon speaks every version in [[min_version, version]]; the echo
-    tells the client which version the connection settled on (always the
-    one it asked for), and a client asking for an unsupported version gets
-    its connection closed, which it observes as EOF during the handshake.
+    The daemon speaks exactly {!version}; a client asking for any other
+    version gets its connection closed, which it observes as EOF during
+    the handshake.
     After the hello, both directions carry {e frames}:
 
     {v
@@ -31,15 +30,7 @@ val magic : string
 (** ["RGSD"]. *)
 
 val version : int
-(** Current protocol version, the default for hellos and codecs. *)
-
-val min_version : int
-(** Oldest version the daemon still accepts (1: the pre-query protocol).
-    Version-1 connections decode through the preserved v1 payload layouts
-    and their jobs run with the default mine-all query. *)
-
-val version_supported : int -> bool
-(** [min_version <= v <= version]. *)
+(** The protocol version ([2]), the only one the daemon accepts. *)
 
 val max_frame_bytes : int
 (** Upper bound on a frame payload (64 MiB); both sides reject larger
@@ -60,9 +51,9 @@ type db_source =
 
 type mode = All | Closed  (** as {!Miner.mode} *)
 
-(** Answer mode of a job, pruned inside the DFS (v2; {!Rgs_core.Query}). *)
+(** Answer mode of a job, pruned inside the DFS ({!Rgs_core.Query}). *)
 type query_spec =
-  | Q_all  (** every pattern — the only mode a v1 client can express *)
+  | Q_all  (** every pattern *)
   | Q_target of int list
       (** only patterns containing this subsequence (event ids) *)
   | Q_top_k of int  (** the k best patterns by support *)
@@ -81,13 +72,13 @@ type job_spec = {
   max_nodes : int option;  (** per-job DFS-node budget, clamped server-side *)
   max_words : int option;  (** per-job heap ceiling, clamped server-side *)
   query : query_spec;
-      (** answer mode (v2). The job's durable checkpoint is
+      (** answer mode. The job's durable checkpoint is
           query-specific: resubmitting an id with a different query is a
           typed rejection, not a silent restart *)
   compress_delta : float option;
       (** δ ∈ [0,1]: post-mining δ-cover compression
           ({!Rgs_post.Compress}) — only representative patterns are
-          streamed back (v2) *)
+          streamed back *)
 }
 
 type request =
@@ -142,39 +133,21 @@ val read_frame : Unix.file_descr -> string option
     @raise Protocol_error on a torn frame, bad CRC or oversized length. *)
 
 val hello : string
-(** The 5 hello bytes for the current [version]. *)
+(** The 5 hello bytes for {!version}. *)
 
-val hello_of_version : int -> string
-(** The 5 hello bytes for an arbitrary version — the daemon's connection
-    parser matches the magic, then range-checks the version byte with
-    {!version_supported} and echoes the client's hello back. *)
+val send_hello : Unix.file_descr -> unit
+(** Write {!hello}. *)
 
-val send_hello : ?version:int -> Unix.file_descr -> unit
-(** Write the hello (default: the current version). *)
+val read_hello : Unix.file_descr -> bool
+(** Read the 5-byte hello and compare it with {!hello}; [false] on
+    mismatch or EOF. *)
 
-val read_hello : ?version:int -> Unix.file_descr -> bool
-(** Read and verify the 5-byte hello against [version] (default current);
-    [false] on mismatch or EOF. *)
-
-val request_to_string : ?version:int -> request -> string
-(** Marshal codec. With [~version:1] the request is re-encoded through
-    the preserved v1 layout.
-    @raise Protocol_error when a v1 encoding is asked for a request that
-    v1 cannot express (a non-[Q_all] query or [compress_delta]). *)
-
-val request_of_string : ?version:int -> string -> request
-(** Marshal codec; [version] selects the payload layout the bytes were
-    written with (a v1 payload decoded with the v2 layout — or vice
-    versa — would be garbage, which is why the daemon tracks each
-    connection's negotiated version). A v1 [Submit] upgrades to
-    [query = Q_all], [compress_delta = None].
-    @raise Protocol_error on undecodable payloads. *)
-
+val request_to_string : request -> string
+val request_of_string : string -> request
 val response_to_string : response -> string
 val response_of_string : string -> response
-(** Marshal codecs; responses have one layout shared by both protocol
-    versions (v2 only extended requests). The [of_string] direction
-    raises {!Protocol_error} on undecodable payloads. *)
+(** Marshal codecs. The [of_string] direction raises {!Protocol_error}
+    on undecodable payloads. *)
 
 val valid_job_id : string -> bool
 (** [[A-Za-z0-9._-]{1,64}] — ids double as checkpoint file names. *)

@@ -221,54 +221,40 @@ let test_typed_rejections () =
           (* the daemon survived the poisonous job *)
           Alcotest.(check bool) "still serving" true (Client.ping c)))
 
-(* --- protocol v2: version negotiation, v1 compatibility, queries --- *)
-
-(* A v1 client must keep working against a v2 daemon: its payloads travel
-   in the old record layout, decode through the preserved V1 shapes, and
-   its jobs run with the default mine-all query. *)
-let test_v1_client_compat () =
-  with_daemon (fun h ->
-      let c = Client.connect ~version:1 h.sock in
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          Alcotest.(check bool) "v1 ping" true (Client.ping c);
-          submit_ok c (spec "v1-compat");
-          let got, summary = Client.collect_job c ~job_id:"v1-compat" in
-          Alcotest.(check string) "completed" "completed" summary.Protocol.outcome;
-          check_results "v1 submit = batch mine-all-query" got;
-          (* a query cannot be smuggled through a v1 connection: the
-             encoder refuses before any bytes hit the wire *)
-          (match
-             Client.submit c (spec ~query:(Protocol.Q_top_k 3) "v1-query")
-           with
-          | exception Protocol.Protocol_error _ -> ()
-          | _ -> Alcotest.fail "v1 encode of a queried spec must fail");
-          (* ... and the failed encode did not poison the connection *)
-          Alcotest.(check bool) "still serving v1" true (Client.ping c)))
+(* --- protocol v2: version negotiation, queries --- *)
 
 (* an unsupported hello version is refused at the handshake — the client
-   observes EOF, not a decoder crash *)
+   observes EOF, not a decoder crash. Version 1 (the pre-query protocol)
+   is one of them: the daemon speaks only [Protocol.version]. *)
 let test_unsupported_version_refused () =
   with_daemon (fun h ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX h.sock);
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-          let bad = Protocol.hello_of_version (Protocol.version + 7) in
-          ignore (Unix.write_substring fd bad 0 (String.length bad));
-          (* the daemon sheds us: EOF (possibly after an error frame) *)
-          let rec drained () =
-            match Protocol.read_frame fd with
-            | None -> true
-            | Some _ -> drained ()
-            | exception Protocol.Protocol_error _ -> true
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-              -> true
-          in
-          Alcotest.(check bool) "connection closed" true (drained ())))
+      List.iter
+        (fun v ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.connect fd (Unix.ADDR_UNIX h.sock);
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+              let bad = Protocol.magic ^ String.make 1 (Char.chr v) in
+              ignore (Unix.write_substring fd bad 0 (String.length bad));
+              (* the daemon sheds us: EOF (possibly after an error frame) *)
+              let rec drained () =
+                match Protocol.read_frame fd with
+                | None -> true
+                | Some _ -> drained ()
+                | exception Protocol.Protocol_error _ -> true
+                | exception
+                    Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+                  true
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "version %d: connection closed" v)
+                true (drained ())))
+        [ 1; Protocol.version + 7 ];
+      (* the refusals did not disturb the daemon *)
+      with_client h (fun c ->
+          Alcotest.(check bool) "still serving" true (Client.ping c)))
 
 (* malformed queries are typed rejections on a live connection *)
 let test_malformed_query_rejected () =
@@ -981,7 +967,6 @@ let suite =
     Alcotest.test_case "ping and stats frames" `Quick test_ping_stats;
     Alcotest.test_case "typed rejections, daemon survives" `Quick
       test_typed_rejections;
-    Alcotest.test_case "v1 client compatibility" `Quick test_v1_client_compat;
     Alcotest.test_case "unsupported hello version refused" `Quick
       test_unsupported_version_refused;
     Alcotest.test_case "malformed query rejected, typed" `Quick

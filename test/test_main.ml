@@ -16,7 +16,7 @@ let () =
       ("query", Test_query.suite);
       ("extensions", Test_extensions.suite);
       ("parallel", Test_parallel.suite);
-      ("steal", Test_steal.suite);
+      ("shards", Test_shards.suite);
       ("trace", Test_trace.suite);
       ("properties", Test_properties.suite);
       ("robustness", Test_robustness.suite);

@@ -9,11 +9,16 @@
    seek-past-end). A memory regression locks in that mined answers hold
    no support sets: on a fixed seeded append-heavy workload the words a
    finished run retains must stay within 1.25x of a recorded baseline.
-   The closure-funnel
-   bench section is pinned by checking that the quest_small sweep's lowest
+   The closure
+   funnel is pinned by checking that the quest_small sweep's lowest
    threshold actually exercises the pre-filter's survive path, and the
    closure pre-filter's exact funnel on the jboss traces is pinned so a
-   rewrite of its inner loops cannot change a single verdict. *)
+   rewrite of its inner loops cannot change a single verdict. The query
+   layer's pruning is gated on the checked-in datasets (top-k and targeted
+   answers equal mine-all; top-100 on jboss expands < 25% of its nodes),
+   and the binary store on the paper-scale QUEST corpus (mmap open >= 100x
+   faster than the text parse, identical mapped output, gallops fire),
+   where the sharded root pool must also match sequential mining. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -139,7 +144,7 @@ let test_gallop_adversarial () =
 
 (* The gallop/advance split must be observable: on a workload with long
    hops the cursors must count gallops, and flushing must land in the
-   registry (the bench's seek_gallop section reads these counters). *)
+   registry (perfbench's inverted_index counters read them). *)
 let test_gallop_metrics_flush () =
   (* one dense event to force long hops over the other's spent positions *)
   let db =
@@ -171,20 +176,6 @@ let test_gallop_metrics_flush () =
     (backends db)
 
 (* --- the shared gallop-probe knob (Tuning) --- *)
-
-(* the RGS_GALLOP_PROBE parse contract, pinned value by value *)
-let test_gallop_probe_parse () =
-  let check name input expect =
-    Alcotest.(check int) name expect (Tuning.parse_gallop_probe input)
-  in
-  check "unset -> default" None Tuning.default_gallop_probe;
-  check "plain integer" (Some "7") 7;
-  check "zero disables the linear fast path" (Some "0") 0;
-  check "surrounding whitespace tolerated" (Some "  12 ") 12;
-  check "negative -> default" (Some "-3") Tuning.default_gallop_probe;
-  check "non-numeric -> default" (Some "fast") Tuning.default_gallop_probe;
-  check "empty -> default" (Some "") Tuning.default_gallop_probe;
-  Alcotest.(check int) "builtin default is 4" 4 Tuning.default_gallop_probe
 
 (* The knob is a performance dial, never a correctness dial: the same
    seek stream must return identical answers (vs the linear-scan oracle)
@@ -317,7 +308,7 @@ let test_grow_shares_firsts () =
         <= Array.length (Support_set.group_firsts i2 0)))
     (backends db)
 
-(* --- closure funnel pin: the bench sweep exercises the survive path --- *)
+(* --- closure funnel pin: the quest_small sweep exercises the survive path --- *)
 
 (* resolved against the test binary so the pin also runs under a bare
    dune exec (cwd = project root), not just dune runtest *)
@@ -341,7 +332,7 @@ let test_closure_funnel_pin () =
     let base = Metrics.value Metrics.closure_base_grows in
     Alcotest.(check bool) "pre-filter ran" true (checks > 0);
     (* the sweep's lowest threshold must reach the grow path — otherwise
-       the funnel bench only ever measures the reject branch *)
+       the funnel only ever measures the reject branch *)
     Alcotest.(check bool)
       (Printf.sprintf "closure_base_grows > 0 (got %d)" base)
       true (base > 0);
@@ -373,12 +364,143 @@ let test_jboss_funnel_exact () =
     pin "patterns" 57 (List.length results)
   end
 
+(* --- query pruning gates: answers equal mine-all, top-k prunes --- *)
+
+let signatures results =
+  List.map (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support)) results
+
+let sig_t = Alcotest.(list (pair (list int) int))
+
+(* A top-k or targeted answer is computed by visiting fewer DFS nodes, not
+   by post-filtering a full enumeration. On both checked-in datasets, in
+   mine-all mode (their closed sets are smaller than k = 100, which would
+   make top-k pruning a no-op): the top-100 supports are exactly the 100
+   best of mine-all, the targeted answer (best length-2 pattern as the
+   target) is exactly mine-all's containment filter, and on jboss_traces
+   top-100 expands under 25% of mine-all's nodes (0.2% when this gate was
+   written: 416 of 198,886). *)
+let test_query_gates () =
+  List.iter
+    (fun (file, min_sup, max_length, node_budget) ->
+      let db, _codec = Seq_io.load_tokens (data_path file) in
+      let idx = Inverted_index.build db in
+      let run query =
+        Metrics.reset ();
+        let report =
+          Miner.mine_indexed
+            (Miner.config ~mode:Miner.All ~query ~max_length ~min_sup ())
+            idx
+        in
+        (report.Miner.results, Metrics.value Metrics.dfs_nodes)
+      in
+      let all, nodes_all = run Query.All in
+      let by_sup = List.sort Mined.compare_by_support_desc all in
+      let k = 100 in
+      let topk, nodes_topk = run (Query.Top_k k) in
+      let supports l = List.sort compare (List.map (fun m -> m.Mined.support) l) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: top-%d supports = first %d of mine-all" file k k)
+        (supports (List.filteri (fun i _ -> i < k) by_sup))
+        (supports topk);
+      Option.iter
+        (fun budget ->
+          let pct = 100. *. float_of_int nodes_topk /. float_of_int nodes_all in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: top-%d expands %d of %d nodes (%.1f%% < %.0f%%)"
+               file k nodes_topk nodes_all pct budget)
+            true (pct < budget))
+        node_budget;
+      let target =
+        match List.find_opt (fun m -> Pattern.length m.Mined.pattern = 2) by_sup with
+        | Some m -> m.Mined.pattern
+        | None -> (List.hd by_sup).Mined.pattern
+      in
+      let targeted, _ = run (Query.Targeted target) in
+      Alcotest.check sig_t
+        (Printf.sprintf "%s: targeted %s = post-filter of mine-all" file
+           (Pattern.to_string target))
+        (signatures
+           (List.filter
+              (fun m -> Pattern.is_subpattern target ~of_:m.Mined.pattern)
+              all))
+        (signatures targeted))
+    [ ("quest_small.txt", 4, 5, None); ("jboss_traces.txt", 18, 4, Some 25.0) ]
+
+(* --- paper-scale gates on the quest_paper corpus --- *)
+
+(* Best-of-3 wall time of [f], after one untimed warm-up run. *)
+let best_of_3 f =
+  ignore (f ());
+  let wall = ref infinity in
+  for _ = 1 to 3 do
+    let _, elapsed = Rgs_experiments.Exp_common.time f in
+    if elapsed < !wall then wall := elapsed
+  done;
+  !wall
+
+(* The corpus of data/quest_paper.config (~500k events, never checked in
+   as text) is generated, saved as SPMF text and packed into a .rgsdb.
+   Three gates on the store: the mmap open must beat the SPMF parse by
+   >= 100x (239x when written: 0.001 s vs 0.158 s); GSgrow on the mapped
+   database must give exactly the text path's output; the long postings
+   must drive the cursor into its doubling search (cursor_gallops > 0,
+   1.95M when written). And the root pool under {1,2,4,8} shards on 4
+   domains must reproduce the sequential answer on this corpus too (the
+   small-corpus cases of that check are the @shards tier). Mining is
+   GSgrow at min_sup 2000, length 2: on this dense corpus CloGSgrow's
+   closure pass would multiply the work without changing what these
+   gates pin. *)
+let test_quest_paper_store_and_pool () =
+  let p = Rgs_datagen.Quest_gen.load_config (data_path "quest_paper.config") in
+  let db = Rgs_datagen.Quest_gen.generate p in
+  let txt = Filename.temp_file "rgs_quest_paper" ".spmf" in
+  let rgsdb = Filename.temp_file "rgs_quest_paper" ".rgsdb" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ txt; rgsdb ])
+    (fun () ->
+      Seq_io.save_spmf db txt;
+      Rgs_store.Store.write ~path:rgsdb db;
+      let parse_s = best_of_3 (fun () -> Seq_io.load_spmf txt) in
+      let open_s = best_of_3 (fun () -> Rgs_store.Store.open_db rgsdb) in
+      let speedup = parse_s /. open_s in
+      Alcotest.(check bool)
+        (Printf.sprintf "mmap open %.4fs vs parse %.3fs: %.0fx >= 100x" open_s
+           parse_s speedup)
+        true (speedup >= 100.);
+      let min_sup = 2000 and max_length = 2 in
+      let mine db =
+        let idx = Inverted_index.build db in
+        Metrics.reset ();
+        let results, _ = Gsgrow.mine ~max_length idx ~min_sup in
+        (idx, signatures results, Metrics.value Metrics.cursor_gallops)
+      in
+      let text_idx, text_out, _ = mine (Seq_io.load_spmf txt) in
+      let _, store_out, gallops =
+        mine (Rgs_store.Store.db (Rgs_store.Store.open_store rgsdb))
+      in
+      Alcotest.(check bool) "text path mined something" true (text_out <> []);
+      Alcotest.check sig_t "mapped GSgrow output = text GSgrow output" text_out
+        store_out;
+      Alcotest.(check bool)
+        (Printf.sprintf "cursor_gallops > 0 (got %d)" gallops)
+        true (gallops > 0);
+      List.iter
+        (fun shards ->
+          let pool, _ =
+            Parallel_miner.mine_all ~domains:4 ~max_length ~shards text_idx
+              ~min_sup
+          in
+          Alcotest.check sig_t
+            (Printf.sprintf "quest_paper all s%d pool = sequential" shards)
+            text_out (signatures pool))
+        [ 1; 2; 4; 8 ])
+
 let suite =
   [
     prop_gallop_equals_linear_scan;
     Alcotest.test_case "gallop adversarial shapes" `Quick test_gallop_adversarial;
     Alcotest.test_case "gallop metrics flush" `Quick test_gallop_metrics_flush;
-    Alcotest.test_case "gallop probe env parse" `Quick test_gallop_probe_parse;
     prop_answers_independent_of_gallop_probe;
     Alcotest.test_case "miner output independent of gallop probe" `Quick
       test_miner_output_independent_of_gallop_probe;
@@ -389,4 +511,8 @@ let suite =
       test_closure_funnel_pin;
     Alcotest.test_case "closure funnel exact (jboss, min_sup 18)" `Quick
       test_jboss_funnel_exact;
+    Alcotest.test_case "query: top-k/targeted = mine-all, top-k prunes" `Quick
+      test_query_gates;
+    Alcotest.test_case "quest_paper: store open, mapped output, shards x pool"
+      `Slow test_quest_paper_store_and_pool;
   ]

@@ -1,4 +1,4 @@
-(* The @steal tier: differential proof that shard-parallel mining on the
+(* The @shards tier: differential proof that shard-parallel mining on the
    root pool is invisible in the output.
 
    Contract under test: for every database, index backend, shard count in
@@ -10,7 +10,10 @@
    degenerates to a single busy domain. The pool's summed stats equal one
    sequential run's, repeated runs agree, and a supervisor-style shard
    dispatch composes with it. The [Support_set.combine] algebra the shard
-   merge rests on is checked here too. *)
+   merge rests on is checked here too, and so is the JBoss-like case-study
+   corpus under 4 domains (the paper-scale QUEST case of the same check
+   lives in test_perf_guard.ml, beside the store gate that generates its
+   corpus). *)
 
 open Rgs_sequence
 open Rgs_core
@@ -121,10 +124,29 @@ let test_pool_closed_matches () =
         shard_counts)
     (Lazy.force dbs)
 
+(* The paper's case-study workload (JBoss-like traces, CloGSgrow at
+   min_sup 18, length capped at 4) on 4 pool domains: every shard count
+   reproduces the sequential answer. *)
+let test_pool_jboss_like () =
+  let db, _ = Rgs_experiments.Exp_common.jboss_like () in
+  let idx = Inverted_index.build db in
+  let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:18 in
+  Alcotest.(check bool) "jboss_like mined something" true (sequential <> []);
+  List.iter
+    (fun shards ->
+      let pool, _ =
+        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards idx
+          ~min_sup:18
+      in
+      Alcotest.check sig_t
+        (Printf.sprintf "jboss_like closed s%d pool" shards)
+        (signatures sequential) (signatures pool))
+    shard_counts
+
 (* the store-backed (mapped) read path shards identically on the pool *)
 let test_pool_mapped_store () =
   let _, db, min_sup = List.nth (Lazy.force dbs) 1 in
-  let path = Filename.temp_file "rgs_steal" ".rgsdb" in
+  let path = Filename.temp_file "rgs_shards" ".rgsdb" in
   Store.write ~path db;
   let mdb, _ = Store.open_db path in
   Sys.remove path;
@@ -468,6 +490,7 @@ let suite =
       test_miner_gap_routing;
     Alcotest.test_case "pool with shard dispatch" `Quick
       test_pool_shard_dispatch;
+    Alcotest.test_case "jboss_like: shards × pool" `Quick test_pool_jboss_like;
     Alcotest.test_case "mapped store backend" `Quick test_pool_mapped_store;
     prop_pool_all_closed;
     prop_pool_skewed;

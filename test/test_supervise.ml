@@ -164,15 +164,19 @@ let mine_supervised ?(mode = Miner.Closed) ?max_gap ?max_length ?domains
 let test_supervised_equals_sequential () =
   let db = quest ~seed:17 in
   let baseline = Miner.mine ~min_sup:3 db in
-  with_supervisor (supervised_config ~shards:2 ()) db (fun sup ->
-      let report = mine_supervised ~shards:2 sup db ~min_sup:3 in
-      Alcotest.check sig_t "supervised = sequential"
-        (signatures baseline.Miner.results)
-        (signatures report.Miner.results);
-      let s = Supervisor.stats sup in
-      Alcotest.(check bool) "not degraded" false s.Supervisor.degraded;
-      Alcotest.(check int) "no restarts" 0 s.Supervisor.restarts;
-      Alcotest.(check int) "one spawn per shard" 2 s.Supervisor.spawns)
+  List.iter
+    (fun shards ->
+      with_supervisor (supervised_config ~shards ()) db (fun sup ->
+          let report = mine_supervised ~shards sup db ~min_sup:3 in
+          Alcotest.check sig_t
+            (Printf.sprintf "supervised = sequential (%d shards)" shards)
+            (signatures baseline.Miner.results)
+            (signatures report.Miner.results);
+          let s = Supervisor.stats sup in
+          Alcotest.(check bool) "not degraded" false s.Supervisor.degraded;
+          Alcotest.(check int) "no restarts" 0 s.Supervisor.restarts;
+          Alcotest.(check int) "one spawn per shard" shards s.Supervisor.spawns))
+    [ 2; 4 ]
 
 let test_supervised_gap_constrained () =
   let db = quest ~seed:23 in

@@ -14,7 +14,7 @@ fi
 cd "$(dirname "$0")/.." || exit 1
 
 dirty=0
-for f in $(find lib bin bench test examples \( -name '*.ml' -o -name '*.mli' \) 2>/dev/null | sort); do
+for f in $(find lib bin test examples \( -name '*.ml' -o -name '*.mli' \) 2>/dev/null | sort); do
   if ! ocamlformat --check "$f" >/dev/null 2>&1; then
     echo "check_fmt: needs formatting: $f"
     dirty=1
