@@ -176,13 +176,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     let finish_ticker () = Option.iter Rgs_server.Stats_dump.stop ticker in
     let report =
       match
-        (* queried parallel runs also go through the root-partitioned
-           driver: its per-root plans compose with domain pools, which
-           [Miner.mine] rejects *)
-        if
-          checkpoint <> None || resume
-          || (query <> Query.All && domains <> None)
-        then
+        if checkpoint <> None || resume then
           Miner.mine_resumable ?checkpoint ~resume ~retry_quarantined ~trace
             config db
         else Miner.mine ~config ~trace db
@@ -334,8 +328,7 @@ let parallel =
                size-1 patterns are mined in parallel, in every mode \
                (closed, $(b,--all), $(b,--max-gap), $(b,--target), \
                $(b,--top-k)). Output is identical to the sequential run, \
-               except that $(b,--top-k) may break equal-support ties at the \
-               K-th place differently. Not compatible with \
+               $(b,--top-k) ties included. Not compatible with \
                $(b,--max-patterns).")
 
 (* a shard/worker count, or "auto" (parsed as 0) for the machine's

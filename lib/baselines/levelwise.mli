@@ -25,6 +25,6 @@ val mine :
   Inverted_index.t ->
   min_sup:int ->
   (Pattern.t * int) list * stats
-(** Identical output set to [Gsgrow.mine] (different order: by level, then
-    lexicographic within a level).
+(** Identical output set to GSgrow's ([Engine.run Gsgrow.strategy];
+    different order: by level, then lexicographic within a level).
     @raise Invalid_argument when [min_sup < 1]. *)

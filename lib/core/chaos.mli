@@ -8,8 +8,8 @@
 
     {e mined output restricted to non-quarantined roots equals the
     fault-free run} ({!check_invariant}), and no injected fault ever
-    escapes [mine_all]/[mine_closed]/[mine_resumable] as an uncaught
-    exception.
+    escapes a root-pool run ({!Miner.mine_indexed} with [domains], or
+    {!Miner.mine_resumable}) as an uncaught exception.
 
     Transient faults must be fully absorbed (retry recovers the root, the
     output is byte-identical); persistent faults may cost quarantined

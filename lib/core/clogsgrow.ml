@@ -1,7 +1,5 @@
 open Rgs_sequence
 
-exception Budget_exhausted = Engine.Budget_exhausted
-
 (* CloGSgrow is the engine with plain instance growth plus the closure
    spec: CCheck/LBCheck before expansion, equal-support appends as free
    non-closedness proof. The size-1 support sets reused as prepend bases
@@ -41,36 +39,3 @@ let strategy ~use_lb_check ~use_c_check =
     grow = Support_set.grow;
     closure = Some make_closure;
   }
-
-let run ?max_length ?events ?roots ?(use_lb_check = true) ?(use_c_check = true)
-    ?should_stop ?budget ?trace ?shards idx ~min_sup ~emit =
-  let strategy =
-    let base = strategy ~use_lb_check ~use_c_check in
-    match shards with
-    | None -> base
-    | Some sm -> Shard_merge.strategy ?trace sm base
-  in
-  Engine.run ?max_length ?events ?roots ?should_stop ?budget ?trace strategy
-    idx ~min_sup ~emit
-
-let mine ?max_length ?max_patterns ?events ?roots ?use_lb_check ?use_c_check
-    ?should_stop ?budget ?trace ?shards idx ~min_sup =
-  let results = ref [] in
-  let count = ref 0 in
-  let emit r =
-    results := r :: !results;
-    incr count;
-    match max_patterns with
-    | Some budget when !count >= budget -> raise Budget_exhausted
-    | _ -> ()
-  in
-  let stats =
-    run ?max_length ?events ?roots ?use_lb_check ?use_c_check ?should_stop ?budget
-      ?trace ?shards idx ~min_sup ~emit
-  in
-  (List.rev !results, stats)
-
-let iter ?max_length ?events ?roots ?use_lb_check ?use_c_check ?should_stop ?budget
-    ?trace ?shards idx ~min_sup ~f =
-  run ?max_length ?events ?roots ?use_lb_check ?use_c_check ?should_stop ?budget
-    ?trace ?shards idx ~min_sup ~emit:f

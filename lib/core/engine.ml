@@ -46,7 +46,6 @@ type ctx = {
   events : Event.t list;
   plan : Query.plan;
   closure : closure_spec option;
-  should_stop : unit -> bool;
   budget : Budget.t option;
   trace : Trace.t;
   emitted : int ref;
@@ -83,9 +82,8 @@ let admit c ~depth' size =
     `Skip
   end
 
-(* node entry: stop/budget checks, node count, [Node] instant *)
+(* node entry: budget check, node count, [Node] instant *)
 let enter c f =
-  if c.should_stop () then raise Budget_exhausted;
   (match c.budget with Some b -> Budget.check b | None -> ());
   incr c.dfs_nodes;
   let sup = Support_set.size f.f_support in
@@ -205,8 +203,8 @@ let finish c ~outcome =
     outcome;
   }
 
-let run ?max_length ?events ?roots ?(should_stop = fun () -> false) ?budget
-    ?(trace = Trace.null) ?plan strategy idx ~min_sup ~emit =
+let run ?max_length ?events ?roots ?budget ?(trace = Trace.null) ?plan strategy
+    idx ~min_sup ~emit =
   if min_sup < 1 then invalid_arg (strategy.name ^ ": min_sup must be >= 1");
   let events =
     match events with
@@ -223,7 +221,6 @@ let run ?max_length ?events ?roots ?(should_stop = fun () -> false) ?budget
       events;
       plan;
       closure = Option.map (fun mk -> mk idx ~events ~trace) strategy.closure;
-      should_stop;
       budget;
       trace;
       emitted = ref 0;
@@ -281,3 +278,11 @@ let run ?max_length ?events ?roots ?(should_stop = fun () -> false) ?budget
     | exception Budget.Stop reason -> stopped reason
   in
   finish c ~outcome
+
+let mine ?max_length ?events ?roots ?budget ?trace ?plan strategy idx ~min_sup =
+  let results = ref [] in
+  let stats =
+    run ?max_length ?events ?roots ?budget ?trace ?plan strategy idx ~min_sup
+      ~emit:(fun r -> results := r :: !results)
+  in
+  (List.rev !results, stats)

@@ -1,9 +1,9 @@
-(** The unified pattern-growth DFS behind {!Gsgrow}, {!Clogsgrow} and
-    {!Gap_constrained} — one grow loop, parameterized by a {!strategy}.
+(** The unified pattern-growth DFS behind GSgrow, CloGSgrow and the
+    gap-constrained miner — one grow loop, parameterized by a {!strategy}.
 
     All three miners share the same skeleton: depth-first growth of a
     pattern [P] with its leftmost support set, Apriori pruning on support
-    (Theorem 1), per-node budget/stop checks, [Node]/[Extension]/[Root]
+    (Theorem 1), per-node budget checks, [Node]/[Extension]/[Root]
     tracing, and batched metric flushes. They differ only in
 
     - {b how a support set grows} (plain [INSgrow], or the gap-bounded
@@ -11,10 +11,10 @@
     - {b whether closure machinery runs} (CloGSgrow's CCheck/LBCheck
       before expansion; absent for the all-patterns miners).
 
-    A {!strategy} captures exactly those two choices; the miner modules
-    are thin instantiations and their outputs are byte-identical to the
-    pre-engine implementations (pinned by the [@query] differential
-    suite).
+    A {!strategy} captures exactly those two choices: {!Gsgrow.strategy},
+    {!Clogsgrow.strategy} and {!Gap_constrained.strategy} are the three
+    instantiations, and {!Shard_merge.strategy} wraps any of them to grow
+    shard-by-shard.
 
     Orthogonally, a {!Query.plan} prunes the {e answer} inside the same
     DFS: per-child cuts before the instance growth, a dynamic support
@@ -22,8 +22,10 @@
     plan ({!Query.trivial}) is a no-op; the soundness of the non-trivial
     plans is argued in [Query] and DESIGN.md.
 
-    {!run} is the only entry point. Parallel runs ({!Parallel_miner}) call it
-    once per size-1 root ([~roots:[e]]), so a DFS subtree is always
+    {!run} is the only DFS entry point ({!mine} collects its emissions
+    into a list). {!Miner} drives it in two shapes: one sequential run
+    over every root, or one run per size-1 root ([~roots:[e]]) on the
+    {!Parallel_miner.run_pool} root pool, so a DFS subtree is always
     walked whole by one domain. *)
 
 open Rgs_sequence
@@ -72,14 +74,12 @@ type stats = {
 
 exception Budget_exhausted
 (** Raise from [emit] to abort the search with [outcome = Truncated]
-    (how the miners implement [max_patterns]); also raised internally
-    when [should_stop] fires. *)
+    (how {!Miner} implements [max_patterns]). *)
 
 val run :
   ?max_length:int ->
   ?events:Event.t list ->
   ?roots:Event.t list ->
-  ?should_stop:(unit -> bool) ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->
   ?plan:Query.plan ->
@@ -88,10 +88,44 @@ val run :
   min_sup:int ->
   emit:(Mined.t -> unit) ->
   stats
-(** [run strategy idx ~min_sup ~emit] walks the pattern tree rooted at
-    [roots] (default: all frequent events), growing with [events]
-    (default likewise), and hands each answer pattern to [emit] in DFS
-    order. [plan] defaults to {!Query.trivial} — identical behaviour to
-    the pre-engine miners. All other optionals behave exactly as
-    documented on {!Gsgrow.mine} / {!Clogsgrow.mine}.
+(** [run strategy idx ~min_sup ~emit] hands every answer pattern — each
+    pattern with repetitive support at least [min_sup], or only the closed
+    ones under a closure strategy — to [emit] in DFS (prefix) order, with
+    its support. The answers carry no support sets ({!Mined});
+    {!Sup_comp.support_set} recomputes one.
+
+    - [max_length] bounds pattern length.
+    - [events] restricts the candidate growth events (default: every
+      event with occurrence count at least [min_sup]).
+    - [roots] restricts and orders the {e starting} size-1 patterns
+      (default: [events]); they are still grown with the full [events]
+      set. This is how {!Miner} runs one root per pool claim, and how a
+      top-k run visits roots largest first.
+    - [budget] is {!Budget.check}ed at every DFS node; on a stop the
+      search ends, the reason lands in [stats.outcome] and the patterns
+      emitted before it stand. Raising {!Budget_exhausted} from [emit]
+      stops the search the same way with [Truncated].
+    - [trace] (default {!Trace.null}, i.e. off) records per-root [Root]
+      spans plus, at the [Nodes] level, per-node [Node]/[Extension]
+      instants, closure verdicts, [Lb_prune] and [Query_cut] events and
+      budget stops.
+    - [plan] (default {!Query.trivial}) prunes the answer inside the DFS;
+      the trivial plan changes nothing.
+
+    To grow shard-by-shard, pass [Shard_merge.strategy layout strategy]:
+    the output is identical by construction.
     @raise Invalid_argument when [min_sup < 1]. *)
+
+val mine :
+  ?max_length:int ->
+  ?events:Event.t list ->
+  ?roots:Event.t list ->
+  ?budget:Budget.t ->
+  ?trace:Trace.t ->
+  ?plan:Query.plan ->
+  strategy ->
+  Inverted_index.t ->
+  min_sup:int ->
+  Mined.t list * stats
+(** {!run} with the emitted patterns collected into a list, in DFS
+    order. *)

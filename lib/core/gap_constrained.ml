@@ -66,36 +66,12 @@ let support_set ?min_gap idx ~max_gap p =
 let support ?min_gap idx ~max_gap p =
   Support_set.size (support_set ?min_gap idx ~max_gap p)
 
-exception Budget_exhausted = Engine.Budget_exhausted
-
 (* The gap-constrained miner is the engine with the skip-on-failure
    gap-bounded growth above and no closure machinery. *)
 let strategy ~min_gap ~max_gap =
   validate_gaps ~min_gap ~max_gap;
   {
-    Engine.name = "Gap_constrained.mine";
+    Engine.name = "Gap_constrained";
     grow = (fun idx i e -> grow ~min_gap idx ~max_gap i e);
     closure = None;
   }
-
-let mine ?max_length ?max_patterns ?(min_gap = 0) ?budget ?trace ?shards idx
-    ~max_gap ~min_sup =
-  if min_sup < 1 then invalid_arg "Gap_constrained.mine: min_sup must be >= 1";
-  validate_gaps ~min_gap ~max_gap;
-  let strategy =
-    let base = strategy ~min_gap ~max_gap in
-    match shards with
-    | None -> base
-    | Some sm -> Shard_merge.strategy ?trace sm base
-  in
-  let results = ref [] in
-  let count = ref 0 in
-  let emit r =
-    results := r :: !results;
-    incr count;
-    match max_patterns with
-    | Some budget when !count >= budget -> raise Budget_exhausted
-    | _ -> ()
-  in
-  let stats = Engine.run ?max_length ?budget ?trace strategy idx ~min_sup ~emit in
-  (List.rev !results, stats)

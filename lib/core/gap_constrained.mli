@@ -18,7 +18,7 @@
     - reported supports never exceed the true gap-constrained support
       (property-tested against the exact oracle, which also shows equality
       on the vast majority of random inputs);
-    - every pattern reported by {!mine} is genuinely frequent (sound), but
+    - every pattern the {!strategy} emits is genuinely frequent (sound), but
       patterns whose greedy value dips below the threshold may be missed
       (potentially incomplete). *)
 
@@ -46,29 +46,12 @@ val support_set :
 
 val strategy : min_gap:int -> max_gap:int -> Engine.strategy
 (** The gap-constrained miner as an {!Engine} strategy: {!grow} as the
-    growth operation, no closure machinery. {!mine} wraps
-    [Engine.run (strategy ~min_gap ~max_gap)]; the query layer reuses the
-    same strategy, and so does every parallel run ({!Parallel_miner.mine}).
-    @raise Invalid_argument on invalid gaps, when the strategy is built —
-    before any pool worker could mistake it for a crashing root. *)
-
-val mine :
-  ?max_length:int ->
-  ?max_patterns:int ->
-  ?min_gap:int ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?shards:Shard_merge.t ->
-  Inverted_index.t ->
-  max_gap:int ->
-  min_sup:int ->
-  Mined.t list * Engine.stats
-(** DFS growth over greedy gap-bounded support sets. Sound: every reported
-    pattern has true gap-constrained support at least [min_sup]. [budget]
-    is {!Budget.check}ed at every DFS node; on a stop the patterns mined so
-    far are returned with the reason in [stats.outcome]. [shards] runs
-    every growth shard-by-shard and merges ({!Shard_merge.strategy}) —
-    identical output by construction ({!grow} is per-sequence
-    independent, like INSgrow).
-    @raise Invalid_argument when [min_sup < 1], [max_gap < 0],
-    [min_gap < 0] or [min_gap > max_gap]. *)
+    growth operation, no closure machinery. Run it with [Engine.run
+    (strategy ~min_gap ~max_gap)], or through {!Miner} with [max_gap]
+    (sequential, queried and root-pool runs alike). Sound: every pattern
+    it emits has true gap-constrained support at least [min_sup].
+    Sharding ({!Shard_merge.strategy}) leaves the output identical, since
+    {!grow} is per-sequence independent, like INSgrow.
+    @raise Invalid_argument when [max_gap < 0], [min_gap < 0] or
+    [min_gap > max_gap], when the strategy is built — before any pool
+    worker could mistake it for a crashing root. *)

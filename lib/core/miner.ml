@@ -25,6 +25,9 @@ let validate_config cfg =
   | Query.Top_k _, Some _ ->
     invalid_arg "Miner: max_patterns cannot be combined with a top-k query"
   | _ -> ());
+  (match cfg.domains with
+  | Some d when d < 1 -> invalid_arg "Miner: domains must be >= 1"
+  | _ -> ());
   (match cfg.shards with
   | Some s when s < 1 -> invalid_arg "Miner: shards must be >= 1"
   | _ -> ());
@@ -110,8 +113,7 @@ let budget_of cfg =
   | deadline_s, max_nodes, max_words ->
     Some (Budget.create ?deadline_s ?max_nodes ?max_words ())
 
-(* The strategy a config's sequential DFS runs under — shared by the
-   query path here and the per-root path of [mine_resumable]. *)
+(* The strategy a config's DFS runs under, in both run shapes. *)
 let strategy_of cfg =
   match (cfg.max_gap, cfg.mode) with
   | Some max_gap, _ -> Gap_constrained.strategy ~min_gap:0 ~max_gap
@@ -127,21 +129,15 @@ let layout_of cfg idx =
         ~shards:n)
     cfg.shards
 
-(* Under a top-k query the floor rises fastest when big subtrees are
-   explored first, so roots are visited in descending single-event
-   support; everything else keeps the index's canonical event order (the
-   output order contract). Ties keep that canonical order too. *)
-let query_root_order cfg idx events =
-  match cfg.query with
-  | Query.Top_k _ ->
-    Some
-      (List.stable_sort
-         (fun a b ->
-           Int.compare
-             (Inverted_index.occurrence_count idx b)
-             (Inverted_index.occurrence_count idx a))
-         events)
-  | Query.All | Query.Targeted _ -> None
+(* The one root order, descending single-event support
+   ([Parallel_miner.largest_first_order]). A top-k run visits its roots in
+   it — the floor rises fastest when big subtrees come first — and it
+   breaks top-k ties (see [Query]); everything else keeps the index's
+   canonical event order (the output order contract). *)
+let ranked idx events =
+  let roots = Array.of_list events in
+  Array.to_list
+    (Array.map (fun k -> roots.(k)) (Parallel_miner.largest_first_order idx roots))
 
 (* One sequential engine run under the query's plan, with the query's
    collector as the sink (under [Query.All] it keeps every pattern). *)
@@ -166,50 +162,16 @@ let mine_query ?trace cfg idx ~budget =
   in
   let s =
     Engine.run ?max_length:cfg.max_length ~events
-      ?roots:(query_root_order cfg idx events) ?budget ?trace
-      ~plan:collector.Query.plan strategy idx ~min_sup:cfg.min_sup ~emit
+      ?roots:
+        (match cfg.query with
+        | Query.Top_k _ -> Some (ranked idx events)
+        | Query.All | Query.Targeted _ -> None)
+      ?budget ?trace ~plan:collector.Query.plan strategy idx
+      ~min_sup:cfg.min_sup ~emit
   in
   (collector.Query.results (), s.Engine.outcome)
 
-let mine_indexed ?trace cfg idx =
-  validate_config cfg;
-  if cfg.domains <> None && cfg.max_patterns <> None then
-    invalid_arg "Miner: domains cannot be combined with max_patterns";
-  if cfg.domains <> None && cfg.query <> Query.All then
-    invalid_arg
-      "Miner: domains cannot be combined with a query here (use \
-       mine_resumable)";
-  Log.info (fun m -> m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
-  let budget = budget_of cfg in
-  let start = Unix.gettimeofday () in
-  let results, outcome =
-    match cfg.domains with
-    | Some domains ->
-      let results, stats =
-        Parallel_miner.mine ~strategy:(strategy_of cfg) ~domains
-          ?max_length:cfg.max_length ?budget ?trace ?shards:cfg.shards
-          ?shard_dispatch:cfg.shard_dispatch idx ~min_sup:cfg.min_sup
-      in
-      (results, stats.Engine.outcome)
-    | None -> mine_query ?trace cfg idx ~budget
-  in
-  let elapsed_s = Unix.gettimeofday () -. start in
-  Log.info (fun m ->
-      m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
-        elapsed_s);
-  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined = 0 }
-
-let mine ?config:cfg ?min_sup ?trace db =
-  let cfg =
-    match (cfg, min_sup) with
-    | Some c, _ -> c
-    | None, Some min_sup -> config ~min_sup ()
-    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
-  in
-  let idx = build_index cfg db in
-  mine_indexed ?trace cfg idx
-
-(* --- checkpoint/resume driver --- *)
+(* --- the root pool, and checkpoint/resume on it --- *)
 
 let checkpoint_fingerprint cfg db =
   Checkpoint.fingerprint
@@ -225,7 +187,11 @@ let checkpoint_fingerprint cfg db =
          under a {e different} query is refused (Checkpoint.Corrupt) *)
       match cfg.query with
       | Query.All -> []
-      | q -> [ "query=" ^ Query.to_string q ])
+      | Query.Targeted _ as q -> [ "query=" ^ Query.to_string q ]
+      (* per-root top-k answers follow the arrival tie rule; logs written
+         under the earlier rule hold other tied patterns, so they must not
+         resume into this run *)
+      | Query.Top_k _ as q -> [ "query=" ^ Query.to_string q; "ties=arrival" ])
     db
 
 (* Chaos/testing knob: slow every root down so an external harness has a
@@ -236,6 +202,141 @@ let chaos_root_delay_s =
     (match Sys.getenv_opt "RGS_CHAOS_ROOT_DELAY_MS" with
     | None -> 0.0
     | Some v -> ( try float_of_string v /. 1000.0 with Failure _ -> 0.0))
+
+(* The root-pool body behind every [domains] run and every
+   [mine_resumable] run: one [Engine.run] per remaining root on
+   [Parallel_miner.run_pool], one sequential retry for crashed roots, then
+   the merge. [completed] holds the answers of roots already done (loaded
+   from a checkpoint); [on_root_done] sees each root that completes here.
+   Returns the answer, the run outcome and the roots quarantined now. *)
+let run_roots ?(trace = Trace.null) ~budget ~completed ~on_root_done cfg idx
+    ~events ~remaining =
+  let roots = Array.of_list remaining in
+  let layout = layout_of cfg idx in
+  let base_strategy = strategy_of cfg in
+  let mine_root k =
+    (match Lazy.force chaos_root_delay_s with
+    | 0.0 -> ()
+    | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
+    (* Per-root query runs: a root's local answer over-approximates its
+       contribution to the global one (for top-k, any globally winning
+       pattern is in its root's local top-k), so per-root answers stay
+       root-independent and the global answer is recovered by the merge.
+       Under [Query.All] the collector keeps every pattern. *)
+    let collector =
+      Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
+        cfg.query
+    in
+    let wtr = Trace.for_domain trace in
+    let strategy =
+      match layout with
+      | None -> base_strategy
+      | Some sm -> Shard_merge.strategy ~trace:wtr sm base_strategy
+    in
+    let s =
+      Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
+        ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
+        ~min_sup:cfg.min_sup ~emit:collector.Query.offer
+    in
+    let results = collector.Query.results () in
+    if s.Engine.outcome = Budget.Completed then on_root_done roots.(k) results;
+    (results, s.Engine.outcome)
+  in
+  let slots, halt_reason =
+    Parallel_miner.run_pool ~trace
+      ~halt_on:(fun (_, outcome) -> Budget.is_stop outcome)
+      ~order:(Parallel_miner.largest_first_order idx roots)
+      ~domains:(Option.value cfg.domains ~default:1)
+      ~num_roots:(Array.length roots) ~mine_root ()
+  in
+  let slots = Parallel_miner.retry_failed ~trace ~mine_root slots in
+  (* Classify each freshly mined root: completed roots join [completed];
+     partially mined and crashed roots do not, but partial results still
+     reach the answer; quarantined roots are returned so a checkpoint can
+     record them. *)
+  let partials = Hashtbl.create 16 in
+  let quarantined_now = ref [] in
+  let outcome = ref (Option.value halt_reason ~default:Budget.Completed) in
+  Array.iteri
+    (fun k status ->
+      let root = roots.(k) in
+      match status with
+      | Parallel_miner.Done (results, Budget.Completed) ->
+        Hashtbl.replace completed root results
+      | Parallel_miner.Done (results, stop) ->
+        Hashtbl.replace partials root results;
+        outcome := Budget.combine !outcome stop
+      | Parallel_miner.Failed _ ->
+        (* only reachable if retry_failed was skipped for this slot *)
+        outcome := Budget.combine !outcome Budget.Worker_failed
+      | Parallel_miner.Quarantined { exn; backtrace } ->
+        quarantined_now :=
+          { Checkpoint.root; reason = Printexc.to_string exn; backtrace }
+          :: !quarantined_now;
+        outcome := Budget.combine !outcome Budget.Worker_failed
+      | Parallel_miner.Skipped -> ())
+    slots;
+  (* A [Skipped] slot was never claimed: the pool halted first. The halt
+     reason, or another root's stop outcome, normally accounts for it; a
+     halt with no recorded reason reads as a cancellation. *)
+  let outcome =
+    if
+      Array.exists (function Parallel_miner.Skipped -> true | _ -> false) slots
+      && not (Budget.is_stop !outcome)
+    then Budget.Cancelled
+    else !outcome
+  in
+  let answer root =
+    match Hashtbl.find_opt completed root with
+    | Some rs -> rs
+    | None -> Option.value (Hashtbl.find_opt partials root) ~default:[]
+  in
+  (* Merge in the full root order, so a resumed run completes to exactly
+     the uninterrupted run's answer: the canonical event order, or for
+     top-k the one root order the tie rule is defined over. *)
+  let results =
+    match cfg.query with
+    | Query.Top_k k -> Query.merge_top_k k (List.map answer (ranked idx events))
+    | Query.All | Query.Targeted _ -> List.concat_map answer events
+  in
+  (results, outcome, List.rev !quarantined_now)
+
+let mine_indexed ?trace cfg idx =
+  validate_config cfg;
+  if cfg.domains <> None && cfg.max_patterns <> None then
+    invalid_arg "Miner: domains cannot be combined with max_patterns";
+  Log.info (fun m -> m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
+  let budget = budget_of cfg in
+  let start = Unix.gettimeofday () in
+  let results, outcome, quarantined =
+    match cfg.domains with
+    | Some _ ->
+      let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
+      let results, outcome, quarantined_now =
+        run_roots ?trace ~budget ~completed:(Hashtbl.create 64)
+          ~on_root_done:(fun _ _ -> ())
+          cfg idx ~events ~remaining:events
+      in
+      (results, outcome, List.length quarantined_now)
+    | None ->
+      let results, outcome = mine_query ?trace cfg idx ~budget in
+      (results, outcome, 0)
+  in
+  let elapsed_s = Unix.gettimeofday () -. start in
+  Log.info (fun m ->
+      m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
+        elapsed_s);
+  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
+
+let mine ?config:cfg ?min_sup ?trace db =
+  let cfg =
+    match (cfg, min_sup) with
+    | Some c, _ -> c
+    | None, Some min_sup -> config ~min_sup ()
+    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
+  in
+  let idx = build_index cfg db in
+  mine_indexed ?trace cfg idx
 
 let mine_resumable ?budget ?checkpoint ?(resume = false)
     ?(retry_quarantined = false) ?(trace = Trace.null) cfg db =
@@ -306,14 +407,6 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
   let budget =
     match budget with Some b -> Some b | None -> budget_of cfg
   in
-  let roots = Array.of_list remaining in
-  let domains =
-    match cfg.domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Miner: domains must be >= 1";
-      d
-    | None -> 1
-  in
   let writer =
     Option.map
       (fun path ->
@@ -338,97 +431,15 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
       Trace.span trace Trace.Checkpoint_write ~a0:done_now
         ~a1:(total_roots - done_now) ~start:t0
   in
-  let layout = layout_of cfg idx in
-  let base_strategy = strategy_of cfg in
-  let mine_root k =
-    (match Lazy.force chaos_root_delay_s with
-    | 0.0 -> ()
-    | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    (* Per-root query runs: a root's local answer over-approximates its
-       contribution to the global one (for top-k, any globally winning
-       pattern is in its root's local top-k), so the checkpointed per-root
-       answers stay root-independent and the global answer is recovered at
-       assembly time. Under [Query.All] the collector keeps every pattern. *)
-    let collector =
-      Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
-        cfg.query
-    in
-    let wtr = Trace.for_domain trace in
-    let strategy =
-      match layout with
-      | None -> base_strategy
-      | Some sm -> Shard_merge.strategy ~trace:wtr sm base_strategy
-    in
-    let s =
-      Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
-        ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
-        ~min_sup:cfg.min_sup ~emit:collector.Query.offer
-    in
-    let results = collector.Query.results () in
-    if s.Engine.outcome = Budget.Completed then log_root_done roots.(k) results;
-    (results, s.Engine.outcome)
+  let results, outcome, quarantined_now =
+    run_roots ~trace ~budget ~completed:completed_results
+      ~on_root_done:log_root_done cfg idx ~events ~remaining
   in
-  let slots, halt_reason =
-    Parallel_miner.run_pool ~trace
-      ~halt_on:(fun (_, outcome) -> Budget.is_stop outcome)
-      ~order:(Parallel_miner.largest_first_order idx roots)
-      ~domains ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  let slots = Parallel_miner.retry_failed ~trace ~mine_root slots in
-  (* Classify each freshly mined root: fully completed roots advance the
-     checkpoint frontier; partially mined and crashed roots stay on it, but
-     partial results still reach the report; quarantined roots are recorded
-     so the next resume skips them. *)
-  let partials = Hashtbl.create 16 in
-  let quarantined_now = ref [] in
-  let outcome = ref (Option.value halt_reason ~default:Budget.Completed) in
-  if Hashtbl.length quarantined_skipped > 0 then
-    (* the output is missing the skipped roots' patterns *)
-    outcome := Budget.combine !outcome Budget.Worker_failed;
-  Array.iteri
-    (fun k status ->
-      let root = roots.(k) in
-      match status with
-      | Parallel_miner.Done (results, Budget.Completed) ->
-        Hashtbl.replace completed_results root results
-      | Parallel_miner.Done (results, stop) ->
-        Hashtbl.replace partials root results;
-        outcome := Budget.combine !outcome stop
-      | Parallel_miner.Failed _ ->
-        (* only reachable if retry_failed was skipped for this slot *)
-        outcome := Budget.combine !outcome Budget.Worker_failed
-      | Parallel_miner.Quarantined { exn; backtrace } ->
-        quarantined_now :=
-          { Checkpoint.root; reason = Printexc.to_string exn; backtrace }
-          :: !quarantined_now;
-        outcome := Budget.combine !outcome Budget.Worker_failed
-      | Parallel_miner.Skipped ->
-        (* the pool halted before this root; the halt reason (or another
-           root's stop outcome) already accounts for it *)
-        ())
-    slots;
-  let quarantined_now = List.rev !quarantined_now in
-  let outcome = !outcome in
-  (* Assemble the report in the full root order, so a resumed run completes
-     to exactly the uninterrupted run's output. *)
-  let results =
-    List.concat_map
-      (fun root ->
-        match Hashtbl.find_opt completed_results root with
-        | Some rs -> rs
-        | None -> (
-          match Hashtbl.find_opt partials root with Some rs -> rs | None -> []))
-      events
-  in
-  (* Per-root top-k answers merge into the global one here; ties at the k
-     boundary resolve by [compare_by_support_desc], deterministically. *)
-  let results =
-    match cfg.query with
-    | Query.Top_k k ->
-      List.filteri
-        (fun i _ -> i < k)
-        (List.sort Mined.compare_by_support_desc results)
-    | Query.All | Query.Targeted _ -> results
+  let outcome =
+    if Hashtbl.length quarantined_skipped > 0 then
+      (* the answer is missing the skipped roots' patterns *)
+      Budget.combine outcome Budget.Worker_failed
+    else outcome
   in
   (match writer with
   | None -> ()

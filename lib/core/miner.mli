@@ -1,11 +1,19 @@
-(** High-level mining facade.
+(** High-level mining facade: the one way to run a mine.
 
-    One-call API over {!Gsgrow} / {!Clogsgrow} / {!Gap_constrained} /
-    {!Parallel_miner}: build the inverted index (CSR arrays by default,
-    B-trees via [index_kind]), mine, and present results. This is the
-    entry point example programs and the CLI use; the per-algorithm
-    modules, which all report {!Engine.stats}, remain available for finer
-    control.
+    Builds the inverted index (CSR arrays by default, B-trees via
+    [index_kind]), picks the {!Engine} strategy ({!Gsgrow},
+    {!Clogsgrow} or {!Gap_constrained}), mines, and presents results.
+    Example programs, the CLI and the daemon use it; {!Engine.run} under a
+    strategy is the lower-level way in, reporting {!Engine.stats}.
+
+    A run takes one of two shapes:
+    - {b sequential}: one {!Engine.run} over every root, with one
+      {!Query} collector whose top-k floor is shared across roots and
+      which honours [max_patterns];
+    - {b the root pool}: one {!Engine.run} per size-1 root on
+      {!Parallel_miner.run_pool}, with a collector per root, one
+      sequential retry for crashed roots, and a merge in root order. Every
+      [domains] run and every {!mine_resumable} run takes it.
 
     Resilience: a config may carry runtime limits (wall-clock deadline,
     DFS-node budget, GC heap-words ceiling). The miners stop cooperatively
@@ -26,11 +34,11 @@ type config = {
   query : Query.t;
       (** answer mode, pruned inside the DFS ({!Query}): everything
           (default), only patterns containing a target subsequence, or the
-          k best by support. [Targeted] answers keep DFS order; [Top_k]
-          answers come support-descending, with equal-support ties at the
-          [k] boundary resolved deterministically but entry-point
-          specifically (first DFS arrival in {!mine_indexed}, smallest by
-          {!Mined.compare_by_support_desc} in {!mine_resumable}) *)
+          k best by support. [Targeted] answers keep DFS order. [Top_k]
+          answers are the first [k] patterns by support, ties broken by
+          DFS arrival with the roots visited in descending single-event
+          support, and come in that order; the rule is the same in every
+          run shape ({!Query}) *)
   max_length : int option;  (** bound on pattern length *)
   max_patterns : int option;  (** output budget; truncates the DFS *)
   max_gap : int option;
@@ -38,9 +46,9 @@ type config = {
           bound, mines all patterns — [mode] is ignored. Combines with
           [domains] and [query], but not with a checkpoint *)
   domains : int option;
-      (** mine in parallel with this many domains on the root pool
-          ({!Parallel_miner.mine}), in every mode including [max_gap];
-          incompatible with [max_patterns] *)
+      (** mine in parallel with this many domains on the root pool, in
+          every mode including [max_gap] and every query; incompatible
+          with [max_patterns] *)
   shards : int option;
       (** run every instance growth shard-by-shard over this many balanced
           database shards and merge ({!Shard_merge}) — output identical by
@@ -84,29 +92,33 @@ val config :
     unsharded, no bounds.
     @raise Invalid_argument when [min_sup < 1], a limit is negative, the
     query is invalid ({!Query.validate}), a top-k query is combined with
-    [max_patterns], [shards < 1], or [shard_dispatch] is given without
-    [shards]. *)
+    [max_patterns], [domains < 1], [shards < 1], or [shard_dispatch] is
+    given without [shards]. *)
 
 type report = {
-  results : Mined.t list;  (** in DFS order *)
+  results : Mined.t list;
+      (** in DFS order (canonical root order); support-descending for
+          [Top_k] *)
   truncated : bool;  (** [true] iff [outcome <> Completed] *)
   outcome : Budget.outcome;  (** why the run ended *)
   elapsed_s : float;
   quarantined : int;
       (** poison roots excluded from [results]: quarantined this run after
           crashing twice, or skipped on resume because a prior run
-          quarantined them. Always [0] outside {!mine_resumable}. *)
+          quarantined them. Always [0] for a sequential run. *)
 }
 
 val mine : ?config:config -> ?min_sup:int -> ?trace:Trace.t -> Seqdb.t -> report
 (** Mines [db]. Pass either a full [config] or just [min_sup] (with the
     defaults of {!config}). A live [trace] (default {!Trace.null}) records
     the run's DFS spans and instants — see {!Trace}.
+    Without [domains] the run is sequential; with [domains] it runs on
+    the root pool, the same body as {!mine_resumable} minus the
+    checkpoint. A pool run may quarantine a root that crashes twice
+    ([Worker_failed], [report.quarantined]).
     @raise Invalid_argument when neither [config] nor [min_sup] is given,
-    when [min_sup < 1], or when [domains] is combined with [max_patterns]
-    or a non-[All] query (queried parallel mining goes through
-    {!mine_resumable}, whose root partitioning composes with query
-    plans), or on an invalid [max_gap] ({!Gap_constrained.strategy}). *)
+    when [min_sup < 1], when [domains] is combined with [max_patterns],
+    or on an invalid [max_gap] ({!Gap_constrained.strategy}). *)
 
 val mine_indexed : ?trace:Trace.t -> config -> Inverted_index.t -> report
 (** As {!mine} on a prebuilt index (amortises index construction across
@@ -121,10 +133,12 @@ val mine_resumable :
   config ->
   Seqdb.t ->
   report
-(** Root-partitioned mining with durable checkpoint/resume. Roots
-    (frequent size-1 patterns) are mined independently — sequentially, or
-    with [config.domains] pool workers; a crashing root is retried once
-    (with backoff) and, if it crashes again, {e quarantined}: its patterns
+(** Root-pool mining with durable checkpoint/resume. Roots (frequent
+    size-1 patterns) are mined independently on the root pool — with one
+    worker, or with [config.domains] — and merged in root order, so the
+    answer equals {!mine_indexed}'s, top-k ties included. The CLI sends
+    only [--checkpoint]/[--resume] runs here. A crashing root is retried
+    once (with backoff) and, if it crashes again, {e quarantined}: its patterns
     are missing from [results] ([Worker_failed] outcome,
     [report.quarantined] counts it) and the checkpoint records it so a
     resumed run skips it instead of re-crashing. Pass
@@ -141,7 +155,9 @@ val mine_resumable :
     uninterrupted run's. A checkpoint written for a different database,
     [min_sup], [mode], [max_length] or [query] is rejected
     ({!Checkpoint.Corrupt}); checkpoints that predate queries resume
-    cleanly under [query = All], whose fingerprint is unchanged.
+    cleanly under [query = All], whose fingerprint is unchanged. A top-k
+    fingerprint also names the tie rule, so a top-k log written under the
+    earlier rule (which kept other tied patterns per root) is refused.
     Runtime limits may differ between the original and the resumed run.
     Checkpoint appends are recorded into [trace] as [Checkpoint_write]
     spans ([a0] = completed roots, [a1] = remaining); I/O failures degrade

@@ -114,72 +114,6 @@ let retry_failed ?(trace = Trace.null) ?(backoff_s = 0.01) ~mine_root slots =
     slots;
   slots
 
-let validate ?(domains = default_domains ()) ~min_sup () =
-  if min_sup < 1 then invalid_arg "Parallel_miner: min_sup must be >= 1";
-  if domains < 1 then invalid_arg "Parallel_miner: domains must be >= 1";
-  domains
-
-(* The run outcome of a finished pool: the most severe of the per-root
-   outcomes, [Worker_failed] dominating when a root crashed twice, and
-   [Skipped] slots inheriting the stop reason that halted the pool. *)
-let pool_outcome ?halt_reason slots =
-  let stop_reason =
-    Array.fold_left
-      (fun acc status ->
-        match status with
-        | Done (_, s) -> Budget.combine acc s.Engine.outcome
-        | Failed _ | Quarantined _ -> Budget.combine acc Budget.Worker_failed
-        | Skipped -> acc)
-      (Option.value halt_reason ~default:Budget.Completed)
-      slots
-  in
-  if
-    Array.exists (function Skipped -> true | _ -> false) slots
-    && not (Budget.is_stop stop_reason)
-  then (* halted without a recorded reason: treat as cancelled *)
-    Budget.Cancelled
-  else stop_reason
-
-(* Per-run counters summed over roots, under the run outcome. *)
-let sum_stats ~outcome stats =
-  List.fold_left
-    (fun acc (s : Engine.stats) ->
-      {
-        acc with
-        Engine.emitted = acc.Engine.emitted + s.Engine.emitted;
-        dfs_nodes = acc.Engine.dfs_nodes + s.Engine.dfs_nodes;
-        insgrow_calls = acc.Engine.insgrow_calls + s.Engine.insgrow_calls;
-        lb_pruned = acc.Engine.lb_pruned + s.Engine.lb_pruned;
-        non_closed_dropped =
-          acc.Engine.non_closed_dropped + s.Engine.non_closed_dropped;
-        query_cuts = acc.Engine.query_cuts + s.Engine.query_cuts;
-        floor_prunes = acc.Engine.floor_prunes + s.Engine.floor_prunes;
-      })
-    {
-      Engine.emitted = 0;
-      dfs_nodes = 0;
-      insgrow_calls = 0;
-      lb_pruned = 0;
-      non_closed_dropped = 0;
-      query_cuts = 0;
-      floor_prunes = 0;
-      truncated = Budget.is_stop outcome;
-      outcome;
-    }
-    stats
-
-(* Merge per-root statuses: concatenate surviving results in root order
-   (deterministic) and sum the stats under the run outcome. *)
-let collect ?halt_reason slots =
-  let outcome = pool_outcome ?halt_reason slots in
-  let done_roots =
-    List.filter_map
-      (function Done r -> Some r | Failed _ | Skipped | Quarantined _ -> None)
-      (Array.to_list slots)
-  in
-  ( List.concat_map fst done_roots,
-    sum_stats ~outcome (List.map snd done_roots) )
-
 (* Largest DFS subtrees first. A root's size-1 support (its event's total
    occurrence count) is a cheap proxy for its subtree's mining cost; with
    index-order claiming a heavy root claimed late leaves one domain mining
@@ -195,45 +129,3 @@ let largest_first_order idx roots =
       else compare a b)
     order;
   order
-
-let shard_layout ?dispatch idx shards =
-  Option.map
-    (fun n -> Shard_merge.make ?dispatch (Inverted_index.db idx) ~shards:n)
-    shards
-
-(* The one pool body behind [mine_all], [mine_closed] and every parallel
-   [Miner] run: the strategy picks the miner, everything else — claiming,
-   retry, merge — is shared. *)
-let mine ~strategy ?domains ?max_length ?budget ?(trace = Trace.null) ?shards
-    ?shard_dispatch idx ~min_sup =
-  let domains = validate ?domains ~min_sup () in
-  let sm = shard_layout ?dispatch:shard_dispatch idx shards in
-  let events = Inverted_index.frequent_events idx ~min_sup in
-  let roots = Array.of_list events in
-  let mine_root k =
-    let trace = Trace.for_domain trace in
-    let strategy =
-      match sm with
-      | None -> strategy
-      | Some sm -> Shard_merge.strategy ~trace sm strategy
-    in
-    let results = ref [] in
-    let stats =
-      Engine.run ?max_length ?budget ~trace ~events ~roots:[ roots.(k) ]
-        strategy idx ~min_sup ~emit:(fun m -> results := m :: !results)
-    in
-    (List.rev !results, stats)
-  in
-  let slots, halt_reason =
-    run_pool ~trace
-      ~halt_on:(fun (_, s) -> Budget.is_stop s.Engine.outcome)
-      ~order:(largest_first_order idx roots) ~domains
-      ~num_roots:(Array.length roots) ~mine_root ()
-  in
-  collect ?halt_reason (retry_failed ~trace ~mine_root slots)
-
-let mine_all = mine ~strategy:Gsgrow.strategy
-
-let mine_closed ?domains ?max_length ?(use_lb_check = true) =
-  mine ?domains ?max_length
-    ~strategy:(Clogsgrow.strategy ~use_lb_check ~use_c_check:true)

@@ -1,24 +1,24 @@
-(** Domain-parallel mining (OCaml 5 multicore) with crash isolation.
+(** The root pool: domain-parallel mining (OCaml 5 multicore) with crash
+    isolation.
 
     The DFS subtrees rooted at distinct size-1 patterns are independent:
     the inverted index is read-only after construction and support sets
     are subtree-local. Each domain repeatedly claims the next unclaimed
     root, largest first ({!largest_first_order}), from an atomic counter
-    and mines its subtree with the sequential algorithms' {!Engine}
-    strategy; per-root results are stored in a slot array, so the merged
-    output is {b deterministic} (identical to the sequential DFS order)
-    regardless of scheduling, and per-root {!Engine.stats} are summed.
+    and runs the caller's per-root miner on it; per-root results are
+    stored in a slot array keyed by root, so a merge in root order is
+    {b deterministic} regardless of scheduling.
 
     Resilience: an exception raised while mining one root is contained to
-    that root — every spawned domain is always joined, the root is retried
-    once sequentially, and if the retry fails too only that root's patterns
-    are missing from the output, with [stats.outcome = Worker_failed]. A
-    shared {!Budget.t} stops the whole pool cooperatively; roots finished
-    before the stop keep their results.
+    that root — every spawned domain is always joined, and {!retry_failed}
+    retries the root once sequentially; if the retry fails too the root is
+    quarantined and only its patterns are missing. A shared {!Budget.t}
+    stops the whole pool cooperatively; roots finished before the stop
+    keep their results.
 
-    This root pool is the only parallel executor: {!mine} runs every
-    strategy (all, closed, gap-constrained) on it, {!Miner.mine_resumable}
-    drives {!run_pool} directly for checkpointed and queried runs, and
+    This root pool is the only parallel executor. {!Miner} owns the one
+    pool body that drives it (per-root {!Engine.run}, retry, outcome and
+    merge) for [domains] runs, checkpointed runs and the daemon alike;
     supervised shard dispatch composes with it. DESIGN.md §10 records why
     the work-stealing executor that once sat beside it was removed.
 
@@ -93,68 +93,14 @@ val retry_failed :
     ({!Metrics.quarantined_roots}, [Quarantine] trace instant). Each retry
     bumps {!Metrics.root_retries} and records a [Root_retry] instant. *)
 
-val largest_first_order :
-  Inverted_index.t -> Rgs_sequence.Event.t array -> int array
-(** A claim order for [run_pool]'s [?order]: root indices sorted by their
-    event's occurrence count descending, {b ties broken by the lower root
-    index} — the comparator is a total order, so the permutation is
+val largest_first_order : Inverted_index.t -> Event.t array -> int array
+(** The one root order: a claim order for [run_pool]'s [?order], and the
+    order in which a top-k run visits its roots (so it fixes the top-k tie
+    rule, see {!Query}). Root indices sorted by their event's occurrence
+    count descending, {b ties broken by the lower root index} — the
+    comparator is a total order, so the permutation is
     identical on every OCaml version and backend ([Array.sort] is not
     stable, so an array-order tie-break would be). Heavy DFS subtrees
     start first, so no domain is left mining a large root alone at the
     tail of the pool run — longest-processing-time-first scheduling on
     the size-1 support proxy. *)
-
-val mine :
-  strategy:Engine.strategy ->
-  ?domains:int ->
-  ?max_length:int ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?shards:int ->
-  ?shard_dispatch:Shard_merge.dispatch ->
-  Inverted_index.t ->
-  min_sup:int ->
-  Mined.t list * Engine.stats
-(** The pool body behind every parallel run: one {!run_pool} claim per
-    frequent size-1 root in {!largest_first_order}, each root mined with
-    {!Engine.run} under [strategy], then {!retry_failed} and a merge in
-    root order. Without failures or budget stops the output equals the
-    sequential [Engine.run strategy idx ~min_sup] exactly (order
-    included) — for {!Gsgrow}, {!Clogsgrow} and {!Gap_constrained}
-    strategies alike; stats are summed across roots. Crashing roots lose
-    only their own patterns after one sequential retry
-    ([stats.outcome = Worker_failed]); budget stops return the roots
-    finished so far ([stats.outcome] carries the reason). [shards] runs
-    every instance growth shard-by-shard ({!Shard_merge}) — again
-    identical output; [shard_dispatch] routes the per-shard grows
-    through a supervisor's closure ({!Shard_merge.dispatch} — it is
-    called concurrently from every pool domain, so implementations must
-    be thread-safe).
-    @raise Invalid_argument when [min_sup < 1] or [domains < 1]. *)
-
-val mine_all :
-  ?domains:int ->
-  ?max_length:int ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?shards:int ->
-  ?shard_dispatch:Shard_merge.dispatch ->
-  Inverted_index.t ->
-  min_sup:int ->
-  Mined.t list * Engine.stats
-(** Parallel GSgrow: {!mine} with [Gsgrow.strategy], so the output equals
-    [Gsgrow.mine idx ~min_sup]. *)
-
-val mine_closed :
-  ?domains:int ->
-  ?max_length:int ->
-  ?use_lb_check:bool ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  ?shards:int ->
-  ?shard_dispatch:Shard_merge.dispatch ->
-  Inverted_index.t ->
-  min_sup:int ->
-  Mined.t list * Engine.stats
-(** Parallel CloGSgrow: {!mine} with the CloGSgrow strategy; same
-    guarantees. *)

@@ -96,16 +96,27 @@ let targeted_collector ?max_length ~events ~min_sup q =
     results = (fun () -> List.rev !acc);
   }
 
-(* Fixed-capacity binary min-heap on support. Admission needs support
-   strictly above the current minimum, so among boundary-support patterns
-   the first k - (better ones) encountered in DFS order are kept — a
-   deterministic answer for a deterministic DFS. *)
+(* Fixed-capacity binary heap whose root is the worst kept answer: the
+   lowest support, and among equal supports the latest DFS arrival. A
+   newcomer arrives after everything kept, so at equal support it is the
+   worst of all; admission therefore needs support strictly above the
+   root's, and an admitted newcomer evicts the latest-arrived minimum.
+   The heap so keeps the first k patterns by support, ties broken by
+   arrival. *)
 module Heap = struct
-  type t = { arr : Mined.t option array; mutable len : int }
+  type entry = { arrival : int; mined : Mined.t }
+  type t = { arr : entry option array; mutable len : int; mutable arrivals : int }
 
-  let create k = { arr = Array.make k None; len = 0 }
+  let create k = { arr = Array.make k None; len = 0; arrivals = 0 }
   let full h = h.len = Array.length h.arr
-  let sup h i = match h.arr.(i) with Some r -> r.Mined.support | None -> max_int
+
+  let get h i =
+    match h.arr.(i) with Some e -> e | None -> invalid_arg "Query.Heap.get"
+
+  (* [worse a b]: [a] leaves the answer before [b] *)
+  let worse a b =
+    a.mined.Mined.support < b.mined.Mined.support
+    || (a.mined.Mined.support = b.mined.Mined.support && a.arrival > b.arrival)
 
   let swap h i j =
     let tmp = h.arr.(i) in
@@ -114,44 +125,50 @@ module Heap = struct
 
   let rec sift_up h i =
     let parent = (i - 1) / 2 in
-    if i > 0 && sup h i < sup h parent then begin
+    if i > 0 && worse (get h i) (get h parent) then begin
       swap h i parent;
       sift_up h parent
     end
 
   let rec sift_down h i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < h.len && sup h l < sup h !smallest then smallest := l;
-    if r < h.len && sup h r < sup h !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap h i !smallest;
-      sift_down h !smallest
+    let worst = ref i in
+    if l < h.len && worse (get h l) (get h !worst) then worst := l;
+    if r < h.len && worse (get h r) (get h !worst) then worst := r;
+    if !worst <> i then begin
+      swap h i !worst;
+      sift_down h !worst
     end
 
-  let min_support h = sup h 0
+  let min_support h = (get h 0).mined.Mined.support
 
   let offer h r =
+    let e = { arrival = h.arrivals; mined = r } in
+    h.arrivals <- h.arrivals + 1;
     if not (full h) then begin
-      h.arr.(h.len) <- Some r;
+      h.arr.(h.len) <- Some e;
       h.len <- h.len + 1;
       sift_up h (h.len - 1)
     end
     else if r.Mined.support > min_support h then begin
-      h.arr.(0) <- Some r;
+      h.arr.(0) <- Some e;
       sift_down h 0
     end
 
+  (* support-descending, ties in arrival order *)
   let contents h =
-    Array.to_list (Array.sub h.arr 0 h.len) |> List.filter_map Fun.id
+    List.init h.len (get h)
+    |> List.sort (fun a b -> if worse a b then 1 else if worse b a then -1 else 0)
+    |> List.map (fun e -> e.mined)
 end
 
 let top_k_collector ~min_sup k =
   let heap = Heap.create k in
-  (* Antimonotone support bounds appends (Theorem 1), so once the heap is
-     full no descendant of a node with support <= min(heap) can displace
-     anything: the floor rises to min(heap) + 1 and the engine prunes with
-     it exactly like the static Apriori bound. *)
+  (* Antimonotone support bounds appends (Theorem 1), and a later arrival
+     loses every tie, so once the heap is full no descendant of a node
+     with support <= min(heap) can displace anything: the floor rises to
+     min(heap) + 1 and the engine prunes with it exactly like the static
+     Apriori bound. *)
   let floor () =
     if Heap.full heap then max min_sup (Heap.min_support heap + 1)
     else min_sup
@@ -164,8 +181,13 @@ let top_k_collector ~min_sup k =
       (fun () ->
         if Heap.full heap then
           Metrics.observe_max Metrics.query_topk_floor (Heap.min_support heap);
-        List.sort Mined.compare_by_support_desc (Heap.contents heap));
+        Heap.contents heap);
   }
+
+let merge_top_k k answers =
+  List.concat answers
+  |> List.stable_sort (fun a b -> Int.compare b.Mined.support a.Mined.support)
+  |> List.filteri (fun i _ -> i < k)
 
 let collector ?max_length ~events ~min_sup = function
   | All -> all_collector ~min_sup

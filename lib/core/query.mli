@@ -13,19 +13,28 @@
       remainder of [Q] can no longer fit in the remaining length budget
       (and the whole search is cut up front when some event of [Q] is not
       frequent — a frequent pattern only uses frequent events).
-    - {b top-k}: a size-[k] min-heap of the best supports seen. Once full,
-      no descendant of a node with support at most [min(heap)] can enter
-      (support is antimonotone under appends, Theorem 1), so the support
-      floor rises to [min(heap) + 1] and prunes exactly like the static
-      Apriori bound. Ties at the boundary keep the earliest DFS arrival.
+    - {b top-k}: a size-[k] heap of the best answers seen, keyed on
+      (support, DFS arrival). Once full, no descendant of a node with
+      support at most [min(heap)] can enter (support is antimonotone
+      under appends, Theorem 1, and a later arrival loses every tie), so
+      the support floor rises to [min(heap) + 1] and prunes exactly like
+      the static Apriori bound.
     - {b all}: the trivial plan; the engine behaves identically to the
       un-queried miners.
 
-    Collectors are single-domain. A parallel queried run
-    ({!Miner.mine_resumable} with [domains]) compiles one collector per
+    {b The top-k tie rule}, the same at every entry point: the answer is
+    the first [k] patterns by support, ties broken by DFS arrival, with
+    the roots visited in descending single-event support
+    ({!Parallel_miner.largest_first_order}). Equivalently: run the full
+    miner with that root order, stable-sort its output by support, take
+    [k]. The rule costs no DFS node over "any [k] best": the floor stays
+    at [min(heap) + 1].
+
+    Collectors are single-domain. A root-pool run ({!Miner} with
+    [domains], or {!Miner.mine_resumable}) compiles one collector per
     root — a root's local answer contains its share of the global one —
-    and merges the per-root answers after the pool joins, so no query
-    state is shared between domains. *)
+    and merges the per-root answers after the pool joins ({!merge_top_k}
+    for top-k), so no query state is shared between domains. *)
 
 open Rgs_sequence
 
@@ -72,8 +81,8 @@ type collector = {
   plan : plan;
   offer : Mined.t -> unit;  (** the engine's [emit] callback *)
   results : unit -> Mined.t list;
-      (** the answer: DFS order for [All]/[Targeted], support-descending
-          (ties: shorter first, then {!Pattern.compare}) for [Top_k] *)
+      (** the answer: DFS order for [All]/[Targeted]; for [Top_k]
+          support-descending, ties in arrival order *)
 }
 
 val collector :
@@ -84,3 +93,10 @@ val collector :
     the engine's or the targeted length cut stays disabled. A collector is
     single-use: fresh state per run.
     @raise Invalid_argument as {!validate}. *)
+
+val merge_top_k : int -> Mined.t list list -> Mined.t list
+(** [merge_top_k k answers] is the global top-[k] answer from per-root
+    top-[k] answers given in root-visit order (each support-descending
+    with ties in arrival order, as {!collector} returns them): a stable
+    sort by support of their concatenation, first [k]. It equals the
+    answer of one sequential run over the same roots in that order. *)

@@ -21,20 +21,19 @@ let run ?(timeout_s = 60.) db ~min_sup =
      non-closed patterns; only correct when GSgrow finished. *)
   let post_filter_entry =
     let start = Unix.gettimeofday () in
-    let calls = ref 0 in
-    let should_stop () =
-      incr calls;
-      !calls land 0x3F = 0 && Unix.gettimeofday () -. start > timeout_s
+    let budget = Rgs_core.Budget.create ~deadline_s:timeout_s () in
+    let results, stats =
+      Rgs_core.Engine.mine ~budget Rgs_core.Gsgrow.strategy idx ~min_sup
     in
-    let results, stats = Rgs_core.Gsgrow.mine ~should_stop idx ~min_sup in
+    let timed_out = Rgs_core.Budget.is_stop stats.Rgs_core.Engine.outcome in
     let closed =
-      if stats.Rgs_core.Engine.truncated then [] else Rgs_post.Filters.closed_filter results
+      if timed_out then [] else Rgs_post.Filters.closed_filter results
     in
     {
       variant = "GSgrow + post-hoc closed filter";
       elapsed_s = Unix.gettimeofday () -. start;
       patterns = List.length closed;
-      timed_out = stats.Rgs_core.Engine.truncated;
+      timed_out;
     }
   in
   (* Levelwise baseline: same output as GSgrow but recomputing supports

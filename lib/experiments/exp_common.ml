@@ -15,42 +15,29 @@ let ambient_trace = ref Trace.null
 let set_trace t = ambient_trace := t
 let trace () = !ambient_trace
 
-(* Polling gettimeofday at every DFS node is measurable; check every 64th
-   call. *)
-let deadline_checker ?timeout_s start =
-  match timeout_s with
-  | None -> fun () -> false
-  | Some budget ->
-    let calls = ref 0 in
-    fun () ->
-      incr calls;
-      !calls land 0x3F = 0 && Unix.gettimeofday () -. start > budget
+(* One budgeted engine run that counts answers without materialising
+   them; the budget's deadline is the experiment's cut-off. *)
+let timed_run ?timeout_s ?max_length strategy idx ~min_sup =
+  let start = Unix.gettimeofday () in
+  let budget = Budget.create ?deadline_s:timeout_s () in
+  let stats =
+    Engine.run ?max_length ~budget ~trace:(trace ()) strategy idx ~min_sup
+      ~emit:ignore
+  in
+  {
+    elapsed_s = Unix.gettimeofday () -. start;
+    patterns = stats.Engine.emitted;
+    timed_out = Budget.is_stop stats.Engine.outcome;
+  }
 
 let run_gsgrow ?timeout_s ?max_length idx ~min_sup =
-  let start = Unix.gettimeofday () in
-  let should_stop = deadline_checker ?timeout_s start in
-  let stats =
-    Gsgrow.iter ?max_length ~should_stop ~trace:(trace ()) idx ~min_sup
-      ~f:ignore
-  in
-  {
-    elapsed_s = Unix.gettimeofday () -. start;
-    patterns = stats.Engine.emitted;
-    timed_out = stats.Engine.truncated;
-  }
+  timed_run ?timeout_s ?max_length Gsgrow.strategy idx ~min_sup
 
-let run_clogsgrow ?timeout_s ?max_length ?use_lb_check ?use_c_check idx ~min_sup =
-  let start = Unix.gettimeofday () in
-  let should_stop = deadline_checker ?timeout_s start in
-  let stats =
-    Clogsgrow.iter ?max_length ?use_lb_check ?use_c_check ~should_stop
-      ~trace:(trace ()) idx ~min_sup ~f:ignore
-  in
-  {
-    elapsed_s = Unix.gettimeofday () -. start;
-    patterns = stats.Engine.emitted;
-    timed_out = stats.Engine.truncated;
-  }
+let run_clogsgrow ?timeout_s ?max_length ?(use_lb_check = true)
+    ?(use_c_check = true) idx ~min_sup =
+  timed_run ?timeout_s ?max_length
+    (Clogsgrow.strategy ~use_lb_check ~use_c_check)
+    idx ~min_sup
 
 let time f =
   let start = Unix.gettimeofday () in

@@ -39,3 +39,14 @@ let print_db_pattern (d, p) =
 
 let make ~name ~count gen print prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ~print gen prop)
+
+(* The two ways the suites run a mine: [Engine.mine] under a strategy
+   (CloGSgrow's with both checks on is [closed]), and the Miner root pool
+   ([pool], the body behind every [domains] run). *)
+let closed = Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
+
+let pool ?(mode = Miner.All) ?max_length ?max_gap ?shards ?trace ~domains idx
+    ~min_sup =
+  Miner.mine_indexed ?trace
+    (Miner.config ~mode ?max_length ?max_gap ?shards ~domains ~min_sup ())
+    idx

@@ -212,7 +212,7 @@ let test_levelwise_equals_gsgrow () =
     (fun db ->
       let idx = Inverted_index.build db in
       let level_results, stats = Levelwise.mine ~max_length:5 idx ~min_sup:2 in
-      let dfs_results, _ = Rgs_core.Gsgrow.mine ~max_length:5 idx ~min_sup:2 in
+      let dfs_results, _ = Rgs_core.Engine.mine Rgs_core.Gsgrow.strategy ~max_length:5 idx ~min_sup:2 in
       let norm l = List.sort compare l in
       Alcotest.(check (list (pair string int)))
         "same frequent set"

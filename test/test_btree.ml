@@ -167,11 +167,11 @@ let test_paged_mining_equivalence () =
   let flat = Inverted_index.build db in
   let paged = Inverted_index.build_paged ~fanout:4 db in
   Alcotest.(check (list (pair string int))) "gsgrow"
-    (signatures (Rgs_core.Gsgrow.mine ~max_length:4 flat ~min_sup:8))
-    (signatures (Rgs_core.Gsgrow.mine ~max_length:4 paged ~min_sup:8));
+    (signatures (Rgs_core.Engine.mine Rgs_core.Gsgrow.strategy ~max_length:4 flat ~min_sup:8))
+    (signatures (Rgs_core.Engine.mine Rgs_core.Gsgrow.strategy ~max_length:4 paged ~min_sup:8));
   Alcotest.(check (list (pair string int))) "clogsgrow"
-    (signatures (Rgs_core.Clogsgrow.mine ~max_length:4 flat ~min_sup:8))
-    (signatures (Rgs_core.Clogsgrow.mine ~max_length:4 paged ~min_sup:8))
+    (signatures (Rgs_core.Engine.mine Gens.closed ~max_length:4 flat ~min_sup:8))
+    (signatures (Rgs_core.Engine.mine Gens.closed ~max_length:4 paged ~min_sup:8))
 
 let suite =
   [

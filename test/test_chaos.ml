@@ -3,8 +3,9 @@
    For every generated plan — site kind x trigger firing count x
    transient/persistent — the faulted run must uphold the resilience
    invariant: mined output restricted to non-quarantined roots equals the
-   fault-free run, and no injected fault escapes mine_all / mine_closed /
-   mine_resumable as an uncaught exception. The sweep is bounded so tier-1
+   fault-free run, and no injected fault escapes a root-pool run
+   (Miner.mine_indexed with domains, in every mode) or mine_resumable as
+   an uncaught exception. The sweep is bounded so tier-1
    stays fast; RGS_CHAOS_PLANS raises the plan count for a deeper run
    (e.g. RGS_CHAOS_PLANS=100 dune build @chaos). *)
 
@@ -110,17 +111,18 @@ let test_invariant_checker () =
 let test_sweep_mine_all () =
   let db = Lazy.force chaos_db in
   let idx = Inverted_index.build db in
-  let baseline, _ = Parallel_miner.mine_all ~domains:2 ~max_length:3 idx ~min_sup in
+  let baseline = (Gens.pool ~domains:2 ~max_length:3 idx ~min_sup).Miner.results in
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
     (fun plan ->
       let before = Metrics.snapshot () in
       match
         Chaos.inject plan (fun () ->
-            Parallel_miner.mine_all ~domains:2 ~max_length:3 idx ~min_sup)
+            Gens.pool ~domains:2 ~max_length:3 idx ~min_sup)
       with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      | faulty ->
+        check plan ~baseline ~faulty:faulty.Miner.results
+          ~quarantined:(quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
@@ -131,8 +133,9 @@ let test_sweep_mine_all () =
 let test_sweep_mine_closed () =
   let db = Lazy.force chaos_db in
   let idx = Inverted_index.build db in
-  let baseline, _ =
-    Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup
+  let baseline =
+    (Gens.pool ~mode:Miner.Closed ~domains:2 ~max_length:3 idx ~min_sup)
+      .Miner.results
   in
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
@@ -140,10 +143,11 @@ let test_sweep_mine_closed () =
       let before = Metrics.snapshot () in
       match
         Chaos.inject plan (fun () ->
-            Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup)
+            Gens.pool ~mode:Miner.Closed ~domains:2 ~max_length:3 idx ~min_sup)
       with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      | faulty ->
+        check plan ~baseline ~faulty:faulty.Miner.results
+          ~quarantined:(quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
@@ -199,19 +203,18 @@ let test_sweep_pool_sharded () =
   (* GSgrow, not CloGSgrow: the invariant counts absent roots against the
      quarantine tally, which needs every root to emit at least its own
      size-1 pattern in the fault-free run *)
-  let mine () =
-    Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards:2 idx ~min_sup:4
-  in
-  let baseline, stats = mine () in
+  let mine () = Gens.pool ~domains:3 ~max_length:4 ~shards:2 idx ~min_sup:4 in
+  let { Miner.results = baseline; outcome; _ } = mine () in
   Alcotest.(check bool) "fault-free baseline" true
-    (stats.Engine.outcome = Budget.Completed);
+    (outcome = Budget.Completed);
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
     (fun plan ->
       let before = Metrics.snapshot () in
       match Chaos.inject plan mine with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      | faulty ->
+        check plan ~baseline ~faulty:faulty.Miner.results
+          ~quarantined:(quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))
@@ -226,21 +229,18 @@ let test_sweep_pool_sharded () =
 let test_sweep_pool_gap () =
   let db = Lazy.force chaos_db in
   let idx = Inverted_index.build db in
-  let mine () =
-    Parallel_miner.mine ~domains:2 ~max_length:3
-      ~strategy:(Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
-      idx ~min_sup
-  in
-  let baseline, stats = mine () in
+  let mine () = Gens.pool ~domains:2 ~max_length:3 ~max_gap:2 idx ~min_sup in
+  let { Miner.results = baseline; outcome; _ } = mine () in
   Alcotest.(check bool) "fault-free baseline" true
-    (stats.Engine.outcome = Budget.Completed);
+    (outcome = Budget.Completed);
   Alcotest.(check bool) "baseline mined something" true (baseline <> []);
   List.iter
     (fun plan ->
       let before = Metrics.snapshot () in
       match Chaos.inject plan mine with
-      | faulty, _ ->
-        check plan ~baseline ~faulty ~quarantined:(quarantined_delta before)
+      | faulty ->
+        check plan ~baseline ~faulty:faulty.Miner.results
+          ~quarantined:(quarantined_delta before)
       | exception e ->
         Alcotest.failf "%s: escaped exception %s" (plan_str plan)
           (Printexc.to_string e))

@@ -165,9 +165,9 @@ let prop_miners_equal =
     Gens.print_db (fun db ->
       match backends db with
       | [ csr; paged; mapped ] ->
-        let all idx = signatures (fst (Gsgrow.mine ~max_length:4 idx ~min_sup:2)) in
+        let all idx = signatures (fst (Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:2)) in
         let closed idx =
-          signatures (fst (Clogsgrow.mine ~max_length:4 idx ~min_sup:2))
+          signatures (fst (Engine.mine Gens.closed ~max_length:4 idx ~min_sup:2))
         in
         all csr = all paged
         && all csr = all mapped
@@ -183,7 +183,10 @@ let prop_gap_miner_equal =
       | [ csr; paged; mapped ] ->
         let mine idx =
           signatures
-            (fst (Gap_constrained.mine ~max_length:4 idx ~max_gap:2 ~min_sup:2))
+            (fst
+               (Engine.mine ~max_length:4
+                  (Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
+                  idx ~min_sup:2))
         in
         mine csr = mine paged && mine csr = mine mapped
       | _ -> assert false)
@@ -199,8 +202,8 @@ let test_trace_miner_equivalence () =
       in
       let mine kind =
         let idx = Inverted_index.build_kind kind db in
-        ( signatures (fst (Gsgrow.mine ~max_length:4 idx ~min_sup:6)),
-          signatures (fst (Clogsgrow.mine ~max_length:4 idx ~min_sup:6)) )
+        ( signatures (fst (Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:6)),
+          signatures (fst (Engine.mine Gens.closed ~max_length:4 idx ~min_sup:6)) )
       in
       let all_csr, closed_csr = mine Inverted_index.Kcsr in
       let all_paged, closed_paged = mine Inverted_index.Kpaged in

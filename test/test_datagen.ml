@@ -134,7 +134,7 @@ let test_quest_embeds_patterns () =
   in
   let db = Quest_gen.generate params in
   let idx = Inverted_index.build db in
-  let results, _ = Rgs_core.Gsgrow.mine ~max_length:3 idx ~min_sup:30 in
+  let results, _ = Rgs_core.Engine.mine Rgs_core.Gsgrow.strategy ~max_length:3 idx ~min_sup:30 in
   Alcotest.(check bool) "frequent length-3 pattern exists" true
     (List.exists (fun r -> Rgs_core.Pattern.length r.Rgs_core.Mined.pattern = 3) results)
 

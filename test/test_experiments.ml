@@ -14,7 +14,7 @@ let test_run_counts () =
   Alcotest.(check bool) "counts consistent" true
     (closed.E.Exp_common.patterns <= all.E.Exp_common.patterns);
   (* counts match direct mining *)
-  let direct, _ = Rgs_core.Gsgrow.mine idx ~min_sup:3 in
+  let direct, _ = Rgs_core.Engine.mine Rgs_core.Gsgrow.strategy idx ~min_sup:3 in
   Alcotest.(check int) "all count" (List.length direct) all.E.Exp_common.patterns
 
 let test_run_timeout_marks () =

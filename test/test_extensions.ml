@@ -44,7 +44,9 @@ let test_gap_unbounded_equals_unconstrained () =
 let test_gap_mine_sound () =
   let db = Seqdb.of_strings [ "ABABAB"; "AABB"; "ABBA" ] in
   let idx = Inverted_index.build db in
-  let results, stats = Gap_constrained.mine idx ~max_gap:1 ~min_sup:2 in
+  let results, stats =
+    Engine.mine (Gap_constrained.strategy ~min_gap:0 ~max_gap:1) idx ~min_sup:2
+  in
   Alcotest.(check bool) "found some" true (stats.Engine.emitted > 0);
   List.iter
     (fun r ->
@@ -83,10 +85,14 @@ let test_gap_validation () =
   let idx = Inverted_index.build (Seqdb.of_strings [ "AB" ]) in
   Alcotest.check_raises "negative gap"
     (Invalid_argument "Gap_constrained: max_gap must be >= 0") (fun () ->
-      ignore (Gap_constrained.mine idx ~max_gap:(-1) ~min_sup:1));
+      ignore
+        (Engine.mine (Gap_constrained.strategy ~min_gap:0 ~max_gap:(-1)) idx
+           ~min_sup:1));
   Alcotest.check_raises "min_sup"
-    (Invalid_argument "Gap_constrained.mine: min_sup must be >= 1") (fun () ->
-      ignore (Gap_constrained.mine idx ~max_gap:1 ~min_sup:0))
+    (Invalid_argument "Gap_constrained: min_sup must be >= 1") (fun () ->
+      ignore
+        (Engine.mine (Gap_constrained.strategy ~min_gap:0 ~max_gap:1) idx
+           ~min_sup:0))
 
 (* invalid gaps are refused when the strategy is built, so a pool run
    raises to its caller instead of quarantining every root whose grow
@@ -215,7 +221,10 @@ let prop_feature_matrix_oracle =
          let results =
            match gap with
            | Some max_gap ->
-             fst (Gap_constrained.mine ~max_length:3 idx ~max_gap ~min_sup:2)
+             fst
+               (Engine.mine ~max_length:3
+                  (Gap_constrained.strategy ~min_gap:0 ~max_gap)
+                  idx ~min_sup:2)
            | None ->
              let mode = if closed then Miner.Closed else Miner.All in
              (Miner.mine ~config:(Miner.config ~mode ~min_sup:2 ~max_length:3 ()) db)

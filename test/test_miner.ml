@@ -1,4 +1,4 @@
-(* Integration tests: the Miner facade, budgets/should_stop, metrics, and
+(* Integration tests: the Miner facade, budgets, metrics, and
    cross-algorithm consistency on generated datasets. *)
 
 open Rgs_sequence
@@ -30,12 +30,16 @@ let test_miner_max_length () =
   (* 1- and 2-event frequent patterns of the running example *)
   Alcotest.(check int) "count" 13 (List.length report.Miner.results)
 
-let test_should_stop_immediate () =
+(* an already-expired deadline stops both miners at their first node *)
+let test_budget_stop_immediate () =
   let idx = Inverted_index.build table3 in
-  let _, stats = Gsgrow.mine ~should_stop:(fun () -> true) idx ~min_sup:3 in
-  Alcotest.(check bool) "gsgrow truncated" true stats.Engine.truncated;
-  let _, cstats = Clogsgrow.mine ~should_stop:(fun () -> true) idx ~min_sup:3 in
-  Alcotest.(check bool) "clogsgrow truncated" true cstats.Engine.truncated
+  let stop strategy =
+    let budget = Budget.create ~deadline_s:0.0 () in
+    let results, stats = Engine.mine ~budget strategy idx ~min_sup:3 in
+    results = [] && stats.Engine.outcome = Budget.Deadline_exceeded
+  in
+  Alcotest.(check bool) "gsgrow stopped" true (stop Gsgrow.strategy);
+  Alcotest.(check bool) "clogsgrow stopped" true (stop Gens.closed)
 
 let test_landmarks_and_support () =
   Alcotest.(check int) "support helper" 3 (Miner.support table3 (Pattern.of_string "ACB"));
@@ -64,8 +68,8 @@ let test_cross_check_generated () =
   in
   let idx = Inverted_index.build db in
   let min_sup = 8 in
-  let all, _ = Gsgrow.mine ~max_length:5 idx ~min_sup in
-  let closed, _ = Clogsgrow.mine ~max_length:5 idx ~min_sup in
+  let all, _ = Engine.mine Gsgrow.strategy ~max_length:5 idx ~min_sup in
+  let closed, _ = Engine.mine Gens.closed ~max_length:5 idx ~min_sup in
   Alcotest.(check bool) "closed smaller" true (List.length closed <= List.length all);
   let all_map = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace all_map (Pattern.to_string r.Mined.pattern) r.Mined.support) all;
@@ -170,7 +174,7 @@ let test_metrics_counters () =
   Metrics.reset ();
   Alcotest.(check (list (pair string int))) "reset empties" [] (Metrics.dump ());
   let idx = Inverted_index.build table3 in
-  ignore (Clogsgrow.mine idx ~min_sup:3);
+  ignore (Engine.mine Gens.closed idx ~min_sup:3);
   let dump = Metrics.dump () in
   Alcotest.(check bool) "insgrow counted" true (List.mem_assoc "insgrow_calls" dump);
   Alcotest.(check bool) "bound checks counted" true
@@ -182,7 +186,7 @@ let test_support_set_well_formed_everywhere () =
       (Rgs_datagen.Trace_gen.params ~num_sequences:30 ~num_events:20 ~seed:3 ())
   in
   let idx = Inverted_index.build db in
-  let results, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:10 in
+  let results, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:10 in
   Alcotest.(check bool) "nonempty" true (results <> []);
   (* answers carry no sets: recompute each one's leftmost set (Algorithm 1)
      and check it against the reported support *)
@@ -202,10 +206,10 @@ let test_midsize_determinism () =
       (Rgs_datagen.Quest_gen.params ~d:150 ~c:18 ~n:60 ~s:5 ~seed:2026 ())
   in
   let idx = Inverted_index.build db in
-  let all_1, _ = Gsgrow.mine ~max_length:5 idx ~min_sup:12 in
-  let all_2, _ = Gsgrow.mine ~max_length:5 idx ~min_sup:12 in
+  let all_1, _ = Engine.mine Gsgrow.strategy ~max_length:5 idx ~min_sup:12 in
+  let all_2, _ = Engine.mine Gsgrow.strategy ~max_length:5 idx ~min_sup:12 in
   Alcotest.(check int) "gsgrow deterministic" (List.length all_1) (List.length all_2);
-  let closed, _ = Clogsgrow.mine ~max_length:5 idx ~min_sup:12 in
+  let closed, _ = Engine.mine Gens.closed ~max_length:5 idx ~min_sup:12 in
   Alcotest.(check bool) "closed smaller" true (List.length closed < List.length all_1);
   (* every closed pattern's support matches a fresh supComp *)
   List.iter
@@ -222,7 +226,8 @@ let suite =
     Alcotest.test_case "mid-size determinism" `Slow test_midsize_determinism;
     Alcotest.test_case "max_patterns budget" `Quick test_miner_max_patterns;
     Alcotest.test_case "max_length bound" `Quick test_miner_max_length;
-    Alcotest.test_case "should_stop" `Quick test_should_stop_immediate;
+    Alcotest.test_case "budget stops immediately" `Quick
+      test_budget_stop_immediate;
     Alcotest.test_case "landmarks/support helpers" `Quick test_landmarks_and_support;
     Alcotest.test_case "pp_report" `Quick test_pp_report;
     Alcotest.test_case "cross-check on generated data" `Quick test_cross_check_generated;

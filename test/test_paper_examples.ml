@@ -161,7 +161,7 @@ let test_example_3_2_leftmost () =
 (* --- Example 3.4: GSgrow on Table III with min_sup = 3 --- *)
 
 let test_example_3_4_gsgrow () =
-  let results, stats = Gsgrow.mine idx3 ~min_sup:3 in
+  let results, stats = Engine.mine Gsgrow.strategy idx3 ~min_sup:3 in
   Alcotest.check Alcotest.bool "not truncated" false stats.Engine.truncated;
   let find s =
     List.find_opt (fun r -> Pattern.equal r.Mined.pattern (p s)) results
@@ -213,7 +213,7 @@ let test_example_3_6 () =
 
 let test_clogsgrow_table3 () =
   let closed_oracle = Brute_force.closed table3 ~min_sup:3 in
-  let results, _ = Clogsgrow.mine idx3 ~min_sup:3 in
+  let results, _ = Engine.mine Gens.closed idx3 ~min_sup:3 in
   let got =
     List.sort compare
       (List.map (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support)) results)

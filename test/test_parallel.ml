@@ -1,5 +1,6 @@
-(* Tests for domain-parallel mining: output identical (order included) to
-   the sequential miners, across domain counts and datasets. *)
+(* Tests for domain-parallel mining on the Miner root pool: output
+   identical (order included) to the sequential engine run, across domain
+   counts and datasets. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -23,18 +24,16 @@ let test_parallel_all_matches () =
   List.iter
     (fun (name, db) ->
       let idx = Inverted_index.build db in
-      let sequential, seq_stats = Gsgrow.mine ~max_length:4 idx ~min_sup:5 in
+      let sequential, seq_stats = Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:5 in
       List.iter
         (fun domains ->
-          let parallel, par_stats =
-            Parallel_miner.mine_all ~domains ~max_length:4 idx ~min_sup:5
-          in
+          let parallel = Gens.pool ~domains ~max_length:4 idx ~min_sup:5 in
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "%s all d%d" name domains)
-            (signatures sequential) (signatures parallel);
+            (signatures sequential) (signatures parallel.Miner.results);
           Alcotest.(check int)
-            (Printf.sprintf "%s stats d%d" name domains)
-            seq_stats.Engine.emitted par_stats.Engine.emitted)
+            (Printf.sprintf "%s count d%d" name domains)
+            seq_stats.Engine.emitted (List.length parallel.Miner.results))
         [ 1; 2; 4 ])
     (Lazy.force dbs)
 
@@ -42,15 +41,15 @@ let test_parallel_closed_matches () =
   List.iter
     (fun (name, db) ->
       let idx = Inverted_index.build db in
-      let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:5 in
+      let sequential, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:5 in
       List.iter
         (fun domains ->
-          let parallel, _ =
-            Parallel_miner.mine_closed ~domains ~max_length:4 idx ~min_sup:5
+          let parallel =
+            Gens.pool ~mode:Miner.Closed ~domains ~max_length:4 idx ~min_sup:5
           in
           Alcotest.(check (list (pair string int)))
             (Printf.sprintf "%s closed d%d" name domains)
-            (signatures sequential) (signatures parallel))
+            (signatures sequential) (signatures parallel.Miner.results))
         [ 1; 3 ])
     (Lazy.force dbs)
 
@@ -59,7 +58,9 @@ let test_parallel_determinism () =
   let idx = Inverted_index.build db in
   let runs =
     List.init 3 (fun _ ->
-        signatures (fst (Parallel_miner.mine_closed ~domains:4 ~max_length:3 idx ~min_sup:5)))
+        signatures
+          (Gens.pool ~mode:Miner.Closed ~domains:4 ~max_length:3 idx ~min_sup:5)
+            .Miner.results)
   in
   match runs with
   | first :: rest ->
@@ -71,19 +72,19 @@ let test_parallel_determinism () =
 let test_parallel_validation () =
   let idx = Inverted_index.build (Seqdb.of_strings [ "AB" ]) in
   Alcotest.check_raises "domains 0"
-    (Invalid_argument "Parallel_miner: domains must be >= 1") (fun () ->
-      ignore (Parallel_miner.mine_all ~domains:0 idx ~min_sup:1));
+    (Invalid_argument "Miner: domains must be >= 1") (fun () ->
+      ignore (Gens.pool ~domains:0 idx ~min_sup:1));
   Alcotest.check_raises "min_sup 0"
-    (Invalid_argument "Parallel_miner: min_sup must be >= 1") (fun () ->
-      ignore (Parallel_miner.mine_all idx ~min_sup:0));
+    (Invalid_argument "Miner: min_sup must be >= 1") (fun () ->
+      ignore (Gens.pool ~domains:2 idx ~min_sup:0));
   Alcotest.(check bool) "default domains >= 1" true (Parallel_miner.default_domains () >= 1)
 
 let test_more_domains_than_roots () =
   let idx = Inverted_index.build (Seqdb.of_strings [ "ABAB" ]) in
-  let results, _ = Parallel_miner.mine_all ~domains:6 idx ~min_sup:2 in
-  let sequential, _ = Gsgrow.mine idx ~min_sup:2 in
+  let results = Gens.pool ~domains:6 idx ~min_sup:2 in
+  let sequential, _ = Engine.mine Gsgrow.strategy idx ~min_sup:2 in
   Alcotest.(check (list (pair string int))) "tiny db" (signatures sequential)
-    (signatures results)
+    (signatures results.Miner.results)
 
 (* --- largest-root-first scheduling ---
 
@@ -160,7 +161,7 @@ let test_schedule_fault_injection () =
             ~mine_root:(fun k ->
               signatures
                 (fst
-                   (Gsgrow.mine ~max_length:3 ~events ~roots:[ roots.(k) ] idx
+                   (Engine.mine Gsgrow.strategy ~max_length:3 ~events ~roots:[ roots.(k) ] idx
                       ~min_sup:5)))
             ()
         in

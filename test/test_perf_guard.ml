@@ -232,7 +232,7 @@ let test_miner_output_independent_of_gallop_probe () =
       let mine_sigs () =
         List.concat_map
           (fun idx ->
-            let results, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:3 in
+            let results, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:3 in
             List.map
               (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support))
               results)
@@ -263,7 +263,7 @@ let retained_words db =
   let idx = Inverted_index.build db in
   Gc.compact ();
   let baseline = (Gc.stat ()).Gc.live_words in
-  let results, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:4 in
+  let results, _ = Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:4 in
   let live = Metrics.sample_live_words () in
   ignore (Sys.opaque_identity (List.length results));
   (live - baseline, List.length results)
@@ -326,7 +326,7 @@ let test_closure_funnel_pin () =
     let db, _codec = Seq_io.load_tokens quest_small_path in
     let idx = Inverted_index.build db in
     Metrics.reset ();
-    ignore (Clogsgrow.mine ~max_length:5 idx ~min_sup:2);
+    ignore (Engine.mine Gens.closed ~max_length:5 idx ~min_sup:2);
     let checks = Metrics.value Metrics.closure_bound_checks in
     let rejects = Metrics.value Metrics.closure_bound_rejects in
     let base = Metrics.value Metrics.closure_base_grows in
@@ -354,7 +354,7 @@ let test_jboss_funnel_exact () =
     let db, _codec = Seq_io.load_tokens path in
     let idx = Inverted_index.build db in
     Metrics.reset ();
-    let results, stats = Clogsgrow.mine ~max_length:5 idx ~min_sup:18 in
+    let results, stats = Engine.mine Gens.closed ~max_length:5 idx ~min_sup:18 in
     let pin name expect got = Alcotest.(check int) name expect got in
     pin "closure_bound_checks" 39912 (Metrics.value Metrics.closure_bound_checks);
     pin "closure_bound_rejects" 36548 (Metrics.value Metrics.closure_bound_rejects);
@@ -472,7 +472,7 @@ let test_quest_paper_store_and_pool () =
       let mine db =
         let idx = Inverted_index.build db in
         Metrics.reset ();
-        let results, _ = Gsgrow.mine ~max_length idx ~min_sup in
+        let results, _ = Engine.mine Gsgrow.strategy ~max_length idx ~min_sup in
         (idx, signatures results, Metrics.value Metrics.cursor_gallops)
       in
       let text_idx, text_out, _ = mine (Seq_io.load_spmf txt) in
@@ -487,13 +487,12 @@ let test_quest_paper_store_and_pool () =
         true (gallops > 0);
       List.iter
         (fun shards ->
-          let pool, _ =
-            Parallel_miner.mine_all ~domains:4 ~max_length ~shards text_idx
-              ~min_sup
+          let pool =
+            Gens.pool ~domains:4 ~max_length ~shards text_idx ~min_sup
           in
           Alcotest.check sig_t
             (Printf.sprintf "quest_paper all s%d pool = sequential" shards)
-            text_out (signatures pool))
+            text_out (signatures pool.Miner.results))
         [ 1; 2; 4; 8 ])
 
 let suite =

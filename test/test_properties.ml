@@ -179,7 +179,7 @@ let prop_gsgrow_complete =
     (fun (db, ms) -> print_db db ^ Printf.sprintf "min_sup: %d" ms)
     (fun (db, min_sup) ->
       let idx = Inverted_index.build db in
-      let got, _ = Gsgrow.mine idx ~min_sup in
+      let got, _ = Engine.mine Gsgrow.strategy idx ~min_sup in
       results_set got = oracle_set (Brute_force.frequent db ~min_sup))
 
 let prop_clogsgrow_closed =
@@ -188,7 +188,7 @@ let prop_clogsgrow_closed =
     (fun (db, ms) -> print_db db ^ Printf.sprintf "min_sup: %d" ms)
     (fun (db, min_sup) ->
       let idx = Inverted_index.build db in
-      let got, _ = Clogsgrow.mine idx ~min_sup in
+      let got, _ = Engine.mine Gens.closed idx ~min_sup in
       results_set got = oracle_set (Brute_force.closed db ~min_sup))
 
 let prop_clogsgrow_lb_invariant =
@@ -197,8 +197,12 @@ let prop_clogsgrow_lb_invariant =
     (fun (db, ms) -> print_db db ^ Printf.sprintf "min_sup: %d" ms)
     (fun (db, min_sup) ->
       let idx = Inverted_index.build db in
-      let with_lb, _ = Clogsgrow.mine idx ~min_sup in
-      let without_lb, _ = Clogsgrow.mine ~use_lb_check:false idx ~min_sup in
+      let with_lb, _ = Engine.mine Gens.closed idx ~min_sup in
+      let without_lb, _ =
+        Engine.mine
+          (Clogsgrow.strategy ~use_lb_check:false ~use_c_check:true)
+          idx ~min_sup
+      in
       results_set with_lb = results_set without_lb)
 
 let prop_closure_check_definition =
@@ -270,7 +274,7 @@ let prop_sparse_event_ids =
       let db' = Seqdb.of_array (Array.map remap_seq (Seqdb.sequences db)) in
       let p' = remap_pat p in
       let answers idx pat =
-        let mined, _ = Clogsgrow.mine idx ~min_sup in
+        let mined, _ = Engine.mine Gens.closed idx ~min_sup in
         ( List.sort compare
             (List.map
                (fun r -> (Pattern.to_list r.Mined.pattern, r.Mined.support))

@@ -9,10 +9,11 @@
    2. the in-DFS targeted plan must return exactly the brute-force
       post-filter of mine-all (same order: targeted answers keep DFS
       order and containment filtering preserves it);
-   3. the in-DFS top-k plan must return the same support multiset as
-      sorting mine-all and truncating — patterns at the k boundary may
-      tie differently, supports may not — and each answer must be a
-      genuine mined pattern with its true support.
+   3. the in-DFS top-k plan must return exactly the tie-rule oracle: a
+      full engine run with the roots in descending single-event support,
+      stable-sorted by support, first k — at every entry point
+      (sequential, the root pool under shards, mine_resumable with and
+      without a checkpoint, and resumed from a stopped run's log).
 
    Everything runs on both index backends so the query plans cannot
    silently depend on one cursor implementation. The δ-cover post-pass is
@@ -152,43 +153,93 @@ let prop_targeted_vs_post_filter =
             [ Miner.All; Miner.Closed ])
         (backends db))
 
-(* --- 3: in-DFS top-k: same supports as sort-and-truncate, true answers --- *)
+(* --- 3: in-DFS top-k = the tie-rule oracle, at every entry point --- *)
 
 let topk_gen = QCheck2.Gen.(pair db_gen (int_range 1 8))
 
 let print_db_k (db, k) =
   Printf.sprintf "db:\n%s\nk: %d" (Gens.print_db db) k
 
-let prop_topk_vs_sort_truncate =
-  Gens.make ~name:"top-k query = sorted-truncated mine-all (both modes)"
+let strategy_of = function
+  | Miner.All -> Gsgrow.strategy
+  | Miner.Closed -> Gens.closed
+
+(* The tie rule by its definition: the full miner with the roots visited
+   in descending single-event support (ties in event order), its output
+   stable-sorted by support, the first k. *)
+let topk_oracle ?max_length ~mode idx ~min_sup k =
+  let roots =
+    List.stable_sort
+      (fun a b ->
+        Int.compare
+          (Inverted_index.occurrence_count idx b)
+          (Inverted_index.occurrence_count idx a))
+      (Inverted_index.frequent_events idx ~min_sup)
+  in
+  let all, _ =
+    Engine.mine ?max_length ~roots (strategy_of mode) idx ~min_sup
+  in
+  List.stable_sort (fun a b -> Int.compare b.Mined.support a.Mined.support) all
+  |> List.filteri (fun i _ -> i < k)
+
+let prop_topk_vs_oracle =
+  Gens.make ~name:"top-k query = tie-rule oracle (both modes, backends)"
     ~count:120 topk_gen print_db_k (fun (db, k) ->
       List.for_all
         (fun idx ->
           List.for_all
             (fun mode ->
-              let all =
-                mine_with ~max_length:4 ~mode ~query:Query.All idx ~min_sup:2
-              in
-              let expect =
-                List.filteri
-                  (fun i _ -> i < k)
-                  (List.sort Mined.compare_by_support_desc all)
-              in
               let got =
                 mine_with ~max_length:4 ~mode ~query:(Query.Top_k k) idx
                   ~min_sup:2
               in
-              (* the k boundary may tie differently; the supports may not *)
-              List.length got = List.length expect
-              && sorted (List.map (fun m -> m.Mined.support) got)
-                 = sorted (List.map (fun m -> m.Mined.support) expect)
-              (* every answer is a genuinely mined pattern, true support *)
-              && List.for_all (fun m -> List.mem (sig_of m) (sigs all)) got
-              (* and the report is presented support-descending *)
-              && List.map sig_of (List.sort Mined.compare_by_support_desc got)
-                 = sigs got)
+              sigs got = sigs (topk_oracle ~max_length:4 ~mode idx ~min_sup:2 k))
             [ Miner.All; Miner.Closed ])
         (backends db))
+
+let with_temp_log f =
+  let path = Filename.temp_file "rgs_topk" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+(* Every way to run a top-k mine against the oracle: the sequential run,
+   the root pool under a drawn domain × shard count, mine_resumable
+   without and with a checkpoint, and a resume from the log of a run a
+   node budget stopped. *)
+let prop_topk_every_entry_point =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 22 |])
+    (QCheck2.Test.make ~name:"top-k: every entry point = tie-rule oracle"
+       ~count:60
+       ~print:(fun (((db, k), closed), (domains, shards, nodes)) ->
+         Printf.sprintf "%s\nclosed: %b domains: %d shards: %d max_nodes: %d"
+           (print_db_k (db, k)) closed domains shards nodes)
+       QCheck2.Gen.(
+         pair (pair topk_gen bool)
+           (triple (int_range 1 3) (int_range 1 3) (int_range 1 30)))
+       (fun (((db, k), closed), (domains, shards, max_nodes)) ->
+         let mode = if closed then Miner.Closed else Miner.All in
+         let idx = Inverted_index.build db in
+         let expect = sigs (topk_oracle ~max_length:4 ~mode idx ~min_sup:2 k) in
+         let cfg ?domains ?shards ?max_nodes () =
+           Miner.config ~mode ~query:(Query.Top_k k) ~max_length:4 ?domains
+             ?shards ?max_nodes ~min_sup:2 ()
+         in
+         let answer r = sigs r.Miner.results in
+         answer (Miner.mine_indexed (cfg ()) idx) = expect
+         && answer (Miner.mine_indexed (cfg ~domains ~shards ()) idx) = expect
+         && answer (Miner.mine_resumable (cfg ~domains ()) db) = expect
+         && with_temp_log (fun path ->
+                answer (Miner.mine_resumable ~checkpoint:path (cfg ()) db)
+                = expect)
+         && with_temp_log (fun path ->
+                ignore
+                  (Miner.mine_resumable ~checkpoint:path (cfg ~max_nodes ()) db);
+                answer
+                  (Miner.mine_resumable ~checkpoint:path ~resume:true
+                     (cfg ~domains ()) db)
+                = expect)))
 
 (* --- the root-partitioned driver must agree with the in-process one --- *)
 
@@ -196,18 +247,14 @@ let prop_resumable_matches_indexed =
   Gens.make ~name:"mine_resumable agrees with mine_indexed on queries"
     ~count:40 topk_gen print_db_k (fun (db, k) ->
       let idx = Inverted_index.build db in
-      let check query ~compare_sigs =
+      let check query =
         let cfg = Miner.config ~query ~max_length:4 ~min_sup:2 () in
-        let direct = (Miner.mine_indexed cfg idx).Miner.results in
-        let partitioned = (Miner.mine_resumable cfg db).Miner.results in
-        if compare_sigs then sorted (sigs direct) = sorted (sigs partitioned)
-        else
-          sorted (List.map (fun m -> m.Mined.support) direct)
-          = sorted (List.map (fun m -> m.Mined.support) partitioned)
+        sigs (Miner.mine_indexed cfg idx).Miner.results
+        = sigs (Miner.mine_resumable cfg db).Miner.results
       in
-      check Query.All ~compare_sigs:true
-      && check (Query.Targeted (Pattern.of_list [ 0 ])) ~compare_sigs:true
-      && check (Query.Top_k k) ~compare_sigs:false)
+      check Query.All
+      && check (Query.Targeted (Pattern.of_list [ 0 ]))
+      && check (Query.Top_k k))
 
 (* --- δ-cover: definitional properties + determinism --- *)
 
@@ -289,7 +336,8 @@ let suite =
   [
     prop_oracle_vs_engine;
     prop_targeted_vs_post_filter;
-    prop_topk_vs_sort_truncate;
+    prop_topk_vs_oracle;
+    prop_topk_every_entry_point;
     prop_resumable_matches_indexed;
     prop_delta_cover;
     Alcotest.test_case "query plans prune the DFS" `Quick

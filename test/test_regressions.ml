@@ -26,14 +26,18 @@ let test_clospan_unsafe_direction () =
 let test_budget_prefix_property () =
   let db = Seqdb.of_strings [ "ABCACBDDB"; "ACDBACADD" ] in
   let idx = Inverted_index.build db in
-  let full, _ = Gsgrow.mine idx ~min_sup:3 in
+  let full, _ = Engine.mine Gsgrow.strategy idx ~min_sup:3 in
   let full_sigs = List.map (fun r -> Pattern.to_string r.Mined.pattern) full in
   List.iter
     (fun budget ->
-      let part, stats = Gsgrow.mine ~max_patterns:budget idx ~min_sup:3 in
+      let { Miner.results = part; truncated; _ } =
+        Miner.mine_indexed
+          (Miner.config ~mode:Miner.All ~max_patterns:budget ~min_sup:3 ())
+          idx
+      in
       Alcotest.(check int) (Printf.sprintf "budget %d count" budget) budget
         (List.length part);
-      Alcotest.(check bool) "truncated" true stats.Engine.truncated;
+      Alcotest.(check bool) "truncated" true truncated;
       let part_sigs = List.map (fun r -> Pattern.to_string r.Mined.pattern) part in
       Alcotest.(check (list string))
         (Printf.sprintf "budget %d prefix" budget)
@@ -100,7 +104,10 @@ let test_truncated_results_valid () =
       (Rgs_datagen.Quest_gen.params ~d:30 ~c:15 ~n:20 ~s:4 ~seed:3 ())
   in
   let idx = Inverted_index.build db in
-  let results, _ = Clogsgrow.mine ~max_patterns:10 idx ~min_sup:5 in
+  let results =
+    (Miner.mine_indexed (Miner.config ~max_patterns:10 ~min_sup:5 ()) idx)
+      .Miner.results
+  in
   List.iter
     (fun r ->
       Alcotest.(check int) "support consistent" r.Mined.support

@@ -96,22 +96,22 @@ let test_empty_database () =
   let db = Seqdb.of_sequences [] in
   let idx = Inverted_index.build db in
   Alcotest.(check int) "support in empty db" 0 (Sup_comp.support idx (Pattern.of_string "A"));
-  let results, _ = Gsgrow.mine idx ~min_sup:1 in
+  let results, _ = Engine.mine Gsgrow.strategy idx ~min_sup:1 in
   Alcotest.(check int) "no patterns" 0 (List.length results);
-  let closed, _ = Clogsgrow.mine idx ~min_sup:1 in
+  let closed, _ = Engine.mine Gens.closed idx ~min_sup:1 in
   Alcotest.(check int) "no closed patterns" 0 (List.length closed)
 
 let test_empty_sequences_in_db () =
   let db = Seqdb.of_sequences [ Sequence.of_list []; Sequence.of_string "AB" ] in
   let idx = Inverted_index.build db in
   Alcotest.(check int) "AB" 1 (Sup_comp.support idx (Pattern.of_string "AB"));
-  let results, _ = Clogsgrow.mine idx ~min_sup:1 in
+  let results, _ = Engine.mine Gens.closed idx ~min_sup:1 in
   Alcotest.(check bool) "mines fine" true (results <> [])
 
 let test_min_sup_above_everything () =
   let db = Seqdb.of_strings [ "ABCABC" ] in
   let idx = Inverted_index.build db in
-  let results, _ = Gsgrow.mine idx ~min_sup:1000 in
+  let results, _ = Engine.mine Gsgrow.strategy idx ~min_sup:1000 in
   Alcotest.(check int) "nothing frequent" 0 (List.length results)
 
 (* --- resilient runtime: budgets, crash-isolated pool, checkpoint/resume --- *)
@@ -139,20 +139,24 @@ let test_worker_crash_loses_one_root () =
   Alcotest.(check bool) "several roots" true (List.length events >= 3);
   let bad_root = List.nth events 1 in
   let bad_index = 1 in
-  let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+  let full, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
   let survivors =
     List.filter (fun r -> Pattern.get r.Mined.pattern 1 <> bad_root) full
   in
-  let results, stats =
+  let report =
     Budget.Fault.with_hook
       (function
         | Budget.Fault.Worker k when k = bad_index -> raise exn_injected
         | _ -> ())
-      (fun () -> Parallel_miner.mine_closed ~domains:3 ~max_length:4 idx ~min_sup)
+      (fun () ->
+        Gens.pool ~mode:Miner.Closed ~domains:3 ~max_length:4 idx ~min_sup)
   in
   Alcotest.(check (list (pair string int)))
-    "other roots' patterns intact" (signatures survivors) (signatures results);
-  Alcotest.(check bool) "worker failed" true (stats.Engine.outcome = Budget.Worker_failed)
+    "other roots' patterns intact" (signatures survivors)
+    (signatures report.Miner.results);
+  Alcotest.(check bool) "worker failed" true
+    (report.Miner.outcome = Budget.Worker_failed);
+  Alcotest.(check int) "one root quarantined" 1 report.Miner.quarantined
 
 (* A root crashing once recovers through the sequential retry: full results,
    Completed outcome. *)
@@ -160,19 +164,22 @@ let test_worker_crash_retry_recovers () =
   let db = Lazy.force mid_db in
   let idx = Inverted_index.build db in
   let min_sup = 5 in
-  let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+  let full, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
   let fired = Atomic.make false in
-  let results, stats =
+  let report =
     Budget.Fault.with_hook
       (function
         | Budget.Fault.Worker 0 when not (Atomic.exchange fired true) ->
           raise exn_injected
         | _ -> ())
-      (fun () -> Parallel_miner.mine_closed ~domains:3 ~max_length:4 idx ~min_sup)
+      (fun () ->
+        Gens.pool ~mode:Miner.Closed ~domains:3 ~max_length:4 idx ~min_sup)
   in
   Alcotest.(check (list (pair string int)))
-    "retry recovers everything" (signatures full) (signatures results);
-  Alcotest.(check bool) "completed" true (stats.Engine.outcome = Budget.Completed)
+    "retry recovers everything" (signatures full)
+    (signatures report.Miner.results);
+  Alcotest.(check bool) "completed" true
+    (report.Miner.outcome = Budget.Completed)
 
 (* Crashes injected at INSgrow granularity inside the sequential miner
    propagate to the caller (no pool to contain them). *)
@@ -182,7 +189,7 @@ let test_insgrow_fault_sequential () =
   match
     Budget.Fault.with_hook
       (function Budget.Fault.Insgrow -> raise exn_injected | _ -> ())
-      (fun () -> Gsgrow.mine idx ~min_sup:2)
+      (fun () -> Engine.mine Gsgrow.strategy idx ~min_sup:2)
   with
   | exception Failure msg -> Alcotest.(check string) "fault surfaces" "injected fault" msg
   | _ -> Alcotest.fail "expected the injected fault to escape"
@@ -193,15 +200,20 @@ let test_deadline_immediate () =
   let db = Lazy.force mid_db in
   let idx = Inverted_index.build db in
   let budget = Budget.create ~deadline_s:0.0 () in
-  let results, stats = Clogsgrow.mine ~budget idx ~min_sup:5 in
+  let results, stats = Engine.mine Gens.closed ~budget idx ~min_sup:5 in
   Alcotest.(check bool) "deadline outcome" true
     (stats.Engine.outcome = Budget.Deadline_exceeded);
   Alcotest.(check int) "no patterns mined" 0 (List.length results);
   (* parallel flavour: pool drains gracefully, same outcome *)
-  let presults, pstats = Parallel_miner.mine_closed ~domains:3 ~budget idx ~min_sup:5 in
-  Alcotest.(check int) "parallel empty too" 0 (List.length presults);
+  let preport =
+    Miner.mine_indexed
+      (Miner.config ~domains:3 ~deadline_s:0.0 ~min_sup:5 ())
+      idx
+  in
+  Alcotest.(check int) "parallel empty too" 0
+    (List.length preport.Miner.results);
   Alcotest.(check bool) "parallel deadline outcome" true
-    (pstats.Engine.outcome = Budget.Deadline_exceeded)
+    (preport.Miner.outcome = Budget.Deadline_exceeded)
 
 (* A DFS-node budget yields a partial result that is a sub-multiset of the
    full closed set, with outcome Truncated. *)
@@ -209,9 +221,9 @@ let test_node_budget_partial_subset () =
   let db = Lazy.force mid_db in
   let idx = Inverted_index.build db in
   let min_sup = 5 in
-  let full, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+  let full, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
   let budget = Budget.create ~max_nodes:40 () in
-  let partial, stats = Clogsgrow.mine ~max_length:4 ~budget idx ~min_sup in
+  let partial, stats = Engine.mine Gens.closed ~max_length:4 ~budget idx ~min_sup in
   Alcotest.(check bool) "truncated" true (stats.Engine.outcome = Budget.Truncated);
   Alcotest.(check bool) "strictly partial" true
     (List.length partial < List.length full);
@@ -228,7 +240,7 @@ let test_cancellation () =
   let idx = Inverted_index.build db in
   let budget = Budget.create () in
   Budget.cancel budget;
-  let _, stats = Gsgrow.mine ~budget idx ~min_sup:5 in
+  let _, stats = Engine.mine Gsgrow.strategy ~budget idx ~min_sup:5 in
   Alcotest.(check bool) "cancelled" true (stats.Engine.outcome = Budget.Cancelled)
 
 let test_memory_limit () =
@@ -236,7 +248,7 @@ let test_memory_limit () =
   let idx = Inverted_index.build db in
   (* one word: trips on the first check *)
   let budget = Budget.create ~max_words:1 () in
-  let _, stats = Clogsgrow.mine ~budget idx ~min_sup:5 in
+  let _, stats = Engine.mine Gens.closed ~budget idx ~min_sup:5 in
   Alcotest.(check bool) "memory limit" true
     (stats.Engine.outcome = Budget.Memory_limit)
 
@@ -374,6 +386,32 @@ let test_checkpoint_fingerprint_mismatch () =
       with
       | exception Checkpoint.Corrupt _ -> ()
       | _ -> Alcotest.fail "expected Corrupt on changed min_sup")
+
+(* A top-k log written under the earlier tie rule (no tie marker in its
+   fingerprint) holds other tied patterns per root, so it is refused
+   rather than resumed into a different answer; the All and Targeted
+   fingerprints are unchanged, so their logs still resume. *)
+let test_checkpoint_topk_tie_rule () =
+  let db = Lazy.force mid_db in
+  let resumes query extra =
+    with_temp_checkpoint (fun path ->
+        Checkpoint.write ~path
+          ~fingerprint:
+            (Checkpoint.fingerprint ~params:([ "closed"; "5"; "3" ] @ extra) db)
+          ~completed:[] ~quarantined:[] ();
+        match
+          Miner.mine_resumable ~checkpoint:path ~resume:true
+            (Miner.config ~query ~min_sup:5 ~max_length:3 ())
+            db
+        with
+        | exception Checkpoint.Corrupt _ -> false
+        | _ -> true)
+  in
+  Alcotest.(check bool) "earlier top-k log refused" false
+    (resumes (Query.Top_k 4) [ "query=topk:4" ]);
+  Alcotest.(check bool) "all log resumes" true (resumes Query.All []);
+  Alcotest.(check bool) "targeted log resumes" true
+    (resumes (Query.Targeted (Pattern.of_list [ 0 ])) [ "query=target:0" ])
 
 let test_checkpoint_corrupt_file () =
   with_temp_checkpoint (fun path ->
@@ -999,26 +1037,32 @@ let test_e2e_parallel_gap () = check_parallel_stdout "--max-gap" []
 let test_e2e_parallel_gap_target () =
   check_parallel_stdout "--max-gap --target" [ "--target"; "26 10" ]
 
-(* the supports printed as "(sup=N)", sorted *)
-let supports out =
-  String.split_on_char '\n' out
-  |> List.filter_map (fun line ->
-         match String.split_on_char '=' line with
-         | [ pre; post ] when contains pre "(sup" ->
-           int_of_string_opt (String.sub post 0 (String.index post ')'))
-         | _ -> None)
-  |> List.sort compare
-
-(* Top-k ties at the k-th support may resolve differently between the
-   sequential and the root-partitioned entry point, so only the support
-   multiset is compared. *)
+(* one tie rule at every entry point: the sequential and the pool run
+   print the same top-k patterns, not only the same supports *)
 let test_e2e_parallel_gap_top_k () =
-  let out_seq, out_par =
-    run_seq_and_parallel "--max-gap --top-k" [ "--top-k"; "5" ]
+  check_parallel_stdout "--max-gap --top-k" [ "--top-k"; "5" ]
+
+let jboss_traces =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat ".." (Filename.concat "data" "jboss_traces.txt"))
+
+(* jboss mine-all ties at support 231, the 10th place: the sequential and
+   the --parallel answer keep the same tied pattern *)
+let test_e2e_parallel_top_k_ties () =
+  let run extra =
+    let status, out =
+      run_rgsminer
+        ([ "-a"; "-s"; "18"; "--max-length"; "4"; "--top-k"; "10" ]
+        @ extra @ [ jboss_traces ])
+    in
+    Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+    normalize_report out
   in
-  Alcotest.(check int) "five answers" 5 (List.length (supports out_seq));
-  Alcotest.(check (list int)) "same support multiset" (supports out_seq)
-    (supports out_par)
+  let seq = run [] in
+  Alcotest.(check bool) "ten answers" true (contains seq "10 patterns");
+  Alcotest.(check string) "--parallel stdout = sequential stdout" seq
+    (run [ "--parallel" ])
 
 let test_e2e_parallel_max_patterns () =
   let status, out =
@@ -1031,9 +1075,8 @@ let test_e2e_parallel_max_patterns () =
     true
     (contains out "domains cannot be combined with max_patterns")
 
-(* a queried --parallel run goes through the root-partitioned driver;
-   its refusal of --max-patterns must name --parallel's domains, not a
-   checkpoint that was never asked for *)
+(* a queried --parallel run's refusal of --max-patterns must name
+   --parallel's domains, not a checkpoint that was never asked for *)
 let test_e2e_parallel_max_patterns_target () =
   let status, out =
     run_rgsminer ~capture_stderr:true
@@ -1073,6 +1116,8 @@ let suite =
       test_checkpoint_after_worker_crash;
     Alcotest.test_case "checkpoint fingerprint mismatch" `Quick
       test_checkpoint_fingerprint_mismatch;
+    Alcotest.test_case "checkpoint top-k tie rule" `Quick
+      test_checkpoint_topk_tie_rule;
     Alcotest.test_case "checkpoint corrupt file" `Quick test_checkpoint_corrupt_file;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "outcome severity" `Quick test_outcome_severity;
@@ -1101,8 +1146,10 @@ let suite =
       test_e2e_parallel_gap;
     Alcotest.test_case "e2e: --parallel --max-gap --target = sequential" `Quick
       test_e2e_parallel_gap_target;
-    Alcotest.test_case "e2e: --parallel --max-gap --top-k supports" `Quick
+    Alcotest.test_case "e2e: --parallel --max-gap --top-k" `Quick
       test_e2e_parallel_gap_top_k;
+    Alcotest.test_case "e2e: --parallel --top-k ties" `Quick
+      test_e2e_parallel_top_k_ties;
     Alcotest.test_case "e2e: --parallel refuses --max-patterns" `Quick
       test_e2e_parallel_max_patterns;
     Alcotest.test_case "e2e: --parallel --target refuses --max-patterns" `Quick

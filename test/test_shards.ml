@@ -2,14 +2,13 @@
    root pool is invisible in the output.
 
    Contract under test: for every database, index backend, shard count in
-   {1,2,4,8} and domain count, [Parallel_miner.mine] (and the
-   [?domains]/[?shards] routing in Miner / Parallel_miner.mine_all/closed)
-   emits {e byte-identical} results to the sequential miners — including
-   under gap constraints and Targeted/Top_k query plans, and on the
-   adversarial all-work-in-one-root skew where per-root scheduling
-   degenerates to a single busy domain. The pool's summed stats equal one
-   sequential run's, repeated runs agree, and a supervisor-style shard
-   dispatch composes with it. The [Support_set.combine] algebra the shard
+   {1,2,4,8} and domain count, the Miner root pool (a config with
+   [domains] and [shards]) emits {e byte-identical} results to the
+   sequential engine run — including under gap constraints and
+   Targeted/Top_k query plans, and on the adversarial all-work-in-one-root
+   skew where per-root scheduling degenerates to a single busy domain. The
+   pool's engine counters equal one sequential run's, repeated runs agree,
+   and a supervisor-style shard dispatch composes with it. The [Support_set.combine] algebra the shard
    merge rests on is checked here too, and so is the JBoss-like case-study
    corpus under 4 domains (the paper-scale QUEST case of the same check
    lives in test_perf_guard.ml, beside the store gate that generates its
@@ -23,7 +22,6 @@ let signatures results =
   List.map (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support)) results
 
 let sig_t = Alcotest.(list (pair string int))
-let closed_strategy = Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
 
 let backends db =
   [
@@ -95,15 +93,13 @@ let test_pool_all_matches () =
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
-      let sequential, _ = Gsgrow.mine ~max_length:4 idx ~min_sup in
+      let sequential, _ = Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let pool, _ =
-            Parallel_miner.mine_all ~domains:4 ~max_length:4 ~shards idx ~min_sup
-          in
+          let pool = Gens.pool ~domains:4 ~max_length:4 ~shards idx ~min_sup in
           Alcotest.check sig_t
             (Printf.sprintf "%s all s%d pool" name shards)
-            (signatures sequential) (signatures pool))
+            (signatures sequential) (signatures pool.Miner.results))
         shard_counts)
     (Lazy.force dbs)
 
@@ -111,16 +107,16 @@ let test_pool_closed_matches () =
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
-      let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
+      let sequential, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let pool, _ =
-            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
+          let pool =
+            Gens.pool ~mode:Miner.Closed ~domains:3 ~max_length:4 ~shards idx
               ~min_sup
           in
           Alcotest.check sig_t
             (Printf.sprintf "%s closed s%d pool" name shards)
-            (signatures sequential) (signatures pool))
+            (signatures sequential) (signatures pool.Miner.results))
         shard_counts)
     (Lazy.force dbs)
 
@@ -130,17 +126,17 @@ let test_pool_closed_matches () =
 let test_pool_jboss_like () =
   let db, _ = Rgs_experiments.Exp_common.jboss_like () in
   let idx = Inverted_index.build db in
-  let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:18 in
+  let sequential, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:18 in
   Alcotest.(check bool) "jboss_like mined something" true (sequential <> []);
   List.iter
     (fun shards ->
-      let pool, _ =
-        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards idx
+      let pool =
+        Gens.pool ~mode:Miner.Closed ~domains:4 ~max_length:4 ~shards idx
           ~min_sup:18
       in
       Alcotest.check sig_t
         (Printf.sprintf "jboss_like closed s%d pool" shards)
-        (signatures sequential) (signatures pool))
+        (signatures sequential) (signatures pool.Miner.results))
     shard_counts
 
 (* the store-backed (mapped) read path shards identically on the pool *)
@@ -150,87 +146,107 @@ let test_pool_mapped_store () =
   Store.write ~path db;
   let mdb, _ = Store.open_db path in
   Sys.remove path;
-  let sequential, _ = Clogsgrow.mine ~max_length:4 (Inverted_index.build db) ~min_sup in
+  let sequential, _ = Engine.mine Gens.closed ~max_length:4 (Inverted_index.build db) ~min_sup in
   let midx = Inverted_index.build mdb in
-  let pool, _ =
-    Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards:3 midx ~min_sup
+  let pool =
+    Gens.pool ~mode:Miner.Closed ~domains:4 ~max_length:4 ~shards:3 midx
+      ~min_sup
   in
   Alcotest.check sig_t "mapped closed pool" (signatures sequential)
-    (signatures pool)
+    (signatures pool.Miner.results)
 
-(* The pool's output and its summed stats are fixed by the database, not
-   by which domain claimed which root: five runs on the one-root skew
-   (the worst case for claim-order races) agree with each other. *)
+(* What a run adds to the engine's counters: DFS nodes, emitted patterns,
+   LBCheck prunes and instance growths, from [Metrics] deltas (the pool's
+   domains all count into them). *)
+let with_counters f =
+  let before = Metrics.snapshot () in
+  let r = f () in
+  let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+  ( r,
+    List.map (Metrics.find d)
+      [ "dfs_nodes"; "patterns_emitted"; "lb_prunes"; "insgrow_calls" ] )
+
+(* The pool's output and its counters are fixed by the database, not by
+   which domain claimed which root: five runs on the one-root skew (the
+   worst case for claim-order races) agree with each other. *)
 let test_pool_deterministic () =
   let db = Lazy.force skew_db in
   let idx = Inverted_index.build db in
   let run () =
-    let results, stats =
-      Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards:2 idx
-        ~min_sup:6
+    let report, counters =
+      with_counters (fun () ->
+          Gens.pool ~mode:Miner.Closed ~domains:4 ~max_length:4 ~shards:2 idx
+            ~min_sup:6)
     in
-    (signatures results, stats.Engine.dfs_nodes, stats.Engine.insgrow_calls)
+    (signatures report.Miner.results, counters)
   in
-  let ((first, _, _) as reference) = run () in
+  let ((first, _) as reference) = run () in
   Alcotest.(check bool) "skew run mined something" true (first <> []);
   for i = 2 to 5 do
     Alcotest.(check bool)
-      (Printf.sprintf "run %d = run 1 (output and stats)" i)
+      (Printf.sprintf "run %d = run 1 (output and counters)" i)
       true (run () = reference)
   done
 
-(* Every root is mined exactly once: the per-root stats the pool sums
-   equal one sequential engine run's, node for node. *)
+(* Every root is mined exactly once: the counters the pool's per-root
+   runs add up to equal one sequential sharded engine run's, node for
+   node. *)
 let test_pool_stats_match () =
-  let check_stats name (seq : Engine.stats) (pool : Engine.stats) =
-    Alcotest.(check (list int)) name
-      [ seq.emitted; seq.dfs_nodes; seq.insgrow_calls; seq.lb_pruned;
-        seq.non_closed_dropped ]
-      [ pool.emitted; pool.dfs_nodes; pool.insgrow_calls; pool.lb_pruned;
-        pool.non_closed_dropped ]
-  in
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
-      let _, all_seq = Gsgrow.mine ~max_length:4 idx ~min_sup in
-      let _, closed_seq = Clogsgrow.mine ~max_length:4 idx ~min_sup in
       List.iter
         (fun shards ->
-          let _, all_pool =
-            Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards idx ~min_sup
-          in
-          let _, closed_pool =
-            Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
-              ~min_sup
-          in
-          check_stats (Printf.sprintf "%s all s%d stats" name shards) all_seq
-            all_pool;
-          check_stats
-            (Printf.sprintf "%s closed s%d stats" name shards)
-            closed_seq closed_pool)
+          let sm = Shard_merge.make db ~shards in
+          List.iter
+            (fun (mode, strategy) ->
+              let _, seq =
+                with_counters (fun () ->
+                    Engine.run ~max_length:4 (Shard_merge.strategy sm strategy)
+                      idx ~min_sup ~emit:ignore)
+              in
+              let _, pool =
+                with_counters (fun () ->
+                    Gens.pool ~mode ~domains:3 ~max_length:4 ~shards idx
+                      ~min_sup)
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s %s s%d counters" name
+                   (match mode with Miner.All -> "all" | Miner.Closed -> "closed")
+                   shards)
+                seq pool)
+            [ (Miner.All, Gsgrow.strategy); (Miner.Closed, Gens.closed) ])
         [ 1; 3 ])
     (Lazy.force dbs)
 
-(* Gap-constrained mining on the pool, two-sided gaps included *)
+(* Gap-constrained mining, two-sided gaps included: sharded growth is
+   invisible, and the pool (which [Miner] runs with [min_gap = 0]) agrees *)
 let test_pool_gap_matches () =
   List.iter
     (fun (name, db, min_sup) ->
       let idx = Inverted_index.build db in
       List.iter
         (fun min_gap ->
-          let sequential, _ =
-            Gap_constrained.mine ~max_length:4 ~min_gap idx ~max_gap:2 ~min_sup
-          in
+          let strategy = Gap_constrained.strategy ~min_gap ~max_gap:2 in
+          let sequential, _ = Engine.mine ~max_length:4 strategy idx ~min_sup in
           List.iter
             (fun shards ->
-              let pool, _ =
-                Parallel_miner.mine ~domains:3 ~max_length:4 ~shards
-                  ~strategy:(Gap_constrained.strategy ~min_gap ~max_gap:2)
+              let sharded, _ =
+                Engine.mine ~max_length:4
+                  (Shard_merge.strategy (Shard_merge.make db ~shards) strategy)
                   idx ~min_sup
               in
               Alcotest.check sig_t
-                (Printf.sprintf "%s gap [%d,2] s%d pool" name min_gap shards)
-                (signatures sequential) (signatures pool))
+                (Printf.sprintf "%s gap [%d,2] s%d" name min_gap shards)
+                (signatures sequential) (signatures sharded);
+              if min_gap = 0 then
+                Alcotest.check sig_t
+                  (Printf.sprintf "%s gap [0,2] s%d pool" name shards)
+                  (signatures sequential)
+                  (signatures
+                     (Gens.pool ~domains:3 ~max_length:4 ~max_gap:2 ~shards idx
+                        ~min_sup)
+                       .Miner.results))
             shard_counts)
         [ 0; 1 ])
     (Lazy.force dbs)
@@ -273,15 +289,17 @@ let test_pool_shard_dispatch () =
     Atomic.incr calls;
     Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
   in
-  let sequential, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup in
-  let pool, stats =
-    Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards:3
-      ~shard_dispatch:dispatch idx ~min_sup
+  let sequential, stats = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
+  let pool =
+    Miner.mine_indexed
+      (Miner.config ~mode:Miner.Closed ~domains:3 ~max_length:4 ~shards:3
+         ~shard_dispatch:dispatch ~min_sup ())
+      idx
   in
   Alcotest.check sig_t "dispatched closed pool" (signatures sequential)
-    (signatures pool);
-  Alcotest.(check bool) "every growth dispatched" true
-    (Atomic.get calls > 0 && Atomic.get calls >= stats.Engine.insgrow_calls)
+    (signatures pool.Miner.results);
+  Alcotest.(check int) "every DFS growth dispatched" stats.Engine.insgrow_calls
+    (Atomic.get calls)
 
 (* --- QCheck differentials: random dbs × both backends --- *)
 
@@ -302,17 +320,15 @@ let prop_pool_all_closed =
       Printf.sprintf "shards: %d backend: %d\n%s" shards b (Gens.print_db db))
     (fun (db, shards, b) ->
       let _, idx = List.nth (backends db) b in
-      let all_seq, _ = Gsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let all_pool, _ =
-        Parallel_miner.mine_all ~domains:3 ~max_length:4 ~shards idx ~min_sup:2
-      in
-      let closed_seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:2 in
-      let closed_pool, _ =
-        Parallel_miner.mine_closed ~domains:3 ~max_length:4 ~shards idx
+      let all_seq, _ = Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:2 in
+      let all_pool = Gens.pool ~domains:3 ~max_length:4 ~shards idx ~min_sup:2 in
+      let closed_seq, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:2 in
+      let closed_pool =
+        Gens.pool ~mode:Miner.Closed ~domains:3 ~max_length:4 ~shards idx
           ~min_sup:2
       in
-      signatures all_seq = signatures all_pool
-      && signatures closed_seq = signatures closed_pool)
+      signatures all_seq = signatures all_pool.Miner.results
+      && signatures closed_seq = signatures closed_pool.Miner.results)
 
 let prop_pool_skewed =
   Gens.make ~name:"pool ≡ sequential on adversarial skew" ~count:40
@@ -321,12 +337,12 @@ let prop_pool_skewed =
       Printf.sprintf "shards: %d\n%s" shards (Gens.print_db db))
     (fun (db, shards) ->
       let idx = Inverted_index.build db in
-      let seq, _ = Clogsgrow.mine ~max_length:4 idx ~min_sup:3 in
-      let pool, _ =
-        Parallel_miner.mine_closed ~domains:4 ~max_length:4 ~shards idx
+      let seq, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:3 in
+      let pool =
+        Gens.pool ~mode:Miner.Closed ~domains:4 ~max_length:4 ~shards idx
           ~min_sup:3
       in
-      signatures seq = signatures pool)
+      signatures seq = signatures pool.Miner.results)
 
 let prop_pool_gap =
   Gens.make ~name:"pool ≡ sequential (gap-constrained)" ~count:60
@@ -335,49 +351,53 @@ let prop_pool_gap =
       Printf.sprintf "shards: %d\n%s" shards (Gens.print_db db))
     (fun (db, shards) ->
       let idx = Inverted_index.build db in
-      let seq, _ = Gap_constrained.mine ~max_length:4 idx ~max_gap:2 ~min_sup:2 in
-      let pool, stats =
-        Parallel_miner.mine ~domains:3 ~max_length:4 ~shards
-          ~strategy:(Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
+      let seq, _ =
+        Engine.mine ~max_length:4
+          (Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
           idx ~min_sup:2
       in
-      stats.Engine.outcome = Budget.Completed
-      && signatures seq = signatures pool)
+      let pool =
+        Gens.pool ~domains:3 ~max_length:4 ~max_gap:2 ~shards idx ~min_sup:2
+      in
+      pool.Miner.outcome = Budget.Completed
+      && signatures seq = signatures pool.Miner.results)
 
-(* --- queries on the pool: Miner.mine_resumable with domains --- *)
+(* --- queries on the pool: a queried config with domains --- *)
 
-(* The oracle is the same root-partitioned call without [domains]: the
-   pool may only change which domain mines a root, never the answer —
-   ties at the k-th support included. *)
-let resumable_matches_sequential ?max_gap ~query db =
+(* The oracle is the sequential run of the same config without
+   [domains]: the pool may only change which domain mines a root, never
+   the answer — ties at the k-th support included, since every entry
+   point keeps one tie rule. *)
+let pool_matches_sequential ?max_gap ~query db =
+  let idx = Inverted_index.build db in
   let cfg ?domains () =
     Miner.config ~query ~max_length:4 ?max_gap ?domains ~shards:2 ~min_sup:2 ()
   in
-  let seq = Miner.mine_resumable (cfg ()) db in
-  let pool = Miner.mine_resumable (cfg ~domains:3 ()) db in
+  let seq = Miner.mine_indexed (cfg ()) idx in
+  let pool = Miner.mine_indexed (cfg ~domains:3 ()) idx in
   pool.Miner.quarantined = 0
   && signatures seq.Miner.results = signatures pool.Miner.results
 
 let prop_pool_topk =
-  Gens.make ~name:"pool Top_k ≡ sequential Top_k (mine_resumable)" ~count:60
+  Gens.make ~name:"pool Top_k ≡ sequential Top_k" ~count:60
     QCheck2.Gen.(
       pair (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9) (int_range 1 6))
     (fun (db, k) -> Printf.sprintf "k: %d\n%s" k (Gens.print_db db))
-    (fun (db, k) -> resumable_matches_sequential ~query:(Query.Top_k k) db)
+    (fun (db, k) -> pool_matches_sequential ~query:(Query.Top_k k) db)
 
 let prop_pool_targeted =
-  Gens.make ~name:"pool Targeted ≡ sequential Targeted (mine_resumable)"
+  Gens.make ~name:"pool Targeted ≡ sequential Targeted"
     ~count:60
     QCheck2.Gen.(
       pair (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9)
         (Gens.pattern ~alphabet:4 ~max_len:2))
     Gens.print_db_pattern
-    (fun (db, p) -> resumable_matches_sequential ~query:(Query.Targeted p) db)
+    (fun (db, p) -> pool_matches_sequential ~query:(Query.Targeted p) db)
 
 (* queries over gap-constrained mining, no checkpoint: the route that
    --parallel --max-gap with --top-k or --target takes *)
 let prop_pool_gap_queries =
-  Gens.make ~name:"pool gap queries ≡ sequential (mine_resumable)" ~count:60
+  Gens.make ~name:"pool gap queries ≡ sequential" ~count:60
     QCheck2.Gen.(
       triple (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9)
         (Gens.pattern ~alphabet:4 ~max_len:2)
@@ -385,8 +405,8 @@ let prop_pool_gap_queries =
     (fun (db, p, k) ->
       Printf.sprintf "k: %d\n%s" k (Gens.print_db_pattern (db, p)))
     (fun (db, p, k) ->
-      resumable_matches_sequential ~max_gap:2 ~query:(Query.Top_k k) db
-      && resumable_matches_sequential ~max_gap:2 ~query:(Query.Targeted p) db)
+      pool_matches_sequential ~max_gap:2 ~query:(Query.Top_k k) db
+      && pool_matches_sequential ~max_gap:2 ~query:(Query.Targeted p) db)
 
 (* --- the Shard_merge proof obligation, run live --- *)
 
@@ -399,11 +419,11 @@ let test_shard_merge_verify () =
      divergence, so completing at all is the proof; check the output too. *)
   let _ =
     Engine.run ~max_length:3
-      (Shard_merge.strategy ~verify:true sm closed_strategy)
+      (Shard_merge.strategy ~verify:true sm Gens.closed)
       idx ~min_sup
       ~emit:(fun m -> results := m :: !results)
   in
-  let expected, _ = Clogsgrow.mine ~max_length:3 idx ~min_sup in
+  let expected, _ = Engine.mine Gens.closed ~max_length:3 idx ~min_sup in
   Alcotest.check sig_t "verified sharded run ≡ sequential"
     (signatures expected)
     (signatures (List.rev !results))

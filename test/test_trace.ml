@@ -179,7 +179,7 @@ let kind_count trace k =
 let test_chrome_golden () =
   let idx = Inverted_index.build (Lazy.force table3) in
   let trace = Trace.create ~level:Trace.Nodes () in
-  let results, _ = Clogsgrow.mine ~trace idx ~min_sup:2 in
+  let results, _ = Engine.mine Gens.closed ~trace idx ~min_sup:2 in
   Alcotest.(check bool) "mined something" true (results <> []);
   with_temp_file (fun path ->
       Trace.write_chrome path trace;
@@ -274,7 +274,7 @@ let test_counter_consistency_closed () =
       let idx = Inverted_index.build db in
       let trace = Trace.create ~level:Trace.Nodes ~capacity:(1 lsl 18) () in
       let before = Metrics.snapshot () in
-      let results, stats = Clogsgrow.mine ~max_length:4 ~trace idx ~min_sup:3 in
+      let results, stats = Engine.mine Gens.closed ~max_length:4 ~trace idx ~min_sup:3 in
       let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
       Alcotest.(check int) "no ring drops" 0 (Trace.dropped trace);
       Alcotest.(check int) "node instants = dfs_nodes delta"
@@ -297,7 +297,7 @@ let test_counter_consistency_all () =
       let idx = Inverted_index.build db in
       let trace = Trace.create ~level:Trace.Nodes ~capacity:(1 lsl 18) () in
       let before = Metrics.snapshot () in
-      let results, _ = Gsgrow.mine ~max_length:3 ~trace idx ~min_sup:3 in
+      let results, _ = Engine.mine Gsgrow.strategy ~max_length:3 ~trace idx ~min_sup:3 in
       let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
       Alcotest.(check int) "no ring drops" 0 (Trace.dropped trace);
       (* every GSgrow DFS node emits its pattern *)
@@ -349,7 +349,7 @@ let test_budget_stop_traced () =
   let trace = Trace.create ~level:Trace.Roots () in
   let before = Metrics.snapshot () in
   let budget = Budget.create ~max_nodes:1 () in
-  let _, stats = Clogsgrow.mine ~budget ~trace idx ~min_sup:2 in
+  let _, stats = Engine.mine Gens.closed ~budget ~trace idx ~min_sup:2 in
   let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   Alcotest.(check bool) "run truncated" true stats.Engine.truncated;
   Alcotest.(check int) "budget_stop instant" 1
@@ -363,8 +363,8 @@ let test_parallel_worker_spans () =
   let idx = Inverted_index.build db in
   let trace = Trace.create ~level:Trace.Roots () in
   let before = Metrics.snapshot () in
-  let results, _ =
-    Parallel_miner.mine_closed ~domains:3 ~max_length:3 ~trace idx ~min_sup:5
+  let { Miner.results; _ } =
+    Gens.pool ~mode:Miner.Closed ~domains:3 ~max_length:3 ~trace idx ~min_sup:5
   in
   let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
   Alcotest.(check int) "worker spans = domains" 3 (kind_count trace Trace.Worker);
@@ -390,7 +390,7 @@ let test_peak_live_words_parallel () =
   let db = List.nth (Lazy.force random_dbs) 1 in
   let idx = Inverted_index.build db in
   Metrics.reset ();
-  ignore (Parallel_miner.mine_closed ~domains:2 ~max_length:3 idx ~min_sup:5);
+  ignore (Gens.pool ~mode:Miner.Closed ~domains:2 ~max_length:3 idx ~min_sup:5);
   (* regression: the gauge used to be sampled only on the main domain by
      benches; now every pool worker samples its own domain at exit *)
   Alcotest.(check bool) "pool workers sample peak_live_words" true
