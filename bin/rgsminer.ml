@@ -174,12 +174,12 @@ let run input store format min_sup all max_length max_patterns limit instances m
       | _ -> None
     in
     let finish_ticker () = Option.iter Rgs_server.Stats_dump.stop ticker in
+    (* one index serves the mine and the --instances landmarks *)
+    let idx = Miner.build_index config db in
     let report =
       match
-        if checkpoint <> None || resume then
-          Miner.mine_resumable ?checkpoint ~resume ~retry_quarantined ~trace
-            config db
-        else Miner.mine ~config ~trace db
+        Miner.mine_indexed ?checkpoint ~resume ~retry_quarantined ~trace config
+          idx
       with
       | report -> report
       | exception e ->
@@ -252,7 +252,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
             Format.printf "@.%a:@." Pattern.pp r.Mined.pattern;
             List.iter
               (fun f -> Format.printf "  %a@." Instance.pp_full f)
-              (Miner.landmarks db r.Mined.pattern)
+              (Sup_comp.landmarks idx r.Mined.pattern)
           end)
         sorted
     end;
@@ -413,15 +413,15 @@ let compress_delta =
 
 let checkpoint =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
-         ~doc:"Checkpoint completed DFS roots to FILE (written atomically when the \
-               run ends for any reason). Implies root-partitioned mining; not \
-               compatible with $(b,--max-gap) or $(b,--max-patterns).")
+         ~doc:"Checkpoint completed DFS roots to FILE, one record per root as it \
+               completes, so a stopped or killed run can resume. Not \
+               compatible with $(b,--max-patterns).")
 
 let resume =
   Arg.(value & flag & info [ "resume" ]
          ~doc:"Resume from the $(b,--checkpoint) file, mining only the roots it \
                does not already cover. The checkpoint must match the input data, \
-               threshold, mode and $(b,--max-length).")
+               threshold, mode, $(b,--max-length), query and $(b,--max-gap).")
 
 let retry_quarantined =
   Arg.(value & flag & info [ "retry-quarantined" ]

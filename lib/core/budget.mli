@@ -69,7 +69,7 @@ val reset_shutdown : unit -> unit
 val install_signal_handlers : unit -> unit
 (** Route SIGINT and SIGTERM to {!request_shutdown} and remember that
     handlers are installed ({!signals_installed}), which makes
-    {!Miner.mine}/{!Miner.mine_resumable} create a budget even when no
+    {!Miner.mine}/{!Miner.mine_indexed} create a budget even when no
     explicit limit is configured, so the flag is actually polled. *)
 
 val signals_installed : unit -> bool

@@ -8,8 +8,8 @@
 
     {e mined output restricted to non-quarantined roots equals the
     fault-free run} ({!check_invariant}), and no injected fault ever
-    escapes a root-pool run ({!Miner.mine_indexed} with [domains], or
-    {!Miner.mine_resumable}) as an uncaught exception.
+    escapes a {!Miner} run (with [domains] or a checkpoint) as an
+    uncaught exception.
 
     Transient faults must be fully absorbed (retry recovers the root, the
     output is byte-identical); persistent faults may cost quarantined

@@ -5,7 +5,7 @@
     {!Parallel_miner} exploits. Version 3 of the checkpoint format is an
     {e append-only record log}: a self-describing header (magic, version,
     caller-supplied fingerprint) followed by one CRC32-framed record per
-    event — a completed root with its full result list, a quarantined
+    event — a completed root with its answer, a quarantined
     root, or the run outcome. Saving after a root finishes appends one
     record, O(that root's results), instead of rewriting the whole file;
     a run killed outright ([kill -9], power loss) loses at most the record
@@ -29,7 +29,9 @@ open Rgs_sequence
 
 type entry = {
   root : Event.t;
-  results : Mined.t list;  (** the completed root's full result list *)
+  results : Mined.t list;
+      (** the completed root's answer, as its {!Query.collector} returned
+          it *)
 }
 
 type quarantine = {
@@ -39,7 +41,7 @@ type quarantine = {
 }
 
 (** One log record. Later records win per root, so re-mining a quarantined
-    root ({!Miner.mine_resumable} with [retry_quarantined]) simply appends
+    root ({!Miner.mine_indexed} with [retry_quarantined]) simply appends
     a superseding [Root_done]. *)
 type record =
   | Root_done of entry

@@ -23,10 +23,9 @@
     plans is argued in [Query] and DESIGN.md.
 
     {!run} is the only DFS entry point ({!mine} collects its emissions
-    into a list). {!Miner} drives it in two shapes: one sequential run
-    over every root, or one run per size-1 root ([~roots:[e]]) on the
-    {!Parallel_miner.run_pool} root pool, so a DFS subtree is always
-    walked whole by one domain. *)
+    into a list). {!Miner} drives it one way: one run per size-1 root
+    ([~roots:[e]]) on the {!Parallel_miner.run_pool} root pool, so a DFS
+    subtree is always walked whole by one domain. *)
 
 open Rgs_sequence
 
@@ -99,8 +98,7 @@ val run :
       event with occurrence count at least [min_sup]).
     - [roots] restricts and orders the {e starting} size-1 patterns
       (default: [events]); they are still grown with the full [events]
-      set. This is how {!Miner} runs one root per pool claim, and how a
-      top-k run visits roots largest first.
+      set. This is how {!Miner} runs one root per pool claim.
     - [budget] is {!Budget.check}ed at every DFS node; on a stop the
       search ends, the reason lands in [stats.outcome] and the patterns
       emitted before it stand. Raising {!Budget_exhausted} from [emit]

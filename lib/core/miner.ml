@@ -113,7 +113,7 @@ let budget_of cfg =
   | deadline_s, max_nodes, max_words ->
     Some (Budget.create ?deadline_s ?max_nodes ?max_words ())
 
-(* The strategy a config's DFS runs under, in both run shapes. *)
+(* The strategy a config's DFS runs under. *)
 let strategy_of cfg =
   match (cfg.max_gap, cfg.mode) with
   | Some max_gap, _ -> Gap_constrained.strategy ~min_gap:0 ~max_gap
@@ -129,49 +129,18 @@ let layout_of cfg idx =
         ~shards:n)
     cfg.shards
 
-(* The one root order, descending single-event support
-   ([Parallel_miner.largest_first_order]). A top-k run visits its roots in
-   it — the floor rises fastest when big subtrees come first — and it
-   breaks top-k ties (see [Query]); everything else keeps the index's
-   canonical event order (the output order contract). *)
-let ranked idx events =
+(* The roots in answer order, which ranks them: the index's canonical
+   event order (the output order contract), or for top-k the one root
+   order ([Parallel_miner.largest_first_order]), which breaks top-k ties
+   and raises the floor fastest (see [Query]). *)
+let ranked_roots cfg idx events =
   let roots = Array.of_list events in
-  Array.to_list
-    (Array.map (fun k -> roots.(k)) (Parallel_miner.largest_first_order idx roots))
+  match cfg.query with
+  | Query.All | Query.Targeted _ -> roots
+  | Query.Top_k _ ->
+    Array.map (fun k -> roots.(k)) (Parallel_miner.largest_first_order idx roots)
 
-(* One sequential engine run under the query's plan, with the query's
-   collector as the sink (under [Query.All] it keeps every pattern). *)
-let mine_query ?trace cfg idx ~budget =
-  let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
-  let collector =
-    Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
-      cfg.query
-  in
-  let count = ref 0 in
-  let emit r =
-    collector.Query.offer r;
-    incr count;
-    match cfg.max_patterns with
-    | Some b when !count >= b -> raise Engine.Budget_exhausted
-    | _ -> ()
-  in
-  let strategy =
-    match layout_of cfg idx with
-    | None -> strategy_of cfg
-    | Some sm -> Shard_merge.strategy ?trace sm (strategy_of cfg)
-  in
-  let s =
-    Engine.run ?max_length:cfg.max_length ~events
-      ?roots:
-        (match cfg.query with
-        | Query.Top_k _ -> Some (ranked idx events)
-        | Query.All | Query.Targeted _ -> None)
-      ?budget ?trace ~plan:collector.Query.plan strategy idx
-      ~min_sup:cfg.min_sup ~emit
-  in
-  (collector.Query.results (), s.Engine.outcome)
-
-(* --- the root pool, and checkpoint/resume on it --- *)
+(* --- the run body: the root pool, with checkpoint/resume on it --- *)
 
 let checkpoint_fingerprint cfg db =
   Checkpoint.fingerprint
@@ -181,17 +150,19 @@ let checkpoint_fingerprint cfg db =
          string_of_int cfg.min_sup;
          (match cfg.max_length with Some l -> string_of_int l | None -> "-");
        ]
-      @
       (* appended only for non-trivial queries, so checkpoints written
          before queries existed keep their fingerprints; a resumed run
          under a {e different} query is refused (Checkpoint.Corrupt) *)
-      match cfg.query with
-      | Query.All -> []
-      | Query.Targeted _ as q -> [ "query=" ^ Query.to_string q ]
-      (* per-root top-k answers follow the arrival tie rule; logs written
-         under the earlier rule hold other tied patterns, so they must not
-         resume into this run *)
-      | Query.Top_k _ as q -> [ "query=" ^ Query.to_string q; "ties=arrival" ])
+      @ (match cfg.query with
+        | Query.All -> []
+        | Query.Targeted _ as q -> [ "query=" ^ Query.to_string q ]
+        (* per-root top-k answers follow the arrival tie rule; logs written
+           under the earlier rule hold other tied patterns, so they must
+           not resume into this run *)
+        | Query.Top_k _ as q -> [ "query=" ^ Query.to_string q; "ties=arrival" ])
+      (* likewise appended only when set, so gapless fingerprints stay
+         valid; a gap log resumed under another gap is refused *)
+      @ match cfg.max_gap with None -> [] | Some g -> [ "gap=" ^ string_of_int g ])
     db
 
 (* Chaos/testing knob: slow every root down so an external harness has a
@@ -203,29 +174,36 @@ let chaos_root_delay_s =
     | None -> 0.0
     | Some v -> ( try float_of_string v /. 1000.0 with Failure _ -> 0.0))
 
-(* The root-pool body behind every [domains] run and every
-   [mine_resumable] run: one [Engine.run] per remaining root on
-   [Parallel_miner.run_pool], one sequential retry for crashed roots, then
-   the merge. [completed] holds the answers of roots already done (loaded
-   from a checkpoint); [on_root_done] sees each root that completes here.
+(* The one run body: one [Engine.run] per remaining (rank, root) on
+   [Parallel_miner.run_pool], one sequential retry for crashed roots, and
+   the answer read off [board], which already holds the roots loaded from
+   a checkpoint. A completed root is handed to [on_root_done] and only
+   then published, so no floor rises on a root a kill could still lose.
    Returns the answer, the run outcome and the roots quarantined now. *)
-let run_roots ?(trace = Trace.null) ~budget ~completed ~on_root_done cfg idx
-    ~events ~remaining =
-  let roots = Array.of_list remaining in
+let run_roots ~trace ~budget ~board ~on_root_done cfg idx ~events ~remaining =
+  let domains = Option.value cfg.domains ~default:1 in
   let layout = layout_of cfg idx in
   let base_strategy = strategy_of cfg in
+  (* [max_patterns] counts across roots; it is refused with several
+     domains, so the count is single-domain *)
+  let emitted = ref 0 in
+  let capped offer =
+    match cfg.max_patterns with
+    | None -> offer
+    | Some b ->
+      fun r ->
+        offer r;
+        incr emitted;
+        if !emitted >= b then raise Engine.Budget_exhausted
+  in
   let mine_root k =
     (match Lazy.force chaos_root_delay_s with
     | 0.0 -> ()
     | d -> ( try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
-    (* Per-root query runs: a root's local answer over-approximates its
-       contribution to the global one (for top-k, any globally winning
-       pattern is in its root's local top-k), so per-root answers stay
-       root-independent and the global answer is recovered by the merge.
-       Under [Query.All] the collector keeps every pattern. *)
+    let rank, root = remaining.(k) in
     let collector =
-      Query.collector ?max_length:cfg.max_length ~events ~min_sup:cfg.min_sup
-        cfg.query
+      Query.collector ?max_length:cfg.max_length ~board ~rank ~events
+        ~min_sup:cfg.min_sup cfg.query
     in
     let wtr = Trace.for_domain trace in
     let strategy =
@@ -235,36 +213,44 @@ let run_roots ?(trace = Trace.null) ~budget ~completed ~on_root_done cfg idx
     in
     let s =
       Engine.run ?max_length:cfg.max_length ?budget ~trace:wtr ~events
-        ~roots:[ roots.(k) ] ~plan:collector.Query.plan strategy idx
-        ~min_sup:cfg.min_sup ~emit:collector.Query.offer
+        ~roots:[ root ] ~plan:collector.Query.plan strategy idx
+        ~min_sup:cfg.min_sup ~emit:(capped collector.Query.offer)
     in
     let results = collector.Query.results () in
-    if s.Engine.outcome = Budget.Completed then on_root_done roots.(k) results;
+    if s.Engine.outcome = Budget.Completed then begin
+      on_root_done root results;
+      Query.publish board ~rank results
+    end;
     (results, s.Engine.outcome)
+  in
+  (* One domain claims roots in rank order, so emission order, deadline
+     partials and [max_patterns] prefixes are those of one DFS over every
+     root; several domains claim largest subtree first. For top-k the rank
+     order already is the largest-first order. *)
+  let order =
+    if domains = 1 then None
+    else
+      Some (Parallel_miner.largest_first_order idx (Array.map snd remaining))
   in
   let slots, halt_reason =
     Parallel_miner.run_pool ~trace
       ~halt_on:(fun (_, outcome) -> Budget.is_stop outcome)
-      ~order:(Parallel_miner.largest_first_order idx roots)
-      ~domains:(Option.value cfg.domains ~default:1)
-      ~num_roots:(Array.length roots) ~mine_root ()
+      ?order ~domains ~num_roots:(Array.length remaining) ~mine_root ()
   in
   let slots = Parallel_miner.retry_failed ~trace ~mine_root slots in
-  (* Classify each freshly mined root: completed roots join [completed];
-     partially mined and crashed roots do not, but partial results still
-     reach the answer; quarantined roots are returned so a checkpoint can
-     record them. *)
-  let partials = Hashtbl.create 16 in
+  (* Classify each freshly mined root: completed roots are on the board
+     already; partially mined roots join it now, after every floor has
+     been used; quarantined roots are returned so a checkpoint can record
+     them. *)
   let quarantined_now = ref [] in
   let outcome = ref (Option.value halt_reason ~default:Budget.Completed) in
   Array.iteri
     (fun k status ->
-      let root = roots.(k) in
+      let rank, root = remaining.(k) in
       match status with
-      | Parallel_miner.Done (results, Budget.Completed) ->
-        Hashtbl.replace completed root results
+      | Parallel_miner.Done (_, Budget.Completed) -> ()
       | Parallel_miner.Done (results, stop) ->
-        Hashtbl.replace partials root results;
+        Query.publish board ~rank results;
         outcome := Budget.combine !outcome stop
       | Parallel_miner.Failed _ ->
         (* only reachable if retry_failed was skipped for this slot *)
@@ -286,141 +272,90 @@ let run_roots ?(trace = Trace.null) ~budget ~completed ~on_root_done cfg idx
     then Budget.Cancelled
     else !outcome
   in
-  let answer root =
-    match Hashtbl.find_opt completed root with
-    | Some rs -> rs
-    | None -> Option.value (Hashtbl.find_opt partials root) ~default:[]
-  in
-  (* Merge in the full root order, so a resumed run completes to exactly
-     the uninterrupted run's answer: the canonical event order, or for
-     top-k the one root order the tie rule is defined over. *)
-  let results =
-    match cfg.query with
-    | Query.Top_k k -> Query.merge_top_k k (List.map answer (ranked idx events))
-    | Query.All | Query.Targeted _ -> List.concat_map answer events
-  in
-  (results, outcome, List.rev !quarantined_now)
+  (Query.answer board, outcome, List.rev !quarantined_now)
 
-let mine_indexed ?trace cfg idx =
+let mine_indexed ?budget ?checkpoint ?(resume = false)
+    ?(retry_quarantined = false) ?(trace = Trace.null) cfg idx =
   validate_config cfg;
-  if cfg.domains <> None && cfg.max_patterns <> None then
-    invalid_arg "Miner: domains cannot be combined with max_patterns";
-  Log.info (fun m -> m "mining %s patterns, min_sup=%d" (describe cfg) cfg.min_sup);
-  let budget = budget_of cfg in
-  let start = Unix.gettimeofday () in
-  let results, outcome, quarantined =
-    match cfg.domains with
-    | Some _ ->
-      let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
-      let results, outcome, quarantined_now =
-        run_roots ?trace ~budget ~completed:(Hashtbl.create 64)
-          ~on_root_done:(fun _ _ -> ())
-          cfg idx ~events ~remaining:events
-      in
-      (results, outcome, List.length quarantined_now)
-    | None ->
-      let results, outcome = mine_query ?trace cfg idx ~budget in
-      (results, outcome, 0)
-  in
-  let elapsed_s = Unix.gettimeofday () -. start in
-  Log.info (fun m ->
-      m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
-        elapsed_s);
-  { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
-
-let mine ?config:cfg ?min_sup ?trace db =
-  let cfg =
-    match (cfg, min_sup) with
-    | Some c, _ -> c
-    | None, Some min_sup -> config ~min_sup ()
-    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
-  in
-  let idx = build_index cfg db in
-  mine_indexed ?trace cfg idx
-
-let mine_resumable ?budget ?checkpoint ?(resume = false)
-    ?(retry_quarantined = false) ?(trace = Trace.null) cfg db =
-  validate_config cfg;
-  (* the fingerprint does not carry the gap, so a gap-constrained
-     checkpoint could be resumed under another gap *)
-  if cfg.max_gap <> None && checkpoint <> None then
-    invalid_arg "Miner: checkpointing is not supported with max_gap";
   (* a global output cap is not root-partitioned; name the option the
      caller combined it with *)
   (match (cfg.max_patterns, checkpoint, cfg.domains) with
-  | None, _, _ -> ()
+  | None, _, _ | Some _, None, None -> ()
   | Some _, Some _, _ ->
     invalid_arg "Miner: checkpointing is not supported with max_patterns"
   | Some _, None, Some _ ->
-    invalid_arg "Miner: domains cannot be combined with max_patterns"
-  | Some _, None, None ->
-    invalid_arg "Miner: root-partitioned mining does not support max_patterns");
+    invalid_arg "Miner: domains cannot be combined with max_patterns");
   if resume && checkpoint = None then
     invalid_arg "Miner: resume requires a checkpoint path";
   let start = Unix.gettimeofday () in
-  let idx = build_index cfg db in
   let events = Inverted_index.frequent_events idx ~min_sup:cfg.min_sup in
-  let fp = checkpoint_fingerprint cfg db in
+  let roots = ranked_roots cfg idx events in
+  let board = Query.board ~roots:(Array.length roots) cfg.query in
+  let fingerprint =
+    lazy (checkpoint_fingerprint cfg (Inverted_index.db idx))
+  in
   let prior =
     match (resume, checkpoint) with
-    | true, Some path -> Checkpoint.load_opt ~path ~expected_fingerprint:fp
+    | true, Some path ->
+      Checkpoint.load_opt ~path ~expected_fingerprint:(Lazy.force fingerprint)
     | _ -> None
   in
-  let prior_completed =
-    match prior with None -> [] | Some c -> c.Checkpoint.completed
+  (* A logged root is done ([Some] answer) or, when it was quarantined,
+     skipped ([None]): a poison root must not re-crash every resume,
+     unless the caller explicitly asks to re-mine it ([retry_quarantined],
+     e.g. after fixing the cause). *)
+  let logged_roots : (Event.t, Mined.t list option) Hashtbl.t =
+    Hashtbl.create 64
   in
-  let prior_quarantined =
-    match prior with None -> [] | Some c -> c.Checkpoint.quarantined
-  in
-  let completed_results : (Event.t, Mined.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun { Checkpoint.root; results } ->
-      Hashtbl.replace completed_results root results)
-    prior_completed;
-  (* Quarantined roots stay off the frontier — a poison root must not
-     re-crash every resume — unless the caller explicitly asks to re-mine
-     them ([retry_quarantined], e.g. after fixing the cause). *)
-  let skip_quarantined = not retry_quarantined in
-  let quarantined_skipped : (Event.t, unit) Hashtbl.t = Hashtbl.create 8 in
-  if skip_quarantined then
-    List.iter
-      (fun (q : Checkpoint.quarantine) ->
-        if not (Hashtbl.mem completed_results q.root) then
-          Hashtbl.replace quarantined_skipped q.root ())
-      prior_quarantined;
-  let remaining =
-    List.filter
-      (fun root ->
-        (not (Hashtbl.mem completed_results root))
-        && not (Hashtbl.mem quarantined_skipped root))
-      events
-  in
+  Option.iter
+    (fun (c : Checkpoint.t) ->
+      List.iter
+        (fun { Checkpoint.root; results } ->
+          Hashtbl.replace logged_roots root (Some results))
+        c.completed;
+      if not retry_quarantined then
+        List.iter
+          (fun (q : Checkpoint.quarantine) ->
+            if not (Hashtbl.mem logged_roots q.root) then
+              Hashtbl.replace logged_roots q.root None)
+          c.quarantined)
+    prior;
+  let remaining = ref [] and completed = ref 0 and skipped = ref 0 in
+  Array.iteri
+    (fun rank root ->
+      match Hashtbl.find_opt logged_roots root with
+      | Some (Some results) ->
+        incr completed;
+        Query.publish board ~rank results
+      | Some None -> incr skipped
+      | None -> remaining := (rank, root) :: !remaining)
+    roots;
+  let remaining = Array.of_list (List.rev !remaining) in
   Log.info (fun m ->
       m "mining %s patterns, min_sup=%d: %d/%d root(s) to mine%s%s" (describe cfg)
-        cfg.min_sup (List.length remaining) (List.length events)
+        cfg.min_sup (Array.length remaining) (Array.length roots)
         (if prior <> None then " (resumed)" else "")
-        (match Hashtbl.length quarantined_skipped with
+        (match !skipped with
         | 0 -> ""
         | n -> Printf.sprintf " (%d quarantined root(s) skipped)" n));
   (* An external budget (the daemon's per-job budget) wins over the
      config-derived one: the caller owns its limits and its cancellation. *)
-  let budget =
-    match budget with Some b -> Some b | None -> budget_of cfg
-  in
+  let budget = match budget with Some b -> Some b | None -> budget_of cfg in
   let writer =
     Option.map
       (fun path ->
         let initial =
           match prior with Some c -> Checkpoint.records_of c | None -> []
         in
-        Checkpoint.Writer.create ~trace ~initial ~path ~fingerprint:fp ())
+        Checkpoint.Writer.create ~trace ~initial ~path
+          ~fingerprint:(Lazy.force fingerprint) ())
       checkpoint
   in
   (* Append one [Root_done] record the moment a root completes — that is
      the durability unit: a kill -9 loses at most the root being appended.
      [logged] feeds the Checkpoint_write span args (completed, remaining). *)
-  let total_roots = List.length events in
-  let logged = Atomic.make (Hashtbl.length completed_results) in
+  let total_roots = Array.length roots in
+  let logged = Atomic.make !completed in
   let log_root_done root results =
     match writer with
     | None -> ()
@@ -432,11 +367,11 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
         ~a1:(total_roots - done_now) ~start:t0
   in
   let results, outcome, quarantined_now =
-    run_roots ~trace ~budget ~completed:completed_results
-      ~on_root_done:log_root_done cfg idx ~events ~remaining
+    run_roots ~trace ~budget ~board ~on_root_done:log_root_done cfg idx ~events
+      ~remaining
   in
   let outcome =
-    if Hashtbl.length quarantined_skipped > 0 then
+    if !skipped > 0 then
       (* the answer is missing the skipped roots' patterns *)
       Budget.combine outcome Budget.Worker_failed
     else outcome
@@ -449,14 +384,23 @@ let mine_resumable ?budget ?checkpoint ?(resume = false)
       quarantined_now;
     Checkpoint.Writer.append w (Checkpoint.Run_outcome outcome);
     Checkpoint.Writer.close w);
-  let quarantined =
-    Hashtbl.length quarantined_skipped + List.length quarantined_now
-  in
+  let quarantined = !skipped + List.length quarantined_now in
   let elapsed_s = Unix.gettimeofday () -. start in
   Log.info (fun m ->
       m "found %d pattern(s) (%a) in %.3fs" (List.length results) Budget.pp outcome
         elapsed_s);
   { results; truncated = Budget.is_stop outcome; outcome; elapsed_s; quarantined }
+
+let mine ?budget ?checkpoint ?resume ?retry_quarantined ?trace ?config:cfg
+    ?min_sup db =
+  let cfg =
+    match (cfg, min_sup) with
+    | Some c, _ -> c
+    | None, Some min_sup -> config ~min_sup ()
+    | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
+  in
+  mine_indexed ?budget ?checkpoint ?resume ?retry_quarantined ?trace cfg
+    (build_index cfg db)
 
 let landmarks db p = Sup_comp.landmarks (Inverted_index.build db) p
 let support db p = Sup_comp.support (Inverted_index.build db) p

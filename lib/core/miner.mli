@@ -6,21 +6,16 @@
     Example programs, the CLI and the daemon use it; {!Engine.run} under a
     strategy is the lower-level way in, reporting {!Engine.stats}.
 
-    A run takes one of two shapes:
-    - {b sequential}: one {!Engine.run} over every root, with one
-      {!Query} collector whose top-k floor is shared across roots and
-      which honours [max_patterns];
-    - {b the root pool}: one {!Engine.run} per size-1 root on
-      {!Parallel_miner.run_pool}, with a collector per root, one
-      sequential retry for crashed roots, and a merge in root order. Every
-      [domains] run and every {!mine_resumable} run takes it.
+    Every run is the root pool: one {!Engine.run} per size-1 root on
+    {!Parallel_miner.run_pool} with a {!Query} collector per root, one
+    sequential retry for crashed roots, and the answer read off the run's
+    {!Query.board}. A sequential run is the pool with one domain,
+    claiming roots in answer order.
 
     Resilience: a config may carry runtime limits (wall-clock deadline,
     DFS-node budget, GC heap-words ceiling). The miners stop cooperatively
     when a limit is hit and the report always carries the patterns mined so
-    far plus an explicit {!Budget.outcome}. {!mine_resumable} additionally
-    checkpoints completed DFS roots to disk so a stopped run can resume
-    without redoing them. *)
+    far plus an explicit {!Budget.outcome}. *)
 
 open Rgs_sequence
 
@@ -37,14 +32,14 @@ type config = {
           k best by support. [Targeted] answers keep DFS order. [Top_k]
           answers are the first [k] patterns by support, ties broken by
           DFS arrival with the roots visited in descending single-event
-          support, and come in that order; the rule is the same in every
-          run shape ({!Query}) *)
+          support, and come in that order, whatever the domains,
+          checkpoint or resume ({!Query}) *)
   max_length : int option;  (** bound on pattern length *)
   max_patterns : int option;  (** output budget; truncates the DFS *)
   max_gap : int option;
       (** gap-constrained mining ({!Gap_constrained}): sound greedy lower
           bound, mines all patterns — [mode] is ignored. Combines with
-          [domains] and [query], but not with a checkpoint *)
+          [domains], [query] and a checkpoint *)
   domains : int option;
       (** mine in parallel with this many domains on the root pool, in
           every mode including [max_gap] and every query; incompatible
@@ -105,46 +100,28 @@ type report = {
   quarantined : int;
       (** poison roots excluded from [results]: quarantined this run after
           crashing twice, or skipped on resume because a prior run
-          quarantined them. Always [0] for a sequential run. *)
+          quarantined them. *)
 }
 
-val mine : ?config:config -> ?min_sup:int -> ?trace:Trace.t -> Seqdb.t -> report
-(** Mines [db]. Pass either a full [config] or just [min_sup] (with the
-    defaults of {!config}). A live [trace] (default {!Trace.null}) records
-    the run's DFS spans and instants — see {!Trace}.
-    Without [domains] the run is sequential; with [domains] it runs on
-    the root pool, the same body as {!mine_resumable} minus the
-    checkpoint. A pool run may quarantine a root that crashes twice
-    ([Worker_failed], [report.quarantined]).
-    @raise Invalid_argument when neither [config] nor [min_sup] is given,
-    when [min_sup < 1], when [domains] is combined with [max_patterns],
-    or on an invalid [max_gap] ({!Gap_constrained.strategy}). *)
-
-val mine_indexed : ?trace:Trace.t -> config -> Inverted_index.t -> report
-(** As {!mine} on a prebuilt index (amortises index construction across
-    parameter sweeps; [config.index_kind] is ignored). *)
-
-val mine_resumable :
+val mine_indexed :
   ?budget:Budget.t ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?retry_quarantined:bool ->
   ?trace:Trace.t ->
   config ->
-  Seqdb.t ->
+  Inverted_index.t ->
   report
-(** Root-pool mining with durable checkpoint/resume. Roots (frequent
-    size-1 patterns) are mined independently on the root pool — with one
-    worker, or with [config.domains] — and merged in root order, so the
-    answer equals {!mine_indexed}'s, top-k ties included. The CLI sends
-    only [--checkpoint]/[--resume] runs here. A crashing root is retried
-    once (with backoff) and, if it crashes again, {e quarantined}: its patterns
-    are missing from [results] ([Worker_failed] outcome,
-    [report.quarantined] counts it) and the checkpoint records it so a
-    resumed run skips it instead of re-crashing. Pass
-    [retry_quarantined:true] to put previously quarantined roots back on
-    the frontier (e.g. after fixing the cause) — a successful re-mine
-    appends a superseding record.
+(** Mines the database behind a prebuilt index ([config.index_kind] is
+    ignored). A live [trace] (default {!Trace.null}) records the run's
+    spans and instants — see {!Trace}. The answer is the same for every
+    domain count, checkpoint and resume. A crashing root is retried once (with
+    backoff) and, if it crashes again, {e quarantined}: its patterns are
+    missing from [results] ([Worker_failed] outcome, [report.quarantined]
+    counts it) and the checkpoint records it so a resumed run skips it
+    instead of re-crashing. Pass [retry_quarantined:true] to put
+    previously quarantined roots back on the frontier (e.g. after fixing
+    the cause) — a successful re-mine appends a superseding record.
 
     With [checkpoint:path], the log at [path] gains one record {e per
     completed root, as it completes} ({!Checkpoint.Writer}) — a run killed
@@ -153,11 +130,13 @@ val mine_resumable :
     matching checkpoint is loaded first (salvaging a torn tail) and only
     the remaining roots are mined, so the finished report equals an
     uninterrupted run's. A checkpoint written for a different database,
-    [min_sup], [mode], [max_length] or [query] is rejected
-    ({!Checkpoint.Corrupt}); checkpoints that predate queries resume
-    cleanly under [query = All], whose fingerprint is unchanged. A top-k
-    fingerprint also names the tie rule, so a top-k log written under the
-    earlier rule (which kept other tied patterns per root) is refused.
+    [min_sup], [mode], [max_length], [query] or [max_gap] is rejected
+    ({!Checkpoint.Corrupt}); the query and the gap enter the fingerprint
+    only when set, so older logs keep resuming. A top-k fingerprint also
+    names the tie rule, refusing logs of the earlier rule; logs of
+    per-root local top-k answers still resume. Making gap-constrained
+    support exact must change the gap's fingerprint entry again, or
+    such a run would resume from a log of the greedy lower bound.
     Runtime limits may differ between the original and the resumed run.
     Checkpoint appends are recorded into [trace] as [Checkpoint_write]
     spans ([a0] = completed roots, [a1] = remaining); I/O failures degrade
@@ -173,14 +152,25 @@ val mine_resumable :
     owns the limits and may {!Budget.cancel} from another domain — this is
     how the daemon ({!Rgs_server}) cancels a job whose client vanished.
 
-    [max_gap] runs root-partitioned like every other mode, but only
-    without a [checkpoint]: the fingerprint does not carry the gap, so a
-    checkpoint could otherwise be resumed under a different one.
+    @raise Invalid_argument when [max_patterns] is combined with [domains]
+    or a [checkpoint] (the message names which), when [resume] is set
+    without [checkpoint], or on an invalid [max_gap]. *)
 
-    @raise Invalid_argument with [max_patterns] (a global output cap is
-    not root-partitioned; the message names [checkpoint] or [domains]
-    when either is given), with [max_gap] and a [checkpoint], or when
-    [resume] is set without [checkpoint]. *)
+val mine :
+  ?budget:Budget.t ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  ?retry_quarantined:bool ->
+  ?trace:Trace.t ->
+  ?config:config ->
+  ?min_sup:int ->
+  Seqdb.t ->
+  report
+(** {!mine_indexed} on {!build_index}[ cfg db], given a full [config] or
+    just [min_sup]. @raise Invalid_argument when neither is given. *)
+
+val build_index : config -> Seqdb.t -> Inverted_index.t
+(** [config.index_kind]'s index of [db], CSR by default. *)
 
 val landmarks : Seqdb.t -> Pattern.t -> Instance.full list
 (** Full-landmark leftmost support set of a pattern, for displaying where

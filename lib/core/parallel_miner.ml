@@ -27,12 +27,13 @@ type 'a root_status =
    independent, so any [order] yields the identical result; it only moves
    wall-clock around (see [largest_first_order]).
 
-   Observability: each worker samples [Metrics.peak_live_words] for its own
-   domain as it exits (OCaml 5 keeps per-domain minor heaps, so the main
-   domain's view alone undercounts a parallel run) and, when [trace] is
-   live, records its lifecycle as a [Worker] span in its per-domain child
-   buffer ([Trace.for_domain] — no cross-domain contention; the buffers are
-   read merged after the joins). *)
+   Observability: each spawned worker samples [Metrics.peak_live_words] for
+   its own domain as it exits (OCaml 5 keeps per-domain minor heaps, so the
+   main domain's view alone undercounts a parallel run; the caller's worker
+   skips it, so a one-domain run pays no [Gc.full_major]). Each worker,
+   when [trace] is live, records its lifecycle as a [Worker] span in its
+   per-domain child buffer ([Trace.for_domain] — no cross-domain
+   contention; the buffers are read merged after the joins). *)
 let run_pool ?(trace = Trace.null) ?(halt_on = fun _ -> false) ?order ~domains
     ~num_roots ~mine_root () =
   (match order with
@@ -76,7 +77,7 @@ let run_pool ?(trace = Trace.null) ?(halt_on = fun _ -> false) ?order ~domains
       end
     in
     (try loop () with _ -> ());
-    ignore (Metrics.sample_live_words ());
+    if slot > 0 then ignore (Metrics.sample_live_words ());
     Trace.span wtr Trace.Worker ~a0:slot ~a1:!claimed ~start:t0
   in
   let spawned = List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1))) in

@@ -16,9 +16,9 @@
     stops the whole pool cooperatively; roots finished before the stop
     keep their results.
 
-    This root pool is the only parallel executor. {!Miner} owns the one
-    pool body that drives it (per-root {!Engine.run}, retry, outcome and
-    merge) for [domains] runs, checkpointed runs and the daemon alike;
+    This root pool is the only executor. {!Miner} owns the one run body
+    that drives it (per-root {!Engine.run}, retry, outcome and answer) for
+    sequential, [domains], checkpointed and resumed runs and the daemon;
     supervised shard dispatch composes with it. DESIGN.md §10 records why
     the work-stealing executor that once sat beside it was removed.
 
@@ -44,7 +44,7 @@ type 'a root_status =
   | Skipped  (** never claimed: the pool halted on a budget stop first *)
   | Quarantined of { exn : exn; backtrace : string }
       (** poison root: raised in the pool {e and} in the sequential retry.
-          {!Miner.mine_resumable} records these in the checkpoint so a
+          {!Miner.mine_indexed} records these in the checkpoint so a
           resumed run skips them instead of re-crashing. *)
 
 val run_pool :
@@ -72,11 +72,12 @@ val run_pool :
     a permutation only changes which roots are in flight when the pool
     halts. @raise Invalid_argument when its length is not [num_roots].
 
-    Every worker samples {!Metrics.peak_live_words} for its own domain as
-    it exits, so the merged snapshot reflects parallel memory use, and
-    records its lifecycle as a [Worker] span into its per-domain buffer of
-    [trace] (default {!Trace.null}); [mine_root] implementations that want
-    per-root spans should record through [Trace.for_domain trace]. *)
+    Every worker records its lifecycle as a [Worker] span into its
+    per-domain buffer of [trace] (default {!Trace.null}); each spawned one
+    also samples {!Metrics.peak_live_words} for its domain as it exits (not
+    the caller's: a one-domain pool pays no [Gc.full_major]). [mine_root]
+    implementations that want per-root spans should record through
+    [Trace.for_domain trace]. *)
 
 val retry_failed :
   ?trace:Trace.t ->

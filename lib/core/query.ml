@@ -97,17 +97,16 @@ let targeted_collector ?max_length ~events ~min_sup q =
   }
 
 (* Fixed-capacity binary heap whose root is the worst kept answer: the
-   lowest support, and among equal supports the latest DFS arrival. A
-   newcomer arrives after everything kept, so at equal support it is the
-   worst of all; admission therefore needs support strictly above the
-   root's, and an admitted newcomer evicts the latest-arrived minimum.
-   The heap so keeps the first k patterns by support, ties broken by
-   arrival. *)
+   lowest support, then the latest-ranked root, then the latest DFS
+   arrival. A newcomer is admitted only if it beats the root, which it
+   then evicts, so the heap keeps the first k patterns by support, ties
+   broken by (rank, arrival). *)
 module Heap = struct
-  type entry = { arrival : int; mined : Mined.t }
-  type t = { arr : entry option array; mutable len : int; mutable arrivals : int }
+  type entry = { rank : int; arrival : int; mined : Mined.t }
+  type t = { arr : entry option array; mutable len : int }
 
-  let create k = { arr = Array.make k None; len = 0; arrivals = 0 }
+  let create k = { arr = Array.make k None; len = 0 }
+  let copy h = { arr = Array.copy h.arr; len = h.len }
   let full h = h.len = Array.length h.arr
 
   let get h i =
@@ -115,8 +114,10 @@ module Heap = struct
 
   (* [worse a b]: [a] leaves the answer before [b] *)
   let worse a b =
-    a.mined.Mined.support < b.mined.Mined.support
-    || (a.mined.Mined.support = b.mined.Mined.support && a.arrival > b.arrival)
+    let sa = a.mined.Mined.support and sb = b.mined.Mined.support in
+    sa < sb
+    || sa = sb
+       && (a.rank > b.rank || (a.rank = b.rank && a.arrival > b.arrival))
 
   let swap h i j =
     let tmp = h.arr.(i) in
@@ -140,60 +141,95 @@ module Heap = struct
       sift_down h !worst
     end
 
-  let min_support h = (get h 0).mined.Mined.support
+  let worst h = get h 0
 
-  let offer h r =
-    let e = { arrival = h.arrivals; mined = r } in
-    h.arrivals <- h.arrivals + 1;
+  let offer h e =
     if not (full h) then begin
       h.arr.(h.len) <- Some e;
       h.len <- h.len + 1;
       sift_up h (h.len - 1)
     end
-    else if r.Mined.support > min_support h then begin
+    else if worse (worst h) e then begin
       h.arr.(0) <- Some e;
       sift_down h 0
     end
 
-  (* support-descending, ties in arrival order *)
+  (* best first: support-descending, ties by (rank, arrival) *)
   let contents h =
     List.init h.len (get h)
     |> List.sort (fun a b -> if worse a b then 1 else if worse b a then -1 else 0)
-    |> List.map (fun e -> e.mined)
 end
 
-let top_k_collector ~min_sup k =
-  let heap = Heap.create k in
+(* each rank's answer, or for top-k the k best of every published root *)
+type board =
+  | Slots of Mined.t list array
+  | Best of { lock : Mutex.t; heap : Heap.t }
+
+let board ~roots = function
+  | All | Targeted _ -> Slots (Array.make roots [])
+  | Top_k k -> Best { lock = Mutex.create (); heap = Heap.create k }
+
+(* Ranks write distinct slots, read only after the pool joins, so [Slots]
+   needs no lock. A published list's index is a valid arrival: at equal
+   support the list keeps the root's DFS order. *)
+let publish board ~rank results =
+  match board with
+  | Slots slots -> slots.(rank) <- results
+  | Best { lock; heap } ->
+    Mutex.protect lock (fun () ->
+        List.iteri
+          (fun arrival mined -> Heap.offer heap { Heap.rank; arrival; mined })
+          results)
+
+let answer = function
+  | Slots slots -> List.concat (Array.to_list slots)
+  | Best { lock; heap } ->
+    Mutex.protect lock (fun () ->
+        List.map (fun e -> e.Heap.mined) (Heap.contents heap))
+
+let top_k_collector ?board ~rank ~min_sup k =
+  let heap =
+    match board with
+    | Some (Best { lock; heap }) -> Mutex.protect lock (fun () -> Heap.copy heap)
+    | Some (Slots _) | None -> Heap.create k
+  in
+  let arrivals = ref 0 in
   (* Antimonotone support bounds appends (Theorem 1), and a later arrival
-     loses every tie, so once the heap is full no descendant of a node
-     with support <= min(heap) can displace anything: the floor rises to
-     min(heap) + 1 and the engine prunes with it exactly like the static
-     Apriori bound. *)
+     loses every tie to its own root and earlier-ranked ones, so once the
+     heap is full no descendant of a node with support <= min(heap) can
+     displace anything: the floor rises to min(heap) + 1 and the engine
+     prunes with it exactly like the static Apriori bound. A worst entry
+     of a later-ranked root loses ties to this one: floor min(heap). *)
   let floor () =
-    if Heap.full heap then max min_sup (Heap.min_support heap + 1)
+    if Heap.full heap then begin
+      let w = Heap.worst heap in
+      let sup = w.Heap.mined.Mined.support in
+      max min_sup (if w.Heap.rank <= rank then sup + 1 else sup)
+    end
     else min_sup
   in
   let plan = { (trivial ~min_sup) with floor } in
   {
     plan;
-    offer = (fun r -> Heap.offer heap r);
+    offer =
+      (fun mined ->
+        Heap.offer heap { Heap.rank; arrival = !arrivals; mined };
+        incr arrivals);
     results =
       (fun () ->
         if Heap.full heap then
-          Metrics.observe_max Metrics.query_topk_floor (Heap.min_support heap);
-        Heap.contents heap);
+          Metrics.observe_max Metrics.query_topk_floor
+            (Heap.worst heap).Heap.mined.Mined.support;
+        List.filter_map
+          (fun e -> if e.Heap.rank = rank then Some e.Heap.mined else None)
+          (Heap.contents heap));
   }
 
-let merge_top_k k answers =
-  List.concat answers
-  |> List.stable_sort (fun a b -> Int.compare b.Mined.support a.Mined.support)
-  |> List.filteri (fun i _ -> i < k)
-
-let collector ?max_length ~events ~min_sup = function
+let collector ?max_length ?board ?(rank = 0) ~events ~min_sup = function
   | All -> all_collector ~min_sup
   | Targeted q ->
     validate (Targeted q);
     targeted_collector ?max_length ~events ~min_sup q
   | Top_k k ->
     validate (Top_k k);
-    top_k_collector ~min_sup k
+    top_k_collector ?board ~rank ~min_sup k

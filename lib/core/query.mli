@@ -14,11 +14,13 @@
       (and the whole search is cut up front when some event of [Q] is not
       frequent — a frequent pattern only uses frequent events).
     - {b top-k}: a size-[k] heap of the best answers seen, keyed on
-      (support, DFS arrival). Once full, no descendant of a node with
-      support at most [min(heap)] can enter (support is antimonotone
-      under appends, Theorem 1, and a later arrival loses every tie), so
-      the support floor rises to [min(heap) + 1] and prunes exactly like
-      the static Apriori bound.
+      (support, root rank, DFS arrival). Once full, no descendant of a
+      node with support at most [min(heap)] can enter (support is
+      antimonotone under appends, Theorem 1, and a later arrival loses
+      every tie), so the support floor rises to [min(heap) + 1] and
+      prunes exactly like the static Apriori bound — or to [min(heap)]
+      while the worst entry comes from a later-ranked root, which loses
+      a tie to the root being mined.
     - {b all}: the trivial plan; the engine behaves identically to the
       un-queried miners.
 
@@ -30,11 +32,15 @@
     [k]. The rule costs no DFS node over "any [k] best": the floor stays
     at [min(heap) + 1].
 
-    Collectors are single-domain. A root-pool run ({!Miner} with
-    [domains], or {!Miner.mine_resumable}) compiles one collector per
-    root — a root's local answer contains its share of the global one —
-    and merges the per-root answers after the pool joins ({!merge_top_k}
-    for top-k), so no query state is shared between domains. *)
+    {b The board.} {!Miner} runs one collector per size-1 root, and the
+    roots of a run share one {!board}. A root's rank is its place in the
+    answer order: canonical event order, or the top-k root order above.
+    A root publishes to the board only once it has completed, so a
+    partial or crashed root raises no other root's floor, and each top-k
+    root starts from a copy of the board's heap. With one domain in rank
+    order that is one collector over every root, node for node; with
+    several, a root's own kept entries still hold all it adds to the
+    answer, so the board ends on the same [k] patterns. *)
 
 open Rgs_sequence
 
@@ -85,18 +91,35 @@ type collector = {
           support-descending, ties in arrival order *)
 }
 
+(** {1 The board} — answers of completed roots, shared by a run. *)
+
+type board
+(** Domain-safe. *)
+
+val board : roots:int -> t -> board
+(** An empty board for roots ranked [0 .. roots-1]. *)
+
+val publish : board -> rank:int -> Mined.t list -> unit
+(** Adds the [results] of the root ranked [rank]; publish each rank
+    once. *)
+
+val answer : board -> Mined.t list
+(** The answers in rank order; for [Top_k] the [k] best, ordered as
+    {!collector}'s [results]. *)
+
 val collector :
-  ?max_length:int -> events:Event.t list -> min_sup:int -> t -> collector
+  ?max_length:int ->
+  ?board:board ->
+  ?rank:int ->
+  events:Event.t list ->
+  min_sup:int ->
+  t ->
+  collector
 (** [collector ~events ~min_sup q] compiles [q]. [events] must be the
     candidate event list the engine will grow with (the targeted
     frequent-event cut checks membership there); [max_length] must match
     the engine's or the targeted length cut stays disabled. A collector is
-    single-use: fresh state per run.
+    single-use: fresh state per run. [rank] (default [0]) ranks the
+    run's root; given [board], a [Top_k] collector starts from a copy of
+    its heap and its [results] are the kept entries of rank [rank].
     @raise Invalid_argument as {!validate}. *)
-
-val merge_top_k : int -> Mined.t list list -> Mined.t list
-(** [merge_top_k k answers] is the global top-[k] answer from per-root
-    top-[k] answers given in root-visit order (each support-descending
-    with ties in arrival order, as {!collector} returns them): a stable
-    sort by support of their concatenation, first [k]. It equals the
-    answer of one sequential run over the same roots in that order. *)

@@ -366,7 +366,9 @@ let run_job t (job : Job.t) =
             Some path
           | _ -> None
         in
-        Some (Supervisor.create ?store (Supervisor.config ~shards:n ()) db)
+        (* the workers grow under the job's gap, as the CLI's do *)
+        let gap = Option.map (fun g -> (0, g)) job.Job.spec.Protocol.max_gap in
+        Some (Supervisor.create ?store (Supervisor.config ~shards:n ?gap ()) db)
     in
     let shards =
       match t.cfg.shard_workers with Some _ as w -> w | None -> t.cfg.shards
@@ -383,7 +385,7 @@ let run_job t (job : Job.t) =
       Fun.protect
         ~finally:(fun () -> Option.iter Supervisor.shutdown supervisor)
         (fun () ->
-          Miner.mine_resumable ~budget ~checkpoint:ckpt ~resume:true cfg db)
+          Miner.mine ~budget ~checkpoint:ckpt ~resume:true ~config:cfg db)
     with
     | report ->
       (* δ-cover compression is a post-pass: the checkpoint (and any

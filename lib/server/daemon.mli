@@ -5,7 +5,7 @@
     connections, parses request frames incrementally, answers admission
     decisions, and streams completed jobs' result frames — while
     [config.workers] pool domains pull admitted jobs from the
-    {!Scheduler} and run each one through {!Miner.mine_resumable} with a
+    {!Scheduler} and run each one through {!Miner.mine} with a
     fresh per-job {!Budget} (request limits clamped by the server-wide
     {!Job.limits}) and a per-job durable checkpoint log under
     [config.state_dir]. Workers hand finished jobs back to the event loop

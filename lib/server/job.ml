@@ -39,8 +39,8 @@ let validate (spec : Protocol.job_spec) =
   if not (Protocol.valid_job_id spec.job_id) then
     Error "invalid job id (want [A-Za-z0-9._-]{1,64})"
   else if spec.min_sup < 1 then Error "min_sup must be >= 1"
-  else if spec.max_gap <> None then
-    Error "max_gap jobs are not resumable; use the rgsminer CLI"
+  else if match spec.max_gap with Some g -> g < 0 | None -> false then
+    Error "max_gap must be >= 0"
   else if
     match spec.deadline_s with Some d -> d < 0.0 | None -> false
   then Error "deadline_s must be >= 0"
@@ -94,7 +94,8 @@ let query_of (spec : Protocol.job_spec) =
 let config_of ?shards ?shard_dispatch (spec : Protocol.job_spec) =
   Miner.config
     ~mode:(match spec.mode with Protocol.All -> Miner.All | Protocol.Closed -> Miner.Closed)
-    ~query:(query_of spec) ?max_length:spec.max_length ?shards ?shard_dispatch
+    ~query:(query_of spec) ?max_length:spec.max_length ?max_gap:spec.max_gap
+    ?shards ?shard_dispatch
     ~min_sup:spec.min_sup ()
 
 let read_file path =

@@ -45,8 +45,8 @@ val create : client:int -> Protocol.job_spec -> t
 
 val validate : Protocol.job_spec -> (unit, string) result
 (** Static spec checks: well-formed job id, [min_sup >= 1], non-negative
-    limits, no [max_gap] (the gap-constrained path is not
-    root-partitioned, so it cannot checkpoint/resume), a well-formed
+    limits and [max_gap] (so a hostile gap never reaches
+    {!Gap_constrained.strategy}'s [Invalid_argument]), a well-formed
     query (non-empty target of non-negative event ids, [top_k >= 1]) and
     [compress_delta] within [[0, 1]]. A malformed query is a typed
     rejection the client sees as {!Protocol.Rejected}, never a dropped
@@ -68,8 +68,9 @@ val config_of :
   ?shard_dispatch:Shard_merge.dispatch ->
   Protocol.job_spec ->
   Miner.config
-(** The {!Miner} config for the spec — {e without} budget limits (the
-    daemon passes the explicit per-job budget instead). [shards] is the
+(** The {!Miner} config for the spec, its [max_gap] included —
+    {e without} budget limits (the daemon passes the explicit per-job
+    budget instead). [shards] is the
     server-wide {!Daemon.config} knob, not part of the wire spec: sharded
     growth never changes job output or checkpoint compatibility.
     [shard_dispatch] routes the per-shard growths through a

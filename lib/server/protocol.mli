@@ -67,7 +67,7 @@ type job_spec = {
   min_sup : int;
   mode : mode;
   max_length : int option;
-  max_gap : int option;  (** gap-constrained mining; disables checkpointing *)
+  max_gap : int option;  (** gap-constrained mining; checkpointed like any job *)
   deadline_s : float option;  (** per-job wall-clock budget, clamped server-side *)
   max_nodes : int option;  (** per-job DFS-node budget, clamped server-side *)
   max_words : int option;  (** per-job heap ceiling, clamped server-side *)

@@ -4,8 +4,8 @@
    transient/persistent — the faulted run must uphold the resilience
    invariant: mined output restricted to non-quarantined roots equals the
    fault-free run, and no injected fault escapes a root-pool run
-   (Miner.mine_indexed with domains, in every mode) or mine_resumable as
-   an uncaught exception. The sweep is bounded so tier-1
+   (Miner.mine_indexed with domains, in every mode, with or without a
+   checkpoint) as an uncaught exception. The sweep is bounded so tier-1
    stays fast; RGS_CHAOS_PLANS raises the plan count for a deeper run
    (e.g. RGS_CHAOS_PLANS=100 dune build @chaos). *)
 
@@ -155,13 +155,13 @@ let test_sweep_mine_closed () =
        ~kinds:[ Chaos.Insgrow; Chaos.Worker ]
        ~seed:202 ~count:plan_count ())
 
-(* mine_resumable additionally exposes the Checkpoint_io site; a
+(* A checkpointed run additionally exposes the Checkpoint_io site; a
    checkpoint-write fault may never change mined output, only degrade
    durability (report.quarantined stays 0 for those plans). *)
-let test_sweep_mine_resumable () =
+let test_sweep_checkpointed () =
   let db = Lazy.force chaos_db in
   let cfg = Miner.config ~min_sup ~max_length:3 ~domains:2 () in
-  let baseline = Miner.mine_resumable cfg db in
+  let baseline = Miner.mine ~config:cfg db in
   Alcotest.(check bool) "baseline completed" true
     (baseline.Miner.outcome = Budget.Completed);
   List.iter
@@ -169,7 +169,7 @@ let test_sweep_mine_resumable () =
       with_temp_checkpoint (fun path ->
           match
             Chaos.inject plan (fun () ->
-                Miner.mine_resumable ~checkpoint:path cfg db)
+                Miner.mine ~checkpoint:path ~config:cfg db)
           with
           | report ->
             check plan ~baseline:baseline.Miner.results
@@ -249,13 +249,13 @@ let test_sweep_pool_gap () =
        ~seed:606 ~count:plan_count ())
 
 (* Mid-merge cancellation under the checkpointed path: Shard_merge faults
-   inside mine_resumable with sharding on must uphold the same invariant,
+   inside a checkpointed run with sharding on must uphold the same invariant,
    and the checkpoint must stay loadable afterwards (exercised by the
    robustness tier; here the report contract suffices). *)
 let test_sweep_resumable_sharded () =
   let db = Lazy.force chaos_db in
   let cfg = Miner.config ~min_sup ~max_length:3 ~domains:2 ~shards:3 () in
-  let baseline = Miner.mine_resumable cfg db in
+  let baseline = Miner.mine ~config:cfg db in
   Alcotest.(check bool) "sharded baseline completed" true
     (baseline.Miner.outcome = Budget.Completed);
   List.iter
@@ -263,7 +263,7 @@ let test_sweep_resumable_sharded () =
       with_temp_checkpoint (fun path ->
           match
             Chaos.inject plan (fun () ->
-                Miner.mine_resumable ~checkpoint:path cfg db)
+                Miner.mine ~checkpoint:path ~config:cfg db)
           with
           | report ->
             check plan ~baseline:baseline.Miner.results
@@ -283,7 +283,7 @@ let suite =
     Alcotest.test_case "invariant checker" `Quick test_invariant_checker;
     Alcotest.test_case "sweep mine_all" `Quick test_sweep_mine_all;
     Alcotest.test_case "sweep mine_closed" `Quick test_sweep_mine_closed;
-    Alcotest.test_case "sweep mine_resumable" `Quick test_sweep_mine_resumable;
+    Alcotest.test_case "sweep checkpointed" `Quick test_sweep_checkpointed;
     Alcotest.test_case "sweep pool sharded" `Quick test_sweep_pool_sharded;
     Alcotest.test_case "sweep pool gap-constrained" `Quick test_sweep_pool_gap;
     Alcotest.test_case "sweep resumable sharded" `Quick

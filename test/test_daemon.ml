@@ -112,14 +112,14 @@ let stop h =
     c
 
 let with_daemon ?(queue_capacity = 16) ?(workers = 2) ?idle_timeout_s
-    ?(drain_grace_s = 0.3) ?dir f =
+    ?(drain_grace_s = 0.3) ?shard_workers ?dir f =
   let dir, own_dir =
     match dir with Some d -> (d, false) | None -> (fresh_dir (), true)
   in
   let sock = Filename.concat dir "rgsminerd.sock" in
   let cfg =
     Daemon.config ~queue_capacity ~workers ?idle_timeout_s ~drain_grace_s
-      ~tick_s:0.02 ~socket_path:sock ~state_dir:dir ()
+      ?shard_workers ~tick_s:0.02 ~socket_path:sock ~state_dir:dir ()
   in
   let t = Daemon.create cfg in
   let dom = Domain.spawn (fun () -> Daemon.serve t) in
@@ -198,7 +198,7 @@ let test_typed_rejections () =
       with_client h (fun c ->
           expect_rejected c (spec "../evil") "job id";
           expect_rejected c (spec ~min_sup:0 "bad-minsup") "min_sup";
-          expect_rejected c (spec ~max_gap:(Some 1) "gappy") "max_gap";
+          expect_rejected c (spec ~max_gap:(Some (-1)) "gappy") "max_gap";
           (* an undecodable inline db is admitted, then rejected by the
              worker — crash isolation, not a daemon crash *)
           let bad =
@@ -324,6 +324,45 @@ let test_v2_queries_end_to_end () =
             (List.for_all
                (fun row -> List.mem row (Lazy.force baseline))
                got)))
+
+(* A max_gap job runs and checkpoints like any other: the daemon's answer
+   is Miner.mine's, in-process and with --shard-workers, whose worker
+   processes must grow under the job's gap too. *)
+let test_gap_job_matches_batch () =
+  let sp = spec ~max_gap:(Some 1) "gap-job" in
+  let expect =
+    match Job.load_db sp with
+    | Error e -> failwith e
+    | Ok db ->
+      List.map
+        (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support))
+        (Miner.mine ~config:(Job.config_of sp) db).Miner.results
+  in
+  Alcotest.(check bool) "the gap changes the answer" true
+    (sorted expect <> sorted (Lazy.force baseline));
+  let run ?shard_workers name =
+    with_daemon ?shard_workers (fun h ->
+        with_client h (fun c ->
+            submit_ok c sp;
+            let got, summary = Client.collect_job c ~job_id:"gap-job" in
+            Alcotest.(check string) (name ^ ": outcome") "completed"
+              summary.Protocol.outcome;
+            Alcotest.(check (list (pair (list int) int)))
+              (name ^ ": gap job = Miner.mine") (sorted expect) (sorted got)))
+  in
+  run "in-process";
+  (* the workers are found through RGS_WORKER_EXE; the @daemon alias
+     alone does not build them *)
+  let worker_exe = Filename.concat (Sys.getcwd ()) "../bin/rgsworker.exe" in
+  if Sys.file_exists worker_exe then begin
+    Unix.putenv "RGS_WORKER_EXE" worker_exe;
+    let before = Metrics.snapshot () in
+    run ~shard_workers:2 "shard workers";
+    Alcotest.(check bool) "worker processes spawned" true
+      (Metrics.find (Metrics.diff ~before ~after:(Metrics.snapshot ()))
+         "worker_spawns"
+      > 0)
+  end
 
 (* A job whose state-dir checkpoint was left by a version-2 build is
    refused with a typed "checkpoint: …" reason naming the version — the
@@ -973,6 +1012,8 @@ let suite =
       test_malformed_query_rejected;
     Alcotest.test_case "v2 queries end-to-end, checkpoint query pin" `Quick
       test_v2_queries_end_to_end;
+    Alcotest.test_case "max_gap job = Miner.mine, shard workers too" `Quick
+      test_gap_job_matches_batch;
     Alcotest.test_case "v2 checkpoint rejected, typed" `Quick
       test_v2_checkpoint_rejected;
     Alcotest.test_case "submit == batch, resubmit replays" `Quick

@@ -125,42 +125,58 @@ let test_config_variants () =
     (signatures (Miner.mine ~config:(gap_cfg ()) table3))
     (signatures (Miner.mine ~config:(gap_cfg ~domains:2 ()) table3))
 
-(* mine_resumable runs max_gap root-partitioned, pool or not; only a
-   checkpoint is refused, because the fingerprint does not carry the gap *)
-let test_resumable_gap_without_checkpoint () =
+(* Gap runs checkpoint like any other run: the fingerprint carries the
+   gap, so an interrupted gap run resumes to the uninterrupted answer and
+   a gap log is refused under another gap. *)
+let test_gap_checkpoint_resume () =
   let signatures r =
     List.map (fun x -> (Pattern.to_string x.Mined.pattern, x.Mined.support)) r.Miner.results
   in
-  let gap_cfg ?domains () = Miner.config ~min_sup:3 ?domains ~max_gap:1 () in
-  let expected = signatures (Miner.mine ~config:(gap_cfg ()) table3) in
+  let db = Seqdb.of_strings [ "ABCACBDDBACD"; "ACDBACADDBCA"; "BCADBACDAB" ] in
+  let gap_cfg ?domains ?max_nodes ?(max_gap = 1) () =
+    Miner.config ~min_sup:3 ?domains ?max_nodes ~max_gap ~max_length:4 ()
+  in
+  let expected = signatures (Miner.mine ~config:(gap_cfg ()) db) in
   Alcotest.(check bool) "gap run mined something" true (expected <> []);
-  Alcotest.(check (list (pair string int))) "sequential resumable = mine" expected
-    (signatures (Miner.mine_resumable (gap_cfg ()) table3));
-  Alcotest.(check (list (pair string int))) "pool resumable = mine" expected
-    (signatures (Miner.mine_resumable (gap_cfg ~domains:2 ()) table3));
+  Alcotest.(check (list (pair string int))) "pool = sequential" expected
+    (signatures (Miner.mine ~config:(gap_cfg ~domains:2 ()) db));
   let path = Filename.temp_file "rgs_miner_gap" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Alcotest.check_raises "max_gap + checkpoint"
-        (Invalid_argument "Miner: checkpointing is not supported with max_gap")
+      let stopped =
+        Miner.mine ~checkpoint:path ~config:(gap_cfg ~max_nodes:6 ()) db
+      in
+      Alcotest.(check bool) "stopped early" true
+        (stopped.Miner.outcome = Budget.Truncated);
+      Alcotest.check_raises "another gap refused"
+        (Checkpoint.Corrupt
+           (path ^ ": fingerprint mismatch (different database or parameters)"))
         (fun () ->
-          ignore (Miner.mine_resumable ~checkpoint:path (gap_cfg ~domains:2 ()) table3)))
+          ignore
+            (Miner.mine ~checkpoint:path ~resume:true
+               ~config:(gap_cfg ~max_gap:2 ()) db));
+      let resumed =
+        Miner.mine ~checkpoint:path ~resume:true ~config:(gap_cfg ()) db
+      in
+      Alcotest.(check bool) "resume completed" true
+        (resumed.Miner.outcome = Budget.Completed);
+      Alcotest.(check (list (pair string int)))
+        "interrupted + resumed = uninterrupted" expected (signatures resumed))
 
-(* max_patterns is refused by mine_resumable; the message names what it
-   was combined with, so a queried --parallel run is not told about a
-   checkpoint it never asked for *)
+(* max_patterns is refused with several domains and with a checkpoint
+   (the message names what it was combined with, so a queried --parallel
+   run is not told about a checkpoint it never asked for); a one-domain
+   run stops after the cap with a prefix of the uncapped answer *)
 let test_resumable_max_patterns_message () =
-  let cfg ?domains () =
-    Miner.config ~min_sup:3 ?domains ~max_patterns:5
-      ~query:(Query.Targeted (Pattern.of_string "A")) ()
+  let query = Query.Targeted (Pattern.of_string "A") in
+  let cfg ?domains ?max_patterns () =
+    Miner.config ~min_sup:3 ?domains ?max_patterns ~query ()
   in
   Alcotest.check_raises "with domains"
     (Invalid_argument "Miner: domains cannot be combined with max_patterns")
-    (fun () -> ignore (Miner.mine_resumable (cfg ~domains:2 ()) table3));
-  Alcotest.check_raises "sequential"
-    (Invalid_argument "Miner: root-partitioned mining does not support max_patterns")
-    (fun () -> ignore (Miner.mine_resumable (cfg ()) table3));
+    (fun () ->
+      ignore (Miner.mine ~config:(cfg ~domains:2 ~max_patterns:5 ()) table3));
   let path = Filename.temp_file "rgs_miner_cap" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -168,7 +184,17 @@ let test_resumable_max_patterns_message () =
       Alcotest.check_raises "with a checkpoint"
         (Invalid_argument "Miner: checkpointing is not supported with max_patterns")
         (fun () ->
-          ignore (Miner.mine_resumable ~checkpoint:path (cfg ~domains:2 ()) table3)))
+          ignore
+            (Miner.mine ~checkpoint:path
+               ~config:(cfg ~domains:2 ~max_patterns:5 ()) table3)));
+  let full = (Miner.mine ~config:(cfg ()) table3).Miner.results in
+  Alcotest.(check bool) "more than the cap" true (List.length full > 5);
+  let capped = Miner.mine ~config:(cfg ~max_patterns:5 ()) table3 in
+  Alcotest.(check bool) "truncated" true (capped.Miner.outcome = Budget.Truncated);
+  let sigs = List.map (fun x -> (Pattern.to_string x.Mined.pattern, x.Mined.support)) in
+  Alcotest.(check (list (pair string int))) "one domain: the sequential prefix"
+    (sigs (List.filteri (fun i _ -> i < 5) full))
+    (sigs capped.Miner.results)
 
 let test_metrics_counters () =
   Metrics.reset ();
@@ -232,8 +258,8 @@ let suite =
     Alcotest.test_case "pp_report" `Quick test_pp_report;
     Alcotest.test_case "cross-check on generated data" `Quick test_cross_check_generated;
     Alcotest.test_case "config variants" `Quick test_config_variants;
-    Alcotest.test_case "resumable max_gap without checkpoint" `Quick
-      test_resumable_gap_without_checkpoint;
+    Alcotest.test_case "max_gap checkpoint and resume" `Quick
+      test_gap_checkpoint_resume;
     Alcotest.test_case "resumable max_patterns message" `Quick
       test_resumable_max_patterns_message;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;

@@ -18,7 +18,10 @@
    answers equal mine-all; top-100 on jboss expands < 25% of its nodes),
    and the binary store on the paper-scale QUEST corpus (mmap open >= 100x
    faster than the text parse, identical mapped output, gallops fire),
-   where the sharded root pool must also match sequential mining. *)
+   where the sharded root pool must also match sequential mining. The
+   run body's deterministic work counters are pinned on the benchmark's
+   closed jboss and quest mine-all parameters and on the jboss top-11
+   jobs, on the sequential, checkpointed and resumed paths. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -426,7 +429,124 @@ let test_query_gates () =
         (signatures targeted))
     [ ("quest_small.txt", 4, 5, None); ("jboss_traces.txt", 18, 4, Some 25.0) ]
 
+(* --- deterministic work counters of the one run body ---
+
+   DFS nodes, instance growths, cursor seeks and the closure funnel are
+   fixed by the database and the parameters, so they gate the run body
+   exactly where wall time cannot. Every figure below was recorded from
+   the sequential run of the code before every run went through the
+   root pool. *)
+
+(* the counters one run adds, by metric name *)
+let counted f =
+  let before = Metrics.snapshot () in
+  let r = f () in
+  let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+  (r, Metrics.find d)
+
+let pin_counters label count pins =
+  List.iter
+    (fun (name, expect) ->
+      Alcotest.(check int) (Printf.sprintf "%s: %s" label name) expect
+        (count name))
+    pins
+
+let jboss_index =
+  lazy
+    (Inverted_index.build
+       (fst (Seq_io.load_tokens (data_path "jboss_traces.txt"))))
+
+(* The paper's case-study run: CloGSgrow on jboss at min_sup 18. *)
+let test_jboss_closed_counters () =
+  let idx = Lazy.force jboss_index in
+  let report, count =
+    counted (fun () ->
+        Miner.mine_indexed (Miner.config ~max_length:7 ~min_sup:18 ()) idx)
+  in
+  Alcotest.(check int) "patterns" 161 (List.length report.Miner.results);
+  pin_counters "closed jboss s18 l7" count
+    [
+      ("dfs_nodes", 4_455);
+      ("insgrow_calls", 61_171);
+      ("next_calls", 4_654_866);
+      ("closure_bound_checks", 113_889);
+      ("closure_bound_rejects", 102_173);
+      ("closure_base_grows", 11_716);
+      ("closure_full_grows", 4_662);
+    ]
+
+(* Top-11 on jboss, as the daemon's jobs run it: the sequential run, a
+   checkpointed run and a resumed one (resume:true, as every daemon job is
+   submitted) expand the same nodes, because each root's floor starts
+   from the answers of the roots finished before it. *)
+let test_jboss_topk_counters () =
+  let idx = Lazy.force jboss_index in
+  List.iter
+    (fun (label, mode, max_length, nodes, grows) ->
+      let cfg =
+        Miner.config ~mode ~query:(Query.Top_k 11) ~max_length ~min_sup:18 ()
+      in
+      let expected = ref None in
+      List.iter
+        (fun (path_label, run) ->
+          let report, count = counted run in
+          let answer = signatures report.Miner.results in
+          (match !expected with
+          | None -> expected := Some answer
+          | Some e ->
+            Alcotest.check sig_t
+              (Printf.sprintf "%s %s: answer = sequential" label path_label)
+              e answer);
+          pin_counters
+            (Printf.sprintf "%s %s" label path_label)
+            count
+            [ ("dfs_nodes", nodes); ("insgrow_calls", grows) ])
+        [
+          ("sequential", fun () -> Miner.mine_indexed cfg idx);
+          ( "checkpointed",
+            fun () ->
+              let path = Filename.temp_file "rgs_topk_pin" ".ckpt" in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove path)
+                (fun () -> Miner.mine_indexed ~checkpoint:path cfg idx) );
+          ( "resumed",
+            fun () ->
+              let path = Filename.temp_file "rgs_topk_pin" ".ckpt" in
+              Sys.remove path;
+              Fun.protect
+                ~finally:(fun () ->
+                  if Sys.file_exists path then Sys.remove path)
+                (fun () ->
+                  Miner.mine_indexed ~checkpoint:path ~resume:true cfg idx) );
+        ])
+    [
+      ("all top-11 l4", Miner.All, 4, 49, 840);
+      ("closed top-11 l3", Miner.Closed, 3, 130, 919);
+    ]
+
 (* --- paper-scale gates on the quest_paper corpus --- *)
+
+let quest_paper_db =
+  lazy
+    (Rgs_datagen.Quest_gen.generate
+       (Rgs_datagen.Quest_gen.load_config (data_path "quest_paper.config")))
+
+(* GSgrow at the all_quest benchmark's parameters *)
+let test_quest_paper_counters () =
+  let idx = Inverted_index.build (Lazy.force quest_paper_db) in
+  let report, count =
+    counted (fun () ->
+        Miner.mine_indexed
+          (Miner.config ~mode:Miner.All ~max_length:2 ~min_sup:2000 ())
+          idx)
+  in
+  Alcotest.(check int) "patterns" 8_648 (List.length report.Miner.results);
+  pin_counters "all quest_paper s2000 l2" count
+    [
+      ("dfs_nodes", 8_648);
+      ("insgrow_calls", 12_321);
+      ("next_calls", 36_440_679);
+    ]
 
 (* Best-of-3 wall time of [f], after one untimed warm-up run. *)
 let best_of_3 f =
@@ -451,8 +571,7 @@ let best_of_3 f =
    closure pass would multiply the work without changing what these
    gates pin. *)
 let test_quest_paper_store_and_pool () =
-  let p = Rgs_datagen.Quest_gen.load_config (data_path "quest_paper.config") in
-  let db = Rgs_datagen.Quest_gen.generate p in
+  let db = Lazy.force quest_paper_db in
   let txt = Filename.temp_file "rgs_quest_paper" ".spmf" in
   let rgsdb = Filename.temp_file "rgs_quest_paper" ".rgsdb" in
   Fun.protect
@@ -512,6 +631,12 @@ let suite =
       test_jboss_funnel_exact;
     Alcotest.test_case "query: top-k/targeted = mine-all, top-k prunes" `Quick
       test_query_gates;
+    Alcotest.test_case "counters: closed jboss s18 l7" `Quick
+      test_jboss_closed_counters;
+    Alcotest.test_case "counters: jboss top-11, every run path" `Quick
+      test_jboss_topk_counters;
     Alcotest.test_case "quest_paper: store open, mapped output, shards x pool"
       `Slow test_quest_paper_store_and_pool;
+    Alcotest.test_case "quest_paper: mine-all counters" `Slow
+      test_quest_paper_counters;
   ]

@@ -12,8 +12,8 @@
    3. the in-DFS top-k plan must return exactly the tie-rule oracle: a
       full engine run with the roots in descending single-event support,
       stable-sorted by support, first k — at every entry point
-      (sequential, the root pool under shards, mine_resumable with and
-      without a checkpoint, and resumed from a stopped run's log).
+      (sequential, the root pool under shards, with and without a
+      checkpoint, and resumed from a stopped run's log).
 
    Everything runs on both index backends so the query plans cannot
    silently depend on one cursor implementation. The δ-cover post-pass is
@@ -204,9 +204,9 @@ let with_temp_log f =
     (fun () -> f path)
 
 (* Every way to run a top-k mine against the oracle: the sequential run,
-   the root pool under a drawn domain × shard count, mine_resumable
-   without and with a checkpoint, and a resume from the log of a run a
-   node budget stopped. *)
+   the root pool under a drawn domain × shard count, without and with a
+   checkpoint, and a resume from the log of a run a node budget
+   stopped. *)
 let prop_topk_every_entry_point =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| 22 |])
@@ -229,28 +229,29 @@ let prop_topk_every_entry_point =
          let answer r = sigs r.Miner.results in
          answer (Miner.mine_indexed (cfg ()) idx) = expect
          && answer (Miner.mine_indexed (cfg ~domains ~shards ()) idx) = expect
-         && answer (Miner.mine_resumable (cfg ~domains ()) db) = expect
+         && answer (Miner.mine ~config:(cfg ~domains ()) db) = expect
          && with_temp_log (fun path ->
-                answer (Miner.mine_resumable ~checkpoint:path (cfg ()) db)
+                answer (Miner.mine ~checkpoint:path ~config:(cfg ()) db)
                 = expect)
          && with_temp_log (fun path ->
                 ignore
-                  (Miner.mine_resumable ~checkpoint:path (cfg ~max_nodes ()) db);
+                  (Miner.mine ~checkpoint:path ~config:(cfg ~max_nodes ()) db);
                 answer
-                  (Miner.mine_resumable ~checkpoint:path ~resume:true
-                     (cfg ~domains ()) db)
+                  (Miner.mine ~checkpoint:path ~resume:true
+                     ~config:(cfg ~domains ()) db)
                 = expect)))
 
-(* --- the root-partitioned driver must agree with the in-process one --- *)
+(* --- a checkpointed run must agree with a plain one --- *)
 
-let prop_resumable_matches_indexed =
-  Gens.make ~name:"mine_resumable agrees with mine_indexed on queries"
+let prop_checkpointed_matches_indexed =
+  Gens.make ~name:"checkpointed run agrees with mine_indexed on queries"
     ~count:40 topk_gen print_db_k (fun (db, k) ->
       let idx = Inverted_index.build db in
       let check query =
         let cfg = Miner.config ~query ~max_length:4 ~min_sup:2 () in
         sigs (Miner.mine_indexed cfg idx).Miner.results
-        = sigs (Miner.mine_resumable cfg db).Miner.results
+        = with_temp_log (fun path ->
+              sigs (Miner.mine ~checkpoint:path ~config:cfg db).Miner.results)
       in
       check Query.All
       && check (Query.Targeted (Pattern.of_list [ 0 ]))
@@ -338,7 +339,7 @@ let suite =
     prop_targeted_vs_post_filter;
     prop_topk_vs_oracle;
     prop_topk_every_entry_point;
-    prop_resumable_matches_indexed;
+    prop_checkpointed_matches_indexed;
     prop_delta_cover;
     Alcotest.test_case "query plans prune the DFS" `Quick
       test_query_prunes_search;

@@ -291,8 +291,8 @@ let test_checkpoint_resume_equals_uninterrupted () =
       let min_sup = 5 in
       let full = Miner.mine ~config:(Miner.config ~min_sup ~max_length:4 ()) db in
       let stopped =
-        Miner.mine_resumable ~checkpoint:path
-          (Miner.config ~min_sup ~max_length:4 ~max_nodes:60 ())
+        Miner.mine ~checkpoint:path
+          ~config:(Miner.config ~min_sup ~max_length:4 ~max_nodes:60 ())
           db
       in
       Alcotest.(check bool) "stopped early" true
@@ -306,8 +306,8 @@ let test_checkpoint_resume_equals_uninterrupted () =
         (multiset stopped.Miner.results);
       (* resume without the node budget: must complete and match exactly *)
       let resumed =
-        Miner.mine_resumable ~checkpoint:path ~resume:true
-          (Miner.config ~min_sup ~max_length:4 ())
+        Miner.mine ~checkpoint:path ~resume:true
+          ~config:(Miner.config ~min_sup ~max_length:4 ())
           db
       in
       Alcotest.(check bool) "resume completed" true
@@ -327,7 +327,7 @@ let test_checkpoint_resume_iterated () =
       let rec converge resume n =
         if n > 50 then Alcotest.fail "did not converge in 50 resumes"
         else
-          let report = Miner.mine_resumable ~checkpoint:path ~resume budgeted db in
+          let report = Miner.mine ~checkpoint:path ~resume ~config:budgeted db in
           if report.Miner.outcome = Budget.Completed then report else converge true (n + 1)
       in
       let final = converge false 0 in
@@ -348,19 +348,19 @@ let test_checkpoint_after_worker_crash () =
       let crashed =
         Budget.Fault.with_hook
           (function Budget.Fault.Worker 0 -> raise exn_injected | _ -> ())
-          (fun () -> Miner.mine_resumable ~checkpoint:path cfg db)
+          (fun () -> Miner.mine ~checkpoint:path ~config:cfg db)
       in
       Alcotest.(check bool) "worker failed" true
         (crashed.Miner.outcome = Budget.Worker_failed);
       Alcotest.(check int) "root quarantined" 1 crashed.Miner.quarantined;
-      let skipped = Miner.mine_resumable ~checkpoint:path ~resume:true cfg db in
+      let skipped = Miner.mine ~checkpoint:path ~resume:true ~config:cfg db in
       Alcotest.(check int) "plain resume skips the poison root" 1
         skipped.Miner.quarantined;
       Alcotest.(check bool) "plain resume still Worker_failed" true
         (skipped.Miner.outcome = Budget.Worker_failed);
       let resumed =
-        Miner.mine_resumable ~checkpoint:path ~resume:true
-          ~retry_quarantined:true cfg db
+        Miner.mine ~checkpoint:path ~resume:true
+          ~retry_quarantined:true ~config:cfg db
       in
       Alcotest.(check bool) "retry_quarantined resume completed" true
         (resumed.Miner.outcome = Budget.Completed);
@@ -375,13 +375,13 @@ let test_checkpoint_fingerprint_mismatch () =
   with_temp_checkpoint (fun path ->
       let db = Lazy.force mid_db in
       let _ =
-        Miner.mine_resumable ~checkpoint:path
-          (Miner.config ~min_sup:5 ~max_length:3 ~max_nodes:60 ())
+        Miner.mine ~checkpoint:path
+          ~config:(Miner.config ~min_sup:5 ~max_length:3 ~max_nodes:60 ())
           db
       in
       match
-        Miner.mine_resumable ~checkpoint:path ~resume:true
-          (Miner.config ~min_sup:6 ~max_length:3 ())
+        Miner.mine ~checkpoint:path ~resume:true
+          ~config:(Miner.config ~min_sup:6 ~max_length:3 ())
           db
       with
       | exception Checkpoint.Corrupt _ -> ()
@@ -400,8 +400,8 @@ let test_checkpoint_topk_tie_rule () =
             (Checkpoint.fingerprint ~params:([ "closed"; "5"; "3" ] @ extra) db)
           ~completed:[] ~quarantined:[] ();
         match
-          Miner.mine_resumable ~checkpoint:path ~resume:true
-            (Miner.config ~query ~min_sup:5 ~max_length:3 ())
+          Miner.mine ~checkpoint:path ~resume:true
+            ~config:(Miner.config ~query ~min_sup:5 ~max_length:3 ())
             db
         with
         | exception Checkpoint.Corrupt _ -> false
@@ -412,6 +412,63 @@ let test_checkpoint_topk_tie_rule () =
   Alcotest.(check bool) "all log resumes" true (resumes Query.All []);
   Alcotest.(check bool) "targeted log resumes" true
     (resumes (Query.Targeted (Pattern.of_list [ 0 ])) [ "query=target:0" ])
+
+(* A top-k log written before roots shared a board holds each root's
+   local top-k answer (a fresh collector per root, its floor starting at
+   min_sup): a superset of the entries a root records now. Its
+   fingerprint is unchanged, so it resumes, and to the same answer —
+   whether it covers every root or only the first few. *)
+let test_checkpoint_topk_local_answers () =
+  let db = Lazy.force mid_db in
+  let k = 4 and min_sup = 5 and max_length = 3 in
+  let cfg = Miner.config ~query:(Query.Top_k k) ~min_sup ~max_length () in
+  let full = Miner.mine ~config:cfg db in
+  let idx = Inverted_index.build db in
+  let events = Inverted_index.frequent_events idx ~min_sup in
+  let local root =
+    let c = Query.collector ~max_length ~events ~min_sup (Query.Top_k k) in
+    ignore
+      (Engine.run ~max_length ~events ~roots:[ root ] ~plan:c.Query.plan
+         Gens.closed idx ~min_sup ~emit:c.Query.offer);
+    { Checkpoint.root; results = c.Query.results () }
+  in
+  let locals = List.map local events in
+  let fingerprint =
+    Checkpoint.fingerprint
+      ~params:[ "closed"; "5"; "3"; "query=topk:4"; "ties=arrival" ]
+      db
+  in
+  let recorded_now =
+    with_temp_checkpoint (fun path ->
+        ignore (Miner.mine ~checkpoint:path ~config:cfg db);
+        (Checkpoint.load ~path ~expected_fingerprint:fingerprint)
+          .Checkpoint.completed)
+  in
+  let size entries =
+    List.fold_left (fun n e -> n + List.length e.Checkpoint.results) 0 entries
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "local answers hold more (%d > %d entries)" (size locals)
+       (size recorded_now))
+    true
+    (size locals > size recorded_now);
+  List.iter
+    (fun n ->
+      with_temp_checkpoint (fun path ->
+          Checkpoint.write ~path ~fingerprint
+            ~completed:(List.filteri (fun i _ -> i < n) locals)
+            ~quarantined:[] ();
+          let resumed =
+            Miner.mine ~checkpoint:path ~resume:true ~config:cfg db
+          in
+          Alcotest.(check bool) "resume completed" true
+            (resumed.Miner.outcome = Budget.Completed);
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "%d of %d local answers resume to the answer" n
+               (List.length locals))
+            (signatures full.Miner.results)
+            (signatures resumed.Miner.results)))
+    [ List.length locals; List.length locals / 2 ]
 
 let test_checkpoint_corrupt_file () =
   with_temp_checkpoint (fun path ->
@@ -772,7 +829,7 @@ let test_checkpoint_io_transient () =
               fired := true;
               failwith "injected: transient disk error"
             | _ -> ())
-          (fun () -> Miner.mine_resumable ~checkpoint:path cfg db)
+          (fun () -> Miner.mine ~checkpoint:path ~config:cfg db)
       in
       let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
       Alcotest.(check bool) "run completed" true (report.Miner.outcome = Budget.Completed);
@@ -783,7 +840,7 @@ let test_checkpoint_io_transient () =
       Alcotest.(check int) "no write abandoned" 0
         (Metrics.find delta "checkpoint_io_failures");
       (* the log survived the hiccup: a resume replays it cleanly *)
-      let resumed = Miner.mine_resumable ~checkpoint:path ~resume:true cfg db in
+      let resumed = Miner.mine ~checkpoint:path ~resume:true ~config:cfg db in
       Alcotest.(check (list (pair string int))) "log still resumable"
         (multiset full.Miner.results) (multiset resumed.Miner.results))
 
@@ -798,7 +855,7 @@ let test_checkpoint_io_persistent () =
           (function
             | Budget.Fault.Checkpoint_io -> failwith "injected: disk gone"
             | _ -> ())
-          (fun () -> Miner.mine_resumable ~checkpoint:path cfg db)
+          (fun () -> Miner.mine ~checkpoint:path ~config:cfg db)
       in
       let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
       (* durability is lost, the answer is not *)
@@ -828,13 +885,13 @@ let test_shutdown_flag_interrupts_and_resumes () =
                   incr calls;
                   if !calls = 20 then Budget.request_shutdown ()
                 | _ -> ())
-              (fun () -> Miner.mine_resumable ~checkpoint:path cfg db))
+              (fun () -> Miner.mine ~checkpoint:path ~config:cfg db))
       in
       Alcotest.(check bool) "interrupted" true
         (interrupted.Miner.outcome = Budget.Interrupted);
       Alcotest.(check bool) "partial results" true
         (List.length interrupted.Miner.results < List.length full.Miner.results);
-      let resumed = Miner.mine_resumable ~checkpoint:path ~resume:true cfg db in
+      let resumed = Miner.mine ~checkpoint:path ~resume:true ~config:cfg db in
       Alcotest.(check bool) "resume completed" true
         (resumed.Miner.outcome = Budget.Completed);
       Alcotest.(check (list (pair string int))) "resume heals the interruption"
@@ -1118,6 +1175,8 @@ let suite =
       test_checkpoint_fingerprint_mismatch;
     Alcotest.test_case "checkpoint top-k tie rule" `Quick
       test_checkpoint_topk_tie_rule;
+    Alcotest.test_case "checkpoint: local top-k answers resume" `Quick
+      test_checkpoint_topk_local_answers;
     Alcotest.test_case "checkpoint corrupt file" `Quick test_checkpoint_corrupt_file;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "outcome severity" `Quick test_outcome_severity;

@@ -208,7 +208,7 @@ let test_supervised_multi_domain () =
       let s = Supervisor.stats sup in
       Alcotest.(check int) "no restarts" 0 s.Supervisor.restarts)
 
-let test_supervised_resumable () =
+let test_supervised_checkpointed () =
   let db = quest ~seed:31 in
   let baseline = Miner.mine ~min_sup:3 db in
   with_supervisor (supervised_config ~shards:2 ()) db (fun sup ->
@@ -216,8 +216,13 @@ let test_supervised_resumable () =
         Miner.config ~mode:Miner.Closed ~domains:2 ~shards:2
           ~shard_dispatch:(Supervisor.dispatch sup) ~min_sup:3 ()
       in
-      let report = Miner.mine_resumable config db in
-      Alcotest.check sig_t "supervised mine_resumable = sequential"
+      let path = Filename.temp_file "rgs_supervised" ".ckpt" in
+      let report =
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () -> Miner.mine ~checkpoint:path ~config db)
+      in
+      Alcotest.check sig_t "supervised checkpointed run = sequential"
         (signatures baseline.Miner.results)
         (signatures report.Miner.results))
 
@@ -416,8 +421,8 @@ let suite =
       test_supervised_gap_constrained;
     Alcotest.test_case "supervised multi-domain" `Quick
       test_supervised_multi_domain;
-    Alcotest.test_case "supervised mine_resumable" `Quick
-      test_supervised_resumable;
+    Alcotest.test_case "supervised checkpointed run" `Quick
+      test_supervised_checkpointed;
     Alcotest.test_case "chaos sweep: kill/hang/corrupt/slow" `Quick
       test_chaos_sweep;
     Alcotest.test_case "spawn failure degrades in-process" `Quick

@@ -402,7 +402,7 @@ let test_checkpoint_write_span () =
       let before = Metrics.snapshot () in
       let cfg = Miner.config ~min_sup:2 () in
       let report =
-        Miner.mine_resumable ~checkpoint:path ~trace cfg (Lazy.force table3)
+        Miner.mine ~checkpoint:path ~trace ~config:cfg (Lazy.force table3)
       in
       let delta = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
       Alcotest.(check bool) "completed" true
