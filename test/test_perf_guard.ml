@@ -456,24 +456,40 @@ let jboss_index =
     (Inverted_index.build
        (fst (Seq_io.load_tokens (data_path "jboss_traces.txt"))))
 
-(* The paper's case-study run: CloGSgrow on jboss at min_sup 18. *)
+(* The paper's case-study run: CloGSgrow on jboss at min_sup 18, on the
+   heap index and again on the index of a store packed from the same
+   file — the mapped sections must drive the cursors through exactly the
+   same seeks. *)
 let test_jboss_closed_counters () =
-  let idx = Lazy.force jboss_index in
-  let report, count =
-    counted (fun () ->
-        Miner.mine_indexed (Miner.config ~max_length:7 ~min_sup:18 ()) idx)
+  let check label idx =
+    let report, count =
+      counted (fun () ->
+          Miner.mine_indexed (Miner.config ~max_length:7 ~min_sup:18 ()) idx)
+    in
+    Alcotest.(check int) (label ^ ": patterns") 161
+      (List.length report.Miner.results);
+    pin_counters label count
+      [
+        ("dfs_nodes", 4_455);
+        ("insgrow_calls", 61_171);
+        ("next_calls", 4_654_866);
+        ("cursor_advances", 2_094_911);
+        ("cursor_gallops", 363_600);
+        ("closure_bound_checks", 113_889);
+        ("closure_bound_rejects", 102_173);
+        ("closure_base_grows", 11_716);
+        ("closure_full_grows", 4_662);
+      ]
   in
-  Alcotest.(check int) "patterns" 161 (List.length report.Miner.results);
-  pin_counters "closed jboss s18 l7" count
-    [
-      ("dfs_nodes", 4_455);
-      ("insgrow_calls", 61_171);
-      ("next_calls", 4_654_866);
-      ("closure_bound_checks", 113_889);
-      ("closure_bound_rejects", 102_173);
-      ("closure_base_grows", 11_716);
-      ("closure_full_grows", 4_662);
-    ]
+  let idx = Lazy.force jboss_index in
+  check "closed jboss s18 l7" idx;
+  let path = Filename.temp_file "rgs_jboss_pin" ".rgsdb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Rgs_store.Store.write ~path (Inverted_index.db idx);
+      check "closed jboss s18 l7 (store)"
+        (Inverted_index.build (Rgs_store.Store.db (Rgs_store.Store.open_store path))))
 
 (* Top-11 on jboss, as the daemon's jobs run it: the sequential run, a
    checkpointed run and a resumed one (resume:true, as every daemon job is
@@ -546,6 +562,8 @@ let test_quest_paper_counters () =
       ("dfs_nodes", 8_648);
       ("insgrow_calls", 12_321);
       ("next_calls", 36_440_679);
+      ("cursor_advances", 13_963_943);
+      ("cursor_gallops", 1_954_083);
     ]
 
 (* Best-of-3 wall time of [f], after one untimed warm-up run. *)
