@@ -85,7 +85,7 @@ let resolve_auto = function
   | n -> n
 
 let run input store format min_sup all max_length max_patterns limit instances max_gap parallel
-    shards workers index_kind deadline max_nodes max_words target top_k compress_delta
+    shards workers deadline max_nodes max_words target top_k compress_delta
     checkpoint resume retry_quarantined
     trace_file trace_level trace_ring stats_file stats_interval verbose =
   setup_logs verbose;
@@ -153,7 +153,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     let config =
       Miner.config ~mode ~query ?max_length ?max_patterns ?max_gap ?domains
-        ?shards ?index_kind ?deadline_s:deadline ?max_nodes ?max_words
+        ?shards ?deadline_s:deadline ?max_nodes ?max_words
         ?shard_dispatch:
           (Option.map Rgs_server.Supervisor.dispatch supervisor)
         ~min_sup ()
@@ -175,7 +175,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     let finish_ticker () = Option.iter Rgs_server.Stats_dump.stop ticker in
     (* one index serves the mine and the --instances landmarks *)
-    let idx = Miner.build_index config db in
+    let idx = Inverted_index.build db in
     let report =
       match
         Miner.mine_indexed ?checkpoint ~resume ~retry_quarantined ~trace config
@@ -366,15 +366,6 @@ let workers =
                degrades to in-process growth — the mined output is identical \
                in every case.")
 
-let index_kind =
-  let kind_conv =
-    Arg.enum [ ("csr", Inverted_index.Kcsr); ("paged", Inverted_index.Kpaged) ]
-  in
-  Arg.(value & opt (some kind_conv) None & info [ "index" ] ~docv:"KIND"
-         ~doc:"Inverted-index backend: $(b,csr) (columnar arrays, default) or \
-               $(b,paged) (B-trees, for alphabets much larger than the \
-               sequences).")
-
 let deadline =
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS"
          ~doc:"Wall-clock budget. When it expires the run stops gracefully and \
@@ -532,7 +523,7 @@ let pack_cmd =
 let mine_term =
   Term.(const run $ input $ store_arg $ format $ min_sup $ all $ max_length
         $ max_patterns $ limit
-        $ instances $ max_gap $ parallel $ shards $ workers $ index_kind $ deadline $ max_nodes
+        $ instances $ max_gap $ parallel $ shards $ workers $ deadline $ max_nodes
         $ max_words $ target $ top_k $ compress_delta $ checkpoint $ resume
         $ retry_quarantined $ trace_file $ trace_level $ trace_ring
         $ stats_file $ stats_interval $ verbose)

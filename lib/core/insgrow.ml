@@ -3,15 +3,12 @@ open Rgs_sequence
 let run = Support_set.grow
 
 let full_of_event idx e =
-  let db = Inverted_index.db idx in
-  let out = ref [] in
-  for i = Seqdb.size db downto 1 do
-    let positions = Inverted_index.positions idx ~seq:i e in
-    for k = Array.length positions - 1 downto 0 do
-      out := { Instance.fseq = i; landmark = [| positions.(k) |] } :: !out
-    done
-  done;
-  !out
+  List.concat_map
+    (fun (i, positions) ->
+      List.map
+        (fun p -> { Instance.fseq = i; landmark = [| p |] })
+        (Array.to_list positions))
+    (Array.to_list (Inverted_index.event_runs idx e))
 
 (* Same control flow as Support_set.grow, on full landmarks. The input list
    is grouped by sequence in right-shift order, so a plain left-to-right scan

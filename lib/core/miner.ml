@@ -12,7 +12,6 @@ type config = {
   domains : int option;
   shards : int option;
   shard_dispatch : Shard_merge.dispatch option;
-  index_kind : Inverted_index.kind option;
   deadline_s : float option;
   max_nodes : int option;
   max_words : int option;
@@ -44,7 +43,7 @@ let validate_config cfg =
   | _ -> ()
 
 let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
-    ?max_gap ?domains ?shards ?shard_dispatch ?index_kind ?deadline_s
+    ?max_gap ?domains ?shards ?shard_dispatch ?deadline_s
     ?max_nodes ?max_words ~min_sup () =
   let cfg =
     {
@@ -57,7 +56,6 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
       domains;
       shards;
       shard_dispatch;
-      index_kind;
       deadline_s;
       max_nodes;
       max_words;
@@ -65,11 +63,6 @@ let config ?(mode = Closed) ?(query = Query.All) ?max_length ?max_patterns
   in
   validate_config cfg;
   cfg
-
-let build_index cfg db =
-  Inverted_index.build_kind
-    (Option.value cfg.index_kind ~default:Inverted_index.Kcsr)
-    db
 
 type report = {
   results : Mined.t list;
@@ -400,7 +393,7 @@ let mine ?budget ?checkpoint ?resume ?retry_quarantined ?trace ?config:cfg
     | None, None -> invalid_arg "Miner.mine: provide ~config or ~min_sup"
   in
   mine_indexed ?budget ?checkpoint ?resume ?retry_quarantined ?trace cfg
-    (build_index cfg db)
+    (Inverted_index.build db)
 
 let landmarks db p = Sup_comp.landmarks (Inverted_index.build db) p
 let support db p = Sup_comp.support (Inverted_index.build db) p

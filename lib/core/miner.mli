@@ -1,7 +1,6 @@
 (** High-level mining facade: the one way to run a mine.
 
-    Builds the inverted index (CSR arrays by default, B-trees via
-    [index_kind]), picks the {!Engine} strategy ({!Gsgrow},
+    Builds the inverted index ({!Inverted_index.build}), picks the {!Engine} strategy ({!Gsgrow},
     {!Clogsgrow} or {!Gap_constrained}), mines, and presents results.
     Example programs, the CLI and the daemon use it; {!Engine.run} under a
     strategy is the lower-level way in, reporting {!Engine.stats}.
@@ -54,9 +53,6 @@ type config = {
           supplies a closure that ships slices to isolated worker
           processes, falling back in-process per shard on failure —
           output identical either way. Requires [shards] *)
-  index_kind : Inverted_index.kind option;
-      (** index backend: [None] (default) builds the CSR arrays,
-          [Some Kpaged] the B-trees for large alphabets *)
   deadline_s : float option;
       (** wall-clock budget in seconds; on expiry the run stops with
           [Deadline_exceeded] and partial results *)
@@ -76,14 +72,13 @@ val config :
   ?domains:int ->
   ?shards:int ->
   ?shard_dispatch:Shard_merge.dispatch ->
-  ?index_kind:Inverted_index.kind ->
   ?deadline_s:float ->
   ?max_nodes:int ->
   ?max_words:int ->
   min_sup:int ->
   unit ->
   config
-(** Defaults: [mode = Closed], [query = All], array index, sequential,
+(** Defaults: [mode = Closed], [query = All], sequential,
     unsharded, no bounds.
     @raise Invalid_argument when [min_sup < 1], a limit is negative, the
     query is invalid ({!Query.validate}), a top-k query is combined with
@@ -112,9 +107,8 @@ val mine_indexed :
   config ->
   Inverted_index.t ->
   report
-(** Mines the database behind a prebuilt index ([config.index_kind] is
-    ignored). A live [trace] (default {!Trace.null}) records the run's
-    spans and instants — see {!Trace}. The answer is the same for every
+(** Mines the database behind a prebuilt index. A live [trace] (default
+    {!Trace.null}) records the run's spans and instants — see {!Trace}. The answer is the same for every
     domain count, checkpoint and resume. A crashing root is retried once (with
     backoff) and, if it crashes again, {e quarantined}: its patterns are
     missing from [results] ([Worker_failed] outcome, [report.quarantined]
@@ -166,11 +160,8 @@ val mine :
   ?min_sup:int ->
   Seqdb.t ->
   report
-(** {!mine_indexed} on {!build_index}[ cfg db], given a full [config] or
+(** {!mine_indexed} on {!Inverted_index.build}[ db], given a full [config] or
     just [min_sup]. @raise Invalid_argument when neither is given. *)
-
-val build_index : config -> Seqdb.t -> Inverted_index.t
-(** [config.index_kind]'s index of [db], CSR by default. *)
 
 val landmarks : Seqdb.t -> Pattern.t -> Instance.full list
 (** Full-landmark leftmost support set of a pattern, for displaying where

@@ -13,8 +13,8 @@
     right-shift order — reassembles them into a set {e content-equal}
     to the unsharded grow. That identity is this module's proof
     obligation: [strategy ~verify:true] checks it differentially on
-    every grow, and the [@shards] suite pins it across databases,
-    backends and shard counts.
+    every grow, and the [@shards] suite pins it across databases, heap
+    and store-backed indexes, and shard counts.
 
     Wrapping only the strategy's [grow] leaves the DFS untouched, so
     sharding composes with every engine feature (closure checking, gap

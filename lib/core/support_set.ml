@@ -73,16 +73,13 @@ let unsafe_of_groups groups =
        groups)
 
 let of_event idx e =
-  let db = Inverted_index.db idx in
-  let groups = ref [] in
-  for i = Seqdb.size db downto 1 do
-    let positions = Inverted_index.positions idx ~seq:i e in
-    let n = Array.length positions in
-    if n > 0 then
-      (* size-1 instances have first = last: share the positions array *)
-      groups := { gseq = i; len = n; firsts = positions; lasts = positions } :: !groups
-  done;
-  of_group_array (Array.of_list !groups)
+  of_group_array
+    (Array.map
+       (fun (i, positions) ->
+         (* size-1 instances have first = last: share the positions array *)
+         { gseq = i; len = Array.length positions; firsts = positions;
+           lasts = positions })
+       (Inverted_index.event_runs idx e))
 
 let size s = s.total
 let is_empty s = s.total = 0

@@ -25,7 +25,8 @@ val empty : t
 
 val of_event : Inverted_index.t -> Event.t -> t
 (** The leftmost support set of the size-1 pattern [e]: every occurrence of
-    [e] in the database (line 1 of Algorithm 1 / line 3 of Algorithm 3). *)
+    [e] in the database (line 1 of Algorithm 1 / line 3 of Algorithm 3),
+    read from the event's runs ({!Inverted_index.event_runs}). *)
 
 val size : t -> int
 (** Number of instances — the repetitive support of the pattern this set
@@ -90,9 +91,9 @@ val grow :
 (** [grow idx i e] is the instance-growth operation [INSgrow(SeqDB, P, I, e)]
     (Algorithm 2): extends the leftmost support set [I] of [P] into the
     leftmost support set of [P ◦ e]. Each per-sequence pass drives one
-    monotone {!Inverted_index.cursor} (both backends are stateful),
-    so a whole group costs O(occurrences of [e]) amortized rather than one
-    full [O(log L)] search per instance. Surviving groups share the
+    monotone {!Inverted_index.cursor}, reseated from group to group in
+    ascending sequence order, so a whole group costs O(occurrences of
+    [e]) amortized rather than one full [O(log L)] search per instance. Surviving groups share the
     parent's [firsts] array; no arrays are copied on partial survival. *)
 
 val slice : t -> lo:int -> hi:int -> t

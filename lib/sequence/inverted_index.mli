@@ -6,49 +6,32 @@
     binary search in [O(log L)], exactly as the paper's subroutine
     [next(S, e, lowest)].
 
-    The paper's two storage layouts share the same query semantics
-    (property-tested equal; every mining algorithm runs on either):
-
-    - {!build} (default, columnar): arrays — "if the main memory is large
-      enough for the index structure [L_{e,Si}]'s, we can use arrays".
-      CSR layout: per sequence, one contiguous positions buffer grouped
-      by dense event id ({!Alphabet}) plus an offsets table indexed by
-      dense id, so [positions]/[next]/[count_between] are pure
-      array-slice arithmetic with zero hashing.
-    - {!build_paged}: bulk-loaded B+-trees ({!Btree}) — "otherwise,
-      B-trees can be employed".
-
-    The CSR backend spends [alphabet_size + 1] words of offsets per
-    sequence; for databases whose alphabet vastly exceeds typical sequence
-    length under tight memory, prefer {!build_paged}. *)
+    The lists are arrays ("if the main memory is large enough for the
+    index structure [L_{e,Si}]'s, we can use arrays"), laid out
+    event-major ({!Seqdb.runs}): each dense event ({!Alphabet}) owns a
+    contiguous range of runs, one per sequence it occurs in, in ascending
+    sequence order, and each run owns a contiguous slice of positions.
+    The table is [total + 2R + k + 2] words, where [R <= total] is the
+    number of distinct (sequence, event) pairs — linear in the database,
+    with no per-sequence term in the alphabet size, so the paper's
+    memory-constrained B-tree case does not arise. *)
 
 type t
 
-type kind = Kcsr | Kpaged
-
 val build : Seqdb.t -> t
-(** Columnar (CSR) index, built in one counting pass and one fill pass over
-    the database, [O(total length + N * alphabet)]. On a store-backed
-    database ({!Seqdb.of_store}) the pass is skipped entirely: the CSR
-    runs were precomputed at pack time, so building only slices the
-    mapped sections — [O(N)] descriptors, zero copies, no event data
-    read. *)
-
-val build_paged : ?fanout:int -> Seqdb.t -> t
-(** B+-tree-backed index ([fanout] defaults to 16). Same query semantics;
-    node-per-level access pattern suited to paged storage. *)
-
-val build_kind : ?fanout:int -> kind -> Seqdb.t -> t
-(** Dispatch on {!kind} ([fanout] only affects [Kpaged]). *)
+(** The index of a database, and its only constructor. A heap database
+    is indexed in one counting pass and one fill pass, [O(total length +
+    k)] with [O(k)] scratch. On a store-backed database
+    ({!Seqdb.of_store}) the run table was packed at write time, so
+    building uses the mapped sections as they are — zero copies, no event
+    data read. *)
 
 val db : t -> Seqdb.t
 (** The database the index was built from. *)
 
-val kind : t -> kind
-val kind_name : kind -> string
-
-val backend_name : t -> string
-(** ["csr"] or ["paged"] — for benches and reports. *)
+val runs : t -> Seqdb.runs
+(** The run table (mapped sections on a store-backed database) — what
+    the store writer packs as [EVRN]/[RSEQ]/[ROFF]/[EPOS]. *)
 
 val next : t -> seq:int -> Event.t -> lowest:int -> int option
 (** [next idx ~seq:i e ~lowest] is the minimum position [l] such that
@@ -61,7 +44,12 @@ val count_between : t -> seq:int -> Event.t -> lo:int -> hi:int -> int
 
 val positions : t -> seq:int -> Event.t -> int array
 (** All positions of [e] in [S_i], ascending, 1-based. Materialised on
-    each call (a fresh array on every backend). *)
+    each call (a fresh array). [O(log runs of e)] to find the run. *)
+
+val event_runs : t -> Event.t -> (int * int array) array
+(** [(i, positions of e in S_i)] for every sequence [S_i] that holds [e],
+    in ascending [i] — one walk of the event's runs, no sequence without
+    [e] visited. Fresh arrays. *)
 
 (** {2 Cursors}
 
@@ -78,10 +66,9 @@ val positions : t -> seq:int -> Event.t -> int array
 type cursor
 
 val cursor : t -> seq:int -> Event.t -> cursor
-(** A fresh cursor over [L_{e,Si}]. Both backends are stateful: the CSR
-    cursor resolves its slice once per sequence (no hashing at all), and
-    the paged cursor keeps a {!Btree.cursor} finger into the current
-    leaf. *)
+(** A fresh cursor over [L_{e,Si}]: it holds the event's run range and a
+    run frontier, and resolves its slice once per sequence (no hashing at
+    all). *)
 
 val seek : cursor -> lowest:int -> int option
 (** [seek c ~lowest] is [next idx ~seq e ~lowest] for the cursor's list.
@@ -99,11 +86,15 @@ val seek_pos : cursor -> lowest:int -> int
 
 val reseat : cursor -> seq:int -> unit
 (** Re-point the cursor at sequence [seq]'s position list for the same
-    event, resetting the monotone frontier but keeping the batched counts.
-    An INSgrow pass over a whole support set thereby costs one cursor
-    allocation and one {!cursor_finish} flush total. The sequence index is
-    not re-validated — callers iterate a support set's groups, which are
-    in range by construction. *)
+    event, resetting the monotone position frontier but keeping the
+    batched counts. An INSgrow pass over a whole support set thereby costs
+    one cursor allocation and one {!cursor_finish} flush total. A reseat
+    to a later sequence advances the run frontier (a walk of up to eight
+    runs, then bisection), so a pass over ascending sequences costs
+    amortised [O(1)] per reseat; a reseat to an earlier sequence starts
+    over from the event's first run. Reseats count into no metric. The
+    sequence index is not re-validated — callers iterate a support set's
+    groups, which are in range by construction. *)
 
 val cursor_finish : cursor -> unit
 (** Flush the cursor's locally batched counts into {!Metrics.next_calls},
@@ -113,7 +104,8 @@ val cursor_finish : cursor -> unit
 
 val occurrence_count : t -> Event.t -> int
 (** Total occurrences of [e] over the database — the repetitive support of
-    the single-event pattern [e]. [O(1)] (dense-alphabet table lookup). *)
+    the single-event pattern [e]. [O(1)]: the span of the event's runs in
+    the position table. *)
 
 val events : t -> Event.t list
 (** Distinct events in the database, ascending. *)

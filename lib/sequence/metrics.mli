@@ -102,8 +102,7 @@ val cursor_advances : counter
     the O(1) frontier check. *)
 
 val cursor_gallops : counter
-(** Galloping work while seeking: doubling probes and bisection halvings
-    (flat-array cursors), plus B+-tree descent levels (paged cursors).
+(** Galloping work while seeking: doubling probes and bisection halvings.
     Each unit is one position comparison, O(log hop) per long hop. *)
 
 val dfs_nodes : counter

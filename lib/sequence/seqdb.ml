@@ -1,15 +1,21 @@
 (* A database is either heap-backed (every sequence built eagerly, the
-   seed behaviour) or store-backed: the event data and precomputed CSR
-   runs live in read-only mapped [Ivec] sections shared across domains
-   and processes, and [Sequence.t] values are materialised lazily, one
-   sequence at a time, only when something actually scans them (closure
-   checks, printing). Mining through the inverted index alone never
-   forces a sequence. *)
+   seed behaviour) or store-backed: the event data and the precomputed
+   event-major index runs live in read-only mapped [Ivec] sections shared
+   across domains and processes, and [Sequence.t] values are materialised
+   lazily, one sequence at a time, only when something actually scans
+   them (closure checks, printing). Mining through the inverted index
+   alone never forces a sequence. *)
+type runs = {
+  evrn : Ivec.t;
+  rseq : Ivec.t;
+  roff : Ivec.t;
+  epos : Ivec.t;
+}
+
 type mapped = {
-  m_seq_offsets : Ivec.t; (* N+1 absolute offsets into events/csr_pos *)
+  m_seq_offsets : Ivec.t; (* N+1 absolute offsets into events *)
   m_events : Ivec.t; (* concatenated sequences, sequence-major *)
-  m_csr_offsets : Ivec.t; (* N*(k+1), per-sequence-relative (FORMAT.md §2.4) *)
-  m_csr_pos : Ivec.t; (* 1-based positions grouped by dense id *)
+  m_runs : runs; (* FORMAT.md §4 *)
   m_digest : string; (* hex MD5 of the canonical event stream *)
 }
 
@@ -25,7 +31,7 @@ type t = {
 
 (* The dense alphabet is interned eagerly: one O(total length) pass at build
    time buys hashing-free, array-indexed event lookups for the lifetime of
-   the database (Inverted_index's CSR layout keys on dense ids). *)
+   the database (Inverted_index's run table keys on dense ids). *)
 let of_owned_array seqs =
   {
     cache = Array.map (fun s -> Atomic.make (Some s)) seqs;
@@ -41,10 +47,7 @@ let size db = Array.length db.cache
 let dense_alphabet db = db.alpha
 let is_mapped db = db.mapped <> None
 
-let mapped_csr db =
-  match db.mapped with
-  | None -> None
-  | Some m -> Some (m.m_csr_offsets, m.m_csr_pos)
+let mapped_runs db = Option.map (fun m -> m.m_runs) db.mapped
 
 let force db i0 =
   match db.mapped with
@@ -107,22 +110,11 @@ let alphabet_size db = Alphabet.size db.alpha
 
 let event_count db e =
   match db.mapped with
-  | Some m ->
-    (* per-event totals fall out of the CSR offsets; no sequence forced *)
+  | Some { m_runs = { evrn; roff; _ }; _ } ->
+    (* an event's positions are one contiguous block of EPOS *)
     let d = Alphabet.dense db.alpha e in
     if d < 0 then 0
-    else begin
-      let k = Alphabet.size db.alpha in
-      let total = ref 0 in
-      for i = 0 to size db - 1 do
-        let base = i * (k + 1) in
-        total :=
-          !total
-          + Ivec.get m.m_csr_offsets (base + d + 1)
-          - Ivec.get m.m_csr_offsets (base + d)
-      done;
-      !total
-    end
+    else Ivec.get roff (Ivec.get evrn (d + 1)) - Ivec.get roff (Ivec.get evrn d)
   | None ->
     let n = ref 0 in
     for i = 0 to size db - 1 do
@@ -169,42 +161,55 @@ let content_digest db =
     ignore (Atomic.compare_and_set db.digest None (Some d));
     d
 
-let of_store ~alpha ~seq_offsets ~events ~csr_offsets ~csr_pos ~digest =
+let of_store ~alpha ~seq_offsets ~events ~runs ~digest =
   let n = Ivec.length seq_offsets - 1 in
   let k = Alphabet.size alpha in
-  if n < 0 then invalid_arg "Seqdb.of_store: empty sequence-offset table";
-  if Ivec.length csr_offsets <> n * (k + 1) then
-    invalid_arg "Seqdb.of_store: CSR offset table size mismatch";
-  if Ivec.get seq_offsets 0 <> 0 then
-    invalid_arg "Seqdb.of_store: sequence offsets must start at 0";
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Seqdb.of_store: " ^ m)) fmt in
+  if n < 0 then fail "empty sequence-offset table";
+  if Ivec.get seq_offsets 0 <> 0 then fail "sequence offsets must start at 0";
   for i = 0 to n - 1 do
     if Ivec.get seq_offsets (i + 1) < Ivec.get seq_offsets i then
-      invalid_arg "Seqdb.of_store: sequence offsets must be nondecreasing"
+      fail "sequence offsets must be nondecreasing"
   done;
   let total = Ivec.get seq_offsets n in
-  if Ivec.length events <> total then
-    invalid_arg "Seqdb.of_store: event section size mismatch";
-  if Ivec.length csr_pos <> total then
-    invalid_arg "Seqdb.of_store: CSR position section size mismatch";
-  (* Semantic CSR-offset check (FORMAT.md §2.5): every consumer of the
-     mapped CSR — totals, slicing, the cursor gallop — indexes the
-     position runs with these offsets unchecked, so each sequence's
-     block must be a valid prefix-sum: starts at 0, nondecreasing, ends
-     at the sequence's own length. O(N·(k+1)) over mapped table words;
-     no event data is touched, so opens stay corpus-length-independent. *)
-  for i = 0 to n - 1 do
-    let base = i * (k + 1) in
-    if Ivec.get csr_offsets base <> 0 then
-      invalid_arg "Seqdb.of_store: CSR offsets must start at 0";
-    for d = 1 to k do
-      if Ivec.get csr_offsets (base + d) < Ivec.get csr_offsets (base + d - 1)
-      then invalid_arg "Seqdb.of_store: CSR offsets must be nondecreasing"
-    done;
-    let len = Ivec.get seq_offsets (i + 1) - Ivec.get seq_offsets i in
-    if Ivec.get csr_offsets (base + k) <> len then
-      invalid_arg
-        "Seqdb.of_store: CSR offsets must end at the sequence length"
+  if Ivec.length events <> total then fail "event section size mismatch";
+  (* Semantic run-table checks (FORMAT.md §2.5): the index cursors read
+     RSEQ, ROFF and EPOS through these tables unchecked, so every run an
+     event names must exist, name a real sequence, and own a non-empty
+     slice of EPOS. One pass over EVRN, then one fused pass over RSEQ and
+     ROFF: O(k + R) table words, unchecked loads once the lengths are
+     known (a direct Bigarray load, inlined here). EPOS is never read, so
+     opens stay independent of the corpus length. *)
+  let uget (v : Ivec.t) i = Bigarray.Array1.unsafe_get v i in
+  let { evrn; rseq; roff; epos } = runs in
+  let r_count = Ivec.length rseq in
+  if Ivec.length evrn <> k + 1 then fail "EVRN must hold alphabet size + 1 entries";
+  if Ivec.length roff <> r_count + 1 then fail "ROFF must hold run count + 1 entries";
+  if Ivec.length epos <> total then fail "EPOS must hold one entry per event";
+  if uget evrn 0 <> 0 then fail "EVRN must start at 0";
+  for d = 0 to k - 1 do
+    if uget evrn (d + 1) < uget evrn d then
+      fail "EVRN must be nondecreasing"
   done;
+  if uget evrn k <> r_count then
+    fail "EVRN must end at the run count %d" r_count;
+  if uget roff 0 <> 0 then fail "ROFF must start at 0";
+  let r = ref 0 in
+  for d = 0 to k - 1 do
+    let hi = uget evrn (d + 1) in
+    let prev = ref 0 in
+    while !r < hi do
+      let s = uget rseq !r in
+      if s < 1 || s > n then fail "RSEQ names sequence %d, outside [1, %d]" s n;
+      if s <= !prev then fail "RSEQ must be strictly ascending within an event";
+      prev := s;
+      if uget roff (!r + 1) <= uget roff !r then
+        fail "ROFF must be strictly increasing";
+      incr r
+    done
+  done;
+  if uget roff r_count <> total then
+    fail "ROFF must end at the total length %d" total;
   {
     cache = Array.init n (fun _ -> Atomic.make None);
     alpha;
@@ -213,8 +218,7 @@ let of_store ~alpha ~seq_offsets ~events ~csr_offsets ~csr_pos ~digest =
         {
           m_seq_offsets = seq_offsets;
           m_events = events;
-          m_csr_offsets = csr_offsets;
-          m_csr_pos = csr_pos;
+          m_runs = runs;
           m_digest = digest;
         };
     digest = Atomic.make (Some digest);

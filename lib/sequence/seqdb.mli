@@ -42,12 +42,14 @@ val alphabet_size : t -> int
 val dense_alphabet : t -> Alphabet.t
 (** The dense event alphabet interned at build time: every distinct event
     mapped to a dense id in [0 .. alphabet_size - 1], in ascending event
-    order. The columnar index layout ({!Inverted_index}) keys its
-    per-sequence offset tables on these ids. *)
+    order. The inverted index ({!Inverted_index}) keys its run table on
+    these ids. *)
 
 val event_count : t -> Event.t -> int
 (** Total number of occurrences of an event across all sequences. This equals
-    the repetitive support of the size-1 pattern made of that event. *)
+    the repetitive support of the size-1 pattern made of that event.
+    [O(1)] on a store-backed database (two run-table reads), one scan of
+    the sequences on a heap database. *)
 
 val fold : ('a -> int -> Sequence.t -> 'a) -> 'a -> t -> 'a
 (** Folds with 1-based sequence indices. *)
@@ -81,31 +83,47 @@ val pp : Format.formatter -> t -> unit
     [.rgsdb] file and hands the typed sections to {!of_store}; everything
     above this line is backing-agnostic. *)
 
+type runs = {
+  evrn : Ivec.t;
+      (** [k+1] entries: dense event [d]'s runs are [[evrn.(d), evrn.(d+1))] *)
+  rseq : Ivec.t;
+      (** [R] entries: run [r]'s 1-based sequence; strictly ascending
+          within an event *)
+  roff : Ivec.t;
+      (** [R+1] entries: run [r] owns [epos.[roff.(r), roff.(r+1))] *)
+  epos : Ivec.t;
+      (** one entry per event occurrence: 1-based positions, ascending
+          within a run *)
+}
+(** The event-major inverted-index run table (FORMAT.md §4): for every
+    event, one run per sequence it occurs in, each naming its sequence
+    and its slice of positions. [R] is the number of distinct
+    (sequence, event) pairs, so the table is [total + 2R + k + 2] words. *)
+
 val of_store :
   alpha:Alphabet.t ->
   seq_offsets:Ivec.t ->
   events:Ivec.t ->
-  csr_offsets:Ivec.t ->
-  csr_pos:Ivec.t ->
+  runs:runs ->
   digest:string ->
   t
 (** A store-backed database over mapped (or otherwise precomputed)
     sections: [seq_offsets] holds [N+1] nondecreasing offsets (starting
-    at 0) into [events] and [csr_pos]; [csr_offsets] holds [N * (k+1)]
-    per-sequence-relative CSR offsets for the [k]-event [alpha];
-    [digest] is the hex MD5 of the canonical event stream sealed at pack
-    time ({!content_digest}). Sequences materialise lazily and are cached
-    (safe under parallel domains); {!Inverted_index.build} on the result
-    slices the CSR sections zero-copy.
-    @raise Invalid_argument when the section shapes disagree. *)
+    at 0) into [events]; [runs] is the run table of [events] over the
+    [k]-event [alpha]; [digest] is the hex MD5 of the canonical event
+    stream sealed at pack time ({!content_digest}). Sequences
+    materialise lazily and are cached (safe under parallel domains);
+    {!Inverted_index.build} on the result uses [runs] as they are.
+    @raise Invalid_argument when the section shapes disagree or the run
+    table breaks a FORMAT.md §2.5 clause (read in [O(k + R)], never
+    touching [epos]). *)
 
 val is_mapped : t -> bool
 (** [true] for {!of_store}-backed databases. *)
 
-val mapped_csr : t -> (Ivec.t * Ivec.t) option
-(** The precomputed CSR sections [(csr_offsets, csr_pos)] of a
-    store-backed database, [None] for heap databases. Consumed by
-    {!Inverted_index.build}. *)
+val mapped_runs : t -> runs option
+(** The run table of a store-backed database, [None] for heap databases.
+    Consumed by {!Inverted_index.build}. *)
 
 val content_digest : t -> string
 (** Hex MD5 of the canonical event stream (every event printed as

@@ -1,12 +1,10 @@
-(** Runtime tuning knobs shared across the index backends.
+(** Runtime tuning knobs of the index cursors.
 
-    The galloping cursors (the CSR window in {!Inverted_index}, the
-    paged B+-tree cursor in {!Btree}) both probe a few positions linearly
-    past the frontier before switching to a doubling search. The
-    threshold used to be a per-backend hard-coded constant; it now lives
-    here, once. [0] disables the linear fast path entirely (every
-    non-frontier hop gallops); large values degrade long hops toward
-    linear scans. *)
+    The galloping cursor ({!Inverted_index.seek}) probes a few positions
+    linearly past the frontier before switching to a doubling search.
+    The threshold lives here, once. [0] disables the linear fast path
+    entirely (every non-frontier hop gallops); large values degrade long
+    hops toward linear scans. *)
 
 val default_gallop_probe : int
 (** The built-in threshold ([4]): linear probes per seek before

@@ -4,18 +4,21 @@ open Rgs_sequence
    numeric below (offsets, sizes, the magic) restates a clause there and
    the error paths cite the clause they enforce. *)
 let magic = "\x89RGSDB\r\n" (* §2.1 *)
-let version = 1 (* §2.2 *)
+let version = 2 (* §2.2 *)
 let header_bytes = 64 (* §2 *)
 let table_entry_bytes = 32 (* §3 *)
 
 let sec_alph = "ALPH"
 let sec_sqof = "SQOF"
 let sec_evts = "EVTS"
-let sec_csof = "CSOF"
-let sec_cpos = "CPOS"
+let sec_evrn = "EVRN"
+let sec_rseq = "RSEQ"
+let sec_roff = "ROFF"
+let sec_epos = "EPOS"
 let sec_name = "NAME"
 
-let required_sections = [ sec_alph; sec_sqof; sec_evts; sec_csof; sec_cpos ]
+let required_sections =
+  [ sec_alph; sec_sqof; sec_evts; sec_evrn; sec_rseq; sec_roff; sec_epos ]
 
 (* The tags this reader interprets. Everything else is a §3.6 unknown
    section: skipped wholesale, so its offset/length are never trusted —
@@ -104,36 +107,7 @@ let ints_payload count get =
   done;
   Buffer.contents buf
 
-(* The CSR runs, computed once at pack time with the same counting-sort
-   the in-memory index build uses; offsets are per-sequence-relative
-   (§2.4) so the open path can slice them directly. *)
-let csr_payloads db alpha =
-  let k = Alphabet.size alpha in
-  let offsets_buf = Buffer.create 4096 in
-  let pos_buf = Buffer.create 4096 in
-  Seqdb.iter
-    (fun _ s ->
-      let offsets = Array.make (k + 1) 0 in
-      Sequence.iteri
-        (fun _ e ->
-          let d = Alphabet.dense alpha e in
-          offsets.(d + 1) <- offsets.(d + 1) + 1)
-        s;
-      for d = 1 to k do
-        offsets.(d) <- offsets.(d) + offsets.(d - 1)
-      done;
-      Array.iter (buf_u64 offsets_buf) offsets;
-      let pos = Array.make (Sequence.length s) 0 in
-      let fill = Array.sub offsets 0 k in
-      Sequence.iteri
-        (fun p e ->
-          let d = Alphabet.dense alpha e in
-          pos.(fill.(d)) <- p;
-          fill.(d) <- fill.(d) + 1)
-        s;
-      Array.iter (buf_u64 pos_buf) pos)
-    db;
-  (Buffer.contents offsets_buf, Buffer.contents pos_buf)
+let ivec_payload v = ints_payload (Ivec.length v) (Ivec.get v)
 
 let pad8 n = (8 - (n land 7)) land 7
 
@@ -152,10 +126,13 @@ let write ?codec ~path db =
     Seqdb.iter (fun _ s -> Sequence.iteri (fun _ e -> buf_u64 buf e) s) db;
     Buffer.contents buf
   in
-  let csof, cpos = csr_payloads db alpha in
+  (* the index's own run table: built here at pack time (or, for a mapped
+     database, its mapped sections) so opens never build it *)
+  let { Seqdb.evrn; rseq; roff; epos } = Inverted_index.runs (Inverted_index.build db) in
   let sections =
-    [ (sec_alph, alph); (sec_sqof, sqof); (sec_evts, evts); (sec_csof, csof);
-      (sec_cpos, cpos) ]
+    [ (sec_alph, alph); (sec_sqof, sqof); (sec_evts, evts);
+      (sec_evrn, ivec_payload evrn); (sec_rseq, ivec_payload rseq);
+      (sec_roff, ivec_payload roff); (sec_epos, ivec_payload epos) ]
     @
     match codec with
     | None -> []
@@ -363,16 +340,12 @@ let open_store ?(verify = false) ?(trace = Trace.null) path =
       in
       let required = List.map (find_section secs) required_sections in
       List.iter (check_int_section file_size) required;
-      let alph_s, sqof_s, evts_s, csof_s, cpos_s =
-        match required with
-        | [ a; b; c; d; e ] -> (a, b, c, d, e)
+      let alph, sqof, evts, runs =
+        match List.map (map_section fd) required with
+        | [ alph; sqof; evts; evrn; rseq; roff; epos ] ->
+          (alph, sqof, evts, { Seqdb.evrn; rseq; roff; epos })
         | _ -> assert false
       in
-      let alph = map_section fd alph_s in
-      let sqof = map_section fd sqof_s in
-      let evts = map_section fd evts_s in
-      let csof = map_section fd csof_s in
-      let cpos = map_section fd cpos_s in
       if Ivec.length sqof = 0 then
         invalid "§2.5" "SQOF must hold at least one offset (N+1 entries)";
       let alpha =
@@ -382,8 +355,7 @@ let open_store ?(verify = false) ?(trace = Trace.null) path =
       in
       let store_db =
         try
-          Seqdb.of_store ~alpha ~seq_offsets:sqof ~events:evts
-            ~csr_offsets:csof ~csr_pos:cpos
+          Seqdb.of_store ~alpha ~seq_offsets:sqof ~events:evts ~runs
             ~digest:(Digest.to_hex digest_raw)
         with Invalid_argument reason -> invalid "§2.5" "%s" reason
       in

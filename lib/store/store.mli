@@ -1,8 +1,8 @@
 (** The [.rgsdb] zero-copy binary store.
 
     A packed store serializes a sequence database — interned alphabet,
-    concatenated event stream, and the precomputed CSR inverted-index
-    runs — into the versioned, CRC-guarded section file specified
+    concatenated event stream, and the inverted index's event-major run
+    table — into the versioned, CRC-guarded section file specified
     normatively in FORMAT.md. {!open_store} maps the sections read-only
     with [Unix.map_file]: opening costs header + section-table
     validation only (milliseconds, independent of corpus size), the
@@ -40,7 +40,8 @@ val write : ?codec:Codec.t -> path:string -> Seqdb.t -> unit
     into a fresh store at [path], written atomically and durably (temp
     file, fsync, rename, best-effort directory fsync). The output is a pure function of the database content and
     codec — packing the same corpus twice yields byte-identical files.
-    The CSR runs are computed here, at pack time, so opens never do. *)
+    The index run table is built here, at pack time, so opens never
+    build it. *)
 
 val open_store : ?verify:bool -> ?trace:Trace.t -> string -> t
 (** Map the store at the given path and validate its framing: magic,
@@ -53,8 +54,8 @@ val open_store : ?verify:bool -> ?trace:Trace.t -> string -> t
 
 val db : t -> Seqdb.t
 (** The store-backed database (one shared {!Seqdb.t} per open store):
-    sequences materialise lazily, the inverted index slices the mapped
-    CSR sections zero-copy. *)
+    sequences materialise lazily, and the inverted index uses the mapped
+    run-table sections zero-copy. *)
 
 val codec : t -> Codec.t option
 (** The event-name codec packed in the NAME section, when present —

@@ -34,6 +34,16 @@ let skewed_db ~num_seqs ~alphabet ~len =
 
 let print_db d = Format.asprintf "%a" Seqdb.pp d
 
+(* Pack [db] and re-open it mapped. The temp file is unlinked immediately:
+   on Linux the mapping outlives the directory entry, which also checks
+   that nothing in the index re-opens the path. *)
+let mapped_db db =
+  let path = Filename.temp_file "rgs_mapped" ".rgsdb" in
+  Rgs_store.Store.write ~path db;
+  let sdb, _ = Rgs_store.Store.open_db path in
+  Sys.remove path;
+  sdb
+
 let print_db_pattern (d, p) =
   Printf.sprintf "db:\n%s\npattern: %s" (print_db d) (Pattern.to_string p)
 

@@ -1,42 +1,27 @@
-(* Differential suite for the columnar (CSR) index backend.
+(* Differential suite for the inverted index's event-major run table.
 
-   The contract is bit-identical behavior: on every database the CSR and
-   paged B-tree backends must answer positions/next/count_between exactly
-   like a direct scan of the sequences, the monotone cursor must agree
-   with repeated [next] calls, and the full miners must produce identical
-   outputs on all backends. Each property runs on 100+ random databases.
+   The contract is bit-identical behavior: on every database the index
+   must answer positions/next/count_between exactly like a direct scan of
+   the sequences, the monotone cursor must agree with repeated [next]
+   calls however it is reseated, and the full miners must produce
+   identical outputs. Each property runs on 100+ random databases.
 
-   The third backend is the store round-trip: the database packed into a
-   [.rgsdb] file, re-opened as a mapped Seqdb (lazy sequences, zero-copy
-   CSR slices over the pack-time sections), and indexed through the same
-   [build] entry. Every property holding on it pins the mapped read path
-   to the heap one. *)
+   Every property runs on two indexes of the same database: the heap
+   build, and the store round-trip — the database packed into a [.rgsdb]
+   file, re-opened as a mapped Seqdb (lazy sequences, the pack-time run
+   table used as mapped), and indexed through the same [build] entry.
+   Every property holding on both pins the mapped read path to the heap
+   one. *)
 
 open Rgs_sequence
 open Rgs_core
-module Store = Rgs_store.Store
 
-(* Pack [db] and re-open it mapped. The temp file is unlinked immediately:
-   on Linux the mapping outlives the directory entry, which also checks
-   that nothing in the index re-opens the path. *)
-let mapped_db db =
-  let path = Filename.temp_file "rgs_csr" ".rgsdb" in
-  Store.write ~path db;
-  let sdb, _ = Store.open_db path in
-  Sys.remove path;
-  sdb
-
-let backends db =
-  [
-    Inverted_index.build_kind Inverted_index.Kcsr db;
-    Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db;
-    Inverted_index.build_kind Inverted_index.Kcsr (mapped_db db);
-  ]
+let indexes db = [ Inverted_index.build db; Inverted_index.build (Gens.mapped_db db) ]
 
 let small_db = Gens.db ~num_seqs:6 ~alphabet:5 ~max_len:14
 
 (* The oracle: positions of [e] in sequence [seq], collected by a direct
-   scan of the sequence — no code shared with any index backend. *)
+   scan of the sequence — no code shared with the index. *)
 let scan_positions db ~seq e =
   let acc = ref [] in
   Sequence.iteri (fun p x -> if x = e then acc := p :: !acc) (Seqdb.seq db seq);
@@ -63,9 +48,9 @@ let scan_occurrences db e =
   !n
 
 (* positions / next / count_between / occurrence_count / events answer
-   exactly as the direct scan on every backend, including absent events. *)
+   exactly as the direct scan on both indexes, including absent events. *)
 let prop_queries_equal =
-  Gens.make ~name:"csr = paged = mapped = direct scan: queries" ~count:120
+  Gens.make ~name:"heap = mapped = direct scan: queries" ~count:120
     small_db Gens.print_db (fun db ->
       let events = [ 0; 1; 2; 3; 4; 5; 99 ] (* 5 and 99 are absent *) in
       let frequent =
@@ -103,10 +88,10 @@ let prop_queries_equal =
                    db;
                  !ok)
                events)
-        (backends db))
+        (indexes db))
 
 (* A monotone stream of seeks through a cursor returns exactly what
-   repeated stateless [next] calls return, on every backend. *)
+   repeated stateless [next] calls return, on both indexes. *)
 let prop_cursor_equals_next =
   Gens.make ~name:"cursor seek = repeated next" ~count:120 small_db
     Gens.print_db (fun db ->
@@ -128,15 +113,94 @@ let prop_cursor_equals_next =
                 db)
             [ 0; 1; 2; 3; 4; 7 ];
           !ok)
-        (backends db))
+        (indexes db))
 
-(* Support-set growth agrees across backends and stays well-formed. *)
+(* One cursor reseated through any sequence order — forward jumps short
+   and long (past the frontier walk, into its bisection), steps back,
+   repeats — answers every seat's monotone seek stream exactly as the
+   direct scan does, and the reseats themselves count nothing: the
+   flushed [next_calls] equal the seeks made. Forty short sequences over
+   four events give each event runs in most sequences. *)
+let prop_reseat_any_order =
+  Gens.make ~name:"reseated cursor = direct scan, any sequence order" ~count:120
+    QCheck2.Gen.(
+      pair
+        (Gens.db ~num_seqs:40 ~alphabet:4 ~max_len:6)
+        (list_size (int_range 1 12) (pair (int_bound 39) (int_bound 3))))
+    (fun (db, seats) ->
+      Printf.sprintf "%s\nseats: %s" (Gens.print_db db)
+        (String.concat ";"
+           (List.map (fun (s, step) -> Printf.sprintf "(%d,%d)" s step) seats)))
+    (fun (db, seats) ->
+      let n = Seqdb.size db in
+      let seats = List.map (fun (s, step) -> (1 + (s mod n), step + 1)) seats in
+      List.for_all
+        (fun idx ->
+          List.for_all
+            (fun e ->
+              let c = Inverted_index.cursor idx ~seq:(fst (List.hd seats)) e in
+              let seeks = ref 0 in
+              let before = Metrics.value Metrics.next_calls in
+              let ok =
+                List.for_all
+                  (fun (i, step) ->
+                    Inverted_index.reseat c ~seq:i;
+                    let len = Sequence.length (Seqdb.seq db i) in
+                    let rec go lowest =
+                      lowest > len + 1
+                      || begin
+                        incr seeks;
+                        Inverted_index.seek c ~lowest = scan_next db ~seq:i e ~lowest
+                        && go (lowest + step)
+                      end
+                    in
+                    go 0)
+                  seats
+              in
+              Inverted_index.cursor_finish c;
+              ok && Metrics.value Metrics.next_calls - before = !seeks)
+            [ 0; 1; 2; 3; 7 ])
+        (indexes db))
+
+(* The run table's shape (FORMAT.md §4): one run per distinct
+   (sequence, event) pair, [total + 2R + k + 2] words, and the mapped
+   sections hold exactly the table the heap build makes. *)
+let prop_run_table_shape =
+  Gens.make ~name:"run table: one run per (sequence, event), mapped = heap"
+    ~count:100 small_db Gens.print_db (fun db ->
+      match indexes db with
+      | [ heap; mapped ] ->
+        let pairs =
+          Seqdb.fold
+            (fun acc i s ->
+              List.fold_left
+                (fun acc e -> (i, e) :: acc)
+                acc
+                (List.sort_uniq compare (Sequence.to_list s)))
+            [] db
+        in
+        let r = List.length pairs in
+        let h = Inverted_index.runs heap and m = Inverted_index.runs mapped in
+        let words t =
+          Ivec.length t.Seqdb.evrn + Ivec.length t.rseq + Ivec.length t.roff
+          + Ivec.length t.epos
+        in
+        Ivec.length h.Seqdb.rseq = r
+        && words h
+           = Seqdb.total_length db + (2 * r) + Seqdb.alphabet_size db + 2
+        && Ivec.equal h.evrn m.Seqdb.evrn
+        && Ivec.equal h.rseq m.rseq
+        && Ivec.equal h.roff m.roff
+        && Ivec.equal h.epos m.epos
+      | _ -> assert false)
+
+(* Support-set growth agrees across indexes and stays well-formed. *)
 let prop_grow_equal =
-  Gens.make ~name:"Support_set.grow across backends" ~count:120
+  Gens.make ~name:"Support_set.grow heap = mapped" ~count:120
     QCheck2.Gen.(pair small_db (Gens.pattern ~alphabet:5 ~max_len:4))
     Gens.print_db_pattern (fun (db, pat) ->
-      match backends db with
-      | [ csr; paged; mapped ] ->
+      match indexes db with
+      | [ heap; mapped ] ->
         let grow_all idx =
           let sets = ref [] in
           let i = ref (Support_set.of_event idx (Pattern.get pat 1)) in
@@ -147,10 +211,9 @@ let prop_grow_equal =
           done;
           List.rev !sets
         in
-        let on_csr = grow_all csr in
-        List.for_all Support_set.well_formed on_csr
-        && List.for_all2 Support_set.equal on_csr (grow_all paged)
-        && List.for_all2 Support_set.equal on_csr (grow_all mapped)
+        let on_heap = grow_all heap in
+        List.for_all Support_set.well_formed on_heap
+        && List.for_all2 Support_set.equal on_heap (grow_all mapped)
       | _ -> assert false)
 
 let signatures results =
@@ -159,28 +222,25 @@ let signatures results =
     results
 
 (* Full-miner differential: GSgrow and CloGSgrow mine the exact same
-   pattern set (same order, same supports) on all backends. *)
+   pattern set (same order, same supports) on both indexes. *)
 let prop_miners_equal =
-  Gens.make ~name:"GSgrow/CloGSgrow across backends" ~count:100 small_db
+  Gens.make ~name:"GSgrow/CloGSgrow heap = mapped" ~count:100 small_db
     Gens.print_db (fun db ->
-      match backends db with
-      | [ csr; paged; mapped ] ->
+      match indexes db with
+      | [ heap; mapped ] ->
         let all idx = signatures (fst (Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:2)) in
         let closed idx =
           signatures (fst (Engine.mine Gens.closed ~max_length:4 idx ~min_sup:2))
         in
-        all csr = all paged
-        && all csr = all mapped
-        && closed csr = closed paged
-        && closed csr = closed mapped
+        all heap = all mapped && closed heap = closed mapped
       | _ -> assert false)
 
 (* Gap-constrained mining rides the same cursor path; cover it too. *)
 let prop_gap_miner_equal =
-  Gens.make ~name:"gap-constrained across backends" ~count:100 small_db
+  Gens.make ~name:"gap-constrained heap = mapped" ~count:100 small_db
     Gens.print_db (fun db ->
-      match backends db with
-      | [ csr; paged; mapped ] ->
+      match indexes db with
+      | [ heap; mapped ] ->
         let mine idx =
           signatures
             (fst
@@ -188,7 +248,7 @@ let prop_gap_miner_equal =
                   (Gap_constrained.strategy ~min_gap:0 ~max_gap:2)
                   idx ~min_sup:2))
         in
-        mine csr = mine paged && mine csr = mine mapped
+        mine heap = mine mapped
       | _ -> assert false)
 
 (* Deterministic end-to-end runs on generated trace data, closer to the
@@ -200,23 +260,24 @@ let test_trace_miner_equivalence () =
         Rgs_datagen.Trace_gen.generate
           (Rgs_datagen.Trace_gen.params ~num_sequences:25 ~num_events:12 ~seed ())
       in
-      let mine kind =
-        let idx = Inverted_index.build_kind kind db in
+      let mine idx =
         ( signatures (fst (Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:6)),
           signatures (fst (Engine.mine Gens.closed ~max_length:4 idx ~min_sup:6)) )
       in
-      let all_csr, closed_csr = mine Inverted_index.Kcsr in
-      let all_paged, closed_paged = mine Inverted_index.Kpaged in
+      let all_heap, closed_heap = mine (Inverted_index.build db) in
+      let all_mapped, closed_mapped =
+        mine (Inverted_index.build (Gens.mapped_db db))
+      in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "gsgrow seed %d" seed)
-        all_paged all_csr;
+        all_mapped all_heap;
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "clogsgrow seed %d" seed)
-        closed_paged closed_csr;
+        closed_mapped closed_heap;
       Alcotest.(check bool)
         (Printf.sprintf "nonempty seed %d" seed)
         true
-        (List.length all_csr > 0))
+        (List.length all_heap > 0))
     [ 1; 7; 42 ]
 
 (* Alphabet interning unit checks: dense ids are ascending event rank;
@@ -252,6 +313,8 @@ let suite =
     Alcotest.test_case "alphabet interning" `Quick test_alphabet;
     prop_queries_equal;
     prop_cursor_equals_next;
+    prop_reseat_any_order;
+    prop_run_table_shape;
     prop_grow_equal;
     prop_miners_equal;
     prop_gap_miner_equal;

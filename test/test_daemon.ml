@@ -180,14 +180,14 @@ let test_ping_stats () =
           Alcotest.(check int) "nothing running" 0
             (List.assoc "daemon_jobs_running" stats)))
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
 let expect_rejected c sp frag =
   match Client.submit c sp with
   | Protocol.Rejected { reason; _ } ->
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      m = 0 || go 0
-    in
     Alcotest.(check bool)
       (Printf.sprintf "reason %S mentions %S" reason frag)
       true (contains reason frag)
@@ -396,6 +396,35 @@ let test_v2_checkpoint_rejected () =
             (String.length reason > String.length prefix
             && String.sub reason 0 (String.length prefix) = prefix
             && Filename.check_suffix reason "version 2, expected 3")))
+
+(* A store job on a file packed by a version-1 build is answered
+   [Rejected] with the FORMAT.md §2.2 version error: the daemon neither
+   crashes nor mines it. *)
+let test_v1_store_rejected () =
+  with_daemon (fun h ->
+      let fixture =
+        Filename.concat
+          (Filename.concat (Filename.dirname Sys.executable_name) "fixtures")
+          "v1_store.rgsdb"
+      in
+      with_client h (fun c ->
+          submit_ok c
+            {
+              (spec "old-store") with
+              Protocol.db = Protocol.File { format = Protocol.Tokens; path = fixture };
+            };
+          let rec wait_reject () =
+            match Client.next_response c with
+            | Some (Protocol.Rejected { job_id = "old-store"; reason }) -> reason
+            | Some _ -> wait_reject ()
+            | None -> Alcotest.fail "daemon hung up instead of rejecting"
+          in
+          let reason = wait_reject () in
+          Alcotest.(check bool)
+            (Printf.sprintf "reason %S names the version" reason)
+            true
+            (contains reason "\xc2\xa72.2: unsupported version 1");
+          Alcotest.(check bool) "still serving" true (Client.ping c)))
 
 (* --- the core contract: daemon output == batch output --- *)
 
@@ -981,11 +1010,6 @@ let test_e2e_stats_interval () =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic))
       in
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        m = 0 || go 0
-      in
       Alcotest.(check bool) "final dump holds run metrics" true
         (contains content "dfs_nodes");
       (* a .json target must get JSON, not Prometheus text — the atomic
@@ -1016,6 +1040,8 @@ let suite =
       test_gap_job_matches_batch;
     Alcotest.test_case "v2 checkpoint rejected, typed" `Quick
       test_v2_checkpoint_rejected;
+    Alcotest.test_case "v1 store job rejected by version" `Quick
+      test_v1_store_rejected;
     Alcotest.test_case "submit == batch, resubmit replays" `Quick
       test_submit_matches_batch;
     Alcotest.test_case "overload sheds job K+1, in-flight undisturbed" `Quick

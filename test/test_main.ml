@@ -2,7 +2,6 @@ let () =
   Alcotest.run "rgs"
     [
       ("sequence", Test_sequence.suite);
-      ("btree", Test_btree.suite);
       ("pattern", Test_pattern.suite);
       ("core-units", Test_core_units.suite);
       ("csr", Test_csr.suite);

@@ -3,7 +3,7 @@
    The galloping seek is pure bookkeeping over a sorted positions list, so
    its contract is checked differentially — every monotone seek stream must
    return bit-identical positions to a straight linear scan over
-   [Inverted_index.positions], on both backends, across hundreds of
+   [Inverted_index.positions], across hundreds of
    random databases plus the adversarial shapes that stress each gallop
    branch (single-run postings, alternating events, seek-to-self,
    seek-past-end). A memory regression locks in that mined answers hold
@@ -18,19 +18,14 @@
    answers equal mine-all; top-100 on jboss expands < 25% of its nodes),
    and the binary store on the paper-scale QUEST corpus (mmap open >= 100x
    faster than the text parse, identical mapped output, gallops fire),
-   where the sharded root pool must also match sequential mining. The
+   where the sharded root pool must also match sequential mining; a
+   wide-alphabet clickstream corpus must pack to under 1 MiB. The
    run body's deterministic work counters are pinned on the benchmark's
    closed jboss and quest mine-all parameters and on the jboss top-11
    jobs, on the sequential, checkpointed and resumed paths. *)
 
 open Rgs_sequence
 open Rgs_core
-
-let backends db =
-  [
-    Inverted_index.build_kind Inverted_index.Kcsr db;
-    Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db;
-  ]
 
 (* Reference for one monotone seek: first position strictly above [lowest]
    in the full positions array, found by linear scan from the start — the
@@ -66,7 +61,7 @@ let monotone_stream ~len steps =
   List.rev !lowests
 
 let prop_gallop_equals_linear_scan =
-  Gens.make ~name:"galloping seek = linear scan (all backends)" ~count:220
+  Gens.make ~name:"galloping seek = linear scan" ~count:220
     QCheck2.Gen.(
       pair
         (Gens.db ~num_seqs:5 ~alphabet:4 ~max_len:30)
@@ -75,35 +70,25 @@ let prop_gallop_equals_linear_scan =
       Printf.sprintf "db:\n%s\nsteps: [%s]" (Gens.print_db db)
         (String.concat ";" (List.map string_of_int steps)))
     (fun (db, steps) ->
-      List.for_all
-        (fun idx ->
-          let ok = ref true in
-          List.iter
-            (fun e ->
-              Seqdb.iter
-                (fun i s ->
-                  let lowests =
-                    monotone_stream ~len:(Sequence.length s) steps
-                  in
-                  if not (drive_and_compare idx ~seq:i e lowests) then
-                    ok := false)
-                db)
-            [ 0; 1; 2; 3; 9 (* 9 is absent *) ];
-          !ok)
-        (backends db))
+      let idx = Inverted_index.build db in
+      let ok = ref true in
+      List.iter
+        (fun e ->
+          Seqdb.iter
+            (fun i s ->
+              let lowests = monotone_stream ~len:(Sequence.length s) steps in
+              if not (drive_and_compare idx ~seq:i e lowests) then ok := false)
+            db)
+        [ 0; 1; 2; 3; 9 (* 9 is absent *) ];
+      !ok)
 
-(* Adversarial postings shapes, exercised deterministically on every
-   backend. Each stream is checked against the linear-scan oracle AND
-   against pinned expected outputs where the answer is obvious. *)
+(* Adversarial postings shapes, exercised deterministically. Each stream
+   is checked against the linear-scan oracle AND against pinned expected
+   outputs where the answer is obvious. *)
 let test_gallop_adversarial () =
   let check name db ~seq e lowests =
-    List.iter
-      (fun idx ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s (%s)" name (Inverted_index.backend_name idx))
-          true
-          (drive_and_compare idx ~seq e lowests))
-      (backends db)
+    Alcotest.(check bool) name true
+      (drive_and_compare (Inverted_index.build db) ~seq e lowests)
   in
   (* single-run postings: one event occupies every position, so every hop
      lands within one dense run — the linear-probe fast path *)
@@ -118,29 +103,22 @@ let test_gallop_adversarial () =
   check "alternating, event 0" alt ~seq:1 0 (List.init 42 (fun i -> i));
   check "alternating, event 1" alt ~seq:1 1 [ 0; 0; 1; 2; 20; 20; 37; 39 ];
   (* seek-to-self: feed each answer back as the next bound *)
-  List.iter
-    (fun idx ->
-      let positions = Inverted_index.positions idx ~seq:1 0 in
-      let c = Inverted_index.cursor idx ~seq:1 0 in
-      let cur = ref 0 in
-      let steps = ref 0 in
-      let p = ref (Inverted_index.seek_pos c ~lowest:!cur) in
-      while !p >= 0 do
-        Alcotest.(check int)
-          (Printf.sprintf "seek-to-self step %d (%s)" !steps
-             (Inverted_index.backend_name idx))
-          (linear_next positions !cur)
-          !p;
-        cur := !p;
-        incr steps;
-        p := Inverted_index.seek_pos c ~lowest:!cur
-      done;
-      Alcotest.(check int)
-        (Printf.sprintf "seek-to-self visits all (%s)"
-           (Inverted_index.backend_name idx))
-        (Array.length positions) !steps;
-      Inverted_index.cursor_finish c)
-    (backends alt);
+  let idx = Inverted_index.build alt in
+  let positions = Inverted_index.positions idx ~seq:1 0 in
+  let c = Inverted_index.cursor idx ~seq:1 0 in
+  let cur = ref 0 in
+  let steps = ref 0 in
+  let p = ref (Inverted_index.seek_pos c ~lowest:!cur) in
+  while !p >= 0 do
+    Alcotest.(check int)
+      (Printf.sprintf "seek-to-self step %d" !steps)
+      (linear_next positions !cur) !p;
+    cur := !p;
+    incr steps;
+    p := Inverted_index.seek_pos c ~lowest:!cur
+  done;
+  Alcotest.(check int) "seek-to-self visits all" (Array.length positions) !steps;
+  Inverted_index.cursor_finish c;
   (* seek-past-end: once exhausted, every later seek stays -1 *)
   check "past end, repeated" runs ~seq:1 0 [ 40; 41; 100; 100; 1000 ];
   check "absent event" runs ~seq:1 7 [ 0; 1; 2 ]
@@ -154,29 +132,18 @@ let test_gallop_metrics_flush () =
     Seqdb.of_sequences
       [ Sequence.of_list (List.init 200 (fun i -> if i mod 50 = 49 then 1 else 0)) ]
   in
-  List.iter
-    (fun idx ->
-      Metrics.reset ();
-      let c = Inverted_index.cursor idx ~seq:1 0 in
-      let rec drain lowest =
-        let p = Inverted_index.seek_pos c ~lowest in
-        if p >= 0 then drain (p + 40)
-      in
-      drain 0;
-      Alcotest.(check int)
-        (Printf.sprintf "unflushed (%s)" (Inverted_index.backend_name idx))
-        0
-        (Metrics.value Metrics.next_calls);
-      Inverted_index.cursor_finish c;
-      Alcotest.(check bool)
-        (Printf.sprintf "seeks flushed (%s)" (Inverted_index.backend_name idx))
-        true
-        (Metrics.value Metrics.next_calls > 0);
-      Alcotest.(check bool)
-        (Printf.sprintf "gallops counted (%s)" (Inverted_index.backend_name idx))
-        true
-        (Metrics.value Metrics.cursor_gallops > 0))
-    (backends db)
+  Metrics.reset ();
+  let c = Inverted_index.cursor (Inverted_index.build db) ~seq:1 0 in
+  let rec drain lowest =
+    let p = Inverted_index.seek_pos c ~lowest in
+    if p >= 0 then drain (p + 40)
+  in
+  drain 0;
+  Alcotest.(check int) "unflushed" 0 (Metrics.value Metrics.next_calls);
+  Inverted_index.cursor_finish c;
+  Alcotest.(check bool) "seeks flushed" true (Metrics.value Metrics.next_calls > 0);
+  Alcotest.(check bool) "gallops counted" true
+    (Metrics.value Metrics.cursor_gallops > 0)
 
 (* --- the shared gallop-probe knob (Tuning) --- *)
 
@@ -187,7 +154,7 @@ let test_gallop_metrics_flush () =
 let probe_sweep = [ 0; 1; 2; Tuning.default_gallop_probe; 16; 1024 ]
 
 let prop_answers_independent_of_gallop_probe =
-  Gens.make ~name:"seeks independent of gallop probe (all backends)" ~count:60
+  Gens.make ~name:"seeks independent of gallop probe" ~count:60
     QCheck2.Gen.(
       pair
         (Gens.db ~num_seqs:4 ~alphabet:4 ~max_len:25)
@@ -200,25 +167,20 @@ let prop_answers_independent_of_gallop_probe =
       Fun.protect
         ~finally:(fun () -> Tuning.set_gallop_probe saved)
         (fun () ->
+          let idx = Inverted_index.build db in
           List.for_all
             (fun probe ->
               Tuning.set_gallop_probe probe;
-              List.for_all
-                (fun idx ->
-                  let ok = ref true in
-                  List.iter
-                    (fun e ->
-                      Seqdb.iter
-                        (fun i s ->
-                          let lowests =
-                            monotone_stream ~len:(Sequence.length s) steps
-                          in
-                          if not (drive_and_compare idx ~seq:i e lowests) then
-                            ok := false)
-                        db)
-                    [ 0; 1; 2; 3 ];
-                  !ok)
-                (backends db))
+              let ok = ref true in
+              List.iter
+                (fun e ->
+                  Seqdb.iter
+                    (fun i s ->
+                      let lowests = monotone_stream ~len:(Sequence.length s) steps in
+                      if not (drive_and_compare idx ~seq:i e lowests) then ok := false)
+                    db)
+                [ 0; 1; 2; 3 ];
+              !ok)
             probe_sweep))
 
 (* ... and neither is the miner's output: full closed mining at every
@@ -232,14 +194,10 @@ let test_miner_output_independent_of_gallop_probe () =
   Fun.protect
     ~finally:(fun () -> Tuning.set_gallop_probe saved)
     (fun () ->
+      let idx = Inverted_index.build db in
       let mine_sigs () =
-        List.concat_map
-          (fun idx ->
-            let results, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:3 in
-            List.map
-              (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support))
-              results)
-          (backends db)
+        let results, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:3 in
+        List.map (fun m -> (Pattern.to_list m.Mined.pattern, m.Mined.support)) results
       in
       Tuning.set_gallop_probe Tuning.default_gallop_probe;
       let expect = mine_sigs () in
@@ -293,23 +251,19 @@ let test_memory_answers_retain_no_sets () =
    physical equality through a deep chain, the mechanism behind the ratio
    above staying flat as depth grows. *)
 let test_grow_shares_firsts () =
-  let db = Seqdb.of_strings [ "ABABABABAB"; "BABABABABA" ] in
-  List.iter
-    (fun idx ->
-      let i0 = Support_set.of_event idx 0 in
-      let i1 = Support_set.grow idx i0 1 in
-      let i2 = Support_set.grow idx i1 0 in
-      Alcotest.(check bool) "depth-1 shares firsts" true
-        (Support_set.group_firsts i1 0 == Support_set.group_firsts i0 0);
-      Alcotest.(check bool) "depth-2 shares firsts" true
-        (Support_set.group_firsts i2 0 == Support_set.group_firsts i0 0);
-      Alcotest.(check bool) "well-formed after sharing" true
-        (Support_set.well_formed i2);
-      (* partial survival: len shrinks, the array does not *)
-      Alcotest.(check bool) "len <= array length" true
-        (Support_set.group_len i2 0
-        <= Array.length (Support_set.group_firsts i2 0)))
-    (backends db)
+  let idx = Inverted_index.build (Seqdb.of_strings [ "ABABABABAB"; "BABABABABA" ]) in
+  let i0 = Support_set.of_event idx 0 in
+  let i1 = Support_set.grow idx i0 1 in
+  let i2 = Support_set.grow idx i1 0 in
+  Alcotest.(check bool) "depth-1 shares firsts" true
+    (Support_set.group_firsts i1 0 == Support_set.group_firsts i0 0);
+  Alcotest.(check bool) "depth-2 shares firsts" true
+    (Support_set.group_firsts i2 0 == Support_set.group_firsts i0 0);
+  Alcotest.(check bool) "well-formed after sharing" true
+    (Support_set.well_formed i2);
+  (* partial survival: len shrinks, the array does not *)
+  Alcotest.(check bool) "len <= array length" true
+    (Support_set.group_len i2 0 <= Array.length (Support_set.group_firsts i2 0))
 
 (* --- closure funnel pin: the quest_small sweep exercises the survive path --- *)
 
@@ -566,6 +520,30 @@ let test_quest_paper_counters () =
       ("cursor_gallops", 1_954_083);
     ]
 
+(* The store stays linear in the corpus on a wide alphabet: Gazelle-like
+   clickstreams at scale 0.1 (2,936 sessions, 909 events, 13,354 clicks)
+   pack to under 1 MiB. The run table is [total + 2R + k + 2] words (about
+   56K words here); a layout with a per-sequence row of [k + 1] offsets
+   packed this corpus to 21.6 MB (2.67M words of offsets). *)
+let test_gazelle_store_size () =
+  let db =
+    Rgs_datagen.Clickstream_gen.generate
+      (Rgs_datagen.Clickstream_gen.gazelle_like ~scale:0.1 ~seed:42 ())
+  in
+  Alcotest.(check (list int)) "the corpus: sessions, events, clicks"
+    [ 2_936; 909; 13_354 ]
+    [ Seqdb.size db; Seqdb.alphabet_size db; Seqdb.total_length db ];
+  let path = Filename.temp_file "rgs_gazelle" ".rgsdb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Rgs_store.Store.write ~path db;
+      let bytes = (Unix.stat path).Unix.st_size in
+      Alcotest.(check bool)
+        (Printf.sprintf "packed store is %d bytes < 1 MiB" bytes)
+        true
+        (bytes < 1 lsl 20))
+
 (* Best-of-3 wall time of [f], after one untimed warm-up run. *)
 let best_of_3 f =
   ignore (f ());
@@ -653,6 +631,8 @@ let suite =
       test_jboss_closed_counters;
     Alcotest.test_case "counters: jboss top-11, every run path" `Quick
       test_jboss_topk_counters;
+    Alcotest.test_case "store size: gazelle-like scale 0.1 < 1 MiB" `Quick
+      test_gazelle_store_size;
     Alcotest.test_case "quest_paper: store open, mapped output, shards x pool"
       `Slow test_quest_paper_store_and_pool;
     Alcotest.test_case "quest_paper: mine-all counters" `Slow

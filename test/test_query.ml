@@ -3,7 +3,7 @@
 
    1. an oracle DFS — fifteen lines of naive pattern growth over
       Support_set, written here — must agree with the engine's mine-all
-      on every random database and backend (and its closed subset, the
+      on every random database (and its closed subset, the
       patterns with no equal-support superpattern in the full output,
       must agree with CloGSgrow);
    2. the in-DFS targeted plan must return exactly the brute-force
@@ -15,20 +15,13 @@
       (sequential, the root pool under shards, with and without a
       checkpoint, and resumed from a stopped run's log).
 
-   Everything runs on both index backends so the query plans cannot
-   silently depend on one cursor implementation. The δ-cover post-pass is
+   The δ-cover post-pass is
    checked against its definition: every absorbed pattern is contained in
    its representative within the δ support band, every input pattern is
    accounted for exactly once, and the cover is deterministic. *)
 
 open Rgs_sequence
 open Rgs_core
-
-let backends db =
-  [
-    Inverted_index.build_kind Inverted_index.Kcsr db;
-    Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db;
-  ]
 
 let sig_of m = (Pattern.to_list m.Mined.pattern, m.Mined.support)
 let sigs = List.map sig_of
@@ -100,25 +93,23 @@ let mine_with ?max_length ~mode ~query idx ~min_sup =
 
 let db_gen = Gens.db ~num_seqs:6 ~alphabet:5 ~max_len:12
 
-(* --- 1: oracle vs engine, all and closed, every backend --- *)
+(* --- 1: oracle vs engine, all and closed --- *)
 
 let prop_oracle_vs_engine =
   Gens.make ~name:"oracle DFS = engine mine-all; its closed subset = CloGSgrow"
     ~count:120 db_gen Gens.print_db (fun db ->
-      List.for_all
-        (fun idx ->
-          let expect = oracle_mine_all ~max_length:4 idx ~min_sup:2 in
-          let all =
-            sigs (mine_with ~max_length:4 ~mode:Miner.All ~query:Query.All idx
-                    ~min_sup:2)
-          in
-          let closed =
-            sigs (mine_with ~max_length:4 ~mode:Miner.Closed ~query:Query.All
-                    idx ~min_sup:2)
-          in
-          all = expect
-          && sorted closed = sorted (oracle_closed idx ~min_sup:2 expect))
-        (backends db))
+      let idx = Inverted_index.build db in
+      let expect = oracle_mine_all ~max_length:4 idx ~min_sup:2 in
+      let all =
+        sigs (mine_with ~max_length:4 ~mode:Miner.All ~query:Query.All idx
+                ~min_sup:2)
+      in
+      let closed =
+        sigs (mine_with ~max_length:4 ~mode:Miner.Closed ~query:Query.All
+                idx ~min_sup:2)
+      in
+      all = expect
+      && sorted closed = sorted (oracle_closed idx ~min_sup:2 expect))
 
 (* --- 2: in-DFS targeted = brute-force post-filter, exact order --- *)
 
@@ -132,26 +123,23 @@ let print_db_target (db, t) =
 let prop_targeted_vs_post_filter =
   Gens.make ~name:"targeted query = post-filtered mine-all (both modes)"
     ~count:120 target_gen print_db_target (fun (db, target) ->
+      let idx = Inverted_index.build db in
       List.for_all
-        (fun idx ->
-          List.for_all
-            (fun mode ->
-              let all =
-                mine_with ~max_length:4 ~mode ~query:Query.All idx ~min_sup:2
-              in
-              let expect =
-                List.filter
-                  (fun m ->
-                    Pattern.is_subpattern target ~of_:m.Mined.pattern)
-                  all
-              in
-              let got =
-                mine_with ~max_length:4 ~mode
-                  ~query:(Query.Targeted target) idx ~min_sup:2
-              in
-              sigs got = sigs expect)
-            [ Miner.All; Miner.Closed ])
-        (backends db))
+        (fun mode ->
+          let all =
+            mine_with ~max_length:4 ~mode ~query:Query.All idx ~min_sup:2
+          in
+          let expect =
+            List.filter
+              (fun m -> Pattern.is_subpattern target ~of_:m.Mined.pattern)
+              all
+          in
+          let got =
+            mine_with ~max_length:4 ~mode ~query:(Query.Targeted target) idx
+              ~min_sup:2
+          in
+          sigs got = sigs expect)
+        [ Miner.All; Miner.Closed ])
 
 (* --- 3: in-DFS top-k = the tie-rule oracle, at every entry point --- *)
 
@@ -183,19 +171,16 @@ let topk_oracle ?max_length ~mode idx ~min_sup k =
   |> List.filteri (fun i _ -> i < k)
 
 let prop_topk_vs_oracle =
-  Gens.make ~name:"top-k query = tie-rule oracle (both modes, backends)"
+  Gens.make ~name:"top-k query = tie-rule oracle (both modes)"
     ~count:120 topk_gen print_db_k (fun (db, k) ->
+      let idx = Inverted_index.build db in
       List.for_all
-        (fun idx ->
-          List.for_all
-            (fun mode ->
-              let got =
-                mine_with ~max_length:4 ~mode ~query:(Query.Top_k k) idx
-                  ~min_sup:2
-              in
-              sigs got = sigs (topk_oracle ~max_length:4 ~mode idx ~min_sup:2 k))
-            [ Miner.All; Miner.Closed ])
-        (backends db))
+        (fun mode ->
+          let got =
+            mine_with ~max_length:4 ~mode ~query:(Query.Top_k k) idx ~min_sup:2
+          in
+          sigs got = sigs (topk_oracle ~max_length:4 ~mode idx ~min_sup:2 k))
+        [ Miner.All; Miner.Closed ])
 
 let with_temp_log f =
   let path = Filename.temp_file "rgs_topk" ".ckpt" in

@@ -1018,6 +1018,19 @@ let test_e2e_resume_refuses_v2 () =
         true
         (contains out "version 2, expected 3"))
 
+(* A store packed by a version-1 build (the sequence-major CSR layout) is
+   refused at --store with the FORMAT.md §2.2 version error, not mined. *)
+let test_e2e_store_refuses_v1 () =
+  let status, out =
+    run_rgsminer ~capture_stderr:true
+      [ "--min-sup"; "2"; "--store"; fixture "v1_store.rgsdb" ]
+  in
+  Alcotest.(check bool) "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the version" out)
+    true
+    (contains out "\xc2\xa72.2: unsupported version 1")
+
 (* Same acceptance scenario with sharded growth on: the per-shard merge is
    invisible to the checkpoint (the fingerprint deliberately excludes the
    shard count), so a kill -9 mid-run under --shards resumes to exactly
@@ -1198,6 +1211,7 @@ let suite =
       test_shutdown_flag_interrupts_and_resumes;
     Alcotest.test_case "e2e: kill -9 then resume" `Quick test_e2e_kill9_resume;
     Alcotest.test_case "e2e: --resume refuses a v2 log" `Quick test_e2e_resume_refuses_v2;
+    Alcotest.test_case "e2e: --store refuses a v1 store" `Quick test_e2e_store_refuses_v1;
     Alcotest.test_case "e2e: kill -9 under --shards then resume" `Quick
       test_e2e_kill9_resume_sharded;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;

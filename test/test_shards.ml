@@ -1,7 +1,8 @@
 (* The @shards tier: differential proof that shard-parallel mining on the
    root pool is invisible in the output.
 
-   Contract under test: for every database, index backend, shard count in
+   Contract under test: for every database, heap or store-backed index,
+   shard count in
    {1,2,4,8} and domain count, the Miner root pool (a config with
    [domains] and [shards]) emits {e byte-identical} results to the
    sequential engine run — including under gap constraints and
@@ -23,11 +24,9 @@ let signatures results =
 
 let sig_t = Alcotest.(list (pair string int))
 
-let backends db =
-  [
-    ("csr", Inverted_index.build_kind Inverted_index.Kcsr db);
-    ("paged", Inverted_index.build_kind ~fanout:4 Inverted_index.Kpaged db);
-  ]
+(* 0: the heap index; 1: the index of the database packed and mapped *)
+let index_of db b =
+  Inverted_index.build (if b = 0 then db else Gens.mapped_db db)
 
 let shard_counts = [ 1; 2; 4; 8 ]
 
@@ -142,10 +141,7 @@ let test_pool_jboss_like () =
 (* the store-backed (mapped) read path shards identically on the pool *)
 let test_pool_mapped_store () =
   let _, db, min_sup = List.nth (Lazy.force dbs) 1 in
-  let path = Filename.temp_file "rgs_shards" ".rgsdb" in
-  Store.write ~path db;
-  let mdb, _ = Store.open_db path in
-  Sys.remove path;
+  let mdb = Gens.mapped_db db in
   let sequential, _ = Engine.mine Gens.closed ~max_length:4 (Inverted_index.build db) ~min_sup in
   let midx = Inverted_index.build mdb in
   let pool =
@@ -301,25 +297,25 @@ let test_pool_shard_dispatch () =
   Alcotest.(check int) "every DFS growth dispatched" stats.Engine.insgrow_calls
     (Atomic.get calls)
 
-(* --- QCheck differentials: random dbs × both backends --- *)
+(* --- QCheck differentials: random dbs × heap and mapped indexes --- *)
 
-(* Each case draws one shard count and one backend, so 120 cases spread
-   over {1,2,4,8} × {csr, paged} without multiplying the run
+(* Each case draws one shard count and one index, so 120 cases spread
+   over {1,2,4,8} × {heap, mapped} without multiplying the run
    count by eight (the deterministic tests above already sweep every
    shard count exhaustively). *)
 let with_shards gen =
   QCheck2.Gen.(pair gen (oneofl shard_counts))
 
-let with_shards_backend gen =
+let with_shards_index gen =
   QCheck2.Gen.(triple gen (oneofl shard_counts) (int_bound 1))
 
 let prop_pool_all_closed =
-  Gens.make ~name:"pool ≡ sequential (all + closed, both backends)" ~count:120
-    (with_shards_backend (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9))
+  Gens.make ~name:"pool ≡ sequential (all + closed, heap and mapped)" ~count:120
+    (with_shards_index (Gens.db ~num_seqs:6 ~alphabet:4 ~max_len:9))
     (fun (db, shards, b) ->
-      Printf.sprintf "shards: %d backend: %d\n%s" shards b (Gens.print_db db))
+      Printf.sprintf "shards: %d mapped: %d\n%s" shards b (Gens.print_db db))
     (fun (db, shards, b) ->
-      let _, idx = List.nth (backends db) b in
+      let idx = index_of db b in
       let all_seq, _ = Engine.mine Gsgrow.strategy ~max_length:4 idx ~min_sup:2 in
       let all_pool = Gens.pool ~domains:3 ~max_length:4 ~shards idx ~min_sup:2 in
       let closed_seq, _ = Engine.mine Gens.closed ~max_length:4 idx ~min_sup:2 in

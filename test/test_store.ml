@@ -30,6 +30,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let check_clause name clause fn =
   match fn () with
   | _ -> Alcotest.failf "%s: expected Invalid_store %s" name clause
@@ -93,13 +98,30 @@ let test_fixture_bad_payload_crc () =
   check_clause "verifying open" "\xc2\xa73.5" (fun () ->
       Store.open_store ~verify:true (fixture "bad_payload_crc.rgsdb"))
 
-(* §2.5 is a framing check, not a payload check: a CSOF block that is
-   not a valid prefix sum (first word bumped off zero) must fail even
-   the default non-verifying open, despite payload-CRC deferral — those
-   offsets index the mapped position runs unchecked once mining starts. *)
-let test_fixture_bad_csof () =
-  check_clause "bad_csof" "\xc2\xa72.5" (fun () ->
-      Store.open_store (fixture "bad_csof.rgsdb"))
+(* §2.5 is a framing check, not a payload check: a run table that breaks
+   one of its clauses must fail even the default non-verifying open,
+   despite payload-CRC deferral — the cursors index RSEQ, ROFF and EPOS
+   through these tables unchecked once mining starts. One fixture per
+   clause; the reason names the broken section. *)
+let check_run_table_fixture name section () =
+  match Store.open_store (fixture name) with
+  | _ -> Alcotest.failf "%s: expected Invalid_store \xc2\xa72.5" name
+  | exception Store.Invalid_store e ->
+    Alcotest.(check string) (name ^ ": clause") "\xc2\xa72.5" e.clause;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: reason %S names %s" name e.reason section)
+      true (contains e.reason section)
+
+(* §2.2: the last version-1 store (a sequence-major CSR layout, frozen as
+   committed) is refused by its version before anything else is read. *)
+let test_fixture_v1_store () =
+  match Store.open_store (fixture "v1_store.rgsdb") with
+  | _ -> Alcotest.fail "v1_store: expected Invalid_store \xc2\xa72.2"
+  | exception Store.Invalid_store e ->
+    Alcotest.(check string) "v1_store: clause" "\xc2\xa72.2" e.clause;
+    Alcotest.(check bool)
+      (Printf.sprintf "reason %S names version 1" e.reason)
+      true (contains e.reason "unsupported version 1")
 
 (* §3.6 forward compatibility: an unknown section tag is ignored, so the
    store opens — here the NAME section was renamed, so the codec is gone
@@ -137,7 +159,7 @@ let test_fixture_good () =
         Alcotest.(check string) "event name" (Codec.name want_codec e) (Codec.name c e))
       (Codec.alphabet want_codec));
   Alcotest.(check (list string)) "sections in order"
-    [ "ALPH"; "SQOF"; "EVTS"; "CSOF"; "CPOS"; "NAME" ]
+    [ "ALPH"; "SQOF"; "EVTS"; "EVRN"; "RSEQ"; "ROFF"; "EPOS"; "NAME" ]
     (List.map fst (Store.sections t))
 
 (* --- round-trip properties --- *)
@@ -233,12 +255,7 @@ let test_daemon_preload () =
   | Ok _ -> Alcotest.fail "corrupt store preloaded"
   | Error msg ->
     Alcotest.(check bool) "error cites \xc2\xa73.5" true
-      (let clause = "\xc2\xa73.5" in
-       let rec contains i =
-         i + String.length clause <= String.length msg
-         && (String.sub msg i (String.length clause) = clause || contains (i + 1))
-       in
-       contains 0)
+      (contains msg "\xc2\xa73.5")
 
 let suite =
   [
@@ -260,8 +277,14 @@ let suite =
       test_fixture_misaligned_section;
     Alcotest.test_case "fixture: bad payload CRC (\xc2\xa73.5)" `Quick
       test_fixture_bad_payload_crc;
-    Alcotest.test_case "fixture: broken CSOF prefix sum (\xc2\xa72.5)" `Quick
-      test_fixture_bad_csof;
+    Alcotest.test_case "fixture: v1 store refused by version (\xc2\xa72.2)" `Quick
+      test_fixture_v1_store;
+    Alcotest.test_case "fixture: EVRN overruns RSEQ (\xc2\xa72.5)" `Quick
+      (check_run_table_fixture "bad_evrn.rgsdb" "EVRN");
+    Alcotest.test_case "fixture: RSEQ outside [1, N] (\xc2\xa72.5)" `Quick
+      (check_run_table_fixture "bad_rseq.rgsdb" "RSEQ");
+    Alcotest.test_case "fixture: ROFF overruns EPOS (\xc2\xa72.5)" `Quick
+      (check_run_table_fixture "bad_roff.rgsdb" "ROFF");
     Alcotest.test_case "fixture: unknown section ignored (\xc2\xa73.6)" `Quick
       test_fixture_unknown_section;
     Alcotest.test_case "fixture: unknown section with OOB bounds (\xc2\xa73.6)"

@@ -17,7 +17,10 @@
      FORMAT.md §1, not with the writer's internals, so regenerating them
      doubles as a second implementation of the framing spec.
 
-   Rerun this tool (and re-commit) whenever either format changes. *)
+   Rerun this tool (and re-commit) whenever either format changes; the
+   runtest rule in test/dune (tools/check_fixtures.sh) fails while the
+   committed corpus differs from what this tool writes. v1_store.rgsdb is
+   not written here: it is the last version-1 store, frozen as committed. *)
 
 open Rgs_core
 
@@ -129,10 +132,10 @@ let gen_store_fixtures dir =
       reseal_header b);
   (* §3.2: a flipped reserved byte inside entry 0 breaks the table CRC *)
   mutant "bad_table_crc.rgsdb" (fun b -> flip b (entry_base 0 + 4));
-  (* §3.3: CPOS (entry 4) renamed — the unknown tag is ignored, the
+  (* §3.3: EPOS (entry 6) renamed — the unknown tag is ignored, the
      required section is gone *)
   mutant "missing_section.rgsdb" (fun b ->
-      Bytes.blit_string "XPOS" 0 b (entry_base 4) 4;
+      Bytes.blit_string "XPOS" 0 b (entry_base 6) 4;
       reseal_table count b);
   (* §3.4: EVTS (entry 2) offset nudged off the 8-byte grid *)
   mutant "misaligned_section.rgsdb" (fun b ->
@@ -142,26 +145,35 @@ let gen_store_fixtures dir =
      verify must fail *)
   mutant "bad_payload_crc.rgsdb" (fun b ->
       flip b (get_u64 image (entry_base 2 + 8)));
-  (* §2.5: the first CSOF word (entry 3) bumped off zero — the prefix-sum
-     invariant is broken, and because §2.5 is a framing check the open
-     must reject it even though the payload CRCs are deferred *)
-  mutant "bad_csof.rgsdb" (fun b ->
-      set_u64 b (get_u64 image (entry_base 3 + 8)) 1);
-  (* §3.6: NAME (entry 5, optional) renamed to an unknown tag — the store
+  (* §2.5, one mutant per run-table clause. Each breaks a table a cursor
+     indexes unchecked, and because §2.5 is a framing check the open must
+     reject it even though the payload CRCs are deferred. The fixture has
+     k = 3 events, each in all N = 4 sequences, so R = 12 runs. Word [j]
+     of the section in table entry [i]: *)
+  let word i j = get_u64 image (entry_base i + 8) + (8 * j) in
+  (* EVRN (entry 3): the last word, R, raised past RSEQ's end *)
+  mutant "bad_evrn.rgsdb" (fun b -> set_u64 b (word 3 3) 13);
+  (* RSEQ (entry 4): event 0's last run names sequence N + 1 — still
+     ascending, but outside [1, N] *)
+  mutant "bad_rseq.rgsdb" (fun b -> set_u64 b (word 4 3) 5);
+  (* ROFF (entry 5): the last word, the total length, raised past EPOS's
+     end *)
+  mutant "bad_roff.rgsdb" (fun b -> set_u64 b (word 5 12) 16);
+  (* §3.6: NAME (entry 7, optional) renamed to an unknown tag — the store
      must still open, with no codec *)
   mutant "unknown_section.rgsdb" (fun b ->
-      Bytes.blit_string "ZQQQ" 0 b (entry_base 5) 4;
+      Bytes.blit_string "ZQQQ" 0 b (entry_base 7) 4;
       reseal_table count b);
   (* §3.6 again, adversarially: the unknown entry's offset/length point
      exabytes outside the file. Unknown sections are skipped wholesale,
      so both the open and a full verify must succeed without ever
      dereferencing them *)
   mutant "unknown_oob_section.rgsdb" (fun b ->
-      Bytes.blit_string "ZOOB" 0 b (entry_base 5) 4;
-      set_u64 b (entry_base 5 + 8) (1 lsl 40);
-      set_u64 b (entry_base 5 + 16) (1 lsl 40);
+      Bytes.blit_string "ZOOB" 0 b (entry_base 7) 4;
+      set_u64 b (entry_base 7 + 8) (1 lsl 40);
+      set_u64 b (entry_base 7 + 16) (1 lsl 40);
       reseal_table count b);
-  Printf.printf "wrote good.rgsdb + 12 mutant(s) to %s (%d sections)\n" dir count
+  Printf.printf "wrote good.rgsdb + 14 mutant(s) to %s (%d sections)\n" dir count
 
 (* The version-2 record layout, mirrored for Marshal: with empty result
    lists its marshalled bytes do not depend on what a result held, so
