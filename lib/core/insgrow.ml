@@ -3,12 +3,12 @@ open Rgs_sequence
 let run = Support_set.grow
 
 let full_of_event idx e =
-  List.concat_map
-    (fun (i, positions) ->
-      List.map
-        (fun p -> { Instance.fseq = i; landmark = [| p |] })
-        (Array.to_list positions))
-    (Array.to_list (Inverted_index.event_runs idx e))
+  List.concat
+    (Array.to_list
+       (Inverted_index.map_runs idx e (fun i positions ->
+            List.map
+              (fun p -> { Instance.fseq = i; landmark = [| p |] })
+              (Array.to_list positions))))
 
 (* Same control flow as Support_set.grow, on full landmarks. The input list
    is grouped by sequence in right-shift order, so a plain left-to-right scan

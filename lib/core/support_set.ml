@@ -74,12 +74,10 @@ let unsafe_of_groups groups =
 
 let of_event idx e =
   of_group_array
-    (Array.map
-       (fun (i, positions) ->
+    (Inverted_index.map_runs idx e (fun i positions ->
          (* size-1 instances have first = last: share the positions array *)
          { gseq = i; len = Array.length positions; firsts = positions;
-           lasts = positions })
-       (Inverted_index.event_runs idx e))
+           lasts = positions }))
 
 let size s = s.total
 let is_empty s = s.total = 0

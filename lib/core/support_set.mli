@@ -26,7 +26,7 @@ val empty : t
 val of_event : Inverted_index.t -> Event.t -> t
 (** The leftmost support set of the size-1 pattern [e]: every occurrence of
     [e] in the database (line 1 of Algorithm 1 / line 3 of Algorithm 3),
-    read from the event's runs ({!Inverted_index.event_runs}). *)
+    read from the event's runs ({!Inverted_index.map_runs}). *)
 
 val size : t -> int
 (** Number of instances — the repetitive support of the pattern this set

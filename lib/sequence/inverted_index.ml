@@ -116,7 +116,7 @@ let positions t ~seq e =
   let lo, hi = slice t ~seq e in
   Ivec.sub_array t.runs.epos ~pos:lo ~len:(hi - lo)
 
-let event_runs t e =
+let map_runs t e f =
   let d = Alphabet.dense t.alpha e in
   if d < 0 then [||]
   else begin
@@ -127,7 +127,7 @@ let event_runs t e =
       (fun j ->
         let r = lo + j in
         let p = Ivec.get roff r in
-        (Ivec.get rseq r, Ivec.sub_array epos ~pos:p ~len:(Ivec.get roff (r + 1) - p)))
+        f (Ivec.get rseq r) (Ivec.sub_array epos ~pos:p ~len:(Ivec.get roff (r + 1) - p)))
   end
 
 let next t ~seq e ~lowest =

@@ -46,10 +46,11 @@ val positions : t -> seq:int -> Event.t -> int array
 (** All positions of [e] in [S_i], ascending, 1-based. Materialised on
     each call (a fresh array). [O(log runs of e)] to find the run. *)
 
-val event_runs : t -> Event.t -> (int * int array) array
-(** [(i, positions of e in S_i)] for every sequence [S_i] that holds [e],
-    in ascending [i] — one walk of the event's runs, no sequence without
-    [e] visited. Fresh arrays. *)
+val map_runs : t -> Event.t -> (int -> int array -> 'a) -> 'a array
+(** [map_runs idx e f] is [[| f i (positions of e in S_i) |]] over every
+    sequence [S_i] that holds [e], in ascending [i] — one walk of the
+    event's runs, no sequence without [e] visited. The positions arrays
+    are fresh. *)
 
 (** {2 Cursors}
 

@@ -2,9 +2,8 @@
    root pool is invisible in the output.
 
    Contract under test: for every database, heap or store-backed index,
-   shard count in
-   {1,2,4,8} and domain count, the Miner root pool (a config with
-   [domains] and [shards]) emits {e byte-identical} results to the
+   shard count in {1,2,4,8} and domain count, the Miner root pool (a
+   config with [domains] and [shards]) emits {e byte-identical} results to the
    sequential engine run — including under gap constraints and
    Targeted/Top_k query plans, and on the adversarial all-work-in-one-root
    skew where per-root scheduling degenerates to a single busy domain. The
@@ -17,7 +16,6 @@
 
 open Rgs_sequence
 open Rgs_core
-module Store = Rgs_store.Store
 
 let signatures results =
   List.map (fun r -> (Pattern.to_string r.Mined.pattern, r.Mined.support)) results
