@@ -21,8 +21,9 @@
    where the sharded root pool must also match sequential mining; a
    wide-alphabet clickstream corpus must pack to under 1 MiB. The
    run body's deterministic work counters are pinned on the benchmark's
-   closed jboss and quest mine-all parameters and on the jboss top-11
-   jobs, on the sequential, checkpointed and resumed paths. *)
+   closed jboss and quest mine-all parameters, on closed Gazelle-like
+   clickstreams and on the jboss top-11 jobs, on the sequential,
+   checkpointed and resumed paths. *)
 
 open Rgs_sequence
 open Rgs_core
@@ -520,16 +521,38 @@ let test_quest_paper_counters () =
       ("cursor_gallops", 1_954_083);
     ]
 
+let gazelle_db =
+  lazy
+    (Rgs_datagen.Clickstream_gen.generate
+       (Rgs_datagen.Clickstream_gen.gazelle_like ~scale:0.1 ~seed:42 ()))
+
+(* CloGSgrow in the Gazelle regime: a wide alphabet and long sessions, so
+   every closure check scans near-full windows and its pre-filter rejects
+   all but 0.7% of the candidates it bounds. *)
+let test_gazelle_closed_counters () =
+  let idx = Inverted_index.build (Lazy.force gazelle_db) in
+  let report, count =
+    counted (fun () ->
+        Miner.mine_indexed (Miner.config ~max_length:8 ~min_sup:65 ()) idx)
+  in
+  Alcotest.(check int) "patterns" 6_234 (List.length report.Miner.results);
+  pin_counters "closed gazelle 0.1 s65 l8" count
+    [
+      ("dfs_nodes", 6_362);
+      ("lb_prunes", 43);
+      ("closure_bound_checks", 809_726);
+      ("closure_bound_rejects", 804_242);
+      ("closure_base_grows", 5_484);
+      ("closure_full_grows", 147);
+    ]
+
 (* The store stays linear in the corpus on a wide alphabet: Gazelle-like
    clickstreams at scale 0.1 (2,936 sessions, 909 events, 13,354 clicks)
    pack to under 1 MiB. The run table is [total + 2R + k + 2] words (about
    56K words here); a layout with a per-sequence row of [k + 1] offsets
    packed this corpus to 21.6 MB (2.67M words of offsets). *)
 let test_gazelle_store_size () =
-  let db =
-    Rgs_datagen.Clickstream_gen.generate
-      (Rgs_datagen.Clickstream_gen.gazelle_like ~scale:0.1 ~seed:42 ())
-  in
+  let db = Lazy.force gazelle_db in
   Alcotest.(check (list int)) "the corpus: sessions, events, clicks"
     [ 2_936; 909; 13_354 ]
     [ Seqdb.size db; Seqdb.alphabet_size db; Seqdb.total_length db ];
@@ -631,6 +654,8 @@ let suite =
       test_jboss_closed_counters;
     Alcotest.test_case "counters: jboss top-11, every run path" `Quick
       test_jboss_topk_counters;
+    Alcotest.test_case "counters: closed gazelle 0.1 s65 l8" `Slow
+      test_gazelle_closed_counters;
     Alcotest.test_case "store size: gazelle-like scale 0.1 < 1 MiB" `Quick
       test_gazelle_store_size;
     Alcotest.test_case "quest_paper: store open, mapped output, shards x pool"
