@@ -7,69 +7,254 @@ type verdict = {
 
 exception Prunable
 
-(* Greedy rightmost landmark of [arr] in [s], written to
-   [dst.(off) .. dst.(off + m - 1)]; [arr] must occur in [s]. *)
-let rightmost_landmark s arr dst off =
-  let pos = ref (Sequence.length s) in
-  for j = Array.length arr - 1 downto 0 do
-    let e = arr.(j) in
-    while !pos >= 1 && not (Event.equal (Sequence.unsafe_get s !pos) e) do
+(* The closure state of one DFS depth. Frame [k] belongs to the length-(k+1)
+   prefix whose leftmost support set is [owner] (compared physically).
+
+   - [bases.(r)] caches grow(owner, candidate r): the base set of an
+     insertion at gap k+1. It depends on the prefix alone, so every
+     descendant of the owner shares it.
+   - [keys]/[sets]/[grown] are extension states, in ascending key
+     [j * ncands + r]: the set of inserting candidate [r] at gap [j] after
+     [grown] of the owner's suffix events. The owner's check records one
+     for every candidate that passed its bound; a child that grows a
+     candidate the owner did not adds the state at the owner's length, for
+     its later siblings. The owner's children resume these growths.
+   - [fl]/[rl] hold the owner's landmark envelope rows once [rows] is set,
+     row [c] for the owner's [c]-th group, one entry per pattern event.
+     The owner's children derive theirs from them. *)
+type frame = {
+  mutable owner : Support_set.t;
+  bases : Support_set.t option array;
+  mutable n : int;
+  mutable keys : int array;
+  mutable sets : Support_set.t array;
+  mutable grown : int array;
+  mutable rows : bool;
+  mutable fl : int array;
+  mutable rl : int array;
+}
+
+(* Candidate [r] is [cands.(r)]. A check selects the candidates that can
+   reach sup(P) and gives the [k]-th of them counter slot [k]: [sel.(k)] is
+   its rank and [slot_of] maps its dense id back to [k] (-1 for every other
+   dense id; the next check releases the slots through [sel]). *)
+type stack = {
+  idx : Inverted_index.t;
+  cands : Event.t array;
+  cdense : int array;
+  cocc : int array;
+  roots : Support_set.t option array;  (* size-1 sets: the gap-0 bases *)
+  slot_of : int array;
+  sel : int array;
+  mutable nsel : int;
+  local : int array;
+  totals : int array;
+  touched : int array;
+  mutable views : int array array;
+  mutable frames : frame array;
+  late : frame;
+}
+
+let new_frame n =
+  { owner = Support_set.empty; bases = Array.make n None; n = 0; keys = [||];
+    sets = [||]; grown = [||]; rows = false; fl = [||]; rl = [||] }
+
+let stack idx ~candidate_events =
+  let cands = Array.of_list candidate_events in
+  let n = Array.length cands in
+  let alpha = Seqdb.dense_alphabet (Inverted_index.db idx) in
+  {
+    idx;
+    cands;
+    cdense = Array.map (Alphabet.dense alpha) cands;
+    cocc = Array.map (Inverted_index.occurrence_count idx) cands;
+    roots = Array.make n None;
+    slot_of = Array.make (Alphabet.size alpha) (-1);
+    sel = Array.make n 0;
+    nsel = 0;
+    local = Array.make n 0;
+    totals = Array.make n 0;
+    touched = Array.make n 0;
+    views = [||];
+    frames = [||];
+    late = new_frame 0;
+  }
+
+(* what a root reads as its parent's frame: no extension states, no rows;
+   never written, so sharing it is safe *)
+let no_parent = new_frame 0
+
+(* Hands [f] to [owner], dropping what it held for the previous one. *)
+let release f owner =
+  f.owner <- owner;
+  Array.fill f.sets 0 f.n Support_set.empty;
+  f.n <- 0;
+  f.rows <- false;
+  Array.fill f.bases 0 (Array.length f.bases) None
+
+(* Frames [0 .. m-1] must belong to [prefix_sets]; a frame owned by another
+   prefix is wiped. The empty set is one shared value, so it owns nothing.
+   Deeper frames belong to finished subtrees: they are emptied so that
+   their sets can be collected. *)
+let claim_frames st prefix_sets m =
+  if Array.length st.frames < m then
+    st.frames <-
+      Array.init m (fun k ->
+          if k < Array.length st.frames then st.frames.(k)
+          else new_frame (Array.length st.cands));
+  Array.iteri
+    (fun k f ->
+      if k < m then begin
+        let s = prefix_sets.(k) in
+        if f.owner != s || Support_set.is_empty s then release f s
+      end
+      else if f.owner != Support_set.empty then release f Support_set.empty)
+    st.frames
+
+(* room for [n] extension states in [f] *)
+let reserve f n =
+  let len = Array.length f.keys in
+  if len < n then begin
+    let cap = max n (max 8 (2 * len)) in
+    let extend a fill = Array.append a (Array.make (cap - len) fill) in
+    f.keys <- extend f.keys 0;
+    f.sets <- extend f.sets Support_set.empty;
+    f.grown <- extend f.grown 0
+  end
+
+let push f key set grown =
+  reserve f (f.n + 1);
+  f.keys.(f.n) <- key;
+  f.sets.(f.n) <- set;
+  f.grown.(f.n) <- grown;
+  f.n <- f.n + 1
+
+(* Merges [late]'s extension states into [f]'s, backwards in place; both
+   ascend by key and share none. *)
+let merge_into f late =
+  reserve f (f.n + late.n);
+  let copy w src i =
+    f.keys.(w) <- src.keys.(i);
+    f.sets.(w) <- src.sets.(i);
+    f.grown.(w) <- src.grown.(i)
+  in
+  let i = ref (f.n - 1) in
+  for k = late.n - 1 downto 0 do
+    while !i >= 0 && f.keys.(!i) > late.keys.(k) do
+      copy (!i + k + 1) f !i;
+      decr i
+    done;
+    copy (!i + k + 1) late k
+  done;
+  f.n <- f.n + late.n
+
+(* Greedy rightmost landmark of the dense pattern [pd] in the dense view
+   [ds] (0-based), written 1-based to [dst.(off) .. dst.(off + m - 1)];
+   [pd] must occur in [ds]. With [~carried:true], [prl.(poff) ..] holds the
+   rightmost landmark of [pd] minus its last event in the same sequence.
+   That landmark is position-wise >= this one, so once its [j]-th position
+   lies before this one's [(j+1)]-th, the greedy walk would find exactly
+   its positions [1..j]: they are copied instead of walked. *)
+let rightmost_landmark ~carried ds pd dst off prl poff =
+  let pos = ref (Array.length ds - 1) in
+  let j = ref (Array.length pd - 1) in
+  while !j >= 0 do
+    let d = pd.(!j) in
+    while !pos >= 0 && ds.(!pos) <> d do
       decr pos
     done;
-    if !pos < 1 then invalid_arg "Closure.check: pattern absent from a supporting sequence";
-    dst.(off + j) <- !pos;
-    decr pos
+    if !pos < 0 then invalid_arg "Closure.check: pattern absent from a supporting sequence";
+    dst.(off + !j) <- !pos + 1;
+    decr j;
+    if carried && !j >= 0 && prl.(poff + !j) <= !pos then begin
+      Array.blit prl poff dst off (!j + 1);
+      j := -1
+    end
+    else decr pos
   done
 
-let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
-    ~pattern ~support_set ~has_equal_append =
-  let event_sets =
-    match event_sets with Some f -> f | None -> Support_set.of_event idx
-  in
+let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
+  let idx = st.idx in
   let m = Pattern.length pattern in
+  let support_set = prefix_sets.(m - 1) in
   let sup_p = Support_set.size support_set in
   let arr = Pattern.to_array pattern in
   let db = Inverted_index.db idx in
   let alpha = Seqdb.dense_alphabet db in
-  let events =
-    Array.of_list
-      (List.filter (fun e -> Inverted_index.occurrence_count idx e >= sup_p) candidate_events)
-  in
-  (* Surviving candidate [events.(k)] owns counter slot [k]; [slot_of] maps
-     dense event ids to slots, -1 for events that cannot reach sup(P). *)
-  let nslots = Array.length events in
-  let slot_of = Array.make (Alphabet.size alpha) (-1) in
-  Array.iteri
-    (fun k e ->
-      let d = Alphabet.dense alpha e in
-      if d >= 0 then slot_of.(d) <- k)
-    events;
+  claim_frames st prefix_sets m;
+  let own = st.frames.(m - 1) in
+  own.n <- 0;
+  (* the parent's frame, already wiped if it belongs to another prefix *)
+  let parent = if m >= 2 then st.frames.(m - 2) else no_parent in
+  let ncands = Array.length st.cands in
+  let slot_of = st.slot_of and sel = st.sel in
+  for k = 0 to st.nsel - 1 do
+    let d = st.cdense.(sel.(k)) in
+    if d >= 0 then slot_of.(d) <- -1
+  done;
+  st.nsel <- 0;
+  for r = 0 to ncands - 1 do
+    if st.cocc.(r) >= sup_p then begin
+      let d = st.cdense.(r) in
+      if d >= 0 then slot_of.(d) <- st.nsel;
+      sel.(st.nsel) <- r;
+      st.nsel <- st.nsel + 1
+    end
+  done;
+  let nslots = st.nsel in
   (* Landmark envelopes of the sequences holding instances: any landmark of
      P in S_i lies position-wise between the leftmost landmark [fl] and the
      rightmost landmark [rl] (row [c] of each flat matrix belongs to the
-     [c]-th group of the support set). [sups.(c)] is S_i's contribution to
-     sup(P). The leftmost landmark needs no walk: its [j]-th position is
-     the last landmark of the first instance of S_i's group in the
-     length-[j] prefix's leftmost support set, since that instance is
-     INSgrow's greedy leftmost match. *)
+     [c]-th group of the support set). The leftmost landmark needs no walk:
+     its [j]-th position is the last landmark of the first instance of
+     S_i's group in the length-[j] prefix's leftmost support set, since
+     that instance is INSgrow's greedy leftmost match. *)
   let ncontrib = Support_set.num_groups support_set in
-  let seqs =
-    Array.init ncontrib (fun c -> Seqdb.seq db (Support_set.group_seq support_set c))
-  in
-  let sups = Array.init ncontrib (Support_set.group_len support_set) in
-  let fl = Array.make (ncontrib * m) 0 and rl = Array.make (ncontrib * m) 0 in
-  for j = 1 to m - 1 do
-    let set = prefix_sets.(j - 1) in
+  own.rows <- false;
+  if Array.length own.fl < ncontrib * m then begin
+    own.fl <- Array.make (2 * ncontrib * m) 0;
+    own.rl <- Array.make (2 * ncontrib * m) 0
+  end;
+  if Array.length st.views < ncontrib then st.views <- Array.make (2 * ncontrib) [||];
+  let fl = own.fl and rl = own.rl and views = st.views in
+  for c = 0 to ncontrib - 1 do
+    views.(c) <- Seqdb.dense_seq db (Support_set.group_seq support_set c)
+  done;
+  let pd = Array.map (Alphabet.dense alpha) arr in
+  if parent.rows then begin
+    (* The parent's groups include this pattern's: its row for the same
+       sequence supplies the leftmost positions 1..m-2 as they are, and
+       the rightmost walk stops once it meets the parent's landmark. *)
+    let pset = prefix_sets.(m - 2) in
     let g = ref 0 in
     for c = 0 to ncontrib - 1 do
       let i = Support_set.group_seq support_set c in
-      while Support_set.group_seq set !g < i do
+      while Support_set.group_seq pset !g < i do
         incr g
       done;
-      fl.((c * m) + j - 1) <- (Support_set.group_lasts set !g).(0)
+      let off = c * m and poff = !g * (m - 1) in
+      Array.blit parent.fl poff fl off (m - 2);
+      fl.(off + m - 2) <- (Support_set.group_lasts pset !g).(0);
+      rightmost_landmark ~carried:true views.(c) pd rl off parent.rl poff
     done
-  done;
-  Array.iteri (fun c s -> rightmost_landmark s arr rl (c * m)) seqs;
+  end
+  else begin
+    for j = 1 to m - 1 do
+      let set = prefix_sets.(j - 1) in
+      let g = ref 0 in
+      for c = 0 to ncontrib - 1 do
+        let i = Support_set.group_seq support_set c in
+        while Support_set.group_seq set !g < i do
+          incr g
+        done;
+        fl.((c * m) + j - 1) <- (Support_set.group_lasts set !g).(0)
+      done
+    done;
+    for c = 0 to ncontrib - 1 do
+      rightmost_landmark ~carried:false views.(c) pd rl (c * m) [||] 0
+    done
+  end;
+  own.rows <- true;
   (* Sound pre-filter for inserting e' at gap j (one pass per gap, all
      events at once): instances of the extension P' in S_i project to
      non-overlapping instances of P (Lemma 1), so S_i holds at most
@@ -77,22 +262,22 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
      non-overlapping P'-instances need distinct e' positions, and every
      such position lies inside the envelope gap. If the sum over sequences
      is below sup(P), growing the extension cannot reach equal support.
-     Counting is array increments on slots: [local] counts one sequence's
-     window and is reset through the [touched] slot list, [totals] sums
-     the capped counts over sequences. *)
-  let local = Array.make nslots 0 in
-  let totals = Array.make nslots 0 in
-  let touched = Array.make nslots 0 in
+     The window scan reads dense ids straight from the views: one array
+     load and at most one increment per position. [local] counts one
+     sequence's window and is reset through the [touched] slot list,
+     [totals] sums the capped counts over sequences. *)
+  let local = st.local and totals = st.totals and touched = st.touched in
   let gap_bounds j =
     Array.fill totals 0 nslots 0;
     for c = 0 to ncontrib - 1 do
       let lo = if j = 0 then 0 else fl.((c * m) + j - 1) in
       let hi = rl.((c * m) + j) in
       if hi > lo + 1 then begin
-        let s = seqs.(c) in
+        let ds = views.(c) in
         let ntouched = ref 0 in
-        for pos = lo + 1 to hi - 1 do
-          let k = slot_of.(Alphabet.dense alpha (Sequence.unsafe_get s pos)) in
+        (* positions lo+1 .. hi-1, 0-based in the view *)
+        for p = lo to hi - 2 do
+          let k = Array.unsafe_get slot_of (Array.unsafe_get ds p) in
           if k >= 0 then begin
             let n = local.(k) in
             if n = 0 then begin
@@ -102,7 +287,7 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
             local.(k) <- n + 1
           end
         done;
-        let sup_i = sups.(c) in
+        let sup_i = Support_set.group_len support_set c in
         for t = 0 to !ntouched - 1 do
           let k = touched.(t) in
           totals.(k) <- totals.(k) + min sup_i local.(k);
@@ -111,49 +296,95 @@ let check ?event_sets ?(trace = Trace.null) idx ~candidate_events ~prefix_sets
       end
     done
   in
+  (* The base set of inserting candidate [r] at gap [j]: its size-1 set at
+     gap 0, else grow(prefix_j, e') from frame [j-1]'s cache. *)
+  let base j r =
+    let cache = if j = 0 then st.roots else st.frames.(j - 1).bases in
+    match cache.(r) with
+    | Some b -> b
+    | None ->
+      let e = st.cands.(r) in
+      let b =
+        if j = 0 then Support_set.of_event idx e
+        else Support_set.grow idx prefix_sets.(j - 1) e
+      in
+      cache.(r) <- Some b;
+      b
+  in
   let non_closed = ref has_equal_append in
+  (* [ptr] walks the parent's extension states in key order, alongside the
+     candidates of every gap. *)
+  let ptr = ref 0 in
+  let late = st.late in
+  late.n <- 0;
   (* Insertion position j in [0 .. m-1]: extension e1..ej e' e_{j+1}..e_m. *)
   let scan_position j =
     gap_bounds j;
-    let suffix = Pattern.of_array (Array.sub arr j (m - j)) in
-    let base e' =
-      if j = 0 then event_sets e' else Support_set.grow idx prefix_sets.(j - 1) e'
-    in
-    let scan_event n e' =
+    for k = 0 to nslots - 1 do
       Metrics.hit Metrics.closure_bound_checks;
-      if totals.(n) < sup_p then
-        Metrics.hit Metrics.closure_bound_rejects
+      if totals.(k) < sup_p then Metrics.hit Metrics.closure_bound_rejects
       else begin
         Metrics.hit Metrics.closure_base_grows;
-        let i0 = base e' in
-        if Support_set.size i0 >= sup_p then
-          match Sup_comp.grow_from_until idx i0 suffix ~min_size:sup_p with
-          | None -> ()
-          | Some i' ->
-            (* sup(P') <= sup(P) by Lemma 1, so reaching min_size means
-               equality. *)
-            Metrics.hit Metrics.closure_full_grows;
-            non_closed := true;
-            (* Theorem 5 condition (ii), on the packed lasts arrays. *)
-            if Support_set.border_dominated ~extension:i' ~pattern:support_set then
-              raise Prunable
+        let r = sel.(k) in
+        let key = (j * ncands) + r in
+        while !ptr < parent.n && parent.keys.(!ptr) < key do
+          incr ptr
+        done;
+        (* The parent P stopped this growth below sup(P) or finished it;
+           sup(Q) <= sup(P) and INSgrow is exact from a leftmost support
+           set, so continuing it yields exactly the set a regrowth from
+           the base would. *)
+        let found = !ptr < parent.n && parent.keys.(!ptr) = key in
+        let s, t =
+          if found then (ref parent.sets.(!ptr), ref parent.grown.(!ptr))
+          else (ref (base j r), ref 0)
+        in
+        let grow_to n =
+          while !t < n && Support_set.size !s >= sup_p do
+            s := Support_set.grow idx !s arr.(j + !t);
+            incr t
+          done
+        in
+        if (not found) && j < m - 1 then begin
+          (* P's share of the suffix, e_{j+1}..e_{m-1}: the state P would
+             have kept, handed to this node's siblings *)
+          grow_to (m - 1 - j);
+          push late key !s !t
+        end;
+        grow_to (m - j);
+        push own key !s !t;
+        if !t = m - j && Support_set.size !s >= sup_p then begin
+          (* sup(P') <= sup(P) by Lemma 1, so reaching sup(P) means
+             equality. *)
+          Metrics.hit Metrics.closure_full_grows;
+          non_closed := true;
+          (* Theorem 5 condition (ii), on the packed lasts arrays. *)
+          if Support_set.border_dominated ~extension:!s ~pattern:support_set then
+            raise Prunable
+        end
       end
-    in
-    Array.iteri scan_event events
-  in
-  match
-    for j = 0 to m - 1 do
-      scan_position j
     done
-  with
-  | () ->
+  in
+  let pruned =
+    match
+      for j = 0 to m - 1 do
+        scan_position j
+      done
+    with
+    | () -> false
+    | exception Prunable -> true
+  in
+  if late.n > 0 then merge_into parent late;
+  if pruned then begin
+    Trace.instant trace Trace.Closure_check ~a0:2 ~a1:m;
+    { closed = false; prunable = true }
+  end
+  else begin
     Trace.instant trace Trace.Closure_check
       ~a0:(if !non_closed then 1 else 0)
       ~a1:m;
     { closed = not !non_closed; prunable = false }
-  | exception Prunable ->
-    Trace.instant trace Trace.Closure_check ~a0:2 ~a1:m;
-    { closed = false; prunable = true }
+  end
 
 let prefix_sets_of idx pattern =
   let m = Pattern.length pattern in
@@ -177,7 +408,8 @@ let standalone ?events idx pattern =
         (fun e -> Support_set.size (Support_set.grow idx support_set e) = sup_p)
         events
     in
-    check idx ~candidate_events:events ~prefix_sets ~pattern ~support_set ~has_equal_append
+    check (stack idx ~candidate_events:events) ~prefix_sets ~pattern
+      ~has_equal_append
   end
 
 let is_closed ?events idx pattern = (standalone ?events idx pattern).closed

@@ -3,8 +3,9 @@
    event-major index runs live in read-only mapped [Ivec] sections shared
    across domains and processes, and [Sequence.t] values are materialised
    lazily, one sequence at a time, only when something actually scans
-   them (closure checks, printing). Mining through the inverted index
-   alone never forces a sequence. *)
+   them (printing, the naive baselines). Mining through the inverted
+   index never forces a sequence, and closure checks read the lazily
+   built dense views instead. *)
 type runs = {
   evrn : Ivec.t;
   rseq : Ivec.t;
@@ -24,6 +25,8 @@ type t = {
      winner publishes and everyone reuses it (heap databases are fully
      populated at construction, so the slow path never runs for them) *)
   cache : Sequence.t option Atomic.t array;
+  (* dense-id views, built on first use and published the same way *)
+  dense : int array option Atomic.t array;
   alpha : Alphabet.t;
   mapped : mapped option;
   digest : string option Atomic.t;
@@ -35,6 +38,7 @@ type t = {
 let of_owned_array seqs =
   {
     cache = Array.map (fun s -> Atomic.make (Some s)) seqs;
+    dense = Array.map (fun _ -> Atomic.make None) seqs;
     alpha = Alphabet.of_sequences seqs;
     mapped = None;
     digest = Atomic.make None;
@@ -77,6 +81,42 @@ let seq db i =
   else seq_at db (i - 1)
 
 let sequences db = Array.init (size db) (seq_at db)
+
+(* Sequence [i0]'s events as dense ids, read straight from the mapped
+   event section on a store (no [Sequence.t] is forced) and from the heap
+   sequence otherwise. Racing domains build equal arrays; the CAS winner's
+   is the one everybody keeps. *)
+let build_dense db i0 =
+  let alpha = db.alpha in
+  let view =
+    match db.mapped with
+    | Some m ->
+      let lo = Ivec.get m.m_seq_offsets i0 in
+      Array.init
+        (Ivec.get m.m_seq_offsets (i0 + 1) - lo)
+        (fun p -> Alphabet.dense alpha (Ivec.get m.m_events (lo + p)))
+    | None ->
+      let s = seq_at db i0 in
+      Array.init (Sequence.length s) (fun p ->
+          Alphabet.dense alpha (Sequence.unsafe_get s (p + 1)))
+  in
+  let slot = db.dense.(i0) in
+  if Atomic.compare_and_set slot None (Some view) then begin
+    if db.mapped <> None then
+      Metrics.add Metrics.store_resident_words (Array.length view);
+    view
+  end
+  else match Atomic.get slot with Some v -> v | None -> view
+
+let dense_seq db i =
+  if i < 1 || i > Array.length db.dense then
+    invalid_arg
+      (Printf.sprintf "Seqdb.dense_seq: index %d out of [1;%d]" i
+         (Array.length db.dense))
+  else
+    match Atomic.get db.dense.(i - 1) with
+    | Some v -> v
+    | None -> build_dense db (i - 1)
 
 (* length of sequence [i0] without forcing it *)
 let length_at db i0 =
@@ -212,6 +252,7 @@ let of_store ~alpha ~seq_offsets ~events ~runs ~digest =
     fail "ROFF must end at the total length %d" total;
   {
     cache = Array.init n (fun _ -> Atomic.make None);
+    dense = Array.init n (fun _ -> Atomic.make None);
     alpha;
     mapped =
       Some

@@ -23,6 +23,15 @@ val seq : t -> int -> Sequence.t
 (** [seq db i] is [S_i], 1-based.
     @raise Invalid_argument when [i] is out of [1..size db]. *)
 
+val dense_seq : t -> int -> int array
+(** [dense_seq db i] is [S_i] as dense event ids ({!dense_alphabet}),
+    0-based: entry [p - 1] holds the id of the event at position [p]. It
+    is built the first time it is asked for and cached (safe under
+    parallel domains); a store-backed database builds it from the mapped
+    event section without materialising [S_i]. Owned by the database — do
+    not mutate. Closure checks scan these views.
+    @raise Invalid_argument when [i] is out of [1..size db]. *)
+
 val sequences : t -> Sequence.t array
 (** The underlying sequences (fresh array, shared sequence values). *)
 

@@ -426,10 +426,10 @@ let test_jboss_closed_counters () =
     pin_counters label count
       [
         ("dfs_nodes", 4_455);
-        ("insgrow_calls", 61_171);
-        ("next_calls", 4_654_866);
-        ("cursor_advances", 2_094_911);
-        ("cursor_gallops", 363_600);
+        ("insgrow_calls", 28_237);
+        ("next_calls", 1_676_898);
+        ("cursor_advances", 680_915);
+        ("cursor_gallops", 58_332);
         ("closure_bound_checks", 113_889);
         ("closure_bound_rejects", 102_173);
         ("closure_base_grows", 11_716);
@@ -492,7 +492,7 @@ let test_jboss_topk_counters () =
         ])
     [
       ("all top-11 l4", Miner.All, 4, 49, 840);
-      ("closed top-11 l3", Miner.Closed, 3, 130, 919);
+      ("closed top-11 l3", Miner.Closed, 3, 130, 748);
     ]
 
 (* --- paper-scale gates on the quest_paper corpus --- *)

@@ -15,6 +15,8 @@
      LB-prunable prefix;
    - closure checking and CloGSgrow are invariant under an injective
      remap of events to sparse, negative ids;
+   - the miner's frame-carrying closure checks agree with fresh-stack
+     checks at every DFS node, and on a stack shared in any order;
    - sequential baselines agree with definition-level counting. *)
 
 open Rgs_sequence
@@ -293,6 +295,128 @@ let prop_sparse_event_ids =
       in
       answers (Inverted_index.build db') p' = expect)
 
+(* The miner's closure checks keep frames on the DFS stack and resume
+   their parent's extension sets; the standalone checks run on a fresh
+   stack and grow every extension from its base. Their verdicts must agree
+   on every DFS node, in two orders:
+
+   - the miner's own: CloGSgrow's strategy with its closure spec wrapped
+     to log each node's verdict, so the frames are always the parent's;
+   - a replay of every frequent pattern on one shared stack, in a seeded
+     random order, with the prefix sets of a common prefix shared
+     physically. Frames are then sometimes the right prefix's and
+     sometimes another's: a check that trusted a frame without testing
+     its owner resumes foreign extension sets.
+
+   A node's check does not see the appends ([has_equal_append:false]), so
+   its [closed] is compared with [is_closed] once the appends are
+   folded in. Databases are drawn heap or mapped, with dense or sparse
+   negative event ids. *)
+let has_equal_append idx set events =
+  List.exists
+    (fun e -> Support_set.size (Support_set.grow idx set e) = Support_set.size set)
+    events
+
+let agrees_with_standalone idx events pattern set (v : Closure.verdict) =
+  v.Closure.prunable = Closure.lb_prunable ~events idx pattern
+  && (v.Closure.closed && not (has_equal_append idx set events))
+     = Closure.is_closed ~events idx pattern
+
+let logging_closed log =
+  let logged (mk : Inverted_index.t -> events:Event.t list -> trace:Trace.t -> Engine.closure_spec) idx ~events ~trace =
+    let spec = mk idx ~events ~trace in
+    {
+      spec with
+      Engine.check =
+        (fun ~pattern ~support_set ~prefix_rev_chain ->
+          let v = spec.Engine.check ~pattern ~support_set ~prefix_rev_chain in
+          log := (pattern, support_set, events, v) :: !log;
+          v);
+    }
+  in
+  { Gens.closed with Engine.closure = Option.map logged Gens.closed.Engine.closure }
+
+let shuffle seed a =
+  let st = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+let frame_verdicts_agree (db, min_sup, (mapped, sparse_ids, seed)) =
+  let db =
+    if sparse_ids then
+      Seqdb.of_array
+        (Array.map
+           (fun q -> Sequence.of_list (List.map sparse (Sequence.to_list q)))
+           (Seqdb.sequences db))
+    else db
+  in
+  let idx = Inverted_index.build (if mapped then Gens.mapped_db db else db) in
+  let max_length = 5 in
+  let log = ref [] in
+  ignore (Engine.mine (logging_closed log) ~max_length idx ~min_sup);
+  let dfs_ok =
+    List.for_all
+      (fun (p, set, events, v) -> agrees_with_standalone idx events p set v)
+      !log
+  in
+  let events = Inverted_index.frequent_events idx ~min_sup in
+  let frequent, _ = Engine.mine Gsgrow.strategy ~max_length idx ~min_sup in
+  let patterns = Array.of_list (List.map (fun r -> r.Mined.pattern) frequent) in
+  shuffle seed patterns;
+  let memo = Hashtbl.create 64 in
+  let rec prefix_set = function
+    | [] -> assert false
+    | [ e ] as key -> memoised key (fun () -> Support_set.of_event idx e)
+    | rev_key ->
+      memoised rev_key (fun () ->
+          Support_set.grow idx (prefix_set (List.tl rev_key)) (List.hd rev_key))
+  and memoised key f =
+    match Hashtbl.find_opt memo key with
+    | Some s -> s
+    | None ->
+      let s = f () in
+      Hashtbl.add memo key s;
+      s
+  in
+  let stack = Closure.stack idx ~candidate_events:events in
+  let replay_ok =
+    Array.for_all
+      (fun p ->
+        let l = Pattern.to_list p in
+        let prefix_sets =
+          Array.init (List.length l) (fun k ->
+              prefix_set (List.rev (List.filteri (fun i _ -> i <= k) l)))
+        in
+        let set = prefix_sets.(Array.length prefix_sets - 1) in
+        let v =
+          Closure.check stack ~prefix_sets ~pattern:p ~has_equal_append:false
+        in
+        agrees_with_standalone idx events p set v)
+      patterns
+  in
+  dfs_ok && replay_ok
+
+let prop_frame_verdicts =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0xF4A3E |])
+    (QCheck2.Test.make
+       ~name:"closure frames: DFS and shared-stack verdicts = fresh-stack checks"
+       ~count:120
+       ~print:(fun (db, s, (mapped, sparse_ids, seed)) ->
+         print_db db
+         ^ Printf.sprintf "min_sup: %d mapped: %b sparse: %b order seed: %d" s
+             mapped sparse_ids seed)
+       QCheck2.Gen.(
+         triple
+           (gen_db ~num_seqs:4 ~alphabet:4 ~max_len:9)
+           (int_range 1 3)
+           (triple bool bool int))
+       frame_verdicts_agree)
+
 let prop_insgrow_incremental =
   make ~name:"supComp(P ◦ e) = INSgrow(supComp(P), e)" ~count:300
     QCheck2.Gen.(triple default_db default_pattern (int_bound 2))
@@ -316,5 +440,6 @@ let suite =
     prop_closure_check_definition;
     prop_lb_prunable_sound;
     prop_sparse_event_ids;
+    prop_frame_verdicts;
     prop_insgrow_incremental;
   ]

@@ -226,6 +226,23 @@ let test_lazy_materialisation () =
   Alcotest.(check int) "cached, not re-copied" (Sequence.length s)
     (Metrics.value Metrics.store_resident_words - before)
 
+(* Closure checks read dense views, not sequences: on a store the view
+   is built from the mapped events, once, and equals the heap database's
+   view of the same corpus. *)
+let test_dense_views () =
+  let heap, _ = Seq_io.parse_tokens fixture_text in
+  let mapped, _ = Store.open_db (fixture "good.rgsdb") in
+  let before = Metrics.value Metrics.store_resident_words in
+  let v = Seqdb.dense_seq mapped 2 in
+  Alcotest.(check (array int)) "mapped view = heap view" (Seqdb.dense_seq heap 2) v;
+  Alcotest.(check int) "one view resident" (Array.length v)
+    (Metrics.value Metrics.store_resident_words - before);
+  Alcotest.(check bool) "cached" true (Seqdb.dense_seq mapped 2 == v);
+  let alpha = Seqdb.dense_alphabet heap in
+  Alcotest.(check (array int)) "dense ids of the sequence"
+    (Array.map (Alphabet.dense alpha) (Sequence.to_array (Seqdb.seq heap 2)))
+    v
+
 let test_open_metrics_and_trace () =
   let opens = Metrics.value Metrics.store_opens in
   let checks = Metrics.value Metrics.store_crc_checks in
@@ -296,6 +313,7 @@ let suite =
     Alcotest.test_case "empty database round-trip" `Quick test_empty_db;
     Alcotest.test_case "lazy sequence materialisation" `Quick
       test_lazy_materialisation;
+    Alcotest.test_case "dense views of a mapped store" `Quick test_dense_views;
     Alcotest.test_case "open metrics and trace instants" `Quick
       test_open_metrics_and_trace;
     Alcotest.test_case "daemon store preload" `Quick test_daemon_preload;
