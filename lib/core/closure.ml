@@ -13,22 +13,21 @@ exception Prunable
    - [bases.(r)] caches grow(owner, candidate r): the base set of an
      insertion at gap k+1. It depends on the prefix alone, so every
      descendant of the owner shares it.
-   - [keys]/[sets]/[grown] are extension states, in ascending key
-     [j * ncands + r]: the set of inserting candidate [r] at gap [j] after
-     [grown] of the owner's suffix events. The owner's check records one
-     for every candidate that passed its bound; a child that grows a
-     candidate the owner did not adds the state at the owner's length, for
-     its later siblings. The owner's children resume these growths.
+   - [states] are extension states, in ascending [key = j * ncands + r]:
+     the set of inserting candidate [r] at gap [j] after [grown] of the
+     owner's suffix events. The owner's check records one for every
+     candidate that passed its bound; a child that grows a candidate the
+     owner did not adds the state at the owner's length, for its later
+     siblings. The owner's children resume these growths.
    - [fl]/[rl] hold the owner's landmark envelope rows once [rows] is set,
      row [c] for the owner's [c]-th group, one entry per pattern event.
      The owner's children derive theirs from them. *)
+type state = { key : int; set : Support_set.t; grown : int }
+
 type frame = {
   mutable owner : Support_set.t;
   bases : Support_set.t option array;
-  mutable n : int;
-  mutable keys : int array;
-  mutable sets : Support_set.t array;
-  mutable grown : int array;
+  mutable states : state list;
   mutable rows : bool;
   mutable fl : int array;
   mutable rl : int array;
@@ -52,12 +51,11 @@ type stack = {
   touched : int array;
   mutable views : int array array;
   mutable frames : frame array;
-  late : frame;
 }
 
 let new_frame n =
-  { owner = Support_set.empty; bases = Array.make n None; n = 0; keys = [||];
-    sets = [||]; grown = [||]; rows = false; fl = [||]; rl = [||] }
+  { owner = Support_set.empty; bases = Array.make n None; states = [];
+    rows = false; fl = [||]; rl = [||] }
 
 let stack idx ~candidate_events =
   let cands = Array.of_list candidate_events in
@@ -77,7 +75,6 @@ let stack idx ~candidate_events =
     touched = Array.make n 0;
     views = [||];
     frames = [||];
-    late = new_frame 0;
   }
 
 (* what a root reads as its parent's frame: no extension states, no rows;
@@ -87,8 +84,7 @@ let no_parent = new_frame 0
 (* Hands [f] to [owner], dropping what it held for the previous one. *)
 let release f owner =
   f.owner <- owner;
-  Array.fill f.sets 0 f.n Support_set.empty;
-  f.n <- 0;
+  f.states <- [];
   f.rows <- false;
   Array.fill f.bases 0 (Array.length f.bases) None
 
@@ -111,42 +107,9 @@ let claim_frames st prefix_sets m =
       else if f.owner != Support_set.empty then release f Support_set.empty)
     st.frames
 
-(* room for [n] extension states in [f] *)
-let reserve f n =
-  let len = Array.length f.keys in
-  if len < n then begin
-    let cap = max n (max 8 (2 * len)) in
-    let extend a fill = Array.append a (Array.make (cap - len) fill) in
-    f.keys <- extend f.keys 0;
-    f.sets <- extend f.sets Support_set.empty;
-    f.grown <- extend f.grown 0
-  end
-
-let push f key set grown =
-  reserve f (f.n + 1);
-  f.keys.(f.n) <- key;
-  f.sets.(f.n) <- set;
-  f.grown.(f.n) <- grown;
-  f.n <- f.n + 1
-
-(* Merges [late]'s extension states into [f]'s, backwards in place; both
-   ascend by key and share none. *)
-let merge_into f late =
-  reserve f (f.n + late.n);
-  let copy w src i =
-    f.keys.(w) <- src.keys.(i);
-    f.sets.(w) <- src.sets.(i);
-    f.grown.(w) <- src.grown.(i)
-  in
-  let i = ref (f.n - 1) in
-  for k = late.n - 1 downto 0 do
-    while !i >= 0 && f.keys.(!i) > late.keys.(k) do
-      copy (!i + k + 1) f !i;
-      decr i
-    done;
-    copy (!i + k + 1) late k
-  done;
-  f.n <- f.n + late.n
+let rec drop_below key = function
+  | x :: rest when x.key < key -> drop_below key rest
+  | l -> l
 
 (* Greedy rightmost landmark of the dense pattern [pd] in the dense view
    [ds] (0-based), written 1-based to [dst.(off) .. dst.(off + m - 1)];
@@ -183,7 +146,6 @@ let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
   let alpha = Seqdb.dense_alphabet db in
   claim_frames st prefix_sets m;
   let own = st.frames.(m - 1) in
-  own.n <- 0;
   (* the parent's frame, already wiped if it belongs to another prefix *)
   let parent = if m >= 2 then st.frames.(m - 2) else no_parent in
   let ncands = Array.length st.cands in
@@ -312,11 +274,10 @@ let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
       b
   in
   let non_closed = ref has_equal_append in
-  (* [ptr] walks the parent's extension states in key order, alongside the
-     candidates of every gap. *)
-  let ptr = ref 0 in
-  let late = st.late in
-  late.n <- 0;
+  (* [pending] walks the parent's extension states in key order, alongside
+     the candidates of every gap; [states] and [late] collect this check's
+     and the parent's new ones, newest first. *)
+  let pending = ref parent.states and states = ref [] and late = ref [] in
   (* Insertion position j in [0 .. m-1]: extension e1..ej e' e_{j+1}..e_m. *)
   let scan_position j =
     gap_bounds j;
@@ -327,17 +288,15 @@ let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
         Metrics.hit Metrics.closure_base_grows;
         let r = sel.(k) in
         let key = (j * ncands) + r in
-        while !ptr < parent.n && parent.keys.(!ptr) < key do
-          incr ptr
-        done;
+        pending := drop_below key !pending;
         (* The parent P stopped this growth below sup(P) or finished it;
            sup(Q) <= sup(P) and INSgrow is exact from a leftmost support
            set, so continuing it yields exactly the set a regrowth from
            the base would. *)
-        let found = !ptr < parent.n && parent.keys.(!ptr) = key in
-        let s, t =
-          if found then (ref parent.sets.(!ptr), ref parent.grown.(!ptr))
-          else (ref (base j r), ref 0)
+        let s, t, found =
+          match !pending with
+          | x :: _ when x.key = key -> (ref x.set, ref x.grown, true)
+          | _ -> (ref (base j r), ref 0, false)
         in
         let grow_to n =
           while !t < n && Support_set.size !s >= sup_p do
@@ -349,10 +308,10 @@ let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
           (* P's share of the suffix, e_{j+1}..e_{m-1}: the state P would
              have kept, handed to this node's siblings *)
           grow_to (m - 1 - j);
-          push late key !s !t
+          late := { key; set = !s; grown = !t } :: !late
         end;
         grow_to (m - j);
-        push own key !s !t;
+        states := { key; set = !s; grown = !t } :: !states;
         if !t = m - j && Support_set.size !s >= sup_p then begin
           (* sup(P') <= sup(P) by Lemma 1, so reaching sup(P) means
              equality. *)
@@ -374,7 +333,12 @@ let check ?(trace = Trace.null) st ~prefix_sets ~pattern ~has_equal_append =
     | () -> false
     | exception Prunable -> true
   in
-  if late.n > 0 then merge_into parent late;
+  own.states <- List.rev !states;
+  (match !late with
+  | [] -> ()
+  | l ->
+    parent.states <-
+      List.merge (fun a b -> Int.compare a.key b.key) parent.states (List.rev l));
   if pruned then begin
     Trace.instant trace Trace.Closure_check ~a0:2 ~a1:m;
     { closed = false; prunable = true }
