@@ -83,10 +83,11 @@ val check :
     correct; DFS order is what makes the frames pay off. The verdict, and
     every [closure_*] counter, is the one a fresh stack gives.
 
-    The scratch (slots, counters, views) and the envelope rows live in
-    [stack] and are reset through its touched lists, not allocated per
-    call: a check allocates its candidates' extension sets, and grows the
-    scratch only when a pattern has more groups than any before it.
+    Scratch is not allocated per call. The slots, counters and views
+    live in [stack] and are reset through its touched lists, and each
+    frame reuses its envelope rows: a check allocates its candidates'
+    extension sets, and grows an array only when a pattern needs more
+    room than any before it.
 
     [trace] (default {!Trace.null}) records one [Closure_check] instant per
     call at the [Nodes] level, carrying the verdict (0 closed, 1

@@ -323,7 +323,7 @@ let agrees_with_standalone idx events pattern set (v : Closure.verdict) =
      = Closure.is_closed ~events idx pattern
 
 let logging_closed log =
-  let logged (mk : Inverted_index.t -> events:Event.t list -> trace:Trace.t -> Engine.closure_spec) idx ~events ~trace =
+  let logged mk idx ~events ~trace =
     let spec = mk idx ~events ~trace in
     {
       spec with
@@ -367,29 +367,33 @@ let frame_verdicts_agree (db, min_sup, (mapped, sparse_ids, seed)) =
   let frequent, _ = Engine.mine Gsgrow.strategy ~max_length idx ~min_sup in
   let patterns = Array.of_list (List.map (fun r -> r.Mined.pattern) frequent) in
   shuffle seed patterns;
+  (* one support set per prefix, keyed by the reversed prefix *)
   let memo = Hashtbl.create 64 in
   let rec prefix_set = function
     | [] -> assert false
-    | [ e ] as key -> memoised key (fun () -> Support_set.of_event idx e)
-    | rev_key ->
-      memoised rev_key (fun () ->
-          Support_set.grow idx (prefix_set (List.tl rev_key)) (List.hd rev_key))
-  and memoised key f =
-    match Hashtbl.find_opt memo key with
-    | Some s -> s
-    | None ->
-      let s = f () in
-      Hashtbl.add memo key s;
-      s
+    | e :: rest as key -> (
+      match Hashtbl.find_opt memo key with
+      | Some s -> s
+      | None ->
+        let s =
+          if rest = [] then Support_set.of_event idx e
+          else Support_set.grow idx (prefix_set rest) e
+        in
+        Hashtbl.add memo key s;
+        s)
   in
   let stack = Closure.stack idx ~candidate_events:events in
   let replay_ok =
     Array.for_all
       (fun p ->
-        let l = Pattern.to_list p in
+        let rev = ref [] in
         let prefix_sets =
-          Array.init (List.length l) (fun k ->
-              prefix_set (List.rev (List.filteri (fun i _ -> i <= k) l)))
+          Array.of_list
+            (List.map
+               (fun e ->
+                 rev := e :: !rev;
+                 prefix_set !rev)
+               (Pattern.to_list p))
         in
         let set = prefix_sets.(Array.length prefix_sets - 1) in
         let v =
