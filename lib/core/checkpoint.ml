@@ -42,22 +42,28 @@ let fingerprint ~params db =
 
 (* --- CRC32 (zlib polynomial), table-based --- *)
 
+(* built eagerly: [Lazy.force] is not domain-safe in OCaml 5, and the
+   frame readers of several domains checksum concurrently *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let table = Lazy.force crc_table in
+let crc32_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Checkpoint.crc32_sub";
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    c :=
+      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let crc32 s = crc32_sub s 0 (String.length s)
 
 (* --- record framing: 4-byte LE length, 4-byte LE CRC32, payload --- *)
 

@@ -107,8 +107,14 @@ val sweep_stale_temps : string -> unit
     the checkpoint's directory before creating its own temp. *)
 
 val crc32 : string -> int
-(** The frame checksum (zlib polynomial), exposed for tests and fixture
-    generation. *)
+(** The frame checksum (CRC-32, zlib polynomial) shared by checkpoint
+    records, daemon frames and worker frames; exposed for tests and
+    fixture generation. [crc32 "123456789" = 0xCBF43926]. *)
+
+val crc32_sub : string -> int -> int -> int
+(** [crc32_sub s off len] is [crc32 (String.sub s off len)] without the
+    copy — what the worker frame codec checksums its reused buffers with.
+    @raise Invalid_argument when the range is outside [s]. *)
 
 val encode_record : record -> string
 (** The payload of one record frame (FORMAT.md Appendix A), exposed for

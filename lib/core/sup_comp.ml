@@ -49,18 +49,3 @@ let reconstruct idx p set =
       () set;
     List.rev !out
   end
-
-let grow_from idx i q =
-  let acc = ref i in
-  for j = 1 to Pattern.length q do
-    acc := Support_set.grow idx !acc (Pattern.get q j)
-  done;
-  !acc
-
-let grow_from_until idx i q ~min_size =
-  let rec loop acc j =
-    if Support_set.size acc < min_size then None
-    else if j > Pattern.length q then Some acc
-    else loop (Support_set.grow idx acc (Pattern.get q j)) (j + 1)
-  in
-  loop i 1

@@ -31,17 +31,3 @@ val reconstruct :
     occurrence list of the pattern's first event.
     @raise Invalid_argument when [set] is not a leftmost support set of
     [p] in the index's database. *)
-
-val grow_from :
-  Inverted_index.t -> Support_set.t -> Pattern.t -> Support_set.t
-(** [grow_from idx i q] extends a leftmost support set [I] of some pattern
-    [P] into the leftmost support set of [P ◦ Q] by folding [INSgrow] over
-    the events of [Q]. Used by the closure checks to grow an extended prefix
-    back to a full extended pattern. *)
-
-val grow_from_until :
-  Inverted_index.t -> Support_set.t -> Pattern.t -> min_size:int -> Support_set.t option
-(** As {!grow_from} but aborts with [None] as soon as the intermediate
-    support drops below [min_size] — support sets only shrink under growth
-    (Lemma 1), so the final support cannot reach [min_size] anymore. Used to
-    cut off closure-check extension growth early. *)

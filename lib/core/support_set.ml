@@ -259,80 +259,145 @@ let combine a b =
     { groups = out; total = a.total + b.total }
   end
 
-(* --- wire codec. Little-endian int64 per value, trimmed to the live
-   [len] prefix of each group (the slack slots are a heap-sharing
+(* --- wire codec: canonical LEB128 varints, delta-coded, trimmed to the
+   live [len] prefix of each group (slack slots are a heap-sharing
    artifact and never cross a process boundary):
 
-     total_groups, total, then per group: gseq, len, firsts[0..len),
-     lasts[0..len).
+     num_groups, total, then per group:
+       gseq - previous gseq (>= 1; the first group's previous is 0),
+       len (>= 1),
+       then per instance: last - previous last (the group's first
+       instance counts from 0), last - first.
 
-   [decode] is a trust boundary — worker replies arrive through it — so
-   it re-validates everything [well_formed] would check (strict
-   right-shift order, ascending gseq, total consistency) plus exact
-   buffer length, and raises [Invalid_argument] rather than letting a
-   malformed set corrupt a merge. *)
+   Right-shift order makes every delta non-negative, so the format
+   cannot even express a descending group; FORMAT.md Appendix B is the
+   normative spec. [decode] is a trust boundary — worker frames carry
+   these bytes — so it re-validates what [well_formed] would check
+   (strict right-shift order, ascending gseq, no empty group, total
+   consistency), demands exact length, bounds every count by the bytes
+   left before allocating, and refuses overlong varints and values past
+   [max_int]: exactly one byte string decodes to each set. *)
 
-let encode s =
-  let words =
-    2 + Array.fold_left (fun n g -> n + 2 + (2 * g.len)) 0 s.groups
-  in
-  let buf = Buffer.create (words * 8) in
-  let put v = Buffer.add_int64_le buf (Int64.of_int v) in
-  put (Array.length s.groups);
-  put s.total;
+(* a non-negative int (62 bits) takes at most 9 varint bytes *)
+let varint_max = 9
+
+let put_varint b off v =
+  let off = ref off and v = ref v in
+  while !v >= 0x80 do
+    Bytes.unsafe_set b !off (Char.unsafe_chr (!v land 0x7F lor 0x80));
+    v := !v lsr 7;
+    incr off
+  done;
+  Bytes.unsafe_set b !off (Char.unsafe_chr !v);
+  !off + 1
+
+let get_varint buf pos ~stop =
+  let p = ref !pos and acc = ref 0 and shift = ref 0 and fin = ref false in
+  while not !fin do
+    if !p >= stop then invalid_arg "varint: truncated";
+    let b = Char.code (String.unsafe_get buf !p) in
+    incr p;
+    (* the ninth byte holds bits 56..61: anything above 0x3F either
+       continues past 9 bytes or sets bit 62, both past max_int *)
+    if !shift = 56 && b > 0x3F then invalid_arg "varint: value past max_int";
+    acc := !acc lor ((b land 0x7F) lsl !shift);
+    if b < 0x80 then begin
+      if b = 0 && !shift > 0 then invalid_arg "varint: overlong";
+      fin := true
+    end
+    else shift := !shift + 7
+  done;
+  pos := !p;
+  !acc
+
+let encode_bound s = varint_max * (2 + (2 * Array.length s.groups) + (2 * s.total))
+
+let encode_into s b off =
+  if off < 0 || off > Bytes.length b - encode_bound s then
+    invalid_arg "Support_set.encode_into: buffer too small";
+  let o = ref (put_varint b off (Array.length s.groups)) in
+  o := put_varint b !o s.total;
+  let prev_gseq = ref 0 in
   Array.iter
     (fun g ->
-      put g.gseq;
-      put g.len;
+      o := put_varint b !o (g.gseq - !prev_gseq);
+      prev_gseq := g.gseq;
+      o := put_varint b !o g.len;
+      let firsts = g.firsts and lasts = g.lasts in
+      let prev_last = ref 0 in
       for k = 0 to g.len - 1 do
-        put g.firsts.(k)
-      done;
-      for k = 0 to g.len - 1 do
-        put g.lasts.(k)
+        let last = lasts.(k) in
+        o := put_varint b !o (last - !prev_last);
+        o := put_varint b !o (last - firsts.(k));
+        prev_last := last
       done)
     s.groups;
-  Buffer.contents buf
+  !o
 
-let decode buf =
+let encode s =
+  let b = Bytes.create (encode_bound s) in
+  let n = encode_into s b 0 in
+  Bytes.sub_string b 0 n
+
+let decode_sub buf ~off ~len =
   let fail msg = invalid_arg ("Support_set.decode: " ^ msg) in
-  let nbytes = String.length buf in
-  if nbytes < 16 || nbytes mod 8 <> 0 then fail "truncated buffer";
-  let nwords = nbytes / 8 in
-  let word i =
-    let v64 = String.get_int64_le buf (i * 8) in
-    let v = Int64.to_int v64 in
-    if Int64.of_int v <> v64 || v < 0 then fail "value out of range";
-    v
-  in
-  let num_groups = word 0 in
-  let total = word 1 in
-  (* every group costs at least 4 words; bound before allocating *)
-  if num_groups > (nwords - 2) / 4 then fail "group count exceeds buffer";
+  if off < 0 || len < 0 || off > String.length buf - len then
+    invalid_arg "Support_set.decode_sub: range outside the buffer";
+  let stop = off + len in
+  let pos = ref off in
+  let num_groups = get_varint buf pos ~stop in
+  let total = get_varint buf pos ~stop in
+  (* a group costs at least 4 bytes (gap, len, one instance's two
+     varints) and an instance at least 2: bound before allocating *)
+  if num_groups > (stop - !pos) / 4 then fail "group count exceeds buffer";
   let groups = Array.make num_groups empty_group in
-  let pos = ref 2 in
   let prev_gseq = ref 0 in
+  let sum = ref 0 in
   for gi = 0 to num_groups - 1 do
-    if !pos + 2 > nwords then fail "truncated group header";
-    let gseq = word !pos in
-    let len = word (!pos + 1) in
-    if gseq <= !prev_gseq then fail "sequence ids not ascending";
+    let gap = get_varint buf pos ~stop in
+    if gap = 0 then fail "sequence ids not ascending";
+    if gap > max_int - !prev_gseq then fail "sequence id past max_int";
+    let gseq = !prev_gseq + gap in
     prev_gseq := gseq;
-    if len = 0 then fail "empty group";
-    if len > (nwords - !pos - 2) / 2 then fail "group length exceeds buffer";
-    let firsts = Array.init len (fun k -> word (!pos + 2 + k)) in
-    let lasts = Array.init len (fun k -> word (!pos + 2 + len + k)) in
-    for k = 1 to len - 1 do
-      if
-        lasts.(k - 1) > lasts.(k)
-        || (lasts.(k - 1) = lasts.(k) && firsts.(k - 1) >= firsts.(k))
-      then fail "instances out of right-shift order"
+    let n = get_varint buf pos ~stop in
+    if n = 0 then fail "empty group";
+    if n > (stop - !pos) / 2 then fail "group length exceeds buffer";
+    let firsts = Array.make n 0 and lasts = Array.make n 0 in
+    let prev_last = ref 0 and prev_first = ref 0 in
+    for k = 0 to n - 1 do
+      let delta = get_varint buf pos ~stop in
+      if delta > max_int - !prev_last then fail "position past max_int";
+      let last = !prev_last + delta in
+      let span = get_varint buf pos ~stop in
+      if span > last then fail "first position below zero";
+      let first = last - span in
+      (* lasts never descend (delta >= 0); a tie must ascend in first *)
+      if k > 0 && delta = 0 && first <= !prev_first then
+        fail "instances out of right-shift order";
+      Array.unsafe_set firsts k first;
+      Array.unsafe_set lasts k last;
+      prev_last := last;
+      prev_first := first
     done;
-    groups.(gi) <- { gseq; len; firsts; lasts };
-    pos := !pos + 2 + (2 * len)
+    groups.(gi) <- { gseq; len = n; firsts; lasts };
+    sum := !sum + n
   done;
-  if !pos <> nwords then fail "trailing bytes";
-  if total_of groups <> total then fail "total mismatch";
+  if !pos <> stop then fail "trailing bytes";
+  if !sum <> total then fail "total mismatch";
   { groups; total }
+
+let decode buf = decode_sub buf ~off:0 ~len:(String.length buf)
+
+(* Groups are immutable once built, so physically equal group records
+   imply equal content: the supervisor's slot table compares the slices
+   it ships this way, in O(groups) and without touching instances. *)
+let same_groups a b =
+  a == b
+  || Array.length a.groups = Array.length b.groups
+     &&
+     let same = ref true in
+     Array.iteri (fun k g -> if g != b.groups.(k) then same := false) a.groups;
+     !same
 
 (* Content equality over the live prefixes — the arrays may carry slack
    slots and be shared, so structural array equality would be wrong in both

@@ -116,18 +116,61 @@ val combine : t -> t -> t
     @raise Invalid_argument when the operands share a sequence id. *)
 
 val encode : t -> string
-(** Serialise for the wire (shard worker replies): little-endian int64
-    words — group count, total, then per group [gseq], [len], the live
-    [firsts] prefix, the live [lasts] prefix. Slack slots are trimmed,
-    so [encode] is a pure function of the set's {e content}:
-    [encode a = encode b] whenever [equal a b]. *)
+(** Serialise for the worker wire (FORMAT.md Appendix B): canonical
+    LEB128 varints — group count, total, then per group the sequence id
+    as its gap from the previous group's, the live length, and per
+    instance [last] as its delta from the previous [last] and [first]
+    as [last - first]. Slack slots are trimmed, so [encode] is a pure
+    function of the set's {e content}: [encode a = encode b] whenever
+    [equal a b]. *)
+
+val encode_bound : t -> int
+(** An upper bound on [String.length (encode s)], O(1). *)
+
+val encode_into : t -> bytes -> int -> int
+(** [encode_into s b off] writes [encode s] into [b] at [off] and
+    returns the offset just past it — the frame writers reuse one
+    buffer per connection this way.
+    @raise Invalid_argument unless [b] has {!encode_bound} bytes free
+    at [off]. *)
 
 val decode : string -> t
 (** Inverse of {!encode}. A trust boundary: the input may come from a
     crashed or corrupted worker process, so every {!well_formed}
-    invariant (strict right-shift order, ascending sequence ids, total
-    consistency) plus exact buffer length is re-validated.
+    invariant (strict right-shift order, ascending sequence ids, no
+    empty group, total consistency) plus exact buffer length is
+    re-validated; every count is bounded by the bytes left before
+    anything is allocated, and overlong varints and values past
+    [max_int] are refused, so exactly one byte string decodes to each
+    set. Decoding allocates the result only.
     @raise Invalid_argument on any malformed input. *)
+
+val decode_sub : string -> off:int -> len:int -> t
+(** [decode_sub buf ~off ~len] decodes exactly the bytes
+    [[off, off + len)] of [buf], as {!decode} on that substring but
+    without copying it. @raise Invalid_argument as {!decode}, and when
+    the range lies outside [buf]. *)
+
+val same_groups : t -> t -> bool
+(** [same_groups a b]: both sets consist of physically the same group
+    records in the same order. Groups are immutable, so this implies
+    [equal a b]; it costs O(groups) and reads no instance. Two
+    {!slice}s of one set over the same range always qualify — what the
+    supervisor's slot table relies on to skip re-shipping a parent. *)
+
+(**/**)
+
+val put_varint : bytes -> int -> int -> int
+(** Internal: [put_varint b off v] writes non-negative [v] as a
+    canonical LEB128 varint at [off] (at most 9 bytes, unchecked) and
+    returns the offset past it. Shared with the worker frame codec. *)
+
+val get_varint : string -> int ref -> stop:int -> int
+(** Internal: read one canonical varint at [!pos], advancing [pos].
+    @raise Invalid_argument when truncated at [stop], overlong, or past
+    [max_int]. *)
+
+(**/**)
 
 val equal : t -> t -> bool
 (** Content equality over live prefixes (slack slots and sharing are

@@ -72,6 +72,9 @@ let shard_merge_ns = register "shard_merge_ns" Counter
 let worker_spawns = register "worker_spawns" Counter
 let worker_restarts = register "worker_restarts" Counter
 let worker_heartbeats_missed = register "worker_heartbeats_missed" Counter
+let worker_bytes_sent = register "worker_bytes_sent" Counter
+let worker_bytes_received = register "worker_bytes_received" Counter
+let worker_slot_hits = register "worker_slot_hits" Counter
 let shard_quarantines = register "shard_quarantines" Counter
 let supervisor_degraded = register "supervisor_degraded" Gauge
 

@@ -246,6 +246,20 @@ val worker_heartbeats_missed : counter
     [Supervisor.config.liveness_timeout_s]); each miss triggers the
     restart path. *)
 
+val worker_bytes_sent : counter
+(** Bytes the supervisor wrote to worker pipes: every frame, header
+    included. Unlike perfbench's [supervisor.mb_shipped], which sums the
+    encoded size of every slice whether shipped or not, this counts
+    only what crossed the socket — a slot hit ships no slice. *)
+
+val worker_bytes_received : counter
+(** Bytes the supervisor read from worker pipes: handshakes, heartbeats
+    and replies, headers included. *)
+
+val worker_slot_hits : counter
+(** [Grow] requests that named a parent slice the worker already held
+    in a slot, so the slice itself did not cross the pipe. *)
+
 val shard_quarantines : counter
 (** Shards whose worker exhausted its per-shard restart budget; the
     supervisor stops re-spawning them and computes those shards

@@ -70,17 +70,16 @@ let rec write_all fd b off len =
     | n -> write_all fd b (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
-(* [None] only on EOF before the first byte; a read timeout (SO_RCVTIMEO
+(* [false] only on EOF before the first byte; a read timeout (SO_RCVTIMEO
    makes the read fail with EAGAIN) becomes Protocol_error so callers
    under timeout discipline cannot hang. *)
-let read_exact fd len =
-  let b = Bytes.create len in
+let read_into fd b len =
   let rec go off =
-    if off >= len then Some b
+    if off >= len then true
     else
       match Unix.read fd b off (len - off) with
       | 0 ->
-        if off = 0 then None
+        if off = 0 then false
         else raise (Protocol_error "connection closed mid-frame")
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
@@ -88,6 +87,10 @@ let read_exact fd len =
         raise (Protocol_error "read timeout")
   in
   go 0
+
+let read_exact fd len =
+  let b = Bytes.create len in
+  if read_into fd b len then Some b else None
 
 let put_u32 b off v =
   Bytes.set b off (Char.chr ((v lsr 24) land 0xff));

@@ -132,6 +132,17 @@ val read_frame : Unix.file_descr -> string option
 (** Read one frame; [None] on a clean EOF at a frame boundary.
     @raise Protocol_error on a torn frame, bad CRC or oversized length. *)
 
+val write_all : Unix.file_descr -> bytes -> int -> int -> unit
+(** [write_all fd b off len] writes the whole range, across short
+    writes. *)
+
+val read_into : Unix.file_descr -> bytes -> int -> bool
+(** [read_into fd b len] fills [b]'s first [len] bytes — the frame
+    readers that reuse one buffer per connection. [false] on a clean EOF
+    before the first byte. @raise Protocol_error on an EOF mid-way
+    (["connection closed mid-frame"]) or when [SO_RCVTIMEO] expires
+    (["read timeout"]). *)
+
 val hello : string
 (** The 5 hello bytes for {!version}. *)
 

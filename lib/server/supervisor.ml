@@ -53,7 +53,7 @@ let config ?(heartbeat_ms = 50) ?(liveness_timeout_s = 5.0)
     worker_env;
   }
 
-type proc = { pid : int; fd : Unix.file_descr }
+type proc = { pid : int; conn : Shard_worker.conn }
 
 type worker = {
   shard : int;
@@ -65,6 +65,10 @@ type worker = {
   mutable quarantined : bool;
   mutable grows : int;  (* requests served by the current incarnation *)
   mutable span_start : int;  (* Trace.now at the current spawn *)
+  held : Support_set.t option array;
+      (* what this supervisor placed in each of the incarnation's slots *)
+  last_use : int array;  (* per slot, [tick] at its last use; 0 = empty *)
+  mutable tick : int;
 }
 
 type t = {
@@ -140,13 +144,49 @@ let rec reap pid =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
   | exception Unix.Unix_error _ -> ()
 
+(* --- the slot table: the supervisor's exact mirror of the parent
+   slices the live incarnation holds (Shard_worker's slots). Call these
+   with [w.lock] held. A fresh incarnation holds nothing, so every spawn
+   and teardown forgets the whole table. *)
+
+let forget_slots w =
+  Array.fill w.held 0 Shard_worker.slots None;
+  Array.fill w.last_use 0 Shard_worker.slots 0
+
+(* The slot and payload for shipping slice [s]: the slot already holding
+   physically the same groups when there is one (and [inline] is not
+   forced), else the least recently used slot, refilled inline. *)
+let place w s ~inline =
+  w.tick <- w.tick + 1;
+  let hit = ref (-1) in
+  if not inline then
+    Array.iteri
+      (fun k h ->
+        match h with
+        | Some h when !hit < 0 && Support_set.same_groups h s -> hit := k
+        | _ -> ())
+      w.held;
+  if !hit >= 0 then begin
+    w.last_use.(!hit) <- w.tick;
+    Metrics.hit Metrics.worker_slot_hits;
+    (!hit, Shard_worker.Held)
+  end
+  else begin
+    let victim = ref 0 in
+    Array.iteri (fun k u -> if u < w.last_use.(!victim) then victim := k) w.last_use;
+    w.held.(!victim) <- Some s;
+    w.last_use.(!victim) <- w.tick;
+    (!victim, Shard_worker.Inline s)
+  end
+
 (* record the incarnation's lifetime span, kill it, reap it *)
 let teardown t w p =
   Trace.span t.trace Trace.Proc_worker ~a0:w.shard ~a1:w.grows
     ~start:w.span_start;
   (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try Unix.close p.fd with Unix.Unix_error _ -> ());
+  (try Unix.close (Shard_worker.fd p.conn) with Unix.Unix_error _ -> ());
   reap p.pid;
+  forget_slots w;
   w.proc <- None
 
 let degrade t ~reason =
@@ -239,10 +279,12 @@ let spawn t w =
       in
       (* handshake: [Ready] is the worker's first frame, sent before its
          index build, so this read is bounded by exec + store-map time *)
-      (match Shard_worker.read_from_worker parent with
+      let conn = Shard_worker.conn parent in
+      (match Shard_worker.read_from_worker conn with
       | Some (Shard_worker.Ready { lo; hi; digest })
         when lo = w.lo && hi = w.hi && digest = t.digest ->
-        w.proc <- Some { pid; fd = parent };
+        forget_slots w;
+        w.proc <- Some { pid; conn };
         Log.debug (fun m -> m "shard %d: worker pid %d ready" w.shard pid);
         Ok ()
       | Some (Shard_worker.Ready _) ->
@@ -280,7 +322,7 @@ let restart t w ~reason =
 
 let await t w p ~req =
   let rec go () =
-    match Shard_worker.read_from_worker p.fd with
+    match Shard_worker.read_from_worker p.conn with
     | Some Shard_worker.Heartbeat -> go ()
     | Some (Shard_worker.Grown { req = r; part }) when r = req -> Ok part
     | Some (Shard_worker.Grown _) -> Error "stale reply frame"
@@ -302,10 +344,19 @@ let await t w p ~req =
   ignore w;
   go ()
 
+(* send one [Grow] for slice [s]; a resend ([inline]) always ships the
+   slice itself *)
+let send_grow t w p s ~event ~inline =
+  let req = Atomic.fetch_and_add t.req_counter 1 in
+  let slot, slice = place w s ~inline in
+  Shard_worker.write_to_worker p.conn
+    (Shard_worker.Grow { req; event; gap = t.cfg.gap; slot; slice });
+  req
+
 (* one request against one shard, with restart + resend on failure.
    Call with [w.lock] held; [sent] carries the fan-out phase's request id
    when the send already happened. [None] = compute this part in-process. *)
-let rec exchange t w ~enc ~event ~sent =
+let rec exchange t w s ~event ~sent =
   if w.quarantined || Atomic.get t.degraded || Atomic.get t.closed then None
   else if not (ensure t w) then None
   else begin
@@ -314,28 +365,19 @@ let rec exchange t w ~enc ~event ~sent =
       match sent with
       | Some req -> await t w p ~req
       | None -> (
-        let req = Atomic.fetch_and_add t.req_counter 1 in
-        match
-          Shard_worker.write_to_worker p.fd
-            (Shard_worker.Grow { req; event; gap = t.cfg.gap; part = enc })
-        with
-        | () -> await t w p ~req
+        match send_grow t w p s ~event ~inline:true with
+        | req -> await t w p ~req
         | exception Unix.Unix_error (e, _, _) ->
           Error ("send: " ^ Unix.error_message e)
         | exception Protocol.Protocol_error msg -> Error ("send: " ^ msg))
     in
     match outcome with
-    | Ok part -> (
-      match Support_set.decode part with
-      | s ->
-        w.grows <- w.grows + 1;
-        Some s
-      | exception Invalid_argument msg ->
-        restart t w ~reason:msg;
-        exchange t w ~enc ~event ~sent:None)
+    | Ok part ->
+      w.grows <- w.grows + 1;
+      Some part
     | Error reason ->
       restart t w ~reason;
-      exchange t w ~enc ~event ~sent:None
+      exchange t w s ~event ~sent:None
   end
 
 (* --- the dispatch closure handed to [Shard_merge] --- *)
@@ -353,10 +395,10 @@ let dispatch t : Shard_merge.dispatch =
        rather than ship slices to workers holding different shards *)
   then Array.init n inproc
   else begin
-    let encs =
+    let slices =
       Array.init n (fun i ->
           let lo, hi = ranges.(i) in
-          Support_set.encode (Support_set.slice s ~lo ~hi))
+          Support_set.slice s ~lo ~hi)
     in
     (* Fan out: take every shard's lock in ascending order and send its
        request, so all workers compute concurrently; then collect (and
@@ -370,12 +412,8 @@ let dispatch t : Shard_merge.dispatch =
       Mutex.lock w.lock;
       if (not (w.quarantined || Atomic.get t.degraded)) && ensure t w then begin
         let p = match w.proc with Some p -> p | None -> assert false in
-        let req = Atomic.fetch_and_add t.req_counter 1 in
-        match
-          Shard_worker.write_to_worker p.fd
-            (Shard_worker.Grow { req; event = e; gap = t.cfg.gap; part = encs.(i) })
-        with
-        | () -> sent.(i) <- Some req
+        match send_grow t w p slices.(i) ~event:e ~inline:false with
+        | req -> sent.(i) <- Some req
         | exception Unix.Unix_error (err, _, _) ->
           restart t w ~reason:("send: " ^ Unix.error_message err)
         | exception Protocol.Protocol_error msg ->
@@ -385,7 +423,7 @@ let dispatch t : Shard_merge.dispatch =
     Array.init n (fun i ->
         let w = t.workers.(i) in
         let part =
-          match exchange t w ~enc:encs.(i) ~event:e ~sent:sent.(i) with
+          match exchange t w slices.(i) ~event:e ~sent:sent.(i) with
           | Some part -> part
           | None -> inproc i
         in
@@ -420,6 +458,9 @@ let create ?(trace = Trace.null) ?store cfg db =
           quarantined = false;
           grows = 0;
           span_start = 0;
+          held = Array.make Shard_worker.slots None;
+          last_use = Array.make Shard_worker.slots 0;
+          tick = 0;
         })
       ranges
   in
@@ -469,9 +510,9 @@ let shutdown t =
             ~start:w.span_start;
           (* polite first: Shutdown frame + close, then a short grace
              before SIGKILL so a mid-reply worker can finish its write *)
-          (try Shard_worker.write_to_worker p.fd Shard_worker.Shutdown
+          (try Shard_worker.write_to_worker p.conn Shard_worker.Shutdown
            with Unix.Unix_error _ | Protocol.Protocol_error _ -> ());
-          (try Unix.close p.fd with Unix.Unix_error _ -> ());
+          (try Unix.close (Shard_worker.fd p.conn) with Unix.Unix_error _ -> ());
           let deadline = Unix.gettimeofday () +. 0.5 in
           let rec wait () =
             match Unix.waitpid [ Unix.WNOHANG ] p.pid with
@@ -490,6 +531,7 @@ let shutdown t =
             | exception Unix.Unix_error _ -> ()
           in
           wait ();
+          forget_slots w;
           w.proc <- None);
         Mutex.unlock w.lock)
       t.workers;

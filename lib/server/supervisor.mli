@@ -5,9 +5,16 @@
     The supervisor owns one {!Shard_worker} process per shard of a
     {!Rgs_sequence.Seqdb.shard} layout. The mining DFS stays entirely in
     this process; only instance growth is delegated — {!dispatch}
-    produces a {!Rgs_core.Shard_merge.dispatch} closure that encodes each
-    shard's slice of the current support set, ships it to that shard's
-    worker over a CRC-framed socketpair, and decodes the grown parts. A
+    produces a {!Rgs_core.Shard_merge.dispatch} closure that sends each
+    shard's slice of the current support set to that shard's worker over
+    a CRC-framed socketpair and collects the grown parts. A slice crosses
+    the pipe once per parent: the supervisor mirrors each worker's
+    {!Shard_worker.slots} parent slots, names the slot instead of
+    re-shipping a slice whose group records are physically the ones it
+    placed there ({!Rgs_core.Support_set.same_groups}), refills slots
+    least recently used first, forgets them all whenever it spawns or
+    tears down a worker, and resends every failed request inline
+    ({!Rgs_sequence.Metrics.worker_slot_hits}). A
     crashing, hanging, or corrupting worker therefore cannot take the
     miner down or poison its state: the supervisor's failure detection
     (below) tears the incarnation down, restarts it with exponential
@@ -22,8 +29,11 @@
       [liveness_timeout_s] — [SO_RCVTIMEO] expires and the read raises
       {!Protocol.Protocol_error} ["read timeout"]
       ({!Rgs_sequence.Metrics.worker_heartbeats_missed});
-    - {b corruption}: a frame fails its CRC or is torn, or a reply body
-      fails {!Rgs_core.Support_set.decode}'s re-validation.
+    - {b corruption}: a frame fails its CRC or is torn, or its payload
+      fails the typed codec (FORMAT.md Appendix B) —
+      {!Rgs_core.Support_set.decode}'s re-validation included. A
+      handshake from a worker of another {!Shard_worker.wire_version}
+      fails here too, so a stale [rgsworker] is refused before it serves.
 
     {2 The state machine}
 

@@ -198,20 +198,6 @@ let test_reconstruct_from_triples () =
     (Invalid_argument "Sup_comp.reconstruct: set is not a leftmost support set of p")
     (fun () -> ignore (Sup_comp.reconstruct idx (p "ABC") bogus))
 
-let test_grow_from_until () =
-  let i = Support_set.of_event idx 0 in
-  (* growing A by BC: leftmost support set of ABC has size 4 *)
-  (match Sup_comp.grow_from_until idx i (p "BC") ~min_size:4 with
-  | Some i' -> Alcotest.(check int) "reached" 4 (Support_set.size i')
-  | None -> Alcotest.fail "expected Some");
-  (match Sup_comp.grow_from_until idx i (p "BC") ~min_size:5 with
-  | Some _ -> Alcotest.fail "expected early abort"
-  | None -> ());
-  (* abort can trigger mid-growth: B has 4 occurrences < 5 *)
-  (match Sup_comp.grow_from_until idx (Support_set.of_event idx 1) (p "C") ~min_size:5 with
-  | Some _ -> Alcotest.fail "expected abort on input size"
-  | None -> ())
-
 let suite =
   [
     Alcotest.test_case "instance compress" `Quick test_compress;
@@ -230,5 +216,4 @@ let suite =
     Alcotest.test_case "supComp edge cases" `Quick test_supcomp_edges;
     Alcotest.test_case "supComp within-sequence repeats" `Quick test_supcomp_single_sequence_repeats;
     Alcotest.test_case "reconstruct from triples" `Quick test_reconstruct_from_triples;
-    Alcotest.test_case "grow_from_until" `Quick test_grow_from_until;
   ]

@@ -636,6 +636,48 @@ let test_salvage_header_cuts () =
       Alcotest.failf "salvage contract violated at cut %d" cut
   done
 
+(* --- the frame checksum --- *)
+
+(* The byte-at-a-time definition [Checkpoint.crc32] had before it became
+   a [for] loop over [String.unsafe_get]: the oracle the fast one must
+   match. *)
+let crc32_oracle s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let test_crc32_known_vector () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Checkpoint.crc32 "123456789");
+  Alcotest.(check int) "empty string" 0 (Checkpoint.crc32 "");
+  Alcotest.(check int) "sub-range" 0xCBF43926
+    (Checkpoint.crc32_sub "xx123456789yy" 2 9);
+  Alcotest.check_raises "range outside the string"
+    (Invalid_argument "Checkpoint.crc32_sub") (fun () ->
+      ignore (Checkpoint.crc32_sub "abc" 2 2))
+
+let prop_crc32_oracle =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |])
+    (QCheck2.Test.make ~name:"crc32 = byte-at-a-time oracle" ~count:300
+       ~print:(fun (s, off, len) -> Printf.sprintf "%S [%d, +%d)" s off len)
+       QCheck2.Gen.(
+         string_size (int_bound 300) >>= fun s ->
+         let n = String.length s in
+         int_bound n >>= fun off ->
+         int_bound (n - off) >|= fun len -> (s, off, len))
+       (fun (s, off, len) ->
+         Checkpoint.crc32 s = crc32_oracle s
+         && Checkpoint.crc32_sub s off len = crc32_oracle (String.sub s off len)))
+
 (* --- record payload mutations: salvage as torn or round-trip --- *)
 
 (* The payloads of a realistic log (real mined results, a quarantine with
@@ -663,84 +705,6 @@ let frame_bytes ?len payload =
   set 4 (Checkpoint.crc32 payload);
   Bytes.to_string b ^ payload
 
-type mutation =
-  | Flip of int * int  (* byte index, bit *)
-  | Truncate of int  (* keep this many bytes *)
-  | Count_lie of int * int  (* overwrite a byte with a varint of this value *)
-  | Overlong of int  (* re-encode a varint's final byte in two bytes *)
-  | Splice of int * int  (* insert a byte *)
-  | Frame_lie of int  (* the frame header's length field differs by this *)
-
-let print_mutation (i, m) =
-  Printf.sprintf "payload %d, %s" i
-    (match m with
-    | Flip (at, bit) -> Printf.sprintf "flip byte %d bit %d" at bit
-    | Truncate k -> Printf.sprintf "truncate to %d" k
-    | Count_lie (at, v) -> Printf.sprintf "varint %d at byte %d" v at
-    | Overlong at -> Printf.sprintf "overlong varint at byte %d" at
-    | Splice (at, c) -> Printf.sprintf "insert %d at byte %d" c at
-    | Frame_lie d -> Printf.sprintf "frame length off by %d" d)
-
-let gen_mutation =
-  let open QCheck2.Gen in
-  let pos = int_bound 1_000_000 in
-  pair (int_bound 1_000)
-    (oneof
-       [
-         map2 (fun at bit -> Flip (at, bit)) pos (int_bound 7);
-         map (fun k -> Truncate k) pos;
-         map2
-           (fun at v -> Count_lie (at, v))
-           pos
-           (oneof [ int_range 2 300; map (fun e -> 1 lsl e) (int_range 8 62) ]);
-         map (fun at -> Overlong at) pos;
-         map2 (fun at c -> Splice (at, c)) pos (int_bound 255);
-         map (fun d -> if d = 0 then Frame_lie 1 else Frame_lie d) (int_range (-8) 8);
-       ])
-
-let apply_mutation payload = function
-  | Flip (at, bit) ->
-    let b = Bytes.of_string payload in
-    let at = at mod Bytes.length b in
-    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl bit)));
-    Bytes.to_string b
-  | Truncate k -> String.sub payload 0 (k mod String.length payload)
-  | Count_lie (at, v) ->
-    let at = at mod String.length payload in
-    let buf = Buffer.create 10 in
-    let rec put v =
-      if v lsr 7 = 0 then Buffer.add_char buf (Char.chr v)
-      else begin
-        Buffer.add_char buf (Char.chr (v land 0x7F lor 0x80));
-        put (v lsr 7)
-      end
-    in
-    put v;
-    String.sub payload 0 at ^ Buffer.contents buf
-    ^ String.sub payload (at + 1) (String.length payload - at - 1)
-  | Overlong at ->
-    (* the first byte at or after [at] that ends a varint (high bit
-       clear) gains a continuation bit and a zero byte: same value,
-       one byte longer *)
-    let n = String.length payload in
-    let rec final k =
-      if k >= n then None
-      else if Char.code payload.[k] land 0x80 = 0 then Some k
-      else final (k + 1)
-    in
-    (match final (at mod n) with
-    | None -> payload
-    | Some k ->
-      String.sub payload 0 k
-      ^ String.make 1 (Char.chr (Char.code payload.[k] lor 0x80))
-      ^ "\000"
-      ^ String.sub payload (k + 1) (n - k - 1))
-  | Splice (at, c) ->
-    let at = at mod (String.length payload + 1) in
-    String.sub payload 0 at ^ String.make 1 (Char.chr c)
-    ^ String.sub payload at (String.length payload - at)
-  | Frame_lie _ -> payload
-
 (* Every mutated payload either fails the codec (and a log ending in its
    frame salvages everything before it, dropping exactly that frame) or
    decodes to a record that re-encodes to the same bytes (and the log
@@ -752,14 +716,14 @@ let apply_mutation payload = function
 let prop_record_mutations =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
     (QCheck2.Test.make ~name:"checkpoint record mutations: torn or round-trip"
-       ~count:400 ~print:print_mutation gen_mutation (fun (i, m) ->
+       ~count:400 ~print:Gens.print_mutation Gens.gen_mutation (fun (i, m) ->
          let payloads = Lazy.force mutation_payloads in
          let first = payloads.(0) in
          let payload = payloads.(1 + (i mod (Array.length payloads - 1))) in
-         let mutated = apply_mutation payload m in
+         let mutated = Gens.apply_mutation payload m in
          let last =
            match m with
-           | Frame_lie d ->
+           | Gens.Frame_lie d ->
              frame_bytes ~len:(max 0 (String.length mutated + d)) mutated
            | _ -> frame_bytes mutated
          in
@@ -795,7 +759,7 @@ let prop_record_mutations =
              codec_ok
              &&
              match (m, decoded) with
-             | Frame_lie _, _ | _, None -> torn
+             | Gens.Frame_lie _, _ | _, None -> torn
              | _, Some _ -> t.Checkpoint.salvaged_bytes = 0)))
 
 (* --- stale temp files from a killed process are swept on the next save --- *)
@@ -1200,6 +1164,8 @@ let suite =
     Alcotest.test_case "fixture: unusable files" `Quick test_fixture_unusable;
     Alcotest.test_case "fixture: v2 log refused" `Quick test_fixture_v2_log;
     prop_record_mutations;
+    Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_vector;
+    prop_crc32_oracle;
     prop_salvage_any_truncation;
     Alcotest.test_case "salvage: header-area cuts" `Quick test_salvage_header_cuts;
     Alcotest.test_case "stale temp sweep" `Quick test_stale_temp_sweep;

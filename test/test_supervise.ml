@@ -101,45 +101,221 @@ let test_decode_rejects_garbage () =
     | _ -> Alcotest.failf "%s: decode accepted a corrupt payload" name
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "truncated" (String.sub enc 0 (String.length enc - 8));
+  expect_invalid "truncated" (String.sub enc 0 (String.length enc - 1));
   expect_invalid "odd length" (enc ^ "x");
   expect_invalid "trailing words" (enc ^ String.make 16 '\000');
   let flipped = Bytes.of_string enc in
   Bytes.set flipped 0 '\xff';
-  expect_invalid "flipped count" (Bytes.to_string flipped)
+  expect_invalid "flipped count" (Bytes.to_string flipped);
+  (* the group count (one byte here) re-encoded in two: same value, not
+     the canonical bytes *)
+  Alcotest.(check bool) "one-byte group count" true (Char.code enc.[0] < 0x80);
+  expect_invalid "overlong varint"
+    (String.make 1 (Char.chr (Char.code enc.[0] lor 0x80))
+    ^ "\000"
+    ^ String.sub enc 1 (String.length enc - 1));
+  expect_invalid "value past max_int" ("\xff\xff\xff\xff\xff\xff\xff\xff\x40" ^ enc)
+
+let conn_pair () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (a, b, Shard_worker.conn a, Shard_worker.conn b)
 
 let test_frame_roundtrip () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let a, b, ca, cb = conn_pair () in
   Fun.protect
     ~finally:(fun () ->
       Unix.close a;
       Unix.close b)
     (fun () ->
+      let s = Support_set.of_event (Inverted_index.build (quest ~seed:5)) 1 in
       let sent =
         Shard_worker.Grow
-          { req = 42; event = 7; gap = Some (0, 3); part = "payload" }
+          { req = 42; event = 7; gap = Some (0, 3); slot = 2; slice = Shard_worker.Inline s }
       in
-      Shard_worker.write_to_worker a sent;
-      (match Shard_worker.read_to_worker b with
-      | Some (Shard_worker.Grow { req = 42; event = 7; gap = Some (0, 3); part = "payload" }) -> ()
+      Shard_worker.write_to_worker ca sent;
+      (match Shard_worker.read_to_worker cb with
+      | Some
+          (Shard_worker.Grow
+            { req = 42; event = 7; gap = Some (0, 3); slot = 2; slice = Shard_worker.Inline s' })
+        ->
+        Alcotest.(check bool) "slice round-trips" true (Support_set.equal s s')
       | _ -> Alcotest.fail "to_worker frame did not round-trip");
-      Shard_worker.write_from_worker b (Shard_worker.Grown { req = 42; part = "x" });
-      (match Shard_worker.read_from_worker a with
-      | Some (Shard_worker.Grown { req = 42; part = "x" }) -> ()
+      Shard_worker.write_from_worker cb (Shard_worker.Grown { req = 42; part = s });
+      (match Shard_worker.read_from_worker ca with
+      | Some (Shard_worker.Grown { req = 42; part }) ->
+        Alcotest.(check bool) "part round-trips" true (Support_set.equal s part)
       | _ -> Alcotest.fail "from_worker frame did not round-trip");
       (* a deliberately mis-CRC'd frame must fail loudly, not decode *)
       Shard_worker.write_corrupt_frame b;
-      (match Shard_worker.read_from_worker a with
+      (match Shard_worker.read_from_worker ca with
       | _ -> Alcotest.fail "corrupt frame was accepted"
       | exception Protocol.Protocol_error msg ->
         Alcotest.(check bool)
           "CRC mismatch reported" true
           (String.length msg > 0));
+      (* a CRC-valid frame of the old Marshal codec is refused too *)
+      Protocol.write_frame b
+        (Marshal.to_string (Shard_worker.Ready { lo = 1; hi = 2; digest = "d" }) []);
+      (match Shard_worker.read_from_worker ca with
+      | _ -> Alcotest.fail "a Marshal frame was accepted"
+      | exception Protocol.Protocol_error _ -> ());
       (* and silence must trip the receive timeout — the liveness signal *)
       Unix.setsockopt_float a Unix.SO_RCVTIMEO 0.05;
-      match Shard_worker.read_from_worker a with
+      match Shard_worker.read_from_worker ca with
       | _ -> Alcotest.fail "read returned without a frame"
       | exception Protocol.Protocol_error "read timeout" -> ())
+
+let test_ready_version_refused () =
+  let ready =
+    Bytes.of_string
+      (Shard_worker.encode_from_worker
+         (Shard_worker.Ready { lo = 1; hi = 4; digest = "abc" }))
+  in
+  (* byte 1 is the wire version: a worker one version ahead *)
+  Bytes.set ready 1 (Char.chr (Shard_worker.wire_version + 1));
+  match Shard_worker.decode_from_worker (Bytes.to_string ready) with
+  | Ok _ -> Alcotest.fail "a Ready of another wire version was accepted"
+  | Error _ -> ()
+
+(* Seeded mutations of every codec the worker pipe carries: a mutant
+   either gives a typed error or decodes to a value that re-encodes to
+   exactly the mutated bytes (so no two byte strings decode alike). An
+   optional trailing byte rides on top of each mutation. *)
+let codec_payloads =
+  lazy
+    (let db = quest ~seed:7 in
+     let idx = Inverted_index.build db in
+     let sets =
+       match Inverted_index.events idx with
+       | e0 :: e1 :: e2 :: _ ->
+         let s0 = Support_set.of_event idx e0 in
+         let s1 = Support_set.grow idx s0 e1 in
+         [ s0; s1; Support_set.grow idx s1 e2; Support_set.empty ]
+       | _ -> assert false
+     in
+     let set_codec =
+       ( "support set",
+         fun b ->
+           match Support_set.decode b with
+           | s -> Some (Support_set.encode s)
+           | exception Invalid_argument _ -> None )
+     and to_codec =
+       ( "to_worker",
+         fun b ->
+           match Shard_worker.decode_to_worker b with
+           | Ok m -> Some (Shard_worker.encode_to_worker m)
+           | Error _ -> None )
+     and from_codec =
+       ( "from_worker",
+         fun b ->
+           match Shard_worker.decode_from_worker b with
+           | Ok m -> Some (Shard_worker.encode_from_worker m)
+           | Error _ -> None )
+     in
+     let grow slot gap slice =
+       Shard_worker.encode_to_worker
+         (Shard_worker.Grow { req = 300; event = 5; gap; slot; slice })
+     in
+     Array.of_list
+       (List.map (fun s -> (set_codec, Support_set.encode s)) sets
+       @ List.map
+           (fun p -> (to_codec, p))
+           ([
+              grow 0 None (Shard_worker.Inline (List.nth sets 1));
+              grow 3 (Some (1, 4)) Shard_worker.Held;
+              grow 1 (Some (0, 200)) (Shard_worker.Inline (List.hd sets));
+              Shard_worker.encode_to_worker Shard_worker.Shutdown;
+            ])
+       @ List.map
+           (fun m -> (from_codec, Shard_worker.encode_from_worker m))
+           [
+             Shard_worker.Ready { lo = 3; hi = 170; digest = Seqdb.content_digest db };
+             Shard_worker.Heartbeat;
+             Shard_worker.Grown { req = 1 lsl 20; part = List.nth sets 2 };
+             Shard_worker.Failed { req = 9; reason = "slot 2 is empty" };
+           ]))
+
+let prop_codec_mutations =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
+    (QCheck2.Test.make ~name:"worker codec mutations: typed error or round-trip"
+       ~count:1500
+       ~print:(fun (m, tail) ->
+         Gens.print_mutation m
+         ^ match tail with Some c -> Printf.sprintf ", then append %d" c | None -> "")
+       QCheck2.Gen.(pair Gens.gen_mutation (opt (int_bound 255)))
+       (fun ((i, m), tail) ->
+         let payloads = Lazy.force codec_payloads in
+         let (_, codec), payload = payloads.(i mod Array.length payloads) in
+         let mutated =
+           if payload = "" then payload else Gens.apply_mutation payload m
+         in
+         let mutated =
+           match tail with
+           | Some c -> mutated ^ String.make 1 (Char.chr c)
+           | None -> mutated
+         in
+         match codec mutated with None -> true | Some re -> re = mutated))
+
+let test_unmutated_payloads_roundtrip () =
+  Array.iter
+    (fun ((name, codec), payload) ->
+      Alcotest.(check (option string)) (name ^ " round-trips") (Some payload)
+        (codec payload))
+    (Lazy.force codec_payloads)
+
+(* A worker driven in-process over a socketpair: a first request that
+   names a slot the worker never filled must be answered [Failed]. *)
+let test_empty_slot_fails () =
+  let db = quest ~seed:11 in
+  let store = Filename.temp_file "rgs_worker" ".rgsdb" in
+  Rgs_store.Store.write ~path:store db;
+  let n = Seqdb.size db in
+  let a, b, ca, _ = conn_pair () in
+  let worker =
+    Domain.spawn (fun () ->
+        Shard_worker.serve ~heartbeat_ms:20 ~input:b ~output:b ~store ~lo:1 ~hi:n ())
+  in
+  let rec reply () =
+    match Shard_worker.read_from_worker ca with
+    | Some Shard_worker.Heartbeat -> reply ()
+    | Some m -> m
+    | None -> Alcotest.fail "worker closed the pipe"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Shard_worker.write_to_worker ca Shard_worker.Shutdown
+       with Unix.Unix_error _ -> ());
+      Domain.join worker;
+      Unix.close a;
+      Unix.close b;
+      Sys.remove store)
+    (fun () ->
+      Unix.setsockopt_float a Unix.SO_RCVTIMEO 5.0;
+      (match reply () with
+      | Shard_worker.Ready { lo = 1; hi; _ } when hi = n -> ()
+      | _ -> Alcotest.fail "expected the Ready handshake");
+      let grow req slot slice =
+        Shard_worker.write_to_worker ca
+          (Shard_worker.Grow { req; event = 1; gap = None; slot; slice });
+        reply ()
+      in
+      (match grow 1 2 Shard_worker.Held with
+      | Shard_worker.Failed { req = 1; _ } -> ()
+      | _ -> Alcotest.fail "a reference to an empty slot was not answered Failed");
+      (* the same worker still serves: fill the slot, then reuse it *)
+      let idx = Inverted_index.build db in
+      let parent = Support_set.of_event idx 0 in
+      let expected = Support_set.grow idx parent 1 in
+      List.iter
+        (fun (req, slice) ->
+          match grow req 2 slice with
+          | Shard_worker.Grown { req = r; part } when r = req ->
+            Alcotest.(check bool)
+              (Printf.sprintf "request %d grows like in-process" req)
+              true
+              (Support_set.equal expected part)
+          | _ -> Alcotest.failf "request %d was not served" req)
+        [ (2, Shard_worker.Inline parent); (3, Shard_worker.Held) ])
 
 (* --- 2. differential: real worker processes, no faults --- *)
 
@@ -176,7 +352,17 @@ let test_supervised_equals_sequential () =
           Alcotest.(check bool) "not degraded" false s.Supervisor.degraded;
           Alcotest.(check int) "no restarts" 0 s.Supervisor.restarts;
           Alcotest.(check int) "one spawn per shard" shards s.Supervisor.spawns))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* what the pipes carried: slices travel once per parent, not once per
+     grow *)
+  let before = Metrics.snapshot () in
+  with_supervisor (supervised_config ~shards:2 ()) db (fun sup ->
+      ignore (mine_supervised ~shards:2 sup db ~min_sup:3));
+  let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (Metrics.find d name > 0))
+    [ "worker_bytes_sent"; "worker_bytes_received"; "worker_slot_hits" ]
 
 let test_supervised_gap_constrained () =
   let db = quest ~seed:23 in
@@ -229,6 +415,45 @@ let test_supervised_checkpointed () =
 (* --- 3. chaos: the process fault sites --- *)
 
 let fault_env plan = [ (Chaos.worker_fault_env, Chaos.worker_fault_to_string plan) ]
+
+(* The slot table under a kill: in mine-all mode each root is grown by
+   every frequent event, so a worker's second request refers to the
+   parent its first one shipped. Killing it right there (transient, so
+   the next incarnation is healthy) must restart with an empty table,
+   resend that request inline, and keep the later references to the
+   new incarnation's slots straight. *)
+let test_kill_after_slot_reference () =
+  let db = quest ~seed:19 in
+  let config = Miner.config ~mode:Miner.All ~max_length:2 ~min_sup:3 () in
+  let baseline = Miner.mine ~config db in
+  let frequent_events =
+    List.length
+      (List.filter
+         (fun r -> Pattern.length r.Mined.pattern = 1)
+         baseline.Miner.results)
+  in
+  Alcotest.(check bool) "a parent is grown by >= 3 events" true (frequent_events >= 3);
+  let before = Metrics.snapshot () in
+  with_supervisor
+    (supervised_config ~shards:2
+       ~worker_env:
+         (fault_env { Chaos.wid = 0; psite = Chaos.Proc_kill; after = 2; persist = false })
+       ())
+    db
+    (fun sup ->
+      let report =
+        mine_supervised ~mode:Miner.All ~max_length:2 ~shards:2 sup db ~min_sup:3
+      in
+      Alcotest.check sig_t "killed on a slot reference: output identical"
+        (signatures baseline.Miner.results)
+        (signatures report.Miner.results);
+      let s = Supervisor.stats sup in
+      let d = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
+      Alcotest.(check bool) "the kill was detected" true (s.Supervisor.restarts > 0);
+      Alcotest.(check bool) "not degraded" false s.Supervisor.degraded;
+      Alcotest.(check int) "no quarantine" 0 s.Supervisor.quarantined;
+      Alcotest.(check bool) "slots reused after the restart" true
+        (Metrics.find d "worker_slot_hits" > 0))
 
 let test_chaos_sweep () =
   (* a small db, All mode and max_length 2 bound the growth count: the
@@ -415,8 +640,17 @@ let suite =
       test_decode_rejects_garbage;
     Alcotest.test_case "frame roundtrip + corrupt + timeout" `Quick
       test_frame_roundtrip;
+    Alcotest.test_case "Ready of another wire version refused" `Quick
+      test_ready_version_refused;
+    Alcotest.test_case "codec payloads round-trip" `Quick
+      test_unmutated_payloads_roundtrip;
+    prop_codec_mutations;
+    Alcotest.test_case "in-process worker: empty slot answers Failed" `Quick
+      test_empty_slot_fails;
     Alcotest.test_case "supervised = sequential" `Quick
       test_supervised_equals_sequential;
+    Alcotest.test_case "kill right after a slot reference" `Quick
+      test_kill_after_slot_reference;
     Alcotest.test_case "supervised gap-constrained" `Quick
       test_supervised_gap_constrained;
     Alcotest.test_case "supervised multi-domain" `Quick
