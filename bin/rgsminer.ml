@@ -78,14 +78,14 @@ let parse_target format codec s =
                (Printf.sprintf "--target: event %S does not occur in the input" t))
          (split s))
 
-(* [--shards auto] / [--workers auto] parse as 0; resolution to the
-   machine's recommended count happens here, after Cmdliner. *)
+(* [--workers auto] parses as 0; resolution to the machine's
+   recommended count happens here, after Cmdliner. *)
 let resolve_auto = function
   | Some 0 -> Some (Parallel_miner.auto_shards ())
   | n -> n
 
 let run input store format min_sup all max_length max_patterns limit instances max_gap parallel
-    shards workers deadline max_nodes max_words target top_k compress_delta
+    workers deadline max_nodes max_words target top_k compress_delta
     checkpoint resume retry_quarantined
     trace_file trace_level trace_ring stats_file stats_interval verbose =
   setup_logs verbose;
@@ -103,17 +103,6 @@ let run input store format min_sup all max_length max_patterns limit instances m
     exit 1
   end;
   let workers = resolve_auto workers in
-  let shards =
-    match (resolve_auto shards, workers) with
-    | None, Some w -> Some w
-    | Some s, Some w when s <> w ->
-      Format.eprintf
-        "rgsminer: --shards %d and --workers %d disagree (one worker process \
-         serves one shard; drop one flag or make them equal)@."
-        s w;
-      exit 1
-    | s, _ -> s
-  in
   let input = match (input, store) with
     | Some path, _ | _, Some path -> path
     | None, None -> assert false
@@ -153,7 +142,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     in
     let config =
       Miner.config ~mode ~query ?max_length ?max_patterns ?max_gap ?domains
-        ?shards ?deadline_s:deadline ?max_nodes ?max_words
+        ?shards:workers ?deadline_s:deadline ?max_nodes ?max_words
         ?shard_dispatch:
           (Option.map Rgs_server.Supervisor.dispatch supervisor)
         ~min_sup ()
@@ -331,7 +320,7 @@ let parallel =
                $(b,--top-k) ties included. Not compatible with \
                $(b,--max-patterns).")
 
-(* a shard/worker count, or "auto" (parsed as 0) for the machine's
+(* a worker count, or "auto" (parsed as 0) for the machine's
    recommended domain count *)
 let count_or_auto =
   let parse s =
@@ -348,19 +337,11 @@ let count_or_auto =
   in
   Arg.conv (parse, print)
 
-let shards =
-  Arg.(value & opt (some count_or_auto) None & info [ "shards" ] ~docv:"N"
-         ~doc:"Partition the database into N balanced shards and run every \
-               instance growth shard-by-shard, merging the per-shard support \
-               sets ($(b,auto) or $(b,0): one shard per recommended domain). \
-               Output is identical to an unsharded run in every mode, \
-               including checkpoint/resume.")
-
 let workers =
   Arg.(value & opt (some count_or_auto) None & info [ "workers" ] ~docv:"N"
          ~doc:"Run instance growths in N supervised $(b,rgsworker) processes, \
-               one per shard ($(b,auto) or $(b,0): one per recommended \
-               domain; implies $(b,--shards) N). Workers heartbeat and are \
+               one per balanced database shard ($(b,auto) or $(b,0): one per \
+               recommended domain). Workers heartbeat and are \
                restarted with exponential backoff when they crash, hang or \
                corrupt a frame; flapping shards are quarantined and the run \
                degrades to in-process growth — the mined output is identical \
@@ -523,7 +504,7 @@ let pack_cmd =
 let mine_term =
   Term.(const run $ input $ store_arg $ format $ min_sup $ all $ max_length
         $ max_patterns $ limit
-        $ instances $ max_gap $ parallel $ shards $ workers $ deadline $ max_nodes
+        $ instances $ max_gap $ parallel $ workers $ deadline $ max_nodes
         $ max_words $ target $ top_k $ compress_delta $ checkpoint $ resume
         $ retry_quarantined $ trace_file $ trace_level $ trace_ring
         $ stats_file $ stats_interval $ verbose)

@@ -18,17 +18,16 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
 
-(* --shards/--shard-workers auto parse as 0; resolve to the machine's
+(* --shard-workers auto parses as 0; resolve to the machine's
    recommended count here, after Cmdliner *)
 let resolve_auto = function
   | Some 0 -> Some (Rgs_core.Parallel_miner.auto_shards ())
   | n -> n
 
-let run socket state_dir queue_capacity workers shards shard_workers
+let run socket state_dir queue_capacity workers shard_workers
     max_deadline max_nodes max_words idle_timeout drain_grace stats_file
     stats_interval stores verbose =
   setup_logs verbose;
-  let shards = resolve_auto shards in
   let shard_workers = resolve_auto shard_workers in
   let limits =
     {
@@ -55,7 +54,7 @@ let run socket state_dir queue_capacity workers shards shard_workers
   match
     Daemon.config ~queue_capacity ~workers ~limits ?idle_timeout_s:idle_timeout
       ~drain_grace_s:drain_grace ?stats_path:stats_file
-      ?stats_interval_s:stats_interval ?shards ?shard_workers
+      ?stats_interval_s:stats_interval ?shard_workers
       ~socket_path:socket ~state_dir ()
   with
   | cfg -> (
@@ -102,19 +101,11 @@ let count_or_auto =
   in
   Arg.conv (parse, print)
 
-let shards =
-  Arg.(value & opt (some count_or_auto) None & info [ "shards" ] ~docv:"N"
-         ~doc:"Run every job's instance growths over N balanced database \
-               shards, merging per-shard support sets ($(b,auto) or $(b,0): \
-               one per recommended domain). A deployment knob: job output \
-               and checkpoints are identical to an unsharded daemon, so it \
-               can be changed across restarts freely.")
-
 let shard_workers =
   Arg.(value & opt (some count_or_auto) None & info [ "shard-workers" ] ~docv:"N"
-         ~doc:"Run each job's per-shard instance growths in N supervised \
-               $(b,rgsworker) processes, one per shard ($(b,auto) or \
-               $(b,0): one per recommended domain; implies $(b,--shards) N). \
+         ~doc:"Run each job's instance growths in N supervised \
+               $(b,rgsworker) processes, one per balanced database shard \
+               ($(b,auto) or $(b,0): one per recommended domain). \
                Workers heartbeat and are restarted with backoff on crash, \
                hang or frame corruption; flapping shards are quarantined \
                and the job degrades to in-process growth — output and \
@@ -168,7 +159,7 @@ let cmd =
   let doc = "serve repetitive gapped subsequence mining jobs over a socket" in
   Cmd.v
     (Cmd.info "rgsminerd" ~version:"1.2.0" ~doc)
-    Term.(const run $ socket $ state_dir $ queue_capacity $ workers $ shards
+    Term.(const run $ socket $ state_dir $ queue_capacity $ workers
           $ shard_workers $ max_deadline $ max_nodes $ max_words
           $ idle_timeout $ drain_grace $ stats_file $ stats_interval $ stores
           $ verbose)

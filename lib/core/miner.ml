@@ -30,8 +30,10 @@ let validate_config cfg =
   (match cfg.shards with
   | Some s when s < 1 -> invalid_arg "Miner: shards must be >= 1"
   | _ -> ());
-  if cfg.shard_dispatch <> None && cfg.shards = None then
-    invalid_arg "Miner: shard_dispatch requires shards";
+  (match (cfg.shards, cfg.shard_dispatch) with
+  | Some _, None -> invalid_arg "Miner: shards requires shard_dispatch"
+  | None, Some _ -> invalid_arg "Miner: shard_dispatch requires shards"
+  | _ -> ());
   (match cfg.deadline_s with
   | Some d when d < 0.0 -> invalid_arg "Miner: deadline_s must be >= 0"
   | _ -> ());
@@ -88,7 +90,6 @@ let describe cfg =
       | q -> Printf.sprintf ", query=%s" (Query.to_string q));
       (match cfg.domains with Some d -> Printf.sprintf ", %d domains" d | None -> "");
       (match cfg.shards with Some s -> Printf.sprintf ", %d shards" s | None -> "");
-      (if cfg.shard_dispatch <> None then " (supervised)" else "");
       (match cfg.max_length with Some l -> Printf.sprintf ", max_length=%d" l | None -> "");
       (match cfg.max_patterns with Some b -> Printf.sprintf ", max_patterns=%d" b | None -> "");
       (match cfg.deadline_s with Some d -> Printf.sprintf ", deadline=%gs" d | None -> "");
@@ -116,11 +117,10 @@ let strategy_of cfg =
 (* The shard layout a config asks for, computed once per run from the
    index's backing database ([None] = unsharded). *)
 let layout_of cfg idx =
-  Option.map
-    (fun n ->
-      Shard_merge.make ?dispatch:cfg.shard_dispatch (Inverted_index.db idx)
-        ~shards:n)
-    cfg.shards
+  match (cfg.shards, cfg.shard_dispatch) with
+  | Some n, Some dispatch ->
+    Some (Shard_merge.make ~dispatch (Inverted_index.db idx) ~shards:n)
+  | _ -> None
 
 (* The roots in answer order, which ranks them: the index's canonical
    event order (the output order contract), or for top-k the one root

@@ -45,14 +45,14 @@ type config = {
           with [max_patterns] *)
   shards : int option;
       (** run every instance growth shard-by-shard over this many balanced
-          database shards and merge ({!Shard_merge}) — output identical by
-          construction, in every mode including checkpoint/resume *)
+          database shards, served by [shard_dispatch], and merge
+          ({!Shard_merge}) — output identical by construction, in every
+          mode including checkpoint/resume. Requires [shard_dispatch] *)
   shard_dispatch : Shard_merge.dispatch option;
-      (** how the per-shard grown parts are computed: [None] (default)
-          computes them in-process; a supervisor ([Rgs_server.Supervisor])
-          supplies a closure that ships slices to isolated worker
-          processes, falling back in-process per shard on failure —
-          output identical either way. Requires [shards] *)
+      (** where the per-shard grown parts are computed: a supervisor
+          ([Rgs_server.Supervisor]) supplies a closure that ships slices
+          to isolated worker processes, falling back in-process on
+          failure — output identical either way. Requires [shards] *)
   deadline_s : float option;
       (** wall-clock budget in seconds; on expiry the run stops with
           [Deadline_exceeded] and partial results *)
@@ -82,8 +82,8 @@ val config :
     unsharded, no bounds.
     @raise Invalid_argument when [min_sup < 1], a limit is negative, the
     query is invalid ({!Query.validate}), a top-k query is combined with
-    [max_patterns], [domains < 1], [shards < 1], or [shard_dispatch] is
-    given without [shards]. *)
+    [max_patterns], [domains < 1], [shards < 1], or one of [shards] and
+    [shard_dispatch] is given without the other. *)
 
 type report = {
   results : Mined.t list;

@@ -33,9 +33,9 @@ val default_domains : unit -> int
 
 val auto_shards : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1 — the shard count
-    the CLIs' [--shards auto] resolves to (uncapped, unlike
-    {!default_domains}: shards are index views, not running domains,
-    so there is no oversubscription cost to matching the machine). *)
+    [rgsminer --workers auto] and [rgsminerd --shard-workers auto]
+    resolve to: one supervised worker process per recommended domain
+    (uncapped, unlike {!default_domains}). *)
 
 type 'a root_status =
   | Done of 'a  (** the root's miner returned (possibly with partial results

@@ -8,9 +8,9 @@ type dispatch =
   Event.t ->
   Support_set.t array
 
-type t = { ranges : (int * int) array; dispatch : dispatch option }
+type t = { ranges : (int * int) array; dispatch : dispatch }
 
-let make ?dispatch db ~shards = { ranges = Seqdb.shard db shards; dispatch }
+let make ~dispatch db ~shards = { ranges = Seqdb.shard db shards; dispatch }
 let ranges t = t.ranges
 let num_shards t = Array.length t.ranges
 
@@ -24,28 +24,18 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
    in [strategy ~verify:true] and the [@shards] suite pin this down. *)
 let grow t ?(trace = Trace.null) base idx s e =
   let n = Array.length t.ranges in
-  if n <= 1 && t.dispatch = None then base idx s e
-  else begin
-    let parts =
-      match t.dispatch with
-      | Some dispatch -> dispatch ~ranges:t.ranges base idx s e
-      | None ->
-        Array.map
-          (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e)
-          t.ranges
-    in
-    if Array.length parts <> n then
-      invalid_arg "Shard_merge.grow: dispatch returned wrong shard count";
-    (* a cancellation raised here lands between the per-shard grows and
-       the merge — the site the chaos harness attacks *)
-    Budget.Fault.fire Budget.Fault.Shard_merge;
-    let t0 = now_ns () in
-    let merged = Array.fold_left Support_set.combine Support_set.empty parts in
-    let dt = now_ns () - t0 in
-    Metrics.add Metrics.shard_merge_ns dt;
-    Trace.instant trace Trace.Shard_merge ~a0:n ~a1:(dt / 1000);
-    merged
-  end
+  let parts = t.dispatch ~ranges:t.ranges base idx s e in
+  if Array.length parts <> n then
+    invalid_arg "Shard_merge.grow: dispatch returned wrong shard count";
+  (* a cancellation raised here lands between the per-shard grows and
+     the merge — the site the chaos harness attacks *)
+  Budget.Fault.fire Budget.Fault.Shard_merge;
+  let t0 = now_ns () in
+  let merged = Array.fold_left Support_set.combine Support_set.empty parts in
+  let dt = now_ns () - t0 in
+  Metrics.add Metrics.shard_merge_ns dt;
+  Trace.instant trace Trace.Shard_merge ~a0:n ~a1:(dt / 1000);
+  merged
 
 let strategy ?(verify = false) ?trace t (base : Engine.strategy) =
   let grow_sharded idx s e =

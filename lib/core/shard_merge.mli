@@ -20,7 +20,11 @@
     sharding composes with every engine feature (closure checking, gap
     constraints, queries, budgets) and with the root pool
     ({!Parallel_miner}), whose domains call the wrapped [grow]
-    concurrently. *)
+    concurrently.
+
+    A layout always comes with the {!dispatch} that serves its ranges.
+    There is no inline per-shard path: computing every part in the
+    growing domain and merging gives the unsharded answer, slower. *)
 
 open Rgs_sequence
 
@@ -38,19 +42,17 @@ type dispatch =
 (** How a layout computes its per-shard grown parts. [dispatch ~ranges
     base idx s e] must return exactly one grown part per range, where
     part [i] is {e content-equal} to [base idx (slice s ranges.(i)) e].
-    The in-process default computes each part inline; a supervisor
-    (in [lib/server/]) substitutes a closure that ships the slices to
-    worker processes and may fall back to [base] per shard — this
-    closure is the seam that keeps core free of any process-management
-    dependency. Called from whichever domain is growing, possibly
-    several concurrently: implementations must be thread-safe. *)
+    The production dispatch is a supervisor's (in [lib/server/]): it
+    ships the slices to worker processes and may fall back to [base]
+    in-process — this closure is the seam that keeps core free of any
+    process-management dependency. Called from whichever domain is
+    growing, possibly several concurrently: implementations must be
+    thread-safe. *)
 
-val make : ?dispatch:dispatch -> Seqdb.t -> shards:int -> t
-(** [make db ~shards] computes the balanced layout via {!Seqdb.shard}.
-    Without [dispatch], a layout with fewer than two shards (small
-    database, or [shards = 1]) makes {!grow} fall through to the
-    unsharded growth; with [dispatch], every growth goes through it —
-    even single-shard layouts, so a lone supervised worker still serves.
+val make : dispatch:dispatch -> Seqdb.t -> shards:int -> t
+(** [make ~dispatch db ~shards] computes the balanced layout via
+    {!Seqdb.shard}; every growth goes through [dispatch], single-shard
+    layouts included, so a lone supervised worker still serves.
     @raise Invalid_argument when [shards < 1]. *)
 
 val ranges : t -> (int * int) array
@@ -66,14 +68,14 @@ val grow :
   Support_set.t ->
   Event.t ->
   Support_set.t
-(** [grow t base idx s e] computes each shard's grown part — via the
-    layout's {!dispatch} when present, else by running [base] on each
-    shard's slice of [s] inline — and combines the results. Times the
-    combine into [Metrics.shard_merge_ns], records a [Shard_merge]
-    trace instant, and fires the {!Budget.Fault.Shard_merge} site
-    between the grows and the merge (the mid-merge cancellation point
-    the chaos harness attacks). With fewer than two shards and no
-    dispatch this is exactly [base idx s e]. *)
+(** [grow t base idx s e] computes each shard's grown part via the
+    layout's {!dispatch} and combines the results.
+    Times the combine into [Metrics.shard_merge_ns], records a
+    [Shard_merge] trace instant, and fires the
+    {!Budget.Fault.Shard_merge} site between the grows and the merge
+    (the mid-merge cancellation point the chaos harness attacks).
+    @raise Invalid_argument when the dispatch returns other than one
+    part per range. *)
 
 val strategy : ?verify:bool -> ?trace:Trace.t -> t -> Engine.strategy -> Engine.strategy
 (** The sharded version of a strategy: same name and closure machinery,

@@ -266,7 +266,7 @@ val shard_quarantines : counter
     in-process, so output is unchanged. *)
 
 val supervisor_degraded : counter
-(** Gauge, [1] once a supervisor has fallen back to fully in-process
-    sharded mining — worker spawning unavailable (no worker executable,
+(** Gauge, [1] once a supervisor has fallen back to fully in-process,
+    unsharded growth — worker spawning unavailable (no worker executable,
     store packing failed) or the global flap budget was exhausted. The
     run completes with byte-identical output either way. *)

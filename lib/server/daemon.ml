@@ -18,14 +18,13 @@ type config = {
   stats_path : string option;
   stats_interval_s : float;
   tick_s : float;
-  shards : int option;
   shard_workers : int option;
 }
 
 let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
     ?idle_timeout_s ?(drain_grace_s = 5.0) ?(send_timeout_s = 10.0)
     ?(result_chunk = 512) ?stats_path ?(stats_interval_s = 10.0)
-    ?(tick_s = 0.05) ?shards ?shard_workers ~socket_path ~state_dir () =
+    ?(tick_s = 0.05) ?shard_workers ~socket_path ~state_dir () =
   if queue_capacity < 1 then invalid_arg "Daemon.config: queue_capacity >= 1";
   if workers < 1 then invalid_arg "Daemon.config: workers >= 1";
   if drain_grace_s < 0.0 then invalid_arg "Daemon.config: drain_grace_s >= 0";
@@ -37,17 +36,8 @@ let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
   (match idle_timeout_s with
   | Some s when s <= 0.0 -> invalid_arg "Daemon.config: idle_timeout_s > 0"
   | _ -> ());
-  (match shards with
-  | Some n when n < 1 -> invalid_arg "Daemon.config: shards >= 1"
-  | _ -> ());
   (match shard_workers with
   | Some n when n < 1 -> invalid_arg "Daemon.config: shard_workers >= 1"
-  | _ -> ());
-  (match (shards, shard_workers) with
-  | Some s, Some w when s <> w ->
-    invalid_arg
-      "Daemon.config: shards and shard_workers disagree (one worker process \
-       serves one shard)"
   | _ -> ());
   {
     socket_path;
@@ -62,7 +52,6 @@ let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
     stats_path;
     stats_interval_s;
     tick_s;
-    shards;
     shard_workers;
   }
 
@@ -350,11 +339,11 @@ let run_job t (job : Job.t) =
        start and the watchdog can observe node progress *)
     let budget = Job.budget_of job.Job.spec in
     Scheduler.start_budget t.sched job budget;
-    (* sharding is a server-wide deployment knob, not part of the wire
-       spec: output (and checkpoints) are identical either way. With
-       --shard-workers the growths additionally run in supervised
-       per-shard processes; a job on a mapped .rgsdb store shares that
-       file with its workers, anything else gets a temporary pack. *)
+    (* --shard-workers is a server-wide deployment knob, not part of the
+       wire spec: output (and checkpoints) are identical either way. The
+       growths run in supervised per-shard processes; a job on a mapped
+       .rgsdb store shares that file with its workers, anything else gets
+       a temporary pack. *)
     let supervisor =
       match t.cfg.shard_workers with
       | None -> None
@@ -370,11 +359,8 @@ let run_job t (job : Job.t) =
         let gap = Option.map (fun g -> (0, g)) job.Job.spec.Protocol.max_gap in
         Some (Supervisor.create ?store (Supervisor.config ~shards:n ?gap ()) db)
     in
-    let shards =
-      match t.cfg.shard_workers with Some _ as w -> w | None -> t.cfg.shards
-    in
     let cfg =
-      Job.config_of ?shards
+      Job.config_of ?shards:t.cfg.shard_workers
         ?shard_dispatch:(Option.map Supervisor.dispatch supervisor)
         job.Job.spec
     in

@@ -58,18 +58,13 @@ type config = {
   stats_interval_s : float;  (** dump period (default 10) *)
   tick_s : float;
       (** event-loop tick: drain/watchdog latency bound (default 0.05) *)
-  shards : int option;
-      (** run every job's instance growths over this many database shards
-          ({!Shard_merge}) — a server-wide deployment knob, invisible in
-          job output and checkpoints (default unsharded) *)
   shard_workers : int option;
-      (** additionally run each job's per-shard growths in this many
-          supervised [rgsworker] processes ({!Supervisor}), one per
-          shard: crash-isolated, heartbeat-monitored, restarted with
-          backoff, degrading to in-process growth when spawning fails —
-          job output and checkpoints are identical in every case
-          (default in-process). Implies [shards]; when both are set they
-          must agree. *)
+      (** run each job's instance growths in this many supervised
+          [rgsworker] processes ({!Supervisor}), one per database shard
+          ({!Shard_merge}): crash-isolated, heartbeat-monitored,
+          restarted with backoff, degrading to in-process growth when
+          spawning fails — a server-wide deployment knob, invisible in
+          job output and checkpoints (default in-process, unsharded) *)
 }
 
 val config :
@@ -83,15 +78,13 @@ val config :
   ?stats_path:string ->
   ?stats_interval_s:float ->
   ?tick_s:float ->
-  ?shards:int ->
   ?shard_workers:int ->
   socket_path:string ->
   state_dir:string ->
   unit ->
   config
 (** Smart constructor with the defaults above.
-    @raise Invalid_argument on non-positive sizes or timeouts, or when
-    [shards] and [shard_workers] are both set but differ. *)
+    @raise Invalid_argument on non-positive sizes or timeouts. *)
 
 type t
 

@@ -70,12 +70,10 @@ val config_of :
   Miner.config
 (** The {!Miner} config for the spec, its [max_gap] included —
     {e without} budget limits (the daemon passes the explicit per-job
-    budget instead). [shards] is the
-    server-wide {!Daemon.config} knob, not part of the wire spec: sharded
-    growth never changes job output or checkpoint compatibility.
-    [shard_dispatch] routes the per-shard growths through a
-    {!Supervisor}'s worker processes ([--shard-workers]); output and
-    checkpoints are still identical.
+    budget instead). [shards] and [shard_dispatch] come together from
+    the daemon's [--shard-workers] {!Supervisor}, not from the wire
+    spec: its worker processes serve the per-shard growths, and job
+    output and checkpoints are identical either way.
     @raise Invalid_argument on values {!validate} would reject. *)
 
 val load_db : Protocol.job_spec -> (Seqdb.t, string) result

@@ -193,7 +193,7 @@ let degrade t ~reason =
   if not (Atomic.exchange t.degraded true) then begin
     Metrics.observe_max Metrics.supervisor_degraded 1;
     Log.warn (fun m ->
-        m "degrading to in-process sharded mining: %s (output is unchanged)"
+        m "degrading to in-process, unsharded growth: %s (output is unchanged)"
           reason)
   end
 
@@ -385,15 +385,15 @@ let rec exchange t w s ~event ~sent =
 let dispatch t : Shard_merge.dispatch =
  fun ~ranges base idx s e ->
   let n = Array.length ranges in
-  let inproc i =
-    let lo, hi = ranges.(i) in
-    base idx (Support_set.slice s ~lo ~hi) e
-  in
   if
     Atomic.get t.closed || Atomic.get t.degraded || ranges <> t.ranges
     (* a layout this supervisor was not built for: serve it in-process
        rather than ship slices to workers holding different shards *)
-  then Array.init n inproc
+  then begin
+    (* one unsharded grow, cut back into the layout's parts *)
+    let whole = base idx s e in
+    Array.map (fun (lo, hi) -> Support_set.slice whole ~lo ~hi) ranges
+  end
   else begin
     let slices =
       Array.init n (fun i ->
@@ -405,7 +405,7 @@ let dispatch t : Shard_merge.dispatch =
        unlock) in the same ascending order. The fixed acquisition order
        makes concurrent dispatches from several pool domains
        deadlock-free; failed shards restart + resend inside [exchange]
-       and fall back to [inproc] when quarantined or degraded. *)
+       and grow their slice in-process when quarantined or degraded. *)
     let sent = Array.make n None in
     for i = 0 to n - 1 do
       let w = t.workers.(i) in
@@ -425,7 +425,7 @@ let dispatch t : Shard_merge.dispatch =
         let part =
           match exchange t w slices.(i) ~event:e ~sent:sent.(i) with
           | Some part -> part
-          | None -> inproc i
+          | None -> base idx slices.(i) e
         in
         Mutex.unlock w.lock;
         part)

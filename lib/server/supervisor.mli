@@ -113,10 +113,11 @@ val dispatch : t -> Shard_merge.dispatch
     [shard_dispatch]. Thread-safe: concurrent pool domains fan out
     requests under per-worker mutexes taken in ascending shard order
     (deadlock-free), so distinct shards grow in parallel processes.
-    Failed requests are replayed against a restarted worker; quarantined
-    shards, a degraded supervisor, or a foreign [ranges] layout fall
-    back to computing in-process — the returned parts are always
-    content-identical to [base] applied per slice. *)
+    Failed requests are replayed against a restarted worker; a
+    quarantined shard grows its slice in-process, and a degraded or
+    shut-down supervisor, or a foreign [ranges] layout, grows the whole
+    set once in-process and slices the result — the returned parts are
+    always content-identical to [base] applied per slice. *)
 
 val shutdown : t -> unit
 (** Stop all workers: a polite [Shutdown] frame and descriptor close,

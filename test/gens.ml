@@ -50,6 +50,13 @@ let print_db_pattern (d, p) =
 let make ~name ~count gen print prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count ~print gen prop)
 
+(* A shard dispatch that grows every part inline, in the calling domain:
+   the stand-in for a supervisor's worker processes wherever the suites
+   drive sharded growth in-process. *)
+let inproc_dispatch : Shard_merge.dispatch =
+ fun ~ranges base idx s e ->
+  Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
+
 (* The two ways the suites run a mine: [Engine.mine] under a strategy
    (CloGSgrow's with both checks on is [closed]), and the Miner root pool
    ([pool], the body behind every [domains] run). *)
@@ -58,7 +65,9 @@ let closed = Clogsgrow.strategy ~use_lb_check:true ~use_c_check:true
 let pool ?(mode = Miner.All) ?max_length ?max_gap ?shards ?trace ~domains idx
     ~min_sup =
   Miner.mine_indexed ?trace
-    (Miner.config ~mode ?max_length ?max_gap ?shards ~domains ~min_sup ())
+    (Miner.config ~mode ?max_length ?max_gap ?shards
+       ?shard_dispatch:(Option.map (fun _ -> inproc_dispatch) shards)
+       ~domains ~min_sup ())
     idx
 
 (* Byte-level mutations of a codec payload, shared by the decoder

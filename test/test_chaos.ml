@@ -254,7 +254,10 @@ let test_sweep_pool_gap () =
    robustness tier; here the report contract suffices). *)
 let test_sweep_resumable_sharded () =
   let db = Lazy.force chaos_db in
-  let cfg = Miner.config ~min_sup ~max_length:3 ~domains:2 ~shards:3 () in
+  let cfg =
+    Miner.config ~min_sup ~max_length:3 ~domains:2 ~shards:3
+      ~shard_dispatch:Gens.inproc_dispatch ()
+  in
   let baseline = Miner.mine ~config:cfg db in
   Alcotest.(check bool) "sharded baseline completed" true
     (baseline.Miner.outcome = Budget.Completed);

@@ -209,7 +209,9 @@ let prop_topk_every_entry_point =
          let expect = sigs (topk_oracle ~max_length:4 ~mode idx ~min_sup:2 k) in
          let cfg ?domains ?shards ?max_nodes () =
            Miner.config ~mode ~query:(Query.Top_k k) ~max_length:4 ?domains
-             ?shards ?max_nodes ~min_sup:2 ()
+             ?shards
+             ?shard_dispatch:(Option.map (fun _ -> Gens.inproc_dispatch) shards)
+             ?max_nodes ~min_sup:2 ()
          in
          let answer r = sigs r.Miner.results in
          answer (Miner.mine_indexed (cfg ()) idx) = expect

@@ -995,29 +995,79 @@ let test_e2e_store_refuses_v1 () =
     true
     (contains out "\xc2\xa72.2: unsupported version 1")
 
-(* Same acceptance scenario with sharded growth on: the per-shard merge is
-   invisible to the checkpoint (the fingerprint deliberately excludes the
-   shard count), so a kill -9 mid-run under --shards resumes to exactly
-   the uninterrupted unsharded run's stdout — and a checkpoint written
-   sharded resumes fine without --shards. *)
-let test_e2e_kill9_resume_sharded () =
-  with_temp_checkpoint (fun ckpt ->
-      let status_base, out_base = run_rgsminer (e2e_args []) in
-      Alcotest.(check bool) "baseline exit 0" true (status_base = Unix.WEXITED 0);
-      let status_killed, _ =
-        run_rgsminer ~root_delay_ms:50 ~kill:(0.6, Sys.sigkill)
-          (e2e_args [ "--checkpoint"; ckpt; "--shards"; "3" ])
+(* Processes whose command line names [needle], read from /proc (empty
+   where there is no /proc). Workers are spawned with [--store PATH], so a
+   store path unique to one test finds exactly that test's workers. *)
+let processes_naming needle =
+  match Sys.readdir "/proc" with
+  | exception Sys_error _ -> []
+  | entries ->
+    Array.to_list entries
+    |> List.filter (fun pid ->
+           int_of_string_opt pid <> None
+           &&
+           match open_in_bin (Filename.concat "/proc" (Filename.concat pid "cmdline")) with
+           | exception Sys_error _ -> false
+           | ic ->
+             let cmdline =
+               Fun.protect
+                 ~finally:(fun () -> close_in_noerr ic)
+                 (fun () -> In_channel.input_all ic)
+             in
+             contains cmdline needle)
+
+(* Same acceptance scenario with supervised shard workers: the per-shard
+   merge is invisible to the checkpoint (the fingerprint deliberately
+   excludes the shard count), so a kill -9 mid-run under --workers 3
+   resumes without workers to exactly the uninterrupted run's stdout. The
+   run mines a store packed here: a SIGKILLed supervisor cannot remove the
+   temporary store it packs for text input. Its workers see EOF on their
+   pipes and exit, so none outlives the test. *)
+let test_e2e_kill9_resume_workers () =
+  let store = Filename.temp_file "rgs_e2e_workers" ".rgsdb" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists store then Sys.remove store)
+    (fun () ->
+      let status_pack, _ = run_rgsminer [ "pack"; quest_small; "-o"; store ] in
+      Alcotest.(check bool) "pack exit 0" true (status_pack = Unix.WEXITED 0);
+      let store_args extra =
+        [ "--min-sup"; "3"; "--max-length"; "3"; "--limit"; "100000"; "--store"; store ]
+        @ extra
       in
-      Alcotest.(check bool) "killed outright" true
-        (status_killed = Unix.WSIGNALED Sys.sigkill);
-      Alcotest.(check bool) "log left behind" true (Sys.file_exists ckpt);
-      (* resume WITHOUT --shards: the log must be interchangeable *)
-      let status_res, out_res =
-        run_rgsminer (e2e_args [ "--checkpoint"; ckpt; "--resume" ])
+      with_temp_checkpoint (fun ckpt ->
+          let status_base, out_base = run_rgsminer (store_args []) in
+          Alcotest.(check bool) "baseline exit 0" true (status_base = Unix.WEXITED 0);
+          let status_killed, _ =
+            run_rgsminer ~root_delay_ms:50 ~kill:(0.6, Sys.sigkill)
+              (store_args [ "--checkpoint"; ckpt; "--workers"; "3" ])
+          in
+          Alcotest.(check bool) "killed outright" true
+            (status_killed = Unix.WSIGNALED Sys.sigkill);
+          Alcotest.(check bool) "log left behind" true (Sys.file_exists ckpt);
+          (* resume WITHOUT --workers: the log must be interchangeable *)
+          let status_res, out_res =
+            run_rgsminer (store_args [ "--checkpoint"; ckpt; "--resume" ])
+          in
+          Alcotest.(check bool) "resume exit 0" true (status_res = Unix.WEXITED 0);
+          Alcotest.(check string) "sharded-then-killed resume = uninterrupted"
+            (normalize_report out_base) (normalize_report out_res));
+      let rec no_workers left =
+        match processes_naming store with
+        | [] -> ()
+        | pids when left = 0 ->
+          Alcotest.failf "rgsworker(s) %s outlived their supervisor"
+            (String.concat ", " pids)
+        | _ ->
+          Unix.sleepf 0.1;
+          no_workers (left - 1)
       in
-      Alcotest.(check bool) "resume exit 0" true (status_res = Unix.WEXITED 0);
-      Alcotest.(check string) "sharded-then-killed resume = uninterrupted"
-        (normalize_report out_base) (normalize_report out_res))
+      no_workers 50)
+
+(* There is no --shards: shards exist only behind --workers, so Cmdliner
+   refuses it as an unknown option. *)
+let test_e2e_shards_unknown () =
+  let status, _ = run_rgsminer (e2e_args [ "--shards"; "2" ]) in
+  Alcotest.(check bool) "exit 124" true (status = Unix.WEXITED 124)
 
 (* SIGTERM is the graceful path: the run stops at the next budget poll,
    appends its final Run_outcome record, reports the interruption on
@@ -1178,8 +1228,10 @@ let suite =
     Alcotest.test_case "e2e: kill -9 then resume" `Quick test_e2e_kill9_resume;
     Alcotest.test_case "e2e: --resume refuses a v2 log" `Quick test_e2e_resume_refuses_v2;
     Alcotest.test_case "e2e: --store refuses a v1 store" `Quick test_e2e_store_refuses_v1;
-    Alcotest.test_case "e2e: kill -9 under --shards then resume" `Quick
-      test_e2e_kill9_resume_sharded;
+    Alcotest.test_case "e2e: kill -9 under --workers then resume" `Quick
+      test_e2e_kill9_resume_workers;
+    Alcotest.test_case "e2e: --shards is an unknown option" `Quick
+      test_e2e_shards_unknown;
     Alcotest.test_case "e2e: SIGTERM graceful exit" `Quick test_e2e_sigterm_graceful;
     Alcotest.test_case "e2e: --parallel --max-gap = sequential" `Quick
       test_e2e_parallel_gap;

@@ -191,7 +191,7 @@ let test_pool_stats_match () =
       let idx = Inverted_index.build db in
       List.iter
         (fun shards ->
-          let sm = Shard_merge.make db ~shards in
+          let sm = Shard_merge.make ~dispatch:Gens.inproc_dispatch db ~shards in
           List.iter
             (fun (mode, strategy) ->
               let _, seq =
@@ -227,7 +227,9 @@ let test_pool_gap_matches () =
             (fun shards ->
               let sharded, _ =
                 Engine.mine ~max_length:4
-                  (Shard_merge.strategy (Shard_merge.make db ~shards) strategy)
+                  (Shard_merge.strategy
+                     (Shard_merge.make ~dispatch:Gens.inproc_dispatch db ~shards)
+                     strategy)
                   idx ~min_sup
               in
               Alcotest.check sig_t
@@ -254,6 +256,8 @@ let test_miner_gap_routing () =
         (fun mode ->
           let cfg ?domains ?shards () =
             Miner.config ~mode ~max_length:4 ~max_gap:2 ?domains ?shards
+              ?shard_dispatch:
+                (Option.map (fun _ -> Gens.inproc_dispatch) shards)
               ~min_sup ()
           in
           let sequential = Miner.mine ~config:(cfg ()) db in
@@ -281,7 +285,7 @@ let test_pool_shard_dispatch () =
   let calls = Atomic.make 0 in
   let dispatch ~ranges base idx s e =
     Atomic.incr calls;
-    Array.map (fun (lo, hi) -> base idx (Support_set.slice s ~lo ~hi) e) ranges
+    Gens.inproc_dispatch ~ranges base idx s e
   in
   let sequential, stats = Engine.mine Gens.closed ~max_length:4 idx ~min_sup in
   let pool =
@@ -365,7 +369,8 @@ let prop_pool_gap =
 let pool_matches_sequential ?max_gap ~query db =
   let idx = Inverted_index.build db in
   let cfg ?domains () =
-    Miner.config ~query ~max_length:4 ?max_gap ?domains ~shards:2 ~min_sup:2 ()
+    Miner.config ~query ~max_length:4 ?max_gap ?domains ~shards:2
+      ~shard_dispatch:Gens.inproc_dispatch ~min_sup:2 ()
   in
   let seq = Miner.mine_indexed (cfg ()) idx in
   let pool = Miner.mine_indexed (cfg ~domains:3 ()) idx in
@@ -407,7 +412,7 @@ let prop_pool_gap_queries =
 let test_shard_merge_verify () =
   let _, db, min_sup = List.nth (Lazy.force dbs) 1 in
   let idx = Inverted_index.build db in
-  let sm = Shard_merge.make db ~shards:3 in
+  let sm = Shard_merge.make ~dispatch:Gens.inproc_dispatch db ~shards:3 in
   let results = ref [] in
   (* ~verify:true recomputes every grow unsharded and raises on the first
      divergence, so completing at all is the proof; check the output too. *)
@@ -421,6 +426,32 @@ let test_shard_merge_verify () =
   Alcotest.check sig_t "verified sharded run ≡ sequential"
     (signatures expected)
     (signatures (List.rev !results))
+
+(* A layout needs a dispatch to serve it, and a dispatch owes exactly
+   one part per range: each seam refuses the other half missing. *)
+let test_seams_refuse () =
+  let _, db, _ = List.nth (Lazy.force dbs) 1 in
+  let idx = Inverted_index.build db in
+  let refuses name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "shards without shard_dispatch" (fun () ->
+      Miner.config ~shards:2 ~min_sup:2 ());
+  refuses "shard_dispatch without shards" (fun () ->
+      Miner.config ~shard_dispatch:Gens.inproc_dispatch ~min_sup:2 ());
+  refuses "zero shards" (fun () ->
+      Miner.config ~shards:0 ~shard_dispatch:Gens.inproc_dispatch ~min_sup:2 ());
+  let short ~ranges base idx s e =
+    Array.sub (Gens.inproc_dispatch ~ranges base idx s e) 0
+      (Array.length ranges - 1)
+  in
+  let sm = Shard_merge.make ~dispatch:short db ~shards:3 in
+  Alcotest.(check int) "three ranges" 3 (Shard_merge.num_shards sm);
+  let e = List.hd (Inverted_index.events idx) in
+  refuses "a part short" (fun () ->
+      Shard_merge.grow sm Support_set.grow idx (Support_set.of_event idx e) e)
 
 (* --- Support_set.combine: the shard-merge algebra ---
 
@@ -513,6 +544,8 @@ let suite =
     prop_pool_targeted;
     prop_pool_gap_queries;
     Alcotest.test_case "Shard_merge verify run" `Quick test_shard_merge_verify;
+    Alcotest.test_case "shard seams refuse half a layout" `Quick
+      test_seams_refuse;
     prop_combine_reassembles;
     Alcotest.test_case "combine: overlap + identities" `Quick
       test_combine_rejects_overlap;

@@ -7,9 +7,10 @@
 #      ("(**" as its first token), so each public module states its
 #      contract where odoc and readers look first.
 #   2. Always on (when the CLI binaries are built): every `--flag`
-#      mentioned in README.md or data/README.md must appear in the
-#      generated --help of some CLI, so the README cannot list a flag
-#      that was renamed or removed.
+#      mentioned in README.md or data/README.md must appear, as a whole
+#      token, in the generated --help of some CLI, so the README cannot
+#      list a flag that was renamed or removed (a stale `--shard` does
+#      not pass on `--shard-workers`).
 #   3. When odoc is installed: `dune build @doc` must succeed with odoc
 #      warnings promoted to errors (bad references, missing labels). The
 #      CI container does not ship odoc, so this layer no-ops with a
@@ -56,16 +57,16 @@ if [ -x "$BIN/rgsminer.exe" ]; then
       "$BIN/experiments.exe" "$sub" --help=plain 2>/dev/null
     done
   )
+  # the same greedy token pattern on both sides: --max never matches
+  # inside --max-gap
+  documented=$(printf '%s\n' "$help" | grep -o -- '--[a-z][a-z0-9-]*' | sort -u)
   stale=0
   for readme in README.md data/README.md; do
     for flag in $(grep -o -- '--[a-z][a-z0-9-]*' "$readme" | sort -u); do
-      case "$help" in
-        *"$flag"*) ;;
-        *)
-          echo "check_docs: $readme mentions $flag, which no CLI --help documents"
-          stale=1
-          ;;
-      esac
+      if ! printf '%s\n' "$documented" | grep -qxF -- "$flag"; then
+        echo "check_docs: $readme mentions $flag, which no CLI --help documents"
+        stale=1
+      fi
     done
   done
   if [ "$stale" = 1 ]; then
