@@ -40,47 +40,9 @@ let fingerprint ~params db =
   Buffer.add_string buf (Seqdb.content_digest db);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* --- CRC32 (zlib polynomial), table-based --- *)
-
-(* built eagerly: [Lazy.force] is not domain-safe in OCaml 5, and the
-   frame readers of several domains checksum concurrently *)
-let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
-
-let crc32_sub s off len =
-  if off < 0 || len < 0 || off > String.length s - len then
-    invalid_arg "Checkpoint.crc32_sub";
-  let c = ref 0xFFFFFFFF in
-  for i = off to off + len - 1 do
-    c :=
-      Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
-
-let crc32 s = crc32_sub s 0 (String.length s)
-
-(* --- record framing: 4-byte LE length, 4-byte LE CRC32, payload --- *)
-
-let le32 buf v =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
-let read_le32 s off =
-  let b i = Char.code s.[off + i] in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-
 (* --- record payload codec (FORMAT.md Appendix A) ---
 
-   Every integer is an unsigned LEB128 varint over OCaml's 63-bit int:
-   7 bits per byte, least significant group first, high bit set on every
-   byte but the last, at most 9 bytes. A string is its length followed
+   Every integer is a [Wire] varint and a string is its length followed
    by its bytes. The decoder is a trust boundary — it reads whatever the
    disk hands back under a matching CRC — so it accepts only the
    canonical encoding (no overlong varints, no trailing bytes) and
@@ -106,110 +68,67 @@ let outcome_code o =
   let rec find i = if outcomes.(i) = o then i else find (i + 1) in
   find 0
 
-let put_int buf v =
-  let rec go v =
-    if v lsr 7 = 0 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (v land 0x7F lor 0x80));
-      go (v lsr 7)
-    end
-  in
-  go v
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
 let encode_record record =
   let buf = Buffer.create 64 in
   (match record with
   | Root_done { root; results } ->
-    put_int buf tag_root_done;
-    put_int buf root;
-    put_int buf (List.length results);
+    Wire.add_uint buf tag_root_done;
+    Wire.add_uint buf root;
+    Wire.add_uint buf (List.length results);
     List.iter
       (fun (r : Mined.t) ->
-        put_int buf (Pattern.length r.pattern);
-        List.iter (put_int buf) (Pattern.to_list r.pattern);
-        put_int buf r.support)
+        Wire.add_uint buf (Pattern.length r.pattern);
+        List.iter (Wire.add_uint buf) (Pattern.to_list r.pattern);
+        Wire.add_uint buf r.support)
       results
   | Root_quarantined { root; reason; backtrace } ->
-    put_int buf tag_quarantined;
-    put_int buf root;
-    put_string buf reason;
-    put_string buf backtrace
+    Wire.add_uint buf tag_quarantined;
+    Wire.add_uint buf root;
+    Wire.add_string buf reason;
+    Wire.add_string buf backtrace
   | Run_outcome o ->
-    put_int buf tag_outcome;
-    put_int buf (outcome_code o));
+    Wire.add_uint buf tag_outcome;
+    Wire.add_uint buf (outcome_code o));
   Buffer.contents buf
 
 let decode_record payload =
   let fail msg = invalid_arg ("Checkpoint.decode_record: " ^ msg) in
-  let n = String.length payload in
-  let pos = ref 0 in
-  let get_int () =
-    let rec go acc shift =
-      if !pos >= n then fail "truncated integer";
-      let b = Char.code payload.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then begin
-        if b = 0 && shift > 0 then fail "overlong integer";
-        acc
-      end
-      else if shift >= 56 then fail "integer longer than 9 bytes"
-      else go acc (shift + 7)
-    in
-    go 0 0
-  in
-  (* a count or length: every element it announces costs at least one
-     more byte, so anything beyond the bytes left is a lie *)
-  let get_count () =
-    let c = get_int () in
-    if c < 0 || c > n - !pos then fail "count exceeds payload";
-    c
-  in
-  let get_string () =
-    let len = get_count () in
-    let s = String.sub payload !pos len in
-    pos := !pos + len;
-    s
-  in
-  let record =
-    match get_int () with
-    | t when t = tag_root_done ->
-      let root = get_int () in
-      let rec results k acc =
-        if k = 0 then List.rev acc
-        else begin
-          let events = Array.make (get_count ()) 0 in
-          for i = 0 to Array.length events - 1 do
-            events.(i) <- get_int ()
-          done;
-          let support = get_int () in
-          results (k - 1) ({ Mined.pattern = Pattern.of_array events; support } :: acc)
-        end
-      in
-      Root_done { root; results = results (get_count ()) [] }
-    | t when t = tag_quarantined ->
-      let root = get_int () in
-      let reason = get_string () in
-      let backtrace = get_string () in
-      Root_quarantined { root; reason; backtrace }
-    | t when t = tag_outcome ->
-      let code = get_int () in
-      if code < 0 || code >= Array.length outcomes then fail "unknown outcome";
-      Run_outcome outcomes.(code)
-    | _ -> fail "unknown record tag"
-  in
-  if !pos <> n then fail "trailing bytes";
-  record
+  Wire.decode
+    (fun c ->
+      match Wire.get_uint c with
+      | t when t = tag_root_done ->
+        let root = Wire.get_uint c in
+        let rec results k acc =
+          if k = 0 then List.rev acc
+          else begin
+            let events = Array.make (Wire.get_count c) 0 in
+            for i = 0 to Array.length events - 1 do
+              events.(i) <- Wire.get_uint c
+            done;
+            let support = Wire.get_uint c in
+            results (k - 1) ({ Mined.pattern = Pattern.of_array events; support } :: acc)
+          end
+        in
+        Root_done { root; results = results (Wire.get_count c) [] }
+      | t when t = tag_quarantined ->
+        let root = Wire.get_uint c in
+        let reason = Wire.get_string c in
+        let backtrace = Wire.get_string c in
+        Root_quarantined { root; reason; backtrace }
+      | t when t = tag_outcome ->
+        let code = Wire.get_uint c in
+        if code >= Array.length outcomes then fail "unknown outcome";
+        Run_outcome outcomes.(code)
+      | _ -> fail "unknown record tag")
+    payload ~off:0 ~len:(String.length payload)
+
+(* --- record framing: 4-byte LE length, 4-byte LE CRC32, payload --- *)
 
 let frame record =
   let payload = encode_record record in
   let buf = Buffer.create (String.length payload + 8) in
-  le32 buf (String.length payload);
-  le32 buf (crc32 payload);
+  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
+  Buffer.add_int32_le buf (Int32.of_int (Wire.crc32 payload));
   Buffer.add_string buf payload;
   Buffer.contents buf
 
@@ -264,14 +183,14 @@ let read_records ic =
     | `Eof -> `Clean
     | `Short -> `Torn
     | `All hdr -> (
-      let len = read_le32 hdr 0 in
-      let crc = read_le32 hdr 4 in
+      let u32 off = Int32.to_int (String.get_int32_le hdr off) land 0xFFFFFFFF in
+      let len = u32 0 and crc = u32 4 in
       if len <= 0 || len > max_payload then `Torn
       else
         match read_exactly ic len with
         | `Eof | `Short -> `Torn
         | `All payload ->
-          if crc32 payload <> crc then `Torn
+          if Wire.crc32 payload <> crc then `Torn
           else (
             match decode_record payload with
             | r ->

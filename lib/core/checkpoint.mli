@@ -106,16 +106,6 @@ val sweep_stale_temps : string -> unit
     killed process never got to rename. {!Writer.create} calls this for
     the checkpoint's directory before creating its own temp. *)
 
-val crc32 : string -> int
-(** The frame checksum (CRC-32, zlib polynomial) shared by checkpoint
-    records, daemon frames and worker frames; exposed for tests and
-    fixture generation. [crc32 "123456789" = 0xCBF43926]. *)
-
-val crc32_sub : string -> int -> int -> int
-(** [crc32_sub s off len] is [crc32 (String.sub s off len)] without the
-    copy — what the worker frame codec checksums its reused buffers with.
-    @raise Invalid_argument when the range is outside [s]. *)
-
 val encode_record : record -> string
 (** The payload of one record frame (FORMAT.md Appendix A), exposed for
     tests and fixture generation. *)
@@ -124,8 +114,9 @@ val decode_record : string -> record
 (** Inverse of {!encode_record} on canonical payloads:
     [encode_record (decode_record s) = s] whenever it returns.
     @raise Invalid_argument on anything else — an unknown tag or outcome
-    code, an overlong or truncated varint, a count larger than the bytes
-    left, or trailing bytes. *)
+    code, a varint that {!Rgs_sequence.Wire.get_uint} refuses (truncated,
+    overlong, or at or above [2^62]), a count larger than the bytes left,
+    or trailing bytes. *)
 
 (** Incremental appender. Physical writes never raise: each one is
     retried with exponential backoff and deterministic jitter

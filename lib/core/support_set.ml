@@ -259,7 +259,7 @@ let combine a b =
     { groups = out; total = a.total + b.total }
   end
 
-(* --- wire codec: canonical LEB128 varints, delta-coded, trimmed to the
+(* --- wire codec: [Wire]'s canonical varints, delta-coded, trimmed to the
    live [len] prefix of each group (slack slots are a heap-sharing
    artifact and never cross a process boundary):
 
@@ -278,57 +278,25 @@ let combine a b =
    left before allocating, and refuses overlong varints and values past
    [max_int]: exactly one byte string decodes to each set. *)
 
-(* a non-negative int (62 bits) takes at most 9 varint bytes *)
-let varint_max = 9
-
-let put_varint b off v =
-  let off = ref off and v = ref v in
-  while !v >= 0x80 do
-    Bytes.unsafe_set b !off (Char.unsafe_chr (!v land 0x7F lor 0x80));
-    v := !v lsr 7;
-    incr off
-  done;
-  Bytes.unsafe_set b !off (Char.unsafe_chr !v);
-  !off + 1
-
-let get_varint buf pos ~stop =
-  let p = ref !pos and acc = ref 0 and shift = ref 0 and fin = ref false in
-  while not !fin do
-    if !p >= stop then invalid_arg "varint: truncated";
-    let b = Char.code (String.unsafe_get buf !p) in
-    incr p;
-    (* the ninth byte holds bits 56..61: anything above 0x3F either
-       continues past 9 bytes or sets bit 62, both past max_int *)
-    if !shift = 56 && b > 0x3F then invalid_arg "varint: value past max_int";
-    acc := !acc lor ((b land 0x7F) lsl !shift);
-    if b < 0x80 then begin
-      if b = 0 && !shift > 0 then invalid_arg "varint: overlong";
-      fin := true
-    end
-    else shift := !shift + 7
-  done;
-  pos := !p;
-  !acc
-
-let encode_bound s = varint_max * (2 + (2 * Array.length s.groups) + (2 * s.total))
+let encode_bound s = Wire.varint_max * (2 + (2 * Array.length s.groups) + (2 * s.total))
 
 let encode_into s b off =
   if off < 0 || off > Bytes.length b - encode_bound s then
     invalid_arg "Support_set.encode_into: buffer too small";
-  let o = ref (put_varint b off (Array.length s.groups)) in
-  o := put_varint b !o s.total;
+  let o = ref (Wire.put_uint b off (Array.length s.groups)) in
+  o := Wire.put_uint b !o s.total;
   let prev_gseq = ref 0 in
   Array.iter
     (fun g ->
-      o := put_varint b !o (g.gseq - !prev_gseq);
+      o := Wire.put_uint b !o (g.gseq - !prev_gseq);
       prev_gseq := g.gseq;
-      o := put_varint b !o g.len;
+      o := Wire.put_uint b !o g.len;
       let firsts = g.firsts and lasts = g.lasts in
       let prev_last = ref 0 in
       for k = 0 to g.len - 1 do
         let last = lasts.(k) in
-        o := put_varint b !o (last - !prev_last);
-        o := put_varint b !o (last - firsts.(k));
+        o := Wire.put_uint b !o (last - !prev_last);
+        o := Wire.put_uint b !o (last - firsts.(k));
         prev_last := last
       done)
     s.groups;
@@ -339,36 +307,32 @@ let encode s =
   let n = encode_into s b 0 in
   Bytes.sub_string b 0 n
 
-let decode_sub buf ~off ~len =
+let read_set c =
   let fail msg = invalid_arg ("Support_set.decode: " ^ msg) in
-  if off < 0 || len < 0 || off > String.length buf - len then
-    invalid_arg "Support_set.decode_sub: range outside the buffer";
-  let stop = off + len in
-  let pos = ref off in
-  let num_groups = get_varint buf pos ~stop in
-  let total = get_varint buf pos ~stop in
+  let num_groups = Wire.get_uint c in
+  let total = Wire.get_uint c in
   (* a group costs at least 4 bytes (gap, len, one instance's two
      varints) and an instance at least 2: bound before allocating *)
-  if num_groups > (stop - !pos) / 4 then fail "group count exceeds buffer";
+  if num_groups > Wire.remaining c / 4 then fail "group count exceeds buffer";
   let groups = Array.make num_groups empty_group in
   let prev_gseq = ref 0 in
   let sum = ref 0 in
   for gi = 0 to num_groups - 1 do
-    let gap = get_varint buf pos ~stop in
+    let gap = Wire.get_uint c in
     if gap = 0 then fail "sequence ids not ascending";
     if gap > max_int - !prev_gseq then fail "sequence id past max_int";
     let gseq = !prev_gseq + gap in
     prev_gseq := gseq;
-    let n = get_varint buf pos ~stop in
+    let n = Wire.get_uint c in
     if n = 0 then fail "empty group";
-    if n > (stop - !pos) / 2 then fail "group length exceeds buffer";
+    if n > Wire.remaining c / 2 then fail "group length exceeds buffer";
     let firsts = Array.make n 0 and lasts = Array.make n 0 in
     let prev_last = ref 0 and prev_first = ref 0 in
     for k = 0 to n - 1 do
-      let delta = get_varint buf pos ~stop in
+      let delta = Wire.get_uint c in
       if delta > max_int - !prev_last then fail "position past max_int";
       let last = !prev_last + delta in
-      let span = get_varint buf pos ~stop in
+      let span = Wire.get_uint c in
       if span > last then fail "first position below zero";
       let first = last - span in
       (* lasts never descend (delta >= 0); a tie must ascend in first *)
@@ -382,9 +346,10 @@ let decode_sub buf ~off ~len =
     groups.(gi) <- { gseq; len = n; firsts; lasts };
     sum := !sum + n
   done;
-  if !pos <> stop then fail "trailing bytes";
   if !sum <> total then fail "total mismatch";
   { groups; total }
+
+let decode_sub buf ~off ~len = Wire.decode read_set buf ~off ~len
 
 let decode buf = decode_sub buf ~off:0 ~len:(String.length buf)
 

@@ -158,20 +158,6 @@ val same_groups : t -> t -> bool
     {!slice}s of one set over the same range always qualify — what the
     supervisor's slot table relies on to skip re-shipping a parent. *)
 
-(**/**)
-
-val put_varint : bytes -> int -> int -> int
-(** Internal: [put_varint b off v] writes non-negative [v] as a
-    canonical LEB128 varint at [off] (at most 9 bytes, unchecked) and
-    returns the offset past it. Shared with the worker frame codec. *)
-
-val get_varint : string -> int ref -> stop:int -> int
-(** Internal: read one canonical varint at [!pos], advancing [pos].
-    @raise Invalid_argument when truncated at [stop], overlong, or past
-    [max_int]. *)
-
-(**/**)
-
 val equal : t -> t -> bool
 (** Content equality over live prefixes (slack slots and sharing are
     representation details and do not affect it). *)

@@ -13,8 +13,6 @@ type config = {
   limits : Job.limits;
   idle_timeout_s : float option;
   drain_grace_s : float;
-  send_timeout_s : float;
-  result_chunk : int;
   stats_path : string option;
   stats_interval_s : float;
   tick_s : float;
@@ -22,14 +20,11 @@ type config = {
 }
 
 let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
-    ?idle_timeout_s ?(drain_grace_s = 5.0) ?(send_timeout_s = 10.0)
-    ?(result_chunk = 512) ?stats_path ?(stats_interval_s = 10.0)
+    ?idle_timeout_s ?(drain_grace_s = 5.0) ?stats_path ?(stats_interval_s = 10.0)
     ?(tick_s = 0.05) ?shard_workers ~socket_path ~state_dir () =
   if queue_capacity < 1 then invalid_arg "Daemon.config: queue_capacity >= 1";
   if workers < 1 then invalid_arg "Daemon.config: workers >= 1";
   if drain_grace_s < 0.0 then invalid_arg "Daemon.config: drain_grace_s >= 0";
-  if send_timeout_s <= 0.0 then invalid_arg "Daemon.config: send_timeout_s > 0";
-  if result_chunk < 1 then invalid_arg "Daemon.config: result_chunk >= 1";
   if stats_interval_s <= 0.0 then
     invalid_arg "Daemon.config: stats_interval_s > 0";
   if tick_s <= 0.0 then invalid_arg "Daemon.config: tick_s > 0";
@@ -47,18 +42,20 @@ let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
     limits;
     idle_timeout_s;
     drain_grace_s;
-    send_timeout_s;
-    result_chunk;
     stats_path;
     stats_interval_s;
     tick_s;
     shard_workers;
   }
 
+let send_timeout_s = 10.0 (* [SO_SNDTIMEO]: a client stuck longer is shed *)
+let result_chunk = 512 (* patterns per [Results] frame *)
+
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  mutable inbuf : bytes;  (* received, not yet parsed: [[0, inlen)] *)
+  mutable inlen : int;
   mutable hello_done : bool;
   mutable alive : bool;
 }
@@ -184,14 +181,15 @@ let send t conn resp =
 let accept_conn t =
   match Unix.accept t.listen_fd with
   | fd, _ ->
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.send_timeout_s;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s;
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
     let conn =
       {
         cid;
         fd;
-        inbuf = Buffer.create 256;
+        inbuf = Bytes.create 4096;
+        inlen = 0;
         hello_done = false;
         alive = true;
       }
@@ -242,75 +240,50 @@ let handle_request t conn (req : Protocol.request) =
           (send t conn (Protocol.Rejected { job_id; reason = "draining" }))))
 
 (* Incremental frame parser over the connection's input buffer; returns
-   [false] when the connection violated the protocol and must be shed. *)
+   [false] when the connection violated the protocol and must be shed.
+   Frames are checked where they lie: only each payload and, once a
+   frame is consumed, the tail behind it are copied, so a frame arriving
+   in many reads costs no more than one arriving whole. *)
 let parse_conn t conn =
-  let data = Buffer.contents conn.inbuf in
-  let len = String.length data in
   let pos = ref 0 in
-  let ok = ref true in
-  let u32 off =
-    (Char.code data.[off] lsl 24)
-    lor (Char.code data.[off + 1] lsl 16)
-    lor (Char.code data.[off + 2] lsl 8)
-    lor Char.code data.[off + 3]
+  let ok =
+    try
+      let n = String.length Protocol.hello in
+      if (not conn.hello_done) && conn.inlen >= n then begin
+        if Bytes.sub_string conn.inbuf 0 n <> Protocol.hello then raise Exit;
+        pos := n;
+        conn.hello_done <- true;
+        (* echo the hello; a failed write sheds the client *)
+        try Protocol.send_hello conn.fd with Unix.Unix_error _ | Sys_error _ -> raise Exit
+      end;
+      let more = ref conn.hello_done in
+      while !more && conn.alive do
+        match Wire.frame_at conn.inbuf ~pos:!pos ~stop:conn.inlen with
+        | None -> more := false
+        | Some len ->
+          let payload = Bytes.sub_string conn.inbuf (!pos + Wire.header_bytes) len in
+          pos := !pos + Wire.header_bytes + len;
+          handle_request t conn (Protocol.request_of_string payload)
+      done;
+      true
+    with Exit | Protocol.Protocol_error _ -> false
   in
-  (try
-     if (not conn.hello_done) && len - !pos >= String.length Protocol.hello
-     then begin
-       let n = String.length Protocol.hello in
-       if String.sub data !pos n <> Protocol.hello then begin
-         ok := false;
-         raise Exit
-       end;
-       pos := !pos + n;
-       conn.hello_done <- true;
-       (* echo the hello; a failed write sheds the client below *)
-       try Protocol.send_hello conn.fd
-       with Unix.Unix_error _ | Sys_error _ ->
-         ok := false;
-         raise Exit
-     end;
-     if conn.hello_done then begin
-       let continue = ref true in
-       while !continue && conn.alive do
-         if len - !pos < 8 then continue := false
-         else begin
-           let flen = u32 !pos in
-           let crc = u32 (!pos + 4) in
-           if flen > Protocol.max_frame_bytes then begin
-             ok := false;
-             raise Exit
-           end;
-           if len - !pos < 8 + flen then continue := false
-           else begin
-             let payload = String.sub data (!pos + 8) flen in
-             pos := !pos + 8 + flen;
-             if Checkpoint.crc32 payload <> crc then begin
-               ok := false;
-               raise Exit
-             end;
-             match Protocol.request_of_string payload with
-             | req -> handle_request t conn req
-             | exception Protocol.Protocol_error _ ->
-               ok := false;
-               raise Exit
-           end
-         end
-       done
-     end
-   with Exit -> ());
-  let rest = String.sub data !pos (len - !pos) in
-  Buffer.clear conn.inbuf;
-  Buffer.add_string conn.inbuf rest;
-  !ok
+  if !pos > 0 then begin
+    Bytes.blit conn.inbuf !pos conn.inbuf 0 (conn.inlen - !pos);
+    conn.inlen <- conn.inlen - !pos
+  end;
+  ok
 
+(* reads land directly after the unparsed bytes, in a buffer that
+   doubles whenever less than 4 KiB of it is free *)
 let on_readable t conn =
-  let chunk_len = 65536 in
-  let chunk = Bytes.create chunk_len in
-  match Unix.read conn.fd chunk 0 chunk_len with
+  if Bytes.length conn.inbuf - conn.inlen < 4096 then
+    conn.inbuf <- Bytes.extend conn.inbuf 0 (Bytes.length conn.inbuf);
+  let free = Bytes.length conn.inbuf - conn.inlen in
+  match Unix.read conn.fd conn.inbuf conn.inlen free with
   | 0 -> disconnect t conn
   | n ->
-    Buffer.add_subbytes conn.inbuf chunk 0 n;
+    conn.inlen <- conn.inlen + n;
     if not (parse_conn t conn) then begin
       ignore (send t conn (Protocol.Error_frame "protocol error"));
       disconnect t conn
@@ -481,7 +454,7 @@ let handle_completion t { job; result } =
           ignore
             (send t c (Protocol.Results { job_id; patterns = chunk; seq = i }))
         | None -> ())
-      (chunked t.cfg.result_chunk patterns);
+      (chunked result_chunk patterns);
     send_job_done t conn ~job_id
       ~outcome:(Budget.to_string report.Miner.outcome)
       ~stopped_by:(Option.map Job.cancel_reason_name reason)

@@ -24,7 +24,9 @@
     - {b Disconnect detection}: a vanished client (EOF, or any failed
       response write, including injected {!Budget.Fault.Socket_write}
       faults) has its queued jobs dropped and its running jobs' budgets
-      cancelled, releasing pool slots promptly.
+      cancelled, releasing pool slots promptly. A client that stops
+      reading is shed once a response write blocks for 10 s; results
+      travel in frames of 512 patterns.
     - {b Durability}: each job's completed roots are checkpointed as they
       finish; resubmitting a job id — after a disconnect, a drain, or a
       daemon kill -9 and restart — resumes instead of restarting, and
@@ -50,10 +52,6 @@ type config = {
   limits : Job.limits;  (** server-wide clamps on per-job budgets *)
   idle_timeout_s : float option;  (** idle-watchdog threshold (default off) *)
   drain_grace_s : float;  (** drain grace before force-cancel (default 5) *)
-  send_timeout_s : float;
-      (** [SO_SNDTIMEO] on client sockets: a consumer stuck longer than
-          this is shed (default 10) *)
-  result_chunk : int;  (** patterns per [Results] frame (default 512) *)
   stats_path : string option;  (** periodic stats dump target (default off) *)
   stats_interval_s : float;  (** dump period (default 10) *)
   tick_s : float;
@@ -73,8 +71,6 @@ val config :
   ?limits:Job.limits ->
   ?idle_timeout_s:float ->
   ?drain_grace_s:float ->
-  ?send_timeout_s:float ->
-  ?result_chunk:int ->
   ?stats_path:string ->
   ?stats_interval_s:float ->
   ?tick_s:float ->

@@ -1,10 +1,10 @@
+open Rgs_sequence
 open Rgs_core
 
 let magic = "RGSD"
 let version = 2
-let max_frame_bytes = 64 * 1024 * 1024
 
-exception Protocol_error of string
+exception Protocol_error = Wire.Frame_error
 
 type format = Tokens | Chars | Spmf
 
@@ -62,85 +62,35 @@ let valid_job_id id =
          | _ -> false)
        id
 
-(* --- byte-level I/O, EINTR-safe --- *)
-
-let rec write_all fd b off len =
-  if len > 0 then
-    match Unix.write fd b off len with
-    | n -> write_all fd b (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
-
-(* [false] only on EOF before the first byte; a read timeout (SO_RCVTIMEO
-   makes the read fail with EAGAIN) becomes Protocol_error so callers
-   under timeout discipline cannot hang. *)
-let read_into fd b len =
-  let rec go off =
-    if off >= len then true
-    else
-      match Unix.read fd b off (len - off) with
-      | 0 ->
-        if off = 0 then false
-        else raise (Protocol_error "connection closed mid-frame")
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        raise (Protocol_error "read timeout")
-  in
-  go 0
-
-let read_exact fd len =
-  let b = Bytes.create len in
-  if read_into fd b len then Some b else None
-
-let put_u32 b off v =
-  Bytes.set b off (Char.chr ((v lsr 24) land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 3) (Char.chr (v land 0xff))
-
-let get_u32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
+(* --- frames: [Wire]'s header --- *)
 
 let write_frame ?(fire_fault = false) fd payload =
   if fire_fault then Budget.Fault.fire Budget.Fault.Socket_write;
   let len = String.length payload in
-  if len > max_frame_bytes then
-    raise (Protocol_error (Printf.sprintf "frame too large (%d bytes)" len));
-  let buf = Bytes.create (8 + len) in
-  put_u32 buf 0 len;
-  put_u32 buf 4 (Checkpoint.crc32 payload);
-  Bytes.blit_string payload 0 buf 8 len;
-  write_all fd buf 0 (8 + len)
+  let buf = Bytes.create (Wire.header_bytes + len) in
+  Bytes.blit_string payload 0 buf Wire.header_bytes len;
+  Wire.write_frame fd buf ~len
 
+(* a receive timeout is reported as [Protocol_error] so a client under
+   timeout discipline cannot hang; a fresh buffer grown to exactly the
+   payload becomes the string without a copy *)
 let read_frame fd =
-  match read_exact fd 8 with
+  let buf = ref Bytes.empty in
+  match Wire.read_frame fd buf with
   | None -> None
-  | Some hdr ->
-    let len = get_u32 hdr 0 in
-    let crc = get_u32 hdr 4 in
-    if len > max_frame_bytes then
-      raise (Protocol_error (Printf.sprintf "frame too large (%d bytes)" len));
-    let payload =
-      match read_exact fd len with
-      | Some b -> Bytes.unsafe_to_string b
-      | None -> raise (Protocol_error "connection closed mid-frame")
-    in
-    if Checkpoint.crc32 payload <> crc then
-      raise (Protocol_error "frame CRC mismatch");
-    Some payload
+  | Some len when len = Bytes.length !buf -> Some (Bytes.unsafe_to_string !buf)
+  | Some len -> Some (Bytes.sub_string !buf 0 len)
+  | exception Wire.Timeout -> raise (Protocol_error "read timeout")
 
 let hello = magic ^ String.make 1 (Char.chr version)
 
-let send_hello fd = write_all fd (Bytes.of_string hello) 0 (String.length hello)
+let send_hello fd = Wire.write_all fd (Bytes.of_string hello) 0 (String.length hello)
 
 let read_hello fd =
-  match read_exact fd (String.length hello) with
-  | Some b -> Bytes.to_string b = hello
-  | None -> false
-  | exception Protocol_error _ -> false
+  let b = Bytes.create (String.length hello) in
+  match Wire.read_into fd b (Bytes.length b) with
+  | got -> got && Bytes.to_string b = hello
+  | exception (Wire.Frame_error _ | Wire.Timeout) -> false
 
 (* --- payload codecs --- *)
 

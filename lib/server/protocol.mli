@@ -8,10 +8,12 @@
     After the hello, both directions carry {e frames}:
 
     {v
-    offset 0   u32 big-endian   payload length (<= max_frame_bytes)
-    offset 4   u32 big-endian   CRC-32 of the payload (Checkpoint.crc32)
+    offset 0   u32 big-endian   payload length (<= Wire.max_frame_bytes)
+    offset 4   u32 big-endian   CRC-32 of the payload (Wire.crc32)
     offset 8   payload          Marshal-encoded request / response
     v}
+
+    The header is {!Rgs_sequence.Wire}'s, shared with the worker pipe.
 
     The CRC catches torn or garbled frames before [Marshal] ever sees
     them; a frame that fails the length guard, the CRC or decoding raises
@@ -32,13 +34,11 @@ val magic : string
 val version : int
 (** The protocol version ([2]), the only one the daemon accepts. *)
 
-val max_frame_bytes : int
-(** Upper bound on a frame payload (64 MiB); both sides reject larger
-    frames before allocating. *)
-
 exception Protocol_error of string
 (** A malformed hello or frame, a CRC mismatch, an oversized frame, an
-    undecodable payload, an EOF mid-frame, or a read timeout. *)
+    undecodable payload, an EOF mid-frame, or a read timeout. It is
+    {!Rgs_sequence.Wire.Frame_error} under the daemon's name, so a
+    handler of either catches the frame errors of both. *)
 
 type format = Tokens | Chars | Spmf  (** input formats, as {!Seq_io} *)
 
@@ -120,8 +120,9 @@ type response =
 (** {1 Frame I/O}
 
     All functions retry [EINTR]. Reads translate a receive timeout
-    ([SO_RCVTIMEO] expiry) into {!Protocol_error} so a caller under
-    timeout discipline can never hang. *)
+    ([SO_RCVTIMEO] expiry, {!Rgs_sequence.Wire.Timeout}) into
+    {!Protocol_error} ["read timeout"] so a caller under timeout
+    discipline can never hang. *)
 
 val write_frame : ?fire_fault:bool -> Unix.file_descr -> string -> unit
 (** Write one frame. [fire_fault] (daemon side only) fires
@@ -131,17 +132,6 @@ val write_frame : ?fire_fault:bool -> Unix.file_descr -> string -> unit
 val read_frame : Unix.file_descr -> string option
 (** Read one frame; [None] on a clean EOF at a frame boundary.
     @raise Protocol_error on a torn frame, bad CRC or oversized length. *)
-
-val write_all : Unix.file_descr -> bytes -> int -> int -> unit
-(** [write_all fd b off len] writes the whole range, across short
-    writes. *)
-
-val read_into : Unix.file_descr -> bytes -> int -> bool
-(** [read_into fd b len] fills [b]'s first [len] bytes — the frame
-    readers that reuse one buffer per connection. [false] on a clean EOF
-    before the first byte. @raise Protocol_error on an EOF mid-way
-    (["connection closed mid-frame"]) or when [SO_RCVTIMEO] expires
-    (["read timeout"]). *)
 
 val hello : string
 (** The 5 hello bytes for {!version}. *)

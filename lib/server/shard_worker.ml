@@ -2,7 +2,7 @@ open Rgs_sequence
 open Rgs_core
 
 (* Messages between the supervisor and one shard worker process. Framing
-   is [Protocol]'s length + CRC-32 header; the payload is a tagged
+   is [Wire]'s length + CRC-32 header; the payload is a tagged
    varint codec (FORMAT.md Appendix B), decoded totally, so a torn or
    corrupted frame is caught at the CRC and a CRC-valid but malformed
    one at the decoder. The worker's stdin/stdout carry nothing else. *)
@@ -37,150 +37,122 @@ let tag_heartbeat = 2
 let tag_grown = 3
 let tag_failed = 4
 
-exception Bad of string
+(* A payload is built in place at [start], after the frame header, in a
+   buffer reused across frames; [bound] is an upper bound on the payload. *)
+let start = Wire.header_bytes
 
-let varint_max = 9
-
-(* A payload is built in place, after an 8-byte header gap, in a buffer
-   reused across frames; [bound] is an upper bound on the payload. *)
 let reserve b bound =
-  if Bytes.length !b < 8 + bound then
-    b := Bytes.create (max (8 + bound) (2 * Bytes.length !b))
-
-let put b off v =
-  if v < 0 then invalid_arg "Shard_worker: negative field";
-  Support_set.put_varint b off v
-
-let put_string b off s =
-  let off = put b off (String.length s) in
-  Bytes.blit_string s 0 b off (String.length s);
-  off + String.length s
+  if Bytes.length !b < start + bound then
+    b := Bytes.create (max (start + bound) (2 * Bytes.length !b))
 
 (* the [write_*_payload] functions return the payload's end offset in [!b] *)
 let write_to_worker_payload b (m : to_worker) =
   match m with
   | Shutdown ->
     reserve b 1;
-    put !b 8 tag_shutdown
+    Wire.put_uint !b start tag_shutdown
   | Grow { req; event; gap; slot; slice } ->
     if slot < 0 || slot >= slots then invalid_arg "Shard_worker: slot out of range";
     let set_bound =
       match slice with Inline s -> Support_set.encode_bound s | Held -> 0
     in
-    reserve b ((7 * varint_max) + set_bound);
+    reserve b ((7 * Wire.varint_max) + set_bound);
     let b = !b in
-    let o = put b 8 tag_grow in
-    let o = put b o req in
-    let o = put b o event in
+    let o = Wire.put_uint b start tag_grow in
+    let o = Wire.put_uint b o req in
+    let o = Wire.put_uint b o event in
     let o =
       match gap with
-      | None -> put b o 0
-      | Some (min_gap, max_gap) -> put b (put b (put b o 1) min_gap) max_gap
+      | None -> Wire.put_uint b o 0
+      | Some (min_gap, max_gap) ->
+        let o = Wire.put_uint b o 1 in
+        Wire.put_uint b (Wire.put_uint b o min_gap) max_gap
     in
-    let o = put b o slot in
+    let o = Wire.put_uint b o slot in
     (match slice with
-    | Held -> put b o 0
-    | Inline s -> Support_set.encode_into s b (put b o 1))
+    | Held -> Wire.put_uint b o 0
+    | Inline s -> Support_set.encode_into s b (Wire.put_uint b o 1))
 
 let write_from_worker_payload b (m : from_worker) =
   match m with
   | Ready { lo; hi; digest } ->
-    reserve b ((5 * varint_max) + String.length digest);
+    reserve b ((5 * Wire.varint_max) + String.length digest);
     let b = !b in
-    let o = put b 8 tag_ready in
-    let o = put b o wire_version in
-    put_string b (put b (put b o lo) hi) digest
+    let o = Wire.put_uint b start tag_ready in
+    let o = Wire.put_uint b o wire_version in
+    let o = Wire.put_uint b o lo in
+    Wire.put_string b (Wire.put_uint b o hi) digest
   | Heartbeat ->
     reserve b 1;
-    put !b 8 tag_heartbeat
+    Wire.put_uint !b start tag_heartbeat
   | Grown { req; part } ->
-    reserve b ((2 * varint_max) + Support_set.encode_bound part);
+    reserve b ((2 * Wire.varint_max) + Support_set.encode_bound part);
     let b = !b in
-    Support_set.encode_into part b (put b (put b 8 tag_grown) req)
+    Support_set.encode_into part b (Wire.put_uint b (Wire.put_uint b start tag_grown) req)
   | Failed { req; reason } ->
-    reserve b ((3 * varint_max) + String.length reason);
+    reserve b ((3 * Wire.varint_max) + String.length reason);
     let b = !b in
-    put_string b (put b (put b 8 tag_failed) req) reason
+    Wire.put_string b (Wire.put_uint b (Wire.put_uint b start tag_failed) req) reason
 
-(* Decoders read [s.[off, stop)] through a cursor. Every failure is
-   [Bad msg]: a string length is bounded by the bytes left before it is
-   used, flags are exactly 0 or 1, and the payload must be consumed
-   exactly. *)
-type cursor = { s : string; pos : int ref; stop : int }
+(* Decoders read [s.[off, off + len)] through [Wire.decode]; every
+   failure is [Invalid_argument]. A support set runs to the end of the
+   payload. *)
+let get_set c s =
+  let off, len = Wire.take_rest c in
+  Support_set.decode_sub s ~off ~len
 
-let get c =
-  try Support_set.get_varint c.s c.pos ~stop:c.stop
-  with Invalid_argument msg -> raise (Bad msg)
+let decode_to_worker_sub s =
+  Wire.decode
+    (fun c ->
+      match Wire.get_uint c with
+      | t when t = tag_shutdown -> Shutdown
+      | t when t = tag_grow ->
+        let req = Wire.get_uint c in
+        let event = Wire.get_uint c in
+        let gap =
+          if Wire.get_flag c then
+            let min_gap = Wire.get_uint c in
+            Some (min_gap, Wire.get_uint c)
+          else None
+        in
+        let slot = Wire.get_uint c in
+        if slot >= slots then invalid_arg "slot out of range";
+        let slice = if Wire.get_flag c then Inline (get_set c s) else Held in
+        Grow { req; event; gap; slot; slice }
+      | _ -> invalid_arg "unknown request tag")
+    s
 
-let get_flag c =
-  match get c with 0 -> false | 1 -> true | _ -> raise (Bad "flag is not 0 or 1")
-
-let get_string c =
-  let n = get c in
-  if n > c.stop - !(c.pos) then raise (Bad "string length exceeds payload");
-  let v = String.sub c.s !(c.pos) n in
-  c.pos := !(c.pos) + n;
-  v
-
-(* a support set runs to the end of the payload *)
-let get_set c =
-  let at = !(c.pos) in
-  c.pos := c.stop;
-  try Support_set.decode_sub c.s ~off:at ~len:(c.stop - at)
-  with Invalid_argument msg -> raise (Bad msg)
-
-let finish c m = if !(c.pos) <> c.stop then raise (Bad "trailing bytes") else m
-
-let decode_to_worker_sub s ~off ~len =
-  let c = { s; pos = ref off; stop = off + len } in
-  let tag = get c in
-  if tag = tag_shutdown then finish c Shutdown
-  else if tag = tag_grow then begin
-    let req = get c in
-    let event = get c in
-    let gap =
-      if get_flag c then
-        let min_gap = get c in
-        Some (min_gap, get c)
-      else None
-    in
-    let slot = get c in
-    if slot >= slots then raise (Bad "slot out of range");
-    let slice = if get_flag c then Inline (get_set c) else Held in
-    finish c (Grow { req; event; gap; slot; slice })
-  end
-  else raise (Bad "unknown request tag")
-
-let decode_from_worker_sub s ~off ~len =
-  let c = { s; pos = ref off; stop = off + len } in
-  let tag = get c in
-  if tag = tag_heartbeat then finish c Heartbeat
-  else if tag = tag_ready then begin
-    let version = get c in
-    if version <> wire_version then
-      raise
-        (Bad (Printf.sprintf "worker wire version %d, expected %d" version wire_version));
-    let lo = get c in
-    let hi = get c in
-    finish c (Ready { lo; hi; digest = get_string c })
-  end
-  else if tag = tag_grown then
-    let req = get c in
-    finish c (Grown { req; part = get_set c })
-  else if tag = tag_failed then
-    let req = get c in
-    finish c (Failed { req; reason = get_string c })
-  else raise (Bad "unknown reply tag")
+let decode_from_worker_sub s =
+  Wire.decode
+    (fun c ->
+      match Wire.get_uint c with
+      | t when t = tag_heartbeat -> Heartbeat
+      | t when t = tag_ready ->
+        let version = Wire.get_uint c in
+        if version <> wire_version then
+          invalid_arg
+            (Printf.sprintf "worker wire version %d, expected %d" version wire_version);
+        let lo = Wire.get_uint c in
+        let hi = Wire.get_uint c in
+        Ready { lo; hi; digest = Wire.get_string c }
+      | t when t = tag_grown ->
+        let req = Wire.get_uint c in
+        Grown { req; part = get_set c s }
+      | t when t = tag_failed ->
+        let req = Wire.get_uint c in
+        Failed { req; reason = Wire.get_string c }
+      | _ -> invalid_arg "unknown reply tag")
+    s
 
 let to_result f s =
   match f s ~off:0 ~len:(String.length s) with
   | m -> Ok m
-  | exception Bad msg -> Error msg
+  | exception Invalid_argument msg -> Error msg
 
 let payload_string write m =
   let b = ref (Bytes.create 64) in
   let stop = write b m in
-  Bytes.sub_string !b 8 (stop - 8)
+  Bytes.sub_string !b start (stop - start)
 
 let encode_to_worker m = payload_string write_to_worker_payload m
 let encode_from_worker m = payload_string write_from_worker_payload m
@@ -198,42 +170,21 @@ type conn = {
 let conn fd = { fd; rbuf = ref (Bytes.create 4096); wbuf = ref (Bytes.create 4096) }
 let fd c = c.fd
 
-let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
-let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
-
 (* one frame, one write: header and payload share the buffer *)
 let write_frame c write m =
   let stop = write c.wbuf m in
-  let b = !(c.wbuf) in
-  let len = stop - 8 in
-  if len > Protocol.max_frame_bytes then
-    raise (Protocol.Protocol_error (Printf.sprintf "frame too large (%d bytes)" len));
-  set_u32 b 0 len;
-  set_u32 b 4 (Checkpoint.crc32_sub (Bytes.unsafe_to_string b) 8 len);
-  Protocol.write_all c.fd b 0 stop;
+  Wire.write_frame c.fd !(c.wbuf) ~len:(stop - start);
   stop
 
 let read_frame c decode =
-  let hdr = !(c.rbuf) in
-  if not (Protocol.read_into c.fd hdr 8) then None
-  else begin
-    let len = get_u32 hdr 0 and crc = get_u32 hdr 4 in
-    if len > Protocol.max_frame_bytes then
-      raise (Protocol.Protocol_error (Printf.sprintf "frame too large (%d bytes)" len));
-    if Bytes.length !(c.rbuf) < len then
-      c.rbuf := Bytes.create (max len (2 * Bytes.length !(c.rbuf)));
-    let b = !(c.rbuf) in
-    if not (Protocol.read_into c.fd b len) then
-      raise (Protocol.Protocol_error "connection closed mid-frame");
+  match Wire.read_frame c.fd c.rbuf with
+  | None -> None
+  | Some len -> (
     (* the decoders copy what they keep, so the buffer can be reused *)
-    let s = Bytes.unsafe_to_string b in
-    if Checkpoint.crc32_sub s 0 len <> crc then
-      raise (Protocol.Protocol_error "frame CRC mismatch");
-    match decode s ~off:0 ~len with
-    | m -> Some (m, 8 + len)
-    | exception Bad msg ->
-      raise (Protocol.Protocol_error ("undecodable worker frame: " ^ msg))
-  end
+    match decode (Bytes.unsafe_to_string !(c.rbuf)) ~off:0 ~len with
+    | m -> Some (m, Wire.header_bytes + len)
+    | exception Invalid_argument msg ->
+      raise (Protocol.Protocol_error ("undecodable worker frame: " ^ msg)))
 
 (* The supervisor's side counts the bytes its pipes carry. *)
 let write_to_worker c m =
@@ -256,11 +207,11 @@ let read_to_worker c = Option.map fst (read_frame c decode_to_worker_sub)
 let write_corrupt_frame fd =
   let payload = "corrupt-frame-fault" in
   let len = String.length payload in
-  let buf = Bytes.create (8 + len) in
-  set_u32 buf 0 len;
-  set_u32 buf 4 ((Checkpoint.crc32 payload lxor 0x5A5A5A5A) land 0xFFFFFFFF);
-  Bytes.blit_string payload 0 buf 8 len;
-  Protocol.write_all fd buf 0 (8 + len)
+  let b = Bytes.create (Wire.header_bytes + len) in
+  Bytes.blit_string payload 0 b Wire.header_bytes len;
+  Wire.seal b ~len;
+  Bytes.set_int32_be b 4 (Int32.logxor (Bytes.get_int32_be b 4) 0x5A5A5A5Al);
+  Wire.write_all fd b 0 (Wire.header_bytes + len)
 
 (* --- the serve loop --- *)
 

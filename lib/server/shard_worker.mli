@@ -21,10 +21,11 @@
     replayed against a fresh incarnation, or computed in-process, with
     an identical answer.
 
-    Frames reuse {!Protocol}'s length + CRC-32 framing over the worker's
+    Frames use {!Rgs_sequence.Wire}'s length + CRC-32 header (the
+    daemon's too) over the worker's
     stdin/stdout (a socketpair, so the supervisor can arm [SO_RCVTIMEO]
-    as its liveness deadline). Payloads are a tagged varint codec with a
-    total decoder (FORMAT.md Appendix B); each connection builds and
+    as its liveness deadline). Payloads are a tagged codec over [Wire]'s
+    varints with a total decoder (FORMAT.md Appendix B); each connection builds and
     reads its frames in reused buffers. A heartbeat domain writes a
     [Heartbeat] frame every [heartbeat_ms] under the same writer mutex as
     replies, so a long INSgrow pass never looks like a hang.
@@ -121,9 +122,10 @@ val read_from_worker : conn -> from_worker option
 (** Supervisor side; adds the frame's bytes to
     {!Rgs_sequence.Metrics.worker_bytes_received}. [None] on clean EOF.
     @raise Protocol.Protocol_error on a torn, CRC-corrupt or undecodable
-    frame (a [Ready] of another {!wire_version} included), or when the
-    descriptor's [SO_RCVTIMEO] expires (message ["read timeout"]) — the
-    supervisor's three failure signals. *)
+    frame (a [Ready] of another {!wire_version} included).
+    @raise Rgs_sequence.Wire.Timeout when the descriptor's [SO_RCVTIMEO]
+    expires. EOF, [Protocol_error] and [Timeout] are the supervisor's
+    three failure signals. *)
 
 val write_corrupt_frame : Unix.file_descr -> unit
 (** A well-formed header whose CRC is deliberately wrong — what the

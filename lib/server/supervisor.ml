@@ -292,6 +292,7 @@ let spawn t w =
       | Some _ -> fail "unexpected first frame"
       | None -> fail "worker exited before handshake"
       | exception Protocol.Protocol_error msg -> fail ("handshake: " ^ msg)
+      | exception Wire.Timeout -> fail "handshake: read timeout"
       | exception Unix.Unix_error (e, _, _) ->
         fail ("handshake: " ^ Unix.error_message e)))
 
@@ -331,14 +332,12 @@ let await t w p ~req =
     | Some (Shard_worker.Failed _) -> Error "stale failure frame"
     | Some (Shard_worker.Ready _) -> Error "unexpected handshake frame"
     | None -> Error "worker exited (EOF)"
-    | exception Protocol.Protocol_error msg ->
-      if msg = "read timeout" then begin
-        Metrics.hit Metrics.worker_heartbeats_missed;
-        Error
-          (Printf.sprintf "liveness timeout (no heartbeat within %gs)"
-             t.cfg.liveness_timeout_s)
-      end
-      else Error ("corrupt reply frame: " ^ msg)
+    | exception Wire.Timeout ->
+      Metrics.hit Metrics.worker_heartbeats_missed;
+      Error
+        (Printf.sprintf "liveness timeout (no heartbeat within %gs)"
+           t.cfg.liveness_timeout_s)
+    | exception Protocol.Protocol_error msg -> Error ("corrupt reply frame: " ^ msg)
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
   ignore w;

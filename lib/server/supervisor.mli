@@ -27,7 +27,7 @@
       the worker exited or was killed;
     - {b hang}: no frame (reply {e or} heartbeat) arrives within
       [liveness_timeout_s] — [SO_RCVTIMEO] expires and the read raises
-      {!Protocol.Protocol_error} ["read timeout"]
+      {!Rgs_sequence.Wire.Timeout}
       ({!Rgs_sequence.Metrics.worker_heartbeats_missed});
     - {b corruption}: a frame fails its CRC or is torn, or its payload
       fails the typed codec (FORMAT.md Appendix B) —

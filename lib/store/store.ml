@@ -34,40 +34,10 @@ let error_message e = Printf.sprintf "FORMAT.md %s: %s" e.clause e.reason
 let invalid clause fmt =
   Printf.ksprintf (fun reason -> raise (Invalid_store { clause; reason })) fmt
 
-(* --- CRC-32 (ISO-HDLC / zlib polynomial, §1.4), table-based, over both
-   strings (writer) and mapped byte sections (verifier) --- *)
+(* CRC-32 (§1.4) is [Wire]'s, over both strings (writer) and mapped byte
+   sections (verifier) *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun i ->
-         let c = ref i in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32_string s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
-  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
-
-type bytes_map = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Checked gets: every caller's range is validated against the mapping
-   first, but a CRC pass is cold-path work and an index bug here would
-   read (or fault on) pages outside the file, so the bounds check stays. *)
-let crc32_map (m : bytes_map) ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c :=
-      table.((!c lxor Char.code (Bigarray.Array1.get m i)) land 0xFF)
-      lxor (!c lsr 8)
-  done;
-  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
+type bytes_map = Wire.bytes_map
 
 (* --- little-endian primitives (§1.2) --- *)
 
@@ -160,7 +130,7 @@ let write ?codec ~path db =
       buf_u32 table_buf 0;
       buf_u64 table_buf !off;
       buf_u64 table_buf (String.length payload);
-      buf_u32 table_buf (crc32_string payload);
+      buf_u32 table_buf (Wire.crc32 payload);
       buf_u32 table_buf 0;
       Buffer.add_string body_buf payload;
       let pad = pad8 (String.length payload) in
@@ -188,11 +158,11 @@ let write ?codec ~path db =
     (fun () ->
       output_string oc header_prefix;
       let crc_buf = Buffer.create 4 in
-      buf_u32 crc_buf (crc32_string header_prefix);
+      buf_u32 crc_buf (Wire.crc32 header_prefix);
       output_string oc (Buffer.contents crc_buf);
       output_string oc table;
       let tcrc_buf = Buffer.create 8 in
-      buf_u32 tcrc_buf (crc32_string table);
+      buf_u32 tcrc_buf (Wire.crc32 table);
       buf_u32 tcrc_buf 0;
       output_string oc (Buffer.contents tcrc_buf);
       Buffer.output_buffer oc body_buf;
@@ -251,7 +221,7 @@ let check_int_section file_size s =
 
 let verify_section ?(trace = Trace.null) bytes s =
   Metrics.hit Metrics.store_crc_checks;
-  let crc = crc32_map bytes ~pos:s.s_off ~len:s.s_len in
+  let crc = Wire.crc32_map bytes ~pos:s.s_off ~len:s.s_len in
   let ok = crc = s.s_crc in
   Trace.instant trace Trace.Store_crc
     ~a0:(if s.tag = "" then 0 else Char.code s.tag.[0])
@@ -296,7 +266,7 @@ let open_store ?(verify = false) ?(trace = Trace.null) path =
       let flags = map_u32 bytes 12 in
       if flags <> 0 then invalid "§2.2" "unknown header flags %#x" flags;
       let stored_header_crc = map_u32 bytes (header_bytes - 4) in
-      let header_crc = crc32_map bytes ~pos:0 ~len:(header_bytes - 4) in
+      let header_crc = Wire.crc32_map bytes ~pos:0 ~len:(header_bytes - 4) in
       if stored_header_crc <> header_crc then begin
         Metrics.hit Metrics.store_crc_failures;
         invalid "§2.3" "header CRC mismatch (stored %08x, computed %08x)"
@@ -321,7 +291,7 @@ let open_store ?(verify = false) ?(trace = Trace.null) path =
         invalid "§3.1" "section table truncated: %d entries need %d bytes, file has %d"
           count (table_len + 8) (file_size - table_off);
       let stored_table_crc = map_u32 bytes (table_off + table_len) in
-      let table_crc = crc32_map bytes ~pos:table_off ~len:table_len in
+      let table_crc = Wire.crc32_map bytes ~pos:table_off ~len:table_len in
       if stored_table_crc <> table_crc then begin
         Metrics.hit Metrics.store_crc_failures;
         invalid "§3.2" "section table CRC mismatch (stored %08x, computed %08x)"

@@ -256,6 +256,108 @@ let test_unsupported_version_refused () =
       with_client h (fun c ->
           Alcotest.(check bool) "still serving" true (Client.ping c)))
 
+(* Frames are checked where they arrive. A [Submit] written in many small
+   pieces — the header split inside both its words, then the payload in
+   chunks — gets the answer of one written whole; a header declaring a
+   length above the cap is shed before any payload arrives, and so is a
+   frame whose CRC does not match. *)
+let with_raw_conn h f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX h.sock);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Protocol.send_hello fd;
+      Alcotest.(check bool) "hello echoed" true (Protocol.read_hello fd);
+      f fd)
+
+let sealed payload =
+  let len = String.length payload in
+  let b = Bytes.create (Wire.header_bytes + len) in
+  Bytes.blit_string payload 0 b Wire.header_bytes len;
+  Wire.seal b ~len;
+  b
+
+(* the daemon closes the connection (maybe after an error frame) and
+   answers nothing else; a read timeout means it is still waiting *)
+let shed fd =
+  let rec go () =
+    match Protocol.read_frame fd with
+    | None -> true
+    | Some s -> (
+      match Protocol.response_of_string s with
+      | Protocol.Error_frame _ -> go ()
+      | _ -> false)
+    | exception Protocol.Protocol_error "read timeout" -> false
+    | exception Protocol.Protocol_error _ -> true
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
+  in
+  go ()
+
+let test_fragmented_frames () =
+  with_daemon (fun h ->
+      let whole, whole_done =
+        with_client h (fun c ->
+            submit_ok c (spec "frag-whole");
+            Client.collect_job c ~job_id:"frag-whole")
+      in
+      let frame =
+        sealed (Protocol.request_to_string (Protocol.Submit (spec "frag-pieces")))
+      in
+      let total = Bytes.length frame in
+      let step = max 1 ((total - Wire.header_bytes) / 40) in
+      let cuts =
+        let rec payload_cuts at acc =
+          if at >= total then List.rev (total :: acc)
+          else payload_cuts (at + step) (at :: acc)
+        in
+        0 :: 2 :: 6 :: payload_cuts Wire.header_bytes []
+      in
+      let pieces, done_ =
+        with_raw_conn h (fun fd ->
+            let rec send = function
+              | a :: (b :: _ as rest) ->
+                if b > a then Wire.write_all fd frame a (b - a);
+                Unix.sleepf 0.002;
+                send rest
+              | _ -> ()
+            in
+            send cuts;
+            let rec collect acc =
+              match Protocol.read_frame fd with
+              | None -> Alcotest.fail "daemon hung up on a fragmented frame"
+              | Some s -> (
+                match Protocol.response_of_string s with
+                | Protocol.Accepted _ -> collect acc
+                | Protocol.Results { job_id = "frag-pieces"; patterns; _ } ->
+                  collect (List.rev_append patterns acc)
+                | Protocol.Job_done d -> (List.rev acc, d)
+                | _ -> Alcotest.fail "unexpected frame for a fragmented submit")
+            in
+            collect [])
+      in
+      check_results "single write = batch" whole;
+      Alcotest.(check (list (pair (list int) int)))
+        "fragmented = single write" (sorted whole) (sorted pieces);
+      Alcotest.(check int) "same total" whole_done.Protocol.total done_.Protocol.total;
+      Alcotest.(check string) "same outcome" whole_done.Protocol.outcome
+        done_.Protocol.outcome;
+      (* an oversized length is refused from the header alone *)
+      with_raw_conn h (fun fd ->
+          let hdr = Bytes.make Wire.header_bytes '\000' in
+          Bytes.set_int32_be hdr 0 (Int32.of_int (Wire.max_frame_bytes + 1));
+          Wire.write_all fd hdr 0 Wire.header_bytes;
+          Alcotest.(check bool) "oversized header shed" true (shed fd));
+      (* a complete frame with a wrong CRC is refused, not answered *)
+      with_raw_conn h (fun fd ->
+          let b = sealed (Protocol.request_to_string Protocol.Ping) in
+          Bytes.set b 4 (Char.chr (Char.code (Bytes.get b 4) lxor 1));
+          Wire.write_all fd b 0 (Bytes.length b);
+          Alcotest.(check bool) "bad CRC shed" true (shed fd));
+      with_client h (fun c ->
+          Alcotest.(check bool) "still serving" true (Client.ping c)))
+
 (* malformed queries are typed rejections on a live connection *)
 let test_malformed_query_rejected () =
   with_daemon (fun h ->
@@ -1032,6 +1134,8 @@ let suite =
       test_typed_rejections;
     Alcotest.test_case "unsupported hello version refused" `Quick
       test_unsupported_version_refused;
+    Alcotest.test_case "fragmented, oversized and corrupt frames" `Quick
+      test_fragmented_frames;
     Alcotest.test_case "malformed query rejected, typed" `Quick
       test_malformed_query_rejected;
     Alcotest.test_case "v2 queries end-to-end, checkpoint query pin" `Quick

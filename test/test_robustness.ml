@@ -638,9 +638,9 @@ let test_salvage_header_cuts () =
 
 (* --- the frame checksum --- *)
 
-(* The byte-at-a-time definition [Checkpoint.crc32] had before it became
-   a [for] loop over [String.unsafe_get]: the oracle the fast one must
-   match. *)
+(* The byte-at-a-time definition the frame checksum had before it became
+   [Wire]'s [for] loop over [String.unsafe_get]: the oracle the fast one
+   must match. *)
 let crc32_oracle s =
   let table =
     Array.init 256 (fun n ->
@@ -657,13 +657,13 @@ let crc32_oracle s =
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
 let test_crc32_known_vector () =
-  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Checkpoint.crc32 "123456789");
-  Alcotest.(check int) "empty string" 0 (Checkpoint.crc32 "");
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Wire.crc32 "123456789");
+  Alcotest.(check int) "empty string" 0 (Wire.crc32 "");
   Alcotest.(check int) "sub-range" 0xCBF43926
-    (Checkpoint.crc32_sub "xx123456789yy" 2 9);
+    (Wire.crc32_sub "xx123456789yy" 2 9);
   Alcotest.check_raises "range outside the string"
-    (Invalid_argument "Checkpoint.crc32_sub") (fun () ->
-      ignore (Checkpoint.crc32_sub "abc" 2 2))
+    (Invalid_argument "Wire.crc32_sub") (fun () ->
+      ignore (Wire.crc32_sub "abc" 2 2))
 
 let prop_crc32_oracle =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |])
@@ -675,8 +675,28 @@ let prop_crc32_oracle =
          int_bound n >>= fun off ->
          int_bound (n - off) >|= fun len -> (s, off, len))
        (fun (s, off, len) ->
-         Checkpoint.crc32 s = crc32_oracle s
-         && Checkpoint.crc32_sub s off len = crc32_oracle (String.sub s off len)))
+         Wire.crc32 s = crc32_oracle s
+         && Wire.crc32_sub s off len = crc32_oracle (String.sub s off len)))
+
+(* the store verifies mapped sections with [crc32_map]: it must agree
+   with the string checksum over the same bytes *)
+let prop_crc32_map =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+    (QCheck2.Test.make ~name:"crc32_map = crc32 over the same bytes" ~count:300
+       ~print:(fun (s, off, len) -> Printf.sprintf "%S [%d, +%d)" s off len)
+       QCheck2.Gen.(
+         string_size (int_bound 300) >>= fun s ->
+         let n = String.length s in
+         int_bound n >>= fun off ->
+         int_bound (n - off) >|= fun len -> (s, off, len))
+       (fun (s, off, len) ->
+         let m = Bigarray.(Array1.create char c_layout (String.length s)) in
+         String.iteri (fun i c -> m.{i} <- c) s;
+         Wire.crc32_map m ~pos:off ~len = Wire.crc32 (String.sub s off len)
+         && (off + len + 1 <= String.length s
+            || match Wire.crc32_map m ~pos:off ~len:(len + 1) with
+               | _ -> false
+               | exception Invalid_argument _ -> true)))
 
 (* --- record payload mutations: salvage as torn or round-trip --- *)
 
@@ -702,7 +722,7 @@ let frame_bytes ?len payload =
     done
   in
   set 0 (Option.value len ~default:(String.length payload));
-  set 4 (Checkpoint.crc32 payload);
+  set 4 (Wire.crc32 payload);
   Bytes.to_string b ^ payload
 
 (* Every mutated payload either fails the codec (and a log ending in its
@@ -761,6 +781,34 @@ let prop_record_mutations =
              match (m, decoded) with
              | Gens.Frame_lie _, _ | _, None -> torn
              | _, Some _ -> t.Checkpoint.salvaged_bytes = 0)))
+
+(* [Root_done] with root [-1] and no results: the canonical 9-byte varint
+   [ff ff ff ff ff ff ff ff 7f] sets bit 62, which no writer emits.
+   [Wire.get_uint] refuses it for every boundary, so the checkpoint
+   codec refuses it too and a log ending in its frame salvages that
+   frame as torn. *)
+let test_record_root_past_max () =
+  let payload = "\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x00" in
+  (match Checkpoint.decode_record payload with
+  | _ -> Alcotest.fail "a varint at or above 2^62 was decoded"
+  | exception Invalid_argument _ -> ());
+  let first = (Lazy.force mutation_payloads).(0) in
+  let last = frame_bytes payload in
+  let path = Filename.temp_file "rgs_ckpt_root" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc
+        (Printf.sprintf "RGS-CHECKPOINT\nv%d %s\n" Checkpoint.version fixture_fp);
+      output_string oc (frame_bytes first);
+      output_string oc last;
+      close_out oc;
+      let t = Checkpoint.load ~path ~expected_fingerprint:fixture_fp in
+      Alcotest.(check int) "the frame is salvaged as torn" (String.length last)
+        t.Checkpoint.salvaged_bytes;
+      Alcotest.(check (list int)) "the record before it survives" [ 0 ]
+        (List.map (fun (e : Checkpoint.entry) -> e.Checkpoint.root) t.Checkpoint.completed))
 
 (* --- stale temp files from a killed process are swept on the next save --- *)
 
@@ -1214,8 +1262,11 @@ let suite =
     Alcotest.test_case "fixture: unusable files" `Quick test_fixture_unusable;
     Alcotest.test_case "fixture: v2 log refused" `Quick test_fixture_v2_log;
     prop_record_mutations;
+    Alcotest.test_case "checkpoint root past 2^62 is torn" `Quick
+      test_record_root_past_max;
     Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_vector;
     prop_crc32_oracle;
+    prop_crc32_map;
     prop_salvage_any_truncation;
     Alcotest.test_case "salvage: header-area cuts" `Quick test_salvage_header_cuts;
     Alcotest.test_case "stale temp sweep" `Quick test_stale_temp_sweep;

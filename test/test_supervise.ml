@@ -163,7 +163,7 @@ let test_frame_roundtrip () =
       Unix.setsockopt_float a Unix.SO_RCVTIMEO 0.05;
       match Shard_worker.read_from_worker ca with
       | _ -> Alcotest.fail "read returned without a frame"
-      | exception Protocol.Protocol_error "read timeout" -> ())
+      | exception Wire.Timeout -> ())
 
 let test_ready_version_refused () =
   let ready =
