@@ -17,23 +17,6 @@ open Rgs_sequence
 open Rgs_core
 module Store = Rgs_store.Store
 
-type format = Tokens | Chars | Spmf
-
-let load format path =
-  match format with
-  | Tokens ->
-    let db, codec = Seq_io.load_tokens path in
-    (db, Some codec)
-  | Chars ->
-    let ic = open_in path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (Seq_io.parse_chars content, None)
-  | Spmf -> (Seq_io.load_spmf path, None)
-
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.Warning))
@@ -53,8 +36,8 @@ let parse_target format codec s =
     |> List.filter (fun t -> t <> "")
   in
   match format with
-  | Chars -> Pattern.of_string s
-  | Spmf ->
+  | Seq_io.Chars -> Pattern.of_string s
+  | Seq_io.Spmf ->
     Pattern.of_list
       (List.map
          (fun t ->
@@ -62,7 +45,7 @@ let parse_target format codec s =
            | Some e when e >= 0 -> e
            | _ -> invalid_arg (Printf.sprintf "--target: bad event id %S" t))
          (split s))
-  | Tokens ->
+  | Seq_io.Tokens ->
     let codec =
       match codec with
       | Some c -> c
@@ -111,7 +94,7 @@ let run input store format min_sup all max_length max_patterns limit instances m
     let db, codec =
       match store with
       | Some path -> Store.open_db path
-      | None -> load format input
+      | None -> Seq_io.parse format (Seq_io.read_file input)
     in
     Format.printf "%a@.@." Seqdb.pp_stats (Seqdb.stats db);
     let mode = if all then Miner.All else Miner.Closed in
@@ -276,9 +259,9 @@ let store_arg =
 
 let format =
   let format_conv =
-    Arg.enum [ ("tokens", Tokens); ("chars", Chars); ("spmf", Spmf) ]
+    Arg.enum [ ("tokens", Seq_io.Tokens); ("chars", Seq_io.Chars); ("spmf", Seq_io.Spmf) ]
   in
-  Arg.(value & opt format_conv Tokens & info [ "format"; "f" ] ~docv:"FMT"
+  Arg.(value & opt format_conv Seq_io.Tokens & info [ "format"; "f" ] ~docv:"FMT"
          ~doc:"Input format: $(b,tokens) (names per line), $(b,chars) (A-Z strings), or $(b,spmf).")
 
 let min_sup =
@@ -443,7 +426,7 @@ let verbose =
 let pack input format output check verbose =
   setup_logs verbose;
   match
-    let db, codec = load format input in
+    let db, codec = Seq_io.parse format (Seq_io.read_file input) in
     let out =
       match output with
       | Some o -> o

@@ -23,9 +23,8 @@ let pp_plan ppf p =
     (kind_name p.kind) p.trigger
     (if p.persistent then "persistent" else "transient")
 
-(* splitmix64 — the generator must be self-contained (lib/core cannot see
-   rgs_datagen) and deterministic across runs, which rules out [Random]'s
-   global state. *)
+(* self-contained (lib/core cannot see rgs_datagen) and deterministic
+   across runs, which rules out [Random]'s global state *)
 let splitmix state =
   state := Int64.add !state 0x9E3779B97F4A7C15L;
   let z = !state in

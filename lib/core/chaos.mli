@@ -51,6 +51,11 @@ exception Injected of plan
 
 val pp_plan : Format.formatter -> plan -> unit
 
+val splitmix : int64 ref -> int
+(** One splitmix64 step: advances the state and returns a non-negative
+    draw. The generator behind every plan here and the supervisor's
+    backoff jitter. *)
+
 val plans : ?kinds:site_kind list -> seed:int -> count:int -> unit -> plan list
 (** [count] plans drawn deterministically from [seed], cycling through
     [kinds] (default: [Insgrow], [Worker] and [Checkpoint_io];

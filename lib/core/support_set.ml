@@ -302,10 +302,7 @@ let encode_into s b off =
     s.groups;
   !o
 
-let encode s =
-  let b = Bytes.create (encode_bound s) in
-  let n = encode_into s b 0 in
-  Bytes.sub_string b 0 n
+let encode s = Wire.encode ~bound:(encode_bound s) (encode_into s)
 
 let read_set c =
   let fail msg = invalid_arg ("Support_set.decode: " ^ msg) in

@@ -91,6 +91,16 @@ let parse_spmf_report ?(strict = true) s =
 
 let parse_spmf ?strict s = fst (parse_spmf_report ?strict s)
 
+type format = Tokens | Chars | Spmf
+
+let parse format text =
+  match format with
+  | Tokens ->
+    let db, codec = parse_tokens text in
+    (db, Some codec)
+  | Chars -> (parse_chars text, None)
+  | Spmf -> (parse_spmf text, None)
+
 let print_tokens codec db =
   let buf = Buffer.create 1024 in
   Seqdb.iter

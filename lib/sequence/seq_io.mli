@@ -46,11 +46,20 @@ val parse_spmf : ?strict:bool -> string -> Seqdb.t
 val parse_spmf_report : ?strict:bool -> string -> Seqdb.t * int
 (** As {!parse_spmf}, also returning the number of skipped lines. *)
 
+type format = Tokens | Chars | Spmf  (** the three text formats above *)
+
+val parse : format -> string -> Seqdb.t * Codec.t option
+(** Parse text in [format], strictly; the codec for [Tokens].
+    @raise Parse_error on a malformed [Chars] or [Spmf] line. *)
+
 val print_tokens : Codec.t -> Seqdb.t -> string
 (** Inverse of {!parse_tokens}. *)
 
 val print_spmf : Seqdb.t -> string
 (** Inverse of {!parse_spmf}. *)
+
+val read_file : string -> string
+(** A whole file's bytes. @raise Sys_error *)
 
 val load_tokens : ?codec:Codec.t -> string -> Seqdb.t * Codec.t
 (** [load_tokens path] reads a [tokens]-format file. *)

@@ -35,25 +35,42 @@ let crc32_map (m : bytes_map) ~pos ~len =
   done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
-(* --- canonical unsigned LEB128 varints --- *)
+(* --- canonical LEB128 varints --- *)
 
 let varint_max = 9
 
-let put_uint b off v =
-  if v < 0 then invalid_arg "Wire.put_uint: negative value";
+(* all 63 bits of [v], unsigned; the checked [Bytes.set] turns an
+   encoder's wrong size bound into an exception, not a heap overrun *)
+let put_bits b off v =
   let off = ref off and v = ref v in
-  while !v >= 0x80 do
-    Bytes.unsafe_set b !off (Char.unsafe_chr (!v land 0x7F lor 0x80));
+  while !v lsr 7 <> 0 do
+    Bytes.set b !off (Char.unsafe_chr (!v land 0x7F lor 0x80));
     v := !v lsr 7;
     incr off
   done;
-  Bytes.unsafe_set b !off (Char.unsafe_chr !v);
+  Bytes.set b !off (Char.unsafe_chr !v);
   !off + 1
+
+let put_uint b off v =
+  if v < 0 then invalid_arg "Wire.put_uint: negative value";
+  put_bits b off v
+
+(* zigzag: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ..., a bijection of the
+   63-bit ints *)
+let put_int b off v = put_bits b off ((v lsl 1) lxor (v asr 62))
+
+let put_float b off f =
+  Bytes.set_int64_le b off (Int64.bits_of_float f);
+  off + 8
 
 let put_string b off s =
   let off = put_uint b off (String.length s) in
   Bytes.blit_string s 0 b off (String.length s);
   off + String.length s
+
+let encode ~bound put =
+  let b = Bytes.create bound in
+  Bytes.sub_string b 0 (put b 0)
 
 let add_uint buf v =
   let b = Bytes.create varint_max in
@@ -69,15 +86,16 @@ type cursor = { s : string; mutable pos : int; stop : int }
 
 let remaining c = c.stop - c.pos
 
-let get_uint c =
+(* [top] is the largest ninth byte: [0x3F] keeps a value below 2^62,
+   [0x7F] admits all 63 bits; anything above it either continues past 9
+   bytes or sets a bit the value cannot hold *)
+let[@inline] get_bits c ~top =
   let p = ref c.pos and acc = ref 0 and shift = ref 0 and fin = ref false in
   while not !fin do
     if !p >= c.stop then invalid_arg "varint: truncated";
     let b = Char.code (String.unsafe_get c.s !p) in
     incr p;
-    (* the ninth byte holds bits 56..61: anything above 0x3F either
-       continues past 9 bytes or sets bit 62, both past max_int *)
-    if !shift = 56 && b > 0x3F then invalid_arg "varint: value past max_int";
+    if !shift = 56 && b > top then invalid_arg "varint: value out of range";
     acc := !acc lor ((b land 0x7F) lsl !shift);
     if b < 0x80 then begin
       if b = 0 && !shift > 0 then invalid_arg "varint: overlong";
@@ -87,6 +105,18 @@ let get_uint c =
   done;
   c.pos <- !p;
   !acc
+
+let get_uint c = get_bits c ~top:0x3F
+
+let get_int c =
+  let z = get_bits c ~top:0x7F in
+  (z lsr 1) lxor -(z land 1)
+
+let get_float c =
+  if remaining c < 8 then invalid_arg "float: truncated";
+  let f = Int64.float_of_bits (String.get_int64_le c.s c.pos) in
+  c.pos <- c.pos + 8;
+  f
 
 let get_count c =
   let n = get_uint c in
@@ -157,22 +187,6 @@ let seal b ~len =
   Bytes.set_int32_be b 4
     (Int32.of_int (crc32_sub (Bytes.unsafe_to_string b) header_bytes len))
 
-let write_frame fd b ~len =
-  seal b ~len;
-  write_all fd b 0 (header_bytes + len)
-
-let read_frame fd buf =
-  let hdr = Bytes.create header_bytes in
-  if not (read_into fd hdr header_bytes) then None
-  else begin
-    let len = capped (get_u32 hdr 0) in
-    if Bytes.length !buf < len then buf := Bytes.create (max len (2 * Bytes.length !buf));
-    if not (read_into fd !buf len) then raise (Frame_error "connection closed mid-frame");
-    if crc32_sub (Bytes.unsafe_to_string !buf) 0 len <> get_u32 hdr 4 then
-      raise (Frame_error "frame CRC mismatch");
-    Some len
-  end
-
 let frame_at b ~pos ~stop =
   if stop - pos < header_bytes then None
   else
@@ -182,3 +196,37 @@ let frame_at b ~pos ~stop =
       crc32_sub (Bytes.unsafe_to_string b) (pos + header_bytes) len <> get_u32 b (pos + 4)
     then raise (Frame_error "frame CRC mismatch")
     else Some len
+
+(* --- connections: every frame built and read in the connection's own
+   buffers --- *)
+
+type conn = { fd : Unix.file_descr; mutable rbuf : bytes; mutable wbuf : bytes }
+
+let conn fd = { fd; rbuf = Bytes.create 4096; wbuf = Bytes.create 4096 }
+let conn_fd c = c.fd
+
+(* a buffer too small is replaced by one at least twice its size *)
+let room b need =
+  if Bytes.length b >= need then b else Bytes.create (max need (2 * Bytes.length b))
+
+let send c ~bound put =
+  c.wbuf <- room c.wbuf (header_bytes + bound);
+  let len = put c.wbuf header_bytes - header_bytes in
+  seal c.wbuf ~len;
+  write_all c.fd c.wbuf 0 (header_bytes + len);
+  header_bytes + len
+
+(* the header lands in the read buffer too; its fields are taken out
+   before the payload overwrites it *)
+let recv c decode =
+  if not (read_into c.fd c.rbuf header_bytes) then None
+  else begin
+    let len = capped (get_u32 c.rbuf 0) and crc = get_u32 c.rbuf 4 in
+    c.rbuf <- room c.rbuf len;
+    if not (read_into c.fd c.rbuf len) then raise (Frame_error "connection closed mid-frame");
+    let s = Bytes.unsafe_to_string c.rbuf in
+    if crc32_sub s 0 len <> crc then raise (Frame_error "frame CRC mismatch");
+    match decode s ~off:0 ~len with
+    | v -> Some (v, header_bytes + len)
+    | exception Invalid_argument msg -> raise (Frame_error ("undecodable payload: " ^ msg))
+  end

@@ -1,6 +1,6 @@
 (** The byte-level rules of every trust boundary — the worker pipe
     (FORMAT.md Appendix B), the checkpoint log (Appendix A), the store
-    (§1.4) and the daemon socket (DESIGN.md §8) — in one module, so the
+    (§1.4) and the daemon socket (Appendix C) — in one module, so the
     boundaries cannot drift apart. *)
 
 (** {1 CRC-32}
@@ -23,8 +23,8 @@ val crc32_map : bytes_map -> pos:int -> len:int -> int
 
 (** {1 Varints}
 
-    Canonical unsigned LEB128 over [[0, 2^62)], at most {!varint_max}
-    bytes (FORMAT.md A.3). *)
+    LEB128, at most {!varint_max} bytes (FORMAT.md A.3): unsigned over
+    [[0, 2^62)], and zigzag-coded over every [int] (Appendix C.2). *)
 
 val varint_max : int
 (** [9]. *)
@@ -32,11 +32,25 @@ val varint_max : int
 val put_uint : bytes -> int -> int -> int
 (** [put_uint b off v] writes [v] at [off] and returns the offset past
     it; the caller guarantees {!varint_max} bytes of room.
-    @raise Invalid_argument when [v] is negative. *)
+    @raise Invalid_argument when [v] is negative, or past the end of
+    [b]. *)
+
+val put_int : bytes -> int -> int -> int
+(** As {!put_uint} for any [int], zigzag-coded: [0, -1, 1, -2, ...]
+    become [0, 1, 2, 3, ...]. *)
+
+val put_float : bytes -> int -> float -> int
+(** The IEEE-754 bits of a float, 8 bytes little-endian, so every value
+    (NaN payloads included) comes back bit for bit. *)
 
 val put_string : bytes -> int -> string -> int
 (** The length as a varint, then the bytes; room as {!put_uint}'s plus
     the bytes. *)
+
+val encode : bound:int -> (bytes -> int -> int) -> string
+(** [encode ~bound put] is the payload [put b 0] writes — at most
+    [bound] bytes — and ends at the offset it returns: the encoding
+    side of {!decode}, and of {!send} without the frame. *)
 
 val add_uint : Buffer.t -> int -> unit
 val add_string : Buffer.t -> string -> unit
@@ -61,6 +75,13 @@ val remaining : cursor -> int
 val get_uint : cursor -> int
 (** Refuses truncation, an overlong encoding and a value at or above
     [2^62] (a ninth byte above [0x3F]). *)
+
+val get_int : cursor -> int
+(** The inverse of {!put_int}; refuses truncation, an overlong encoding
+    and a ninth byte above [0x7F]. *)
+
+val get_float : cursor -> float
+(** The inverse of {!put_float}; refuses fewer than 8 bytes left. *)
 
 val get_count : cursor -> int
 (** A count of elements or bytes still to come: each takes at least one
@@ -106,18 +127,35 @@ val seal : bytes -> len:int -> unit
 (** Write into the first 8 bytes the header of the payload at
     [[8, 8 + len)]. @raise Frame_error above the cap. *)
 
-val write_frame : Unix.file_descr -> bytes -> len:int -> unit
-(** {!seal}, then one write of header and payload. *)
-
-val read_frame : Unix.file_descr -> bytes ref -> int option
-(** Read one frame's payload to offset 0 of the reused buffer (replaced
-    when too small) and return its length; [None] on EOF at a frame
-    boundary. @raise Frame_error on a torn frame, a CRC mismatch, or an
-    oversized length (before its payload is read). @raise Timeout *)
-
 val frame_at : bytes -> pos:int -> stop:int -> int option
 (** Check in place the frame at [pos] of the received bytes
     [[pos, stop)]: [Some len] when it is complete and its CRC matches
     (the payload is at [pos + 8]), [None] while it is incomplete.
     @raise Frame_error on a CRC mismatch, or an oversized length as soon
     as the header is complete. *)
+
+(** {1 Connections}
+
+    A blocking descriptor with one read and one write buffer, reused by
+    every frame on it: a payload is built in place behind its header and
+    sent with one write, and every frame read lands in the read buffer.
+    Not thread-safe: callers serialise writes. *)
+
+type conn
+
+val conn : Unix.file_descr -> conn
+val conn_fd : conn -> Unix.file_descr
+
+val send : conn -> bound:int -> (bytes -> int -> int) -> int
+(** [send c ~bound put] has [put b off] write one payload into [b] from
+    [off] — at most [bound] bytes — and return the offset past it, then
+    seals it and writes the frame. Returns the frame's size, header
+    included. @raise Frame_error above the cap. *)
+
+val recv : conn -> (string -> off:int -> len:int -> 'a) -> ('a * int) option
+(** Read one frame and decode its payload where it lies; the decoder
+    must copy what it keeps. Returns the value and the frame's size,
+    header included; [None] on EOF at a frame boundary.
+    @raise Frame_error on a torn frame, a CRC mismatch, an oversized
+    length (before its payload is read), or a payload the decoder
+    refuses with [Invalid_argument]. @raise Timeout *)

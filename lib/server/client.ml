@@ -1,5 +1,7 @@
+open Rgs_sequence
+
 type t = {
-  fd : Unix.file_descr;
+  conn : Wire.conn;
   queued : Protocol.response Queue.t;
       (* frames read while waiting for a specific reply *)
   mutable closed : bool;
@@ -15,18 +17,13 @@ let connect ?(timeout_s = 30.0) path =
     if not (Protocol.read_hello fd) then
       raise (Protocol.Protocol_error "daemon refused the hello")
   with
-  | () -> { fd; queued = Queue.create (); closed = false }
+  | () -> { conn = Wire.conn fd; queued = Queue.create (); closed = false }
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
-let send t req =
-  Protocol.write_frame t.fd (Protocol.request_to_string req)
-
-let read_response t =
-  match Protocol.read_frame t.fd with
-  | None -> None
-  | Some payload -> Some (Protocol.response_of_string payload)
+let send t req = Protocol.send_request t.conn req
+let read_response t = Protocol.recv_response t.conn
 
 let next_response t =
   match Queue.take_opt t.queued with
@@ -103,5 +100,5 @@ let collect_job t ~job_id =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    try Unix.close (Wire.conn_fd t.conn) with Unix.Unix_error _ -> ()
   end

@@ -51,9 +51,16 @@ let config ?(queue_capacity = 16) ?(workers = 2) ?(limits = Job.no_limits)
 let send_timeout_s = 10.0 (* [SO_SNDTIMEO]: a client stuck longer is shed *)
 let result_chunk = 512 (* patterns per [Results] frame *)
 
+(* a connection's input buffer starts at [inbuf_min] bytes, and goes
+   back to it once a parse leaves it above [shrink_above] bytes holding
+   at most [inbuf_min] unparsed ones *)
+let inbuf_min = 4096
+let shrink_above = 64 * 1024
+
 type conn = {
   cid : int;
   fd : Unix.file_descr;
+  out : Wire.conn;  (* every response frame is built in its write buffer *)
   mutable inbuf : bytes;  (* received, not yet parsed: [[0, inlen)] *)
   mutable inlen : int;
   mutable hello_done : bool;
@@ -167,8 +174,8 @@ let send t conn resp =
   if not conn.alive then false
   else
     match
-      Protocol.write_frame ~fire_fault:true conn.fd
-        (Protocol.response_to_string resp)
+      Budget.Fault.fire Budget.Fault.Socket_write;
+      Protocol.send_response conn.out resp
     with
     | () -> true
     | exception
@@ -188,7 +195,8 @@ let accept_conn t =
       {
         cid;
         fd;
-        inbuf = Bytes.create 4096;
+        out = Wire.conn fd;
+        inbuf = Bytes.create inbuf_min;
         inlen = 0;
         hello_done = false;
         alive = true;
@@ -268,16 +276,24 @@ let parse_conn t conn =
       true
     with Exit | Protocol.Protocol_error _ -> false
   in
-  if !pos > 0 then begin
-    Bytes.blit conn.inbuf !pos conn.inbuf 0 (conn.inlen - !pos);
-    conn.inlen <- conn.inlen - !pos
+  let rest = conn.inlen - !pos in
+  if Bytes.length conn.inbuf > shrink_above && rest <= inbuf_min then begin
+    (* a buffer once grown for a large frame is not kept at its peak *)
+    let small = Bytes.create inbuf_min in
+    Bytes.blit conn.inbuf !pos small 0 rest;
+    conn.inbuf <- small;
+    conn.inlen <- rest
+  end
+  else if !pos > 0 then begin
+    Bytes.blit conn.inbuf !pos conn.inbuf 0 rest;
+    conn.inlen <- rest
   end;
   ok
 
 (* reads land directly after the unparsed bytes, in a buffer that
    doubles whenever less than 4 KiB of it is free *)
 let on_readable t conn =
-  if Bytes.length conn.inbuf - conn.inlen < 4096 then
+  if Bytes.length conn.inbuf - conn.inlen < inbuf_min then
     conn.inbuf <- Bytes.extend conn.inbuf 0 (Bytes.length conn.inbuf);
   let free = Bytes.length conn.inbuf - conn.inlen in
   match Unix.read conn.fd conn.inbuf conn.inlen free with

@@ -98,18 +98,6 @@ let config_of ?shards ?shard_dispatch (spec : Protocol.job_spec) =
     ?shards ?shard_dispatch
     ~min_sup:spec.min_sup ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse format text =
-  match (format : Protocol.format) with
-  | Protocol.Tokens -> fst (Seq_io.parse_tokens text)
-  | Protocol.Chars -> Seq_io.parse_chars ~strict:true text
-  | Protocol.Spmf -> Seq_io.parse_spmf ~strict:true text
-
 (* Mapped [.rgsdb] stores are cached per path: every job referencing the
    same store (and the daemon's --store preload) shares one read-only
    mapping, so concurrent jobs on one corpus cost one set of pages. The
@@ -142,8 +130,8 @@ let preload_store path =
 let load_db (spec : Protocol.job_spec) =
   match spec.db with
   | Protocol.Inline { format; text } -> (
-    match parse format text with
-    | db -> Ok db
+    match Seq_io.parse format text with
+    | db, _ -> Ok db
     | exception Seq_io.Parse_error { line; msg } ->
       Error (Printf.sprintf "inline db: line %d: %s" line msg))
   | Protocol.File { format = _; path } when is_store_path path -> (
@@ -155,8 +143,8 @@ let load_db (spec : Protocol.job_spec) =
       Error (Printf.sprintf "%s: %s" path (Unix.error_message err))
     | exception Sys_error msg -> Error msg)
   | Protocol.File { format; path } -> (
-    match parse format (read_file path) with
-    | db -> Ok db
+    match Seq_io.parse format (Seq_io.read_file path) with
+    | db, _ -> Ok db
     | exception Sys_error msg -> Error msg
     | exception Seq_io.Parse_error { line; msg } ->
       Error (Printf.sprintf "%s:%d: %s" path line msg))

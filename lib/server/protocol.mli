@@ -1,38 +1,37 @@
-(** Wire protocol of the [rgsminerd] mining daemon.
+(** Wire protocol of the [rgsminerd] mining daemon, version 3
+    (FORMAT.md Appendix C).
 
     A connection starts with a 5-byte hello — the magic ["RGSD"] plus one
     version byte — sent by the client and echoed verbatim by the server.
     The daemon speaks exactly {!version}; a client asking for any other
     version gets its connection closed, which it observes as EOF during
     the handshake.
-    After the hello, both directions carry {e frames}:
+    After the hello, both directions carry {!Rgs_sequence.Wire} frames
+    (a big-endian length and CRC-32, then the payload), the worker
+    pipe's frames, read and written through a {!Rgs_sequence.Wire.conn}.
 
-    {v
-    offset 0   u32 big-endian   payload length (<= Wire.max_frame_bytes)
-    offset 4   u32 big-endian   CRC-32 of the payload (Wire.crc32)
-    offset 8   payload          Marshal-encoded request / response
-    v}
-
-    The header is {!Rgs_sequence.Wire}'s, shared with the worker pipe.
-
-    The CRC catches torn or garbled frames before [Marshal] ever sees
-    them; a frame that fails the length guard, the CRC or decoding raises
-    {!Protocol_error}, and the daemon sheds the offending connection
-    instead of crashing. Payloads use [Marshal] and
-    are only valid within one build of the binary — the version byte
-    exists so a future incompatible revision is rejected at the
-    handshake, not by a decoder crash.
+    A payload is a tagged varint codec: integer fields are zigzag
+    varints, floats their IEEE-754 bits, and the decoder is total. A
+    frame that fails the length guard, the CRC or decoding — an unknown
+    tag, a truncated or overlong varint, a flag other than 0/1, a count
+    past the bytes left, bytes left over — raises {!Protocol_error}, and
+    the daemon sheds the offending connection instead of crashing.
+    Values the types allow but a job may not have (a negative [min_sup],
+    an empty target) decode, and {!Job.validate} rejects them with a
+    typed [Rejected].
 
     Requests are client-to-server; a [Submit] is answered by an admission
     response ([Accepted] / [Overloaded] / [Duplicate] / [Rejected]) and
     later — asynchronously, possibly interleaved with other jobs' frames —
     by zero or more [Results] chunks and exactly one [Job_done]. *)
 
+open Rgs_sequence
+
 val magic : string
 (** ["RGSD"]. *)
 
 val version : int
-(** The protocol version ([2]), the only one the daemon accepts. *)
+(** The protocol version ([3]), the only one the daemon accepts. *)
 
 exception Protocol_error of string
 (** A malformed hello or frame, a CRC mismatch, an oversized frame, an
@@ -40,7 +39,7 @@ exception Protocol_error of string
     {!Rgs_sequence.Wire.Frame_error} under the daemon's name, so a
     handler of either catches the frame errors of both. *)
 
-type format = Tokens | Chars | Spmf  (** input formats, as {!Seq_io} *)
+type format = Seq_io.format = Tokens | Chars | Spmf  (** input formats *)
 
 type db_source =
   | Inline of { format : format; text : string }
@@ -117,22 +116,6 @@ type response =
   | Pong
   | Error_frame of string  (** server-side protocol-level error report *)
 
-(** {1 Frame I/O}
-
-    All functions retry [EINTR]. Reads translate a receive timeout
-    ([SO_RCVTIMEO] expiry, {!Rgs_sequence.Wire.Timeout}) into
-    {!Protocol_error} ["read timeout"] so a caller under timeout
-    discipline can never hang. *)
-
-val write_frame : ?fire_fault:bool -> Unix.file_descr -> string -> unit
-(** Write one frame. [fire_fault] (daemon side only) fires
-    {!Budget.Fault.Socket_write} first, so chaos plans can fail the write.
-    @raise Unix.Unix_error on a broken connection (EPIPE et al). *)
-
-val read_frame : Unix.file_descr -> string option
-(** Read one frame; [None] on a clean EOF at a frame boundary.
-    @raise Protocol_error on a torn frame, bad CRC or oversized length. *)
-
 val hello : string
 (** The 5 hello bytes for {!version}. *)
 
@@ -147,8 +130,27 @@ val request_to_string : request -> string
 val request_of_string : string -> request
 val response_to_string : response -> string
 val response_of_string : string -> response
-(** Marshal codecs. The [of_string] direction raises {!Protocol_error}
-    on undecodable payloads. *)
+(** The payload codecs, without the frame header. Encoding never raises;
+    the encoding is canonical, so a payload that decodes re-encodes to
+    the same bytes. The [of_string] direction raises {!Protocol_error}
+    on an undecodable payload. *)
+
+(** {1 Frames}
+
+    One frame per message on a {!Rgs_sequence.Wire.conn}, built in place
+    in its write buffer. *)
+
+val send_request : Wire.conn -> request -> unit
+val send_response : Wire.conn -> response -> unit
+(** @raise Protocol_error above {!Rgs_sequence.Wire.max_frame_bytes}.
+    @raise Unix.Unix_error on a broken connection (EPIPE et al). *)
+
+val recv_response : Wire.conn -> response option
+(** The next response; [None] on a clean EOF at a frame boundary.
+    @raise Protocol_error on a torn frame, a CRC mismatch, an oversized
+    length or an undecodable payload, and as ["read timeout"] when the
+    descriptor's [SO_RCVTIMEO] expires, so a caller under timeout
+    discipline can never hang. *)
 
 val valid_job_id : string -> bool
 (** [[A-Za-z0-9._-]{1,64}] — ids double as checkpoint file names. *)

@@ -37,28 +37,20 @@ let tag_heartbeat = 2
 let tag_grown = 3
 let tag_failed = 4
 
-(* A payload is built in place at [start], after the frame header, in a
-   buffer reused across frames; [bound] is an upper bound on the payload. *)
-let start = Wire.header_bytes
+(* [*_bound] is an upper bound on a payload's size; [put_*] writes it
+   from [o] and returns the offset past it *)
+let to_worker_bound = function
+  | Shutdown -> 1
+  | Grow { slice; _ } ->
+    (7 * Wire.varint_max)
+    + (match slice with Inline s -> Support_set.encode_bound s | Held -> 0)
 
-let reserve b bound =
-  if Bytes.length !b < start + bound then
-    b := Bytes.create (max (start + bound) (2 * Bytes.length !b))
-
-(* the [write_*_payload] functions return the payload's end offset in [!b] *)
-let write_to_worker_payload b (m : to_worker) =
+let put_to_worker (m : to_worker) b o =
   match m with
-  | Shutdown ->
-    reserve b 1;
-    Wire.put_uint !b start tag_shutdown
+  | Shutdown -> Wire.put_uint b o tag_shutdown
   | Grow { req; event; gap; slot; slice } ->
     if slot < 0 || slot >= slots then invalid_arg "Shard_worker: slot out of range";
-    let set_bound =
-      match slice with Inline s -> Support_set.encode_bound s | Held -> 0
-    in
-    reserve b ((7 * Wire.varint_max) + set_bound);
-    let b = !b in
-    let o = Wire.put_uint b start tag_grow in
+    let o = Wire.put_uint b o tag_grow in
     let o = Wire.put_uint b o req in
     let o = Wire.put_uint b o event in
     let o =
@@ -73,26 +65,24 @@ let write_to_worker_payload b (m : to_worker) =
     | Held -> Wire.put_uint b o 0
     | Inline s -> Support_set.encode_into s b (Wire.put_uint b o 1))
 
-let write_from_worker_payload b (m : from_worker) =
+let from_worker_bound = function
+  | Ready { digest; _ } -> (5 * Wire.varint_max) + String.length digest
+  | Heartbeat -> 1
+  | Grown { part; _ } -> (2 * Wire.varint_max) + Support_set.encode_bound part
+  | Failed { reason; _ } -> (3 * Wire.varint_max) + String.length reason
+
+let put_from_worker (m : from_worker) b o =
   match m with
   | Ready { lo; hi; digest } ->
-    reserve b ((5 * Wire.varint_max) + String.length digest);
-    let b = !b in
-    let o = Wire.put_uint b start tag_ready in
+    let o = Wire.put_uint b o tag_ready in
     let o = Wire.put_uint b o wire_version in
     let o = Wire.put_uint b o lo in
     Wire.put_string b (Wire.put_uint b o hi) digest
-  | Heartbeat ->
-    reserve b 1;
-    Wire.put_uint !b start tag_heartbeat
+  | Heartbeat -> Wire.put_uint b o tag_heartbeat
   | Grown { req; part } ->
-    reserve b ((2 * Wire.varint_max) + Support_set.encode_bound part);
-    let b = !b in
-    Support_set.encode_into part b (Wire.put_uint b (Wire.put_uint b start tag_grown) req)
+    Support_set.encode_into part b (Wire.put_uint b (Wire.put_uint b o tag_grown) req)
   | Failed { req; reason } ->
-    reserve b ((3 * Wire.varint_max) + String.length reason);
-    let b = !b in
-    Wire.put_string b (Wire.put_uint b (Wire.put_uint b start tag_failed) req) reason
+    Wire.put_string b (Wire.put_uint b (Wire.put_uint b o tag_failed) req) reason
 
 (* Decoders read [s.[off, off + len)] through [Wire.decode]; every
    failure is [Invalid_argument]. A support set runs to the end of the
@@ -149,56 +139,29 @@ let to_result f s =
   | m -> Ok m
   | exception Invalid_argument msg -> Error msg
 
-let payload_string write m =
-  let b = ref (Bytes.create 64) in
-  let stop = write b m in
-  Bytes.sub_string !b start (stop - start)
-
-let encode_to_worker m = payload_string write_to_worker_payload m
-let encode_from_worker m = payload_string write_from_worker_payload m
+let encode_to_worker m = Wire.encode ~bound:(to_worker_bound m) (put_to_worker m)
+let encode_from_worker m = Wire.encode ~bound:(from_worker_bound m) (put_from_worker m)
 let decode_to_worker s = to_result decode_to_worker_sub s
 let decode_from_worker s = to_result decode_from_worker_sub s
 
-(* --- connections: framing over reused buffers --- *)
-
-type conn = {
-  fd : Unix.file_descr;
-  rbuf : Bytes.t ref;  (* every frame read lands here *)
-  wbuf : Bytes.t ref;  (* every frame written is built here *)
-}
-
-let conn fd = { fd; rbuf = ref (Bytes.create 4096); wbuf = ref (Bytes.create 4096) }
-let fd c = c.fd
-
-(* one frame, one write: header and payload share the buffer *)
-let write_frame c write m =
-  let stop = write c.wbuf m in
-  Wire.write_frame c.fd !(c.wbuf) ~len:(stop - start);
-  stop
-
-let read_frame c decode =
-  match Wire.read_frame c.fd c.rbuf with
-  | None -> None
-  | Some len -> (
-    (* the decoders copy what they keep, so the buffer can be reused *)
-    match decode (Bytes.unsafe_to_string !(c.rbuf)) ~off:0 ~len with
-    | m -> Some (m, Wire.header_bytes + len)
-    | exception Invalid_argument msg ->
-      raise (Protocol.Protocol_error ("undecodable worker frame: " ^ msg)))
+(* --- connections: [Wire]'s, one per pipe end --- *)
 
 (* The supervisor's side counts the bytes its pipes carry. *)
 let write_to_worker c m =
-  Metrics.add Metrics.worker_bytes_sent (write_frame c write_to_worker_payload m)
+  Metrics.add Metrics.worker_bytes_sent
+    (Wire.send c ~bound:(to_worker_bound m) (put_to_worker m))
 
 let read_from_worker c =
-  match read_frame c decode_from_worker_sub with
+  match Wire.recv c decode_from_worker_sub with
   | None -> None
   | Some (m, n) ->
     Metrics.add Metrics.worker_bytes_received n;
     Some m
 
-let write_from_worker c m = ignore (write_frame c write_from_worker_payload m)
-let read_to_worker c = Option.map fst (read_frame c decode_to_worker_sub)
+let write_from_worker c m =
+  ignore (Wire.send c ~bound:(from_worker_bound m) (put_from_worker m))
+
+let read_to_worker c = Option.map fst (Wire.recv c decode_to_worker_sub)
 
 (* --- corrupt-frame injection ([Chaos.Proc_corrupt]) --- *)
 
@@ -236,7 +199,7 @@ let armed_fault () =
 
 let serve ?(heartbeat_ms = 50) ?(input = Unix.stdin) ?(output = Unix.stdout)
     ~store ~lo ~hi () =
-  let inc = conn input and outc = conn output in
+  let inc = Wire.conn input and outc = Wire.conn output in
   (* a dying supervisor must surface as EPIPE on our writes, not SIGPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let db, _codec = Rgs_store.Store.open_db store in
@@ -343,7 +306,7 @@ let serve ?(heartbeat_ms = 50) ?(input = Unix.stdin) ?(output = Unix.stdout)
       match loop () with
       | () -> ()
       | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ()
-      | exception Protocol.Protocol_error _ ->
+      | exception Wire.Frame_error _ ->
         (* a torn or undecodable request frame means the supervisor died
            mid-write or speaks another codec; either way there is nobody
            left to serve *)

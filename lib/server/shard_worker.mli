@@ -21,12 +21,11 @@
     replayed against a fresh incarnation, or computed in-process, with
     an identical answer.
 
-    Frames use {!Rgs_sequence.Wire}'s length + CRC-32 header (the
-    daemon's too) over the worker's
-    stdin/stdout (a socketpair, so the supervisor can arm [SO_RCVTIMEO]
-    as its liveness deadline). Payloads are a tagged codec over [Wire]'s
-    varints with a total decoder (FORMAT.md Appendix B); each connection builds and
-    reads its frames in reused buffers. A heartbeat domain writes a
+    Frames use {!Rgs_sequence.Wire}'s length + CRC-32 header and
+    connections (the daemon's too) over the worker's stdin/stdout (a
+    socketpair, so the supervisor can arm [SO_RCVTIMEO] as its liveness
+    deadline). Payloads are a tagged codec over [Wire]'s varints with a
+    total decoder (FORMAT.md Appendix B). A heartbeat domain writes a
     [Heartbeat] frame every [heartbeat_ms] under the same writer mutex as
     replies, so a long INSgrow pass never looks like a hang.
 
@@ -96,35 +95,32 @@ val decode_to_worker : string -> (to_worker, string) result
 val encode_from_worker : from_worker -> string
 val decode_from_worker : string -> (from_worker, string) result
 
-(** {2 Connections} *)
+(** {2 Connections}
 
-type conn
-(** One end of a worker pipe, with the read and write buffers every frame
-    on it reuses. Not thread-safe: callers serialise writes (the worker
-    under its writer mutex, the supervisor under the shard's lock). *)
+    Each end of a worker pipe is a {!Rgs_sequence.Wire.conn}, whose
+    reused buffers every frame on it goes through. Callers serialise
+    writes: the worker under its writer mutex, the supervisor under the
+    shard's lock. *)
 
-val conn : Unix.file_descr -> conn
-val fd : conn -> Unix.file_descr
-
-val write_to_worker : conn -> to_worker -> unit
+val write_to_worker : Wire.conn -> to_worker -> unit
 (** Supervisor side; adds the frame's bytes to
     {!Rgs_sequence.Metrics.worker_bytes_sent}.
-    @raise Protocol.Protocol_error on an oversized frame. *)
+    @raise Rgs_sequence.Wire.Frame_error on an oversized frame. *)
 
-val read_to_worker : conn -> to_worker option
-(** Worker side. [None] on clean EOF. @raise Protocol.Protocol_error as
-    {!read_from_worker}. *)
+val read_to_worker : Wire.conn -> to_worker option
+(** Worker side. [None] on clean EOF.
+    @raise Rgs_sequence.Wire.Frame_error as {!read_from_worker}. *)
 
-val write_from_worker : conn -> from_worker -> unit
+val write_from_worker : Wire.conn -> from_worker -> unit
 (** Worker side. *)
 
-val read_from_worker : conn -> from_worker option
+val read_from_worker : Wire.conn -> from_worker option
 (** Supervisor side; adds the frame's bytes to
     {!Rgs_sequence.Metrics.worker_bytes_received}. [None] on clean EOF.
-    @raise Protocol.Protocol_error on a torn, CRC-corrupt or undecodable
-    frame (a [Ready] of another {!wire_version} included).
+    @raise Rgs_sequence.Wire.Frame_error on a torn, CRC-corrupt or
+    undecodable frame (a [Ready] of another {!wire_version} included).
     @raise Rgs_sequence.Wire.Timeout when the descriptor's [SO_RCVTIMEO]
-    expires. EOF, [Protocol_error] and [Timeout] are the supervisor's
+    expires. EOF, [Frame_error] and [Timeout] are the supervisor's
     three failure signals. *)
 
 val write_corrupt_frame : Unix.file_descr -> unit

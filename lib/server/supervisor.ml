@@ -53,7 +53,7 @@ let config ?(heartbeat_ms = 50) ?(liveness_timeout_s = 5.0)
     worker_env;
   }
 
-type proc = { pid : int; conn : Shard_worker.conn }
+type proc = { pid : int; conn : Wire.conn }
 
 type worker = {
   shard : int;
@@ -117,14 +117,7 @@ let resolve_store ?store db =
     | path -> Some (path, true)
     | exception _ -> None)
 
-(* --- deterministic backoff jitter (splitmix64, as in [Chaos]) --- *)
-
-let splitmix state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land max_int
+(* --- deterministic backoff jitter --- *)
 
 let backoff_s t w =
   let attempt = w.attempts in
@@ -133,7 +126,7 @@ let backoff_s t w =
   (* jitter in [0.5, 1.5) of the capped delay, deterministic per
      (seed, shard, attempt) so chaos sweeps replay exactly *)
   let state = ref (Int64.of_int (t.cfg.seed + (w.shard * 1000003) + attempt)) in
-  let jitter = 0.5 +. (float_of_int (splitmix state mod 1024) /. 1024.0) in
+  let jitter = 0.5 +. (float_of_int (Chaos.splitmix state mod 1024) /. 1024.0) in
   float_of_int capped /. 1000.0 *. jitter
 
 (* --- lifecycle --- *)
@@ -184,7 +177,7 @@ let teardown t w p =
   Trace.span t.trace Trace.Proc_worker ~a0:w.shard ~a1:w.grows
     ~start:w.span_start;
   (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try Unix.close (Shard_worker.fd p.conn) with Unix.Unix_error _ -> ());
+  (try Unix.close (Wire.conn_fd p.conn) with Unix.Unix_error _ -> ());
   reap p.pid;
   forget_slots w;
   w.proc <- None
@@ -279,7 +272,7 @@ let spawn t w =
       in
       (* handshake: [Ready] is the worker's first frame, sent before its
          index build, so this read is bounded by exec + store-map time *)
-      let conn = Shard_worker.conn parent in
+      let conn = Wire.conn parent in
       (match Shard_worker.read_from_worker conn with
       | Some (Shard_worker.Ready { lo; hi; digest })
         when lo = w.lo && hi = w.hi && digest = t.digest ->
@@ -291,7 +284,7 @@ let spawn t w =
         fail "handshake mismatch (wrong range or database digest)"
       | Some _ -> fail "unexpected first frame"
       | None -> fail "worker exited before handshake"
-      | exception Protocol.Protocol_error msg -> fail ("handshake: " ^ msg)
+      | exception Wire.Frame_error msg -> fail ("handshake: " ^ msg)
       | exception Wire.Timeout -> fail "handshake: read timeout"
       | exception Unix.Unix_error (e, _, _) ->
         fail ("handshake: " ^ Unix.error_message e)))
@@ -321,7 +314,7 @@ let restart t w ~reason =
   (match w.proc with Some p -> teardown t w p | None -> ());
   note_failure t w ~reason
 
-let await t w p ~req =
+let await t p ~req =
   let rec go () =
     match Shard_worker.read_from_worker p.conn with
     | Some Shard_worker.Heartbeat -> go ()
@@ -337,10 +330,9 @@ let await t w p ~req =
       Error
         (Printf.sprintf "liveness timeout (no heartbeat within %gs)"
            t.cfg.liveness_timeout_s)
-    | exception Protocol.Protocol_error msg -> Error ("corrupt reply frame: " ^ msg)
+    | exception Wire.Frame_error msg -> Error ("corrupt reply frame: " ^ msg)
     | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
-  ignore w;
   go ()
 
 (* send one [Grow] for slice [s]; a resend ([inline]) always ships the
@@ -362,13 +354,13 @@ let rec exchange t w s ~event ~sent =
     let p = match w.proc with Some p -> p | None -> assert false in
     let outcome =
       match sent with
-      | Some req -> await t w p ~req
+      | Some req -> await t p ~req
       | None -> (
         match send_grow t w p s ~event ~inline:true with
-        | req -> await t w p ~req
+        | req -> await t p ~req
         | exception Unix.Unix_error (e, _, _) ->
           Error ("send: " ^ Unix.error_message e)
-        | exception Protocol.Protocol_error msg -> Error ("send: " ^ msg))
+        | exception Wire.Frame_error msg -> Error ("send: " ^ msg))
     in
     match outcome with
     | Ok part ->
@@ -415,7 +407,7 @@ let dispatch t : Shard_merge.dispatch =
         | req -> sent.(i) <- Some req
         | exception Unix.Unix_error (err, _, _) ->
           restart t w ~reason:("send: " ^ Unix.error_message err)
-        | exception Protocol.Protocol_error msg ->
+        | exception Wire.Frame_error msg ->
           restart t w ~reason:("send: " ^ msg)
       end
     done;
@@ -510,8 +502,8 @@ let shutdown t =
           (* polite first: Shutdown frame + close, then a short grace
              before SIGKILL so a mid-reply worker can finish its write *)
           (try Shard_worker.write_to_worker p.conn Shard_worker.Shutdown
-           with Unix.Unix_error _ | Protocol.Protocol_error _ -> ());
-          (try Unix.close (Shard_worker.fd p.conn) with Unix.Unix_error _ -> ());
+           with Unix.Unix_error _ | Wire.Frame_error _ -> ());
+          (try Unix.close (Wire.conn_fd p.conn) with Unix.Unix_error _ -> ());
           let deadline = Unix.gettimeofday () +. 0.5 in
           let rec wait () =
             match Unix.waitpid [ Unix.WNOHANG ] p.pid with

@@ -225,7 +225,8 @@ let test_typed_rejections () =
 
 (* an unsupported hello version is refused at the handshake — the client
    observes EOF, not a decoder crash. Version 1 (the pre-query protocol)
-   is one of them: the daemon speaks only [Protocol.version]. *)
+   and version 2 (Marshal payloads) are among them: the daemon speaks
+   only [Protocol.version]. *)
 let test_unsupported_version_refused () =
   with_daemon (fun h ->
       List.iter
@@ -239,8 +240,9 @@ let test_unsupported_version_refused () =
               let bad = Protocol.magic ^ String.make 1 (Char.chr v) in
               ignore (Unix.write_substring fd bad 0 (String.length bad));
               (* the daemon sheds us: EOF (possibly after an error frame) *)
+              let conn = Wire.conn fd in
               let rec drained () =
-                match Protocol.read_frame fd with
+                match Protocol.recv_response conn with
                 | None -> true
                 | Some _ -> drained ()
                 | exception Protocol.Protocol_error _ -> true
@@ -251,7 +253,7 @@ let test_unsupported_version_refused () =
               Alcotest.(check bool)
                 (Printf.sprintf "version %d: connection closed" v)
                 true (drained ())))
-        [ 1; Protocol.version + 7 ];
+        [ 1; 2; Protocol.version + 7 ];
       (* the refusals did not disturb the daemon *)
       with_client h (fun c ->
           Alcotest.(check bool) "still serving" true (Client.ping c)))
@@ -282,13 +284,12 @@ let sealed payload =
 (* the daemon closes the connection (maybe after an error frame) and
    answers nothing else; a read timeout means it is still waiting *)
 let shed fd =
+  let conn = Wire.conn fd in
   let rec go () =
-    match Protocol.read_frame fd with
+    match Protocol.recv_response conn with
     | None -> true
-    | Some s -> (
-      match Protocol.response_of_string s with
-      | Protocol.Error_frame _ -> go ()
-      | _ -> false)
+    | Some (Protocol.Error_frame _) -> go ()
+    | Some _ -> false
     | exception Protocol.Protocol_error "read timeout" -> false
     | exception Protocol.Protocol_error _ -> true
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
@@ -324,16 +325,15 @@ let test_fragmented_frames () =
               | _ -> ()
             in
             send cuts;
+            let conn = Wire.conn fd in
             let rec collect acc =
-              match Protocol.read_frame fd with
+              match Protocol.recv_response conn with
               | None -> Alcotest.fail "daemon hung up on a fragmented frame"
-              | Some s -> (
-                match Protocol.response_of_string s with
-                | Protocol.Accepted _ -> collect acc
-                | Protocol.Results { job_id = "frag-pieces"; patterns; _ } ->
-                  collect (List.rev_append patterns acc)
-                | Protocol.Job_done d -> (List.rev acc, d)
-                | _ -> Alcotest.fail "unexpected frame for a fragmented submit")
+              | Some (Protocol.Accepted _) -> collect acc
+              | Some (Protocol.Results { job_id = "frag-pieces"; patterns; _ }) ->
+                collect (List.rev_append patterns acc)
+              | Some (Protocol.Job_done d) -> (List.rev acc, d)
+              | Some _ -> Alcotest.fail "unexpected frame for a fragmented submit"
             in
             collect [])
       in
@@ -357,6 +357,65 @@ let test_fragmented_frames () =
           Alcotest.(check bool) "bad CRC shed" true (shed fd));
       with_client h (fun c ->
           Alcotest.(check bool) "still serving" true (Client.ping c)))
+
+(* A CRC-valid payload the v3 decoder refuses is shed like a bad CRC:
+   a Marshal-encoded response (what a v2 peer would send), an unknown
+   tag, and a valid request with one byte too many. *)
+let test_undecodable_frames_shed () =
+  with_daemon (fun h ->
+      List.iter
+        (fun (name, payload) ->
+          with_raw_conn h (fun fd ->
+              let b = sealed payload in
+              Wire.write_all fd b 0 (Bytes.length b);
+              Alcotest.(check bool) (name ^ " shed") true (shed fd)))
+        [
+          ( "Marshal response",
+            Marshal.to_string
+              (Protocol.Accepted { job_id = "m"; position = 1 } : Protocol.response)
+              [] );
+          ("unknown tag", "\x63");
+          ("trailing byte", Protocol.request_to_string Protocol.Ping ^ "\000");
+        ];
+      with_client h (fun c ->
+          Alcotest.(check bool) "still serving" true (Client.ping c)))
+
+(* A connection's input buffer, grown for one large frame, does not stay
+   at that size: live heap after an 8 MiB request is back near where it
+   started while the connection stays open. *)
+let test_inbuf_shrinks () =
+  with_daemon (fun h ->
+      with_raw_conn h (fun fd ->
+          let live () =
+            Gc.full_major ();
+            (Gc.stat ()).Gc.live_words
+          in
+          let before = live () in
+          (let big =
+             sealed
+               (Protocol.request_to_string
+                  (Protocol.Submit
+                     {
+                       (spec "bad id!") with
+                       db =
+                         Protocol.Inline
+                           { format = Protocol.Spmf; text = String.make (8 lsl 20) ' ' };
+                     }))
+           in
+           Wire.write_all fd big 0 (Bytes.length big));
+          let conn = Wire.conn fd in
+          (match Protocol.recv_response conn with
+          | Some (Protocol.Rejected _) -> ()
+          | _ -> Alcotest.fail "a large bad submit was not rejected");
+          let ping = sealed (Protocol.request_to_string Protocol.Ping) in
+          Wire.write_all fd ping 0 (Bytes.length ping);
+          Alcotest.(check bool) "connection kept" true
+            (Protocol.recv_response conn = Some Protocol.Pong);
+          let grown = live () - before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d words kept after an 8 MiB frame" grown)
+            true
+            (grown < 1 lsl 19)))
 
 (* malformed queries are typed rejections on a live connection *)
 let test_malformed_query_rejected () =
@@ -1136,6 +1195,10 @@ let suite =
       test_unsupported_version_refused;
     Alcotest.test_case "fragmented, oversized and corrupt frames" `Quick
       test_fragmented_frames;
+    Alcotest.test_case "undecodable v3 payloads shed" `Quick
+      test_undecodable_frames_shed;
+    Alcotest.test_case "input buffer shrinks after a large frame" `Quick
+      test_inbuf_shrinks;
     Alcotest.test_case "malformed query rejected, typed" `Quick
       test_malformed_query_rejected;
     Alcotest.test_case "v2 queries end-to-end, checkpoint query pin" `Quick

@@ -118,7 +118,7 @@ let test_decode_rejects_garbage () =
 
 let conn_pair () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (a, b, Shard_worker.conn a, Shard_worker.conn b)
+  (a, b, Wire.conn a, Wire.conn b)
 
 let test_frame_roundtrip () =
   let a, b, ca, cb = conn_pair () in
@@ -149,16 +149,19 @@ let test_frame_roundtrip () =
       Shard_worker.write_corrupt_frame b;
       (match Shard_worker.read_from_worker ca with
       | _ -> Alcotest.fail "corrupt frame was accepted"
-      | exception Protocol.Protocol_error msg ->
+      | exception Wire.Frame_error msg ->
         Alcotest.(check bool)
           "CRC mismatch reported" true
           (String.length msg > 0));
       (* a CRC-valid frame of the old Marshal codec is refused too *)
-      Protocol.write_frame b
-        (Marshal.to_string (Shard_worker.Ready { lo = 1; hi = 2; digest = "d" }) []);
+      let old = Marshal.to_string (Shard_worker.Ready { lo = 1; hi = 2; digest = "d" }) [] in
+      ignore
+        (Wire.send cb ~bound:(String.length old) (fun buf off ->
+             Bytes.blit_string old 0 buf off (String.length old);
+             off + String.length old));
       (match Shard_worker.read_from_worker ca with
       | _ -> Alcotest.fail "a Marshal frame was accepted"
-      | exception Protocol.Protocol_error _ -> ());
+      | exception Wire.Frame_error _ -> ());
       (* and silence must trip the receive timeout — the liveness signal *)
       Unix.setsockopt_float a Unix.SO_RCVTIMEO 0.05;
       match Shard_worker.read_from_worker ca with
@@ -177,10 +180,94 @@ let test_ready_version_refused () =
   | Ok _ -> Alcotest.fail "a Ready of another wire version was accepted"
   | Error _ -> ()
 
-(* Seeded mutations of every codec the worker pipe carries: a mutant
-   either gives a typed error or decodes to a value that re-encodes to
-   exactly the mutated bytes (so no two byte strings decode alike). An
-   optional trailing byte rides on top of each mutation. *)
+(* Daemon protocol v3 messages, one per request and response variant
+   (a [Submit] per db source and query shape), carrying the extremes the
+   types allow: ints at both ends of the zigzag range, values
+   [Job.validate] rejects, a NaN, an infinity and a negative zero. *)
+let protocol_requests =
+  let spec =
+    {
+      Protocol.job_id = "job-1";
+      db = Protocol.Inline { format = Protocol.Spmf; text = "1 -1 2 -2\n" };
+      min_sup = 0;
+      mode = Protocol.Closed;
+      max_length = Some 3;
+      max_gap = Some (-1);
+      deadline_s = Some 2.5;
+      max_nodes = None;
+      max_words = Some max_int;
+      query = Protocol.Q_target [ 1; -2 ];
+      compress_delta = Some 0.25;
+    }
+  in
+  [
+    Protocol.Submit spec;
+    Protocol.Submit
+      {
+        spec with
+        db = Protocol.File { format = Protocol.Tokens; path = "data/quest.rgsdb" };
+        min_sup = min_int;
+        mode = Protocol.All;
+        max_length = None;
+        max_gap = None;
+        deadline_s = Some Float.nan;
+        max_nodes = Some (-7);
+        query = Protocol.Q_top_k 10;
+        compress_delta = None;
+      };
+    Protocol.Submit
+      {
+        spec with
+        db = Protocol.Inline { format = Protocol.Chars; text = "" };
+        deadline_s = Some (-0.0);
+        query = Protocol.Q_all;
+        compress_delta = Some Float.infinity;
+      };
+    Protocol.Stats;
+    Protocol.Ping;
+  ]
+
+let protocol_responses =
+  [
+    Protocol.Accepted { job_id = "a"; position = 3 };
+    Protocol.Overloaded { job_id = "b"; pending = 16; capacity = 16 };
+    Protocol.Duplicate { job_id = "c" };
+    Protocol.Rejected { job_id = "d"; reason = "min_sup must be >= 1" };
+    Protocol.Results
+      { job_id = "e"; patterns = [ ([ 1; 2; 3 ], 7); ([], 0); ([ max_int; min_int ], -1) ]; seq = 2 };
+    Protocol.Job_done
+      {
+        Protocol.job_id = "f";
+        outcome = "completed";
+        stopped_by = Some "watchdog";
+        quarantined = 1;
+        total = 40;
+        elapsed_s = 0.125;
+        seq = 9;
+      };
+    Protocol.Stats_frame [ ("jobs_submitted", 4); ("", -3) ];
+    Protocol.Pong;
+    Protocol.Error_frame "protocol error";
+  ]
+
+(* [compare], unlike [=], takes a NaN as equal to itself *)
+let test_protocol_values_roundtrip () =
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "request round-trips" true
+        (compare (Protocol.request_of_string (Protocol.request_to_string r)) r = 0))
+    protocol_requests;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "response round-trips" true
+        (compare (Protocol.response_of_string (Protocol.response_to_string r)) r = 0))
+    protocol_responses
+
+(* Seeded mutations of every codec the worker pipe and the daemon socket
+   carry: a mutant either gives a typed error or decodes to a value that
+   re-encodes to exactly the mutated bytes (so no two byte strings
+   decode alike). An optional trailing byte rides on top of each
+   mutation. *)
 let codec_payloads =
   lazy
     (let db = quest ~seed:7 in
@@ -211,6 +298,18 @@ let codec_payloads =
            match Shard_worker.decode_from_worker b with
            | Ok m -> Some (Shard_worker.encode_from_worker m)
            | Error _ -> None )
+     and request_codec =
+       ( "request",
+         fun b ->
+           match Protocol.request_of_string b with
+           | r -> Some (Protocol.request_to_string r)
+           | exception Protocol.Protocol_error _ -> None )
+     and response_codec =
+       ( "response",
+         fun b ->
+           match Protocol.response_of_string b with
+           | r -> Some (Protocol.response_to_string r)
+           | exception Protocol.Protocol_error _ -> None )
      in
      let grow slot gap slice =
        Shard_worker.encode_to_worker
@@ -233,12 +332,16 @@ let codec_payloads =
              Shard_worker.Heartbeat;
              Shard_worker.Grown { req = 1 lsl 20; part = List.nth sets 2 };
              Shard_worker.Failed { req = 9; reason = "slot 2 is empty" };
-           ]))
+           ]
+       @ List.map (fun r -> (request_codec, Protocol.request_to_string r)) protocol_requests
+       @ List.map
+           (fun r -> (response_codec, Protocol.response_to_string r))
+           protocol_responses))
 
 let prop_codec_mutations =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |])
     (QCheck2.Test.make ~name:"worker codec mutations: typed error or round-trip"
-       ~count:1500
+       ~count:3000
        ~print:(fun (m, tail) ->
          Gens.print_mutation m
          ^ match tail with Some c -> Printf.sprintf ", then append %d" c | None -> "")
@@ -644,6 +747,8 @@ let suite =
       test_ready_version_refused;
     Alcotest.test_case "codec payloads round-trip" `Quick
       test_unmutated_payloads_roundtrip;
+    Alcotest.test_case "protocol v3 values round-trip" `Quick
+      test_protocol_values_roundtrip;
     prop_codec_mutations;
     Alcotest.test_case "in-process worker: empty slot answers Failed" `Quick
       test_empty_slot_fails;

@@ -5,7 +5,8 @@
 #   1. Always on: every .mli under lib/core, lib/sequence, lib/store,
 #      lib/server and lib/post must open with a module-level doc comment
 #      ("(**" as its first token), so each public module states its
-#      contract where odoc and readers look first.
+#      contract where odoc and readers look first; and no source under
+#      lib/ or bin/ may call Marshal.
 #   2. Always on (when the CLI binaries are built): every `--flag`
 #      mentioned in README.md or data/README.md must appear, as a whole
 #      token, in the generated --help of some CLI, so the README cannot
@@ -34,6 +35,15 @@ done
 
 if [ "$missing" = 1 ]; then
   echo "check_docs: FAILED (undocumented interfaces)"
+  exit 1
+fi
+
+# Layer 1b: no Marshal in lib/ or bin/. Every byte that crosses a trust
+# boundary goes through a typed, total decoder (FORMAT.md Appendices
+# A-C); Marshal.from_string checks no types, so a CRC-valid hostile
+# payload could crash the process that decodes it.
+if grep -rn --include='*.ml' --include='*.mli' 'Marshal\.' lib bin; then
+  echo "check_docs: FAILED (Marshal called in lib/ or bin/; use an Rgs_sequence.Wire codec)"
   exit 1
 fi
 
